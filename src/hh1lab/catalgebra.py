@@ -771,11 +771,6 @@ def happel_probe(C, p, N, *, seed=0):
     consistent = summand_ok
     if semisimple and any(hh[q] != 0 for q in range(1, N + 1)):
         consistent = False
-    if cert is not None and not semisimple and first_pos is None:
-        # Frobenius non-semisimple algebras must have nonvanishing higher
-        # cohomology eventually; not seeing any within range is only a
-        # sampling limit, not an inconsistency, unless degree 1 was enough
-        pass
     return HappelVerdict(algebra=A, frobenius=cert, semisimple=semisimple,
                          radical_dim=rad_dim, gldim=gldim, hh_dims=hh,
                          nerve_dims=nerve, summand_ok=summand_ok,

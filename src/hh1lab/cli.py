@@ -134,7 +134,6 @@ def caps_dict(allow_large):
     return {
         "order_cap": DEFAULT_ORDER_CAP,
         "memory_cap": LARGE_MEMORY_CAP if allow_large else DEFAULT_MEMORY_CAP,
-        "dense_dim_cap": hhone.DENSE_DIM_CAP,
         "sparse_dim_cap": hhone.SPARSE_DIM_CAP,
         "bar_dim_cap": catalgebra.BAR_DIM_CAP,
         "bar_degree_cap": catalgebra.BAR_DEGREE_CAP,
@@ -388,9 +387,6 @@ def cmd_report(args):
         try:
             G, raw, name = resolve_group(e["name"], manifest=manifest,
                                          allow_large=args.allow_large)
-            if p > 2 and G.order % p != 0:
-                # semisimple and verdict-free; still recorded
-                pass
             doc = hh1_doc_cached(name, G, raw, p, args.method, args.seed,
                                  args.allow_large)
             return {"group": e["name"], "prime": p, "status": "ok",

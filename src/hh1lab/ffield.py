@@ -6,8 +6,12 @@ Field elements are stored in one of three raw shapes chosen by the field:
 * ``p == 2, m>1`` -- an int whose bit ``i`` is the coefficient of ``t^i``;
 * ``p > 2, m>1``  -- a tuple of ``m`` ints mod ``p`` (ascending powers).
 
-The raw shapes are an internal detail; the public surface is `FieldSpec`,
-`FieldElement`, `SparseMatrix`, `field_make` and `mat_rank_nullspace`.
+The raw shapes are an internal detail; the public surface is `FieldSpec`
+(raw arithmetic), `field_make`, the ``poly_*`` helpers, and elimination:
+`echelonize` / `rank_nullspace_raw` on sparse rows (dicts col -> raw), which
+run GF(2) through a packed-bit kernel and every other field through the row
+step `echelon_insert`, and `np_rref_mod_p` / `np_kernel_mod_p` for dense int
+matrices over a prime field.
 Everything here is immutable after construction and safe to share between
 threads.
 """
@@ -15,15 +19,14 @@ threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from random import Random
 
 import numpy as np
 
-from .errors import DegreeOutOfRange, DivisionByZero, FieldMismatch, NotPrime
+from .errors import DegreeOutOfRange, DivisionByZero, NotPrime
 
 MAX_EXTENSION_DEGREE = 16
-DENSE_KERNEL_LIMIT = 256  # dense elimination below this many rows and cols
 
 
 def is_prime(n):
@@ -230,13 +233,13 @@ class FieldSpec:
     def order(self):
         return self.p ** self.m
 
-    @property
+    @cached_property
     def _kind(self):
         if self.m == 1:
             return "prime"
         return "gf2" if self.p == 2 else "tuple"
 
-    @property
+    @cached_property
     def _modint(self):
         # packed modulus for the gf2 representation
         v = 0
@@ -432,65 +435,6 @@ def field_make(p, m, *, _allow_large_degree=False):
             f"extension degree {m} exceeds {MAX_EXTENSION_DEGREE}; "
             "pass allow_large=True on the calling operation to override")
     return FieldSpec(p, m, _lex_least_irreducible(p, m))
-
-
-class FieldElement:
-    """An element of a `FieldSpec`, wrapping the raw representation."""
-
-    __slots__ = ("spec", "raw")
-
-    def __init__(self, spec, raw):
-        self.spec = spec
-        self.raw = raw
-
-    @classmethod
-    def from_int(cls, spec, n):
-        return cls(spec, spec.from_int(n))
-
-    def _check(self, other):
-        if not isinstance(other, FieldElement) or other.spec != self.spec:
-            raise FieldMismatch("operands from different fields")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElement(self.spec, self.spec.add(self.raw, other.raw))
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElement(self.spec, self.spec.sub(self.raw, other.raw))
-
-    def __neg__(self):
-        return FieldElement(self.spec, self.spec.neg(self.raw))
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElement(self.spec, self.spec.mul(self.raw, other.raw))
-
-    def __truediv__(self, other):
-        self._check(other)
-        return FieldElement(self.spec, self.spec.mul(self.raw, self.spec.inv(other.raw)))
-
-    def __pow__(self, e):
-        return FieldElement(self.spec, self.spec.pow(self.raw, e))
-
-    def inv(self):
-        return FieldElement(self.spec, self.spec.inv(self.raw))
-
-    def frobenius(self):
-        return FieldElement(self.spec, self.spec.frobenius(self.raw))
-
-    def is_zero(self):
-        return self.spec.is_zero(self.raw)
-
-    def __eq__(self, other):
-        return (isinstance(other, FieldElement)
-                and other.spec == self.spec and other.raw == self.raw)
-
-    def __hash__(self):
-        return hash((self.spec.p, self.spec.m, self.raw))
-
-    def __repr__(self):
-        return f"FieldElement(GF({self.spec.p}^{self.spec.m}), {self.spec.coeffs(self.raw)})"
 
 
 # ---------------------------------------------------------------------------
@@ -741,68 +685,35 @@ def poly_roots_of_split(spec, f, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# Sparse matrices and rank / nullspace
+# Sparse rank / nullspace
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SparseMatrix:
-    """Sparse matrix over a fixed field: entries are (row, col, FieldElement),
-    sorted, in-bounds, without zeros or duplicate positions."""
+def echelon_insert(row, pivots, rowlist, spec):
+    """Insert one sparse row into an insertion echelon, in place.
 
-    rows: int
-    cols: int
-    entries: tuple
-
-    def __post_init__(self):
-        seen = set()
-        last = None
-        for r, c, v in self.entries:
-            if not (0 <= r < self.rows and 0 <= c < self.cols):
-                raise ValueError(f"entry ({r},{c}) out of bounds")
-            if (r, c) in seen:
-                raise ValueError(f"duplicate entry at ({r},{c})")
-            if v.is_zero():
-                raise ValueError(f"explicit zero stored at ({r},{c})")
-            if last is not None and (r, c) < last:
-                raise ValueError("entries not in sorted order")
-            seen.add((r, c))
-            last = (r, c)
-
-    @property
-    def spec(self):
-        return self.entries[0][2].spec if self.entries else None
-
-    @classmethod
-    def build(cls, rows, cols, items):
-        """items: iterable of (row, col, FieldElement); zeros dropped,
-        duplicates summed."""
-        acc = {}
-        spec = None
-        for r, c, v in items:
-            spec = v.spec
-            key = (r, c)
-            acc[key] = acc[key] + v if key in acc else v
-        ents = tuple((r, c, v) for (r, c), v in sorted(acc.items()) if not v.is_zero())
-        return cls(rows, cols, ents)
-
-    @classmethod
-    def from_dense(cls, spec, array2d):
-        rows = len(array2d)
-        cols = len(array2d[0]) if rows else 0
-        items = []
-        for r, row in enumerate(array2d):
-            for c, v in enumerate(row):
-                fe = v if isinstance(v, FieldElement) else FieldElement.from_int(spec, v)
-                if not fe.is_zero():
-                    items.append((r, c, fe))
-        return cls.build(rows, cols, items)
-
-    def raw_rows(self):
-        out = [dict() for _ in range(self.rows)]
-        for r, c, v in self.entries:
-            out[r][c] = v.raw
-        return out
+    ``row`` is a dict col->raw without zeros; it is consumed.  It is reduced
+    against the pivot rows so far; a nonzero remainder is scaled to a
+    leading one and recorded as a new pivot row.  Returns the new pivot
+    column, or None when the row reduces to zero.
+    """
+    while row:
+        lead = min(row)
+        if lead in pivots:
+            coef = row[lead]
+            prow = rowlist[pivots[lead]]
+            for c, v in prow.items():
+                nv = spec.sub(row.get(c, spec.zero), spec.mul(coef, v))
+                if spec.is_zero(nv):
+                    row.pop(c, None)
+                else:
+                    row[c] = nv
+        else:
+            inv = spec.inv(row[lead])
+            pivots[lead] = len(rowlist)
+            rowlist.append({c: spec.mul(v, inv) for c, v in row.items()})
+            return lead
+    return None
 
 
 def _echelon_generic(rows_iter, ncols, spec):
@@ -814,24 +725,8 @@ def _echelon_generic(rows_iter, ncols, spec):
     pivots = {}
     rowlist = []
     for row in rows_iter:
-        row = {c: v for c, v in row.items() if not spec.is_zero(v)}
-        while row:
-            lead = min(row)
-            if lead in pivots:
-                coef = row[lead]
-                prow = rowlist[pivots[lead]]
-                for c, v in prow.items():
-                    nv = spec.sub(row.get(c, spec.zero), spec.mul(coef, v))
-                    if spec.is_zero(nv):
-                        row.pop(c, None)
-                    else:
-                        row[c] = nv
-            else:
-                inv = spec.inv(row[lead])
-                row = {c: spec.mul(v, inv) for c, v in row.items()}
-                pivots[lead] = len(rowlist)
-                rowlist.append(row)
-                break
+        echelon_insert({c: v for c, v in row.items() if not spec.is_zero(v)},
+                       pivots, rowlist, spec)
     # full back-reduction so the result is the unique RREF
     for lead in sorted(pivots, reverse=True):
         idx = pivots[lead]
@@ -932,66 +827,6 @@ def rank_nullspace_raw(rows, ncols, spec, *, want_basis=True):
     if not want_basis:
         return rank, None
     return rank, kernel_from_echelon(pivots, rowlist, ncols, spec)
-
-
-def _dense_rank_nullspace(mat, spec, want_basis=True):
-    """Gauss-Jordan over lists of raw values; used below the dense cutoff."""
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    mat = [list(r) for r in mat]
-    pivots = []
-    prow = 0
-    for c in range(ncols):
-        sel = None
-        for r in range(prow, nrows):
-            if not spec.is_zero(mat[r][c]):
-                sel = r
-                break
-        if sel is None:
-            continue
-        mat[prow], mat[sel] = mat[sel], mat[prow]
-        inv = spec.inv(mat[prow][c])
-        mat[prow] = [spec.mul(v, inv) for v in mat[prow]]
-        for r in range(nrows):
-            if r != prow and not spec.is_zero(mat[r][c]):
-                coef = mat[r][c]
-                mat[r] = [spec.sub(mat[r][j], spec.mul(coef, mat[prow][j]))
-                          for j in range(ncols)]
-        pivots.append(c)
-        prow += 1
-        if prow == nrows:
-            break
-    rank = len(pivots)
-    if not want_basis:
-        return rank, None
-    pivmap = {pc: r for r, pc in enumerate(pivots)}
-    rowdicts = [{c: v for c, v in enumerate(mat[r]) if not spec.is_zero(v)}
-                for r in range(rank)]
-    basis = kernel_from_echelon(pivmap, rowdicts, ncols, spec)
-    return rank, basis
-
-
-def mat_rank_nullspace(M):
-    """Rank and nullspace basis of a `SparseMatrix`.
-
-    The basis vectors are returned as lists of FieldElement, in reduced
-    echelon form (canonical: independent of entry order and of the kernel
-    used).  rank + len(basis) == M.cols always holds.
-    """
-    spec = M.spec
-    if spec is None:
-        # zero matrix: nullspace is everything; a field is unknown, so the
-        # caller must treat the basis as standard unit vectors over GF(2).
-        spec = field_make(2, 1)
-    if M.rows < DENSE_KERNEL_LIMIT and M.cols < DENSE_KERNEL_LIMIT:
-        dense = [[spec.zero] * M.cols for _ in range(M.rows)]
-        for r, c, v in M.entries:
-            dense[r][c] = v.raw
-        rank, basis = _dense_rank_nullspace(dense, spec)
-    else:
-        rank, basis = rank_nullspace_raw(M.raw_rows(), M.cols, spec)
-    wrapped = [[FieldElement(spec, v) for v in vec] for vec in basis]
-    return rank, wrapped
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimCapExceeded, FieldMismatch, SplitFieldTooSmall
-from .ffield import (FieldSpec, field_make, p_adic_valuation, poly_divmod,
-                     poly_ext_gcd, poly_factor, poly_mod, poly_mul,
-                     poly_roots_of_split, poly_trim)
+from .ffield import (FieldSpec, echelon_insert, field_make, p_adic_valuation,
+                     poly_divmod, poly_ext_gcd, poly_factor, poly_mod,
+                     poly_monic, poly_mul, poly_roots_of_split)
 
 # caps for materialising dense data; stretch-scale groups stay lazy
 MATERIALIZE_DIM_CAP = 512
@@ -302,43 +302,23 @@ def center(A, G):
 def _min_poly_in_subalgebra(cb, w, unit):
     """Minimal polynomial of w inside the unital subalgebra unit*Z.
 
-    Krylov iteration with an augmented echelon; coefficients tracked so the
-    first linear dependence yields the monic minimal polynomial.
+    Krylov rows w^deg (with w^0 = unit) go into an insertion echelon, each
+    carrying a tag column c + deg after the c class-sum columns.  The first
+    row whose class-sum part reduces to zero leads with a tag; its tags are
+    the coefficients of the first linear dependence among the powers.
     """
     spec = cb.spec
     c = cb.class_count
-    rows = []  # echelon rows: (leading col, coeffs vector, combo)
-
-    def reduce(vec, combo):
-        vec = list(vec)
-        combo = list(combo)
-        for lead, rvec, rcombo in rows:
-            coef = vec[lead]
-            if spec.is_zero(coef):
-                continue
-            for idx in range(c):
-                vec[idx] = spec.sub(vec[idx], spec.mul(coef, rvec[idx]))
-            for idx in range(len(combo)):
-                if idx < len(rcombo):
-                    combo[idx] = spec.sub(combo[idx],
-                                          spec.mul(coef, rcombo[idx]))
-        return vec, combo
-
+    pivots, rowlist = {}, []
     deg = 0
     current = tuple(unit)
     while True:
-        combo = [spec.zero] * (deg + 1)
-        combo[deg] = spec.one
-        vec, combo = reduce(current, combo)
-        nz = next((i for i, v in enumerate(vec) if not spec.is_zero(v)), None)
-        if nz is None:
-            # dependence found: combo gives sum c_j w^j = 0, monic in degree deg
-            return poly_trim(spec, combo)
-        inv = spec.inv(vec[nz])
-        vec = [spec.mul(v, inv) for v in vec]
-        combo = [spec.mul(v, inv) for v in combo]
-        rows.append((nz, vec, combo))
-        rows.sort(key=lambda t: t[0])
+        row = {i: v for i, v in enumerate(current) if not spec.is_zero(v)}
+        row[c + deg] = spec.one
+        if echelon_insert(row, pivots, rowlist, spec) >= c:
+            tags = rowlist[-1]
+            return poly_monic(spec, [tags.get(c + j, spec.zero)
+                                     for j in range(deg + 1)])
         deg += 1
         current = cb.product(current, w)
 

@@ -26,7 +26,6 @@ from .groupalgebra import block_algebra, block_decompose, group_algebra
 from .permgroup import (centralizer, normalizer, p_rank_abelianization,
                         subgroup_centralizer, sylow_subgroup)
 
-DENSE_DIM_CAP = 64
 SPARSE_DIM_CAP = 256
 LIE_DIM_CAP = 16
 
@@ -255,7 +254,7 @@ def _derivations_group_like(A):
     return basis, n
 
 
-def derivation_space(A, dense_cap=DENSE_DIM_CAP, sparse_cap=SPARSE_DIM_CAP):
+def derivation_space(A, sparse_cap=SPARSE_DIM_CAP):
     """Solve for Der(A) and report dim HH^1(A).
 
     The Leibniz system has n^2 unknowns (the matrix of the derivation) and
@@ -406,9 +405,11 @@ def _inner_derivation_rows(A):
 def lie_structure(D, cap=LIE_DIM_CAP):
     """Lie algebra structure on derivations modulo inner derivations.
 
-    Representatives are the echelon-form derivation basis reduced by a
-    fixed complement of the inner subspace, so the structure constants are
-    deterministic.  Solvability is decided by descending the derived series.
+    Representatives are the rows of RREF(inner + derivations) at the pivots
+    that RREF(inner) lacks.  They span the derivations that vanish on the
+    inner pivot columns, a fixed complement of the inner subspace, so the
+    structure constants are deterministic.  Solvability is decided by
+    descending the derived series.
     """
     A = D.algebra
     spec = A.field
@@ -416,81 +417,39 @@ def lie_structure(D, cap=LIE_DIM_CAP):
     if D.hh1_dim > cap:
         raise DimCapExceeded(f"HH1 dimension {D.hh1_dim} exceeds cap {cap}")
 
-    inner_rows = [{i: v for i, v in enumerate(r) if not spec.is_zero(v)}
-                  for r in _inner_derivation_rows(A)]
+    def sparse(vec):
+        return {i: v for i, v in enumerate(vec) if not spec.is_zero(v)}
+
+    inner_rows = [sparse(r) for r in _inner_derivation_rows(A)]
     inn_pivots, inn_rowlist = echelonize(inner_rows, n * n, spec)
     assert len(inn_pivots) == n - D.center_dim, "inner dimension mismatch"
+    der_pivots, der_rowlist = echelonize(
+        inner_rows + [sparse(_flatten(mat, n)) for mat in D.basis],
+        n * n, spec)
+    rep_cols = sorted(set(der_pivots) - set(inn_pivots))
+    assert len(rep_cols) == D.hh1_dim, "representative count mismatch"
+    rep_rows = [der_rowlist[der_pivots[c]] for c in rep_cols]
+    rep_mats = [tuple(tuple(row.get(i * n + t, spec.zero) for i in range(n))
+                      for t in range(n)) for row in rep_rows]
+    h = len(rep_cols)
 
-    def reduce_mod_inner(vec):
-        vec = list(vec)
-        for lead in sorted(inn_pivots):
-            coef = vec[lead]
-            if spec.is_zero(coef):
-                continue
-            for c, v in inn_rowlist[inn_pivots[lead]].items():
-                vec[c] = spec.sub(vec[c], spec.mul(coef, v))
-        return vec
-
-    reduced = []
-    for mat in D.basis:
-        vec = reduce_mod_inner(_flatten(mat, n))
-        if any(not spec.is_zero(v) for v in vec):
-            reduced.append({i: v for i, v in enumerate(vec)
-                            if not spec.is_zero(v)})
-    rep_pivots, rep_rowlist = echelonize(reduced, n * n, spec)
-    assert len(rep_pivots) == D.hh1_dim, "representative count mismatch"
-    rep_vecs = []
-    for lead in sorted(rep_pivots):
-        row = rep_rowlist[rep_pivots[lead]]
-        rep_vecs.append([row.get(c, spec.zero) for c in range(n * n)])
-    rep_mats = []
-    for vec in rep_vecs:
-        rep_mats.append(tuple(tuple(vec[i * n + t] for i in range(n))
-                              for t in range(n)))
-
-    # combined echelon with combination tracking: solve v = sum reps+inners
-    h = len(rep_vecs)
-    combined = []
-    for idx, vec in enumerate(rep_vecs):
-        combined.append((vec, idx))
-    for lead in sorted(inn_pivots):
-        row = inn_rowlist[inn_pivots[lead]]
-        combined.append(([row.get(c, spec.zero) for c in range(n * n)], None))
-    solver_rows = []  # (lead, vec, rep_combo)
-    for vec, rep_idx in combined:
-        combo = [spec.zero] * h
-        if rep_idx is not None:
-            combo[rep_idx] = spec.one
-        vec = list(vec)
-        for lead, rvec, rcombo in solver_rows:
-            coef = vec[lead]
-            if spec.is_zero(coef):
-                continue
-            for c in range(n * n):
-                vec[c] = spec.sub(vec[c], spec.mul(coef, rvec[c]))
-            for c in range(h):
-                combo[c] = spec.sub(combo[c], spec.mul(coef, rcombo[c]))
-        lead = next((c for c in range(n * n) if not spec.is_zero(vec[c])), None)
-        assert lead is not None, "dependent representative/inner row"
-        inv = spec.inv(vec[lead])
-        vec = [spec.mul(v, inv) for v in vec]
-        combo = [spec.mul(v, inv) for v in combo]
-        solver_rows.append((lead, vec, combo))
-        solver_rows.sort(key=lambda t: t[0])
+    def combine(terms):
+        out = [spec.zero] * (n * n)
+        for coef, row in terms:
+            if not spec.is_zero(coef):
+                for c, v in row.items():
+                    out[c] = spec.add(out[c], spec.mul(coef, v))
+        return out
 
     def express(vec):
-        vec = list(vec)
-        combo = [spec.zero] * h
-        for lead, rvec, rcombo in solver_rows:
-            coef = vec[lead]
-            if spec.is_zero(coef):
-                continue
-            for c in range(n * n):
-                vec[c] = spec.sub(vec[c], spec.mul(coef, rvec[c]))
-            for c in range(h):
-                combo[c] = spec.add(combo[c], spec.mul(coef, rcombo[c]))
-        assert all(spec.is_zero(v) for v in vec), "bracket outside the span"
-        return combo
+        # vec minus its inner part vanishes on the inner pivot columns, so
+        # its representative coordinates are its entries at rep_cols
+        inner = [(vec[c], inn_rowlist[i]) for c, i in inn_pivots.items()]
+        inner_part = combine(inner)
+        coords = tuple(spec.sub(vec[c], inner_part[c]) for c in rep_cols)
+        recon = combine(inner + list(zip(coords, rep_rows)))
+        assert recon == list(vec), "bracket outside the span"
+        return coords
 
     def mat_mul(X, Y):
         out = [[spec.zero] * n for _ in range(n)]
@@ -512,7 +471,7 @@ def lie_structure(D, cap=LIE_DIM_CAP):
             YX = mat_mul(rep_mats[b], rep_mats[a])
             comm = [[spec.sub(XY[t][u], YX[t][u]) for u in range(n)]
                     for t in range(n)]
-            brackets[a][b] = tuple(express(_flatten(comm, n)))
+            brackets[a][b] = express(_flatten(comm, n))
 
     # alternation and Jacobi on the basis
     for a in range(h):
@@ -581,9 +540,8 @@ def lie_structure(D, cap=LIE_DIM_CAP):
 # ---------------------------------------------------------------------------
 
 
-def hh1_blocks(G, p, *, name=None, seed=0, dense_cap=DENSE_DIM_CAP,
-               sparse_cap=SPARSE_DIM_CAP, allow_large=False,
-               run_oracle=True):
+def hh1_blocks(G, p, *, name=None, seed=0, sparse_cap=SPARSE_DIM_CAP,
+               allow_large=False, run_oracle=True):
     """Per-block HH^1 dimensions with consistency checks.
 
     Decomposes kG, solves each block, and cross-checks the block sum
@@ -600,7 +558,7 @@ def hh1_blocks(G, p, *, name=None, seed=0, dense_cap=DENSE_DIM_CAP,
     for b in blocks:
         try:
             B = block_algebra(A, b)
-            ds = derivation_space(B, dense_cap, sparse_cap)
+            ds = derivation_space(B, sparse_cap)
             b.hh1_dim = ds.hh1_dim
             per_block.append(BlockHH1Row(b.index, b.dim, b.defect,
                                          ds.hh1_dim, "solver"))
@@ -612,7 +570,7 @@ def hh1_blocks(G, p, *, name=None, seed=0, dense_cap=DENSE_DIM_CAP,
     consistency = {}
     total = block_sum if all_blocks_ok else None
     if A.dim <= sparse_cap:
-        whole = derivation_space(A, dense_cap, sparse_cap)
+        whole = derivation_space(A, sparse_cap)
         consistency["whole_algebra_hh1"] = whole.hh1_dim
         if all_blocks_ok:
             consistency["block_sum_equals_whole"] = (block_sum == whole.hh1_dim)
@@ -640,10 +598,3 @@ def hh1_blocks(G, p, *, name=None, seed=0, dense_cap=DENSE_DIM_CAP,
                      per_block=per_block, verdicts=verdicts,
                      counterexamples=counterexamples,
                      consistency=consistency)
-
-
-def nonvanishing_report(G, p, *, name=None, seed=0, allow_large=False):
-    """Question-style verdict: every block of positive defect should have
-    nonvanishing HH^1; any counterexample is flagged prominently."""
-    report = hh1_blocks(G, p, name=name, seed=seed, allow_large=allow_large)
-    return report

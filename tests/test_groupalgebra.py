@@ -251,3 +251,53 @@ def test_block_ordering_deterministic(corpus):
            [b.idempotent_class_coords for b in b2]
     assert b1[0].is_principal
     assert [b.dim for b in b1] == [6, 9, 9]
+
+
+# (idempotent class coordinates, central character) per block.  Both come
+# from minimal polynomials of class sums over GF(q), which are unique.  An
+# element is written as its coefficient vector read as a little-endian
+# base-p integer.
+BLOCK_PINS = {
+    ("A4", 2): [
+        ([1, 0, 0, 0], [1, 1, 0, 0]),
+    ],
+    ("Q8", 3): [
+        ([2, 2, 2, 2, 2], [1, 2, 2, 1, 2]),
+        ([2, 1, 1, 2, 2], [1, 1, 1, 1, 2]),
+        ([2, 1, 2, 2, 1], [1, 1, 2, 1, 1]),
+        ([2, 2, 1, 2, 1], [1, 2, 1, 1, 1]),
+        ([2, 0, 0, 1, 0], [1, 0, 0, 2, 0]),
+    ],
+    ("S4", 3): [
+        ([1, 0, 0, 0, 1], [1, 0, 0, 2, 0]),
+        ([0, 1, 2, 0, 1], [1, 1, 2, 0, 2]),
+        ([0, 2, 1, 0, 1], [1, 2, 1, 0, 2]),
+    ],
+    ("S3xS3", 5): [
+        ([1, 1, 1, 1, 1, 1, 1, 1, 1], [1, 3, 2, 3, 2, 4, 1, 1, 4]),
+        ([1, 1, 1, 4, 1, 4, 4, 1, 1], [1, 3, 2, 2, 2, 1, 4, 1, 4]),
+        ([1, 4, 1, 1, 1, 4, 1, 4, 1], [1, 2, 2, 3, 2, 1, 1, 4, 4]),
+        ([1, 4, 1, 4, 1, 1, 4, 4, 1], [1, 2, 2, 2, 2, 4, 4, 4, 4]),
+        ([4, 0, 3, 1, 4, 0, 2, 0, 3], [1, 0, 4, 2, 2, 0, 3, 0, 3]),
+        ([4, 0, 3, 4, 4, 0, 3, 0, 3], [1, 0, 4, 3, 2, 0, 2, 0, 3]),
+        ([4, 1, 4, 0, 3, 0, 0, 2, 3], [1, 2, 2, 0, 4, 0, 0, 3, 3]),
+        ([4, 4, 4, 0, 3, 0, 0, 3, 3], [1, 3, 2, 0, 4, 0, 0, 2, 3]),
+        ([1, 0, 2, 0, 2, 0, 0, 0, 4], [1, 0, 4, 0, 4, 0, 0, 0, 1]),
+    ],
+}
+
+
+@pytest.mark.parametrize("name,p,q", [("A4", 2, 4), ("Q8", 3, 9),
+                                      ("S4", 3, 9), ("S3xS3", 5, 25)])
+def test_block_idempotents_and_characters_pinned(corpus, name, p, q):
+    G = corpus[name]
+    A = group_algebra(G, p)
+    spec = A.field
+    assert spec.order == q
+
+    def enc(values):
+        return [sum(c * p ** i for i, c in enumerate(spec.coeffs(v)))
+                for v in values]
+
+    assert [(enc(b.idempotent_class_coords), enc(b.central_character))
+            for b in block_decompose(A, G, p)] == BLOCK_PINS[name, p]

@@ -8,8 +8,7 @@ from hh1lab.groupalgebra import (StructAlgebra, block_algebra,
 from hh1lab.hhone import (additive_oracle, bookkeeping_subtract,
                           cyclic_formula, derivation_space, hh1_blocks,
                           klein_four_dims, kuenneth_hh1, lie_structure,
-                          nonvanishing_report, principal_inertial_quotient,
-                          verify_leibniz)
+                          principal_inertial_quotient, verify_leibniz)
 from hh1lab.hhone import _derivations_general, _derivations_group_like
 from hh1lab.permgroup import direct_product
 
@@ -133,7 +132,7 @@ def test_defect_zero_blocks_have_zero_hh1(corpus):
 
 
 def test_nonvanishing_report(corpus):
-    rep = nonvanishing_report(corpus["S3"], 2, name="S3")
+    rep = hh1_blocks(corpus["S3"], 2, name="S3")
     assert rep.counterexamples == []
     # principal block verdict true; defect-zero block exempt
     verdicts = dict((i, flag) for i, d, flag in rep.verdicts)
@@ -150,7 +149,7 @@ def test_vacuous_verdicts_when_p_coprime(corpus):
 def test_over_cap_block_reported_and_oracle_fills_total(corpus):
     # with an artificially tiny solver cap, the dim-4 block errors but the
     # oracle still supplies the whole-algebra total
-    rep = hh1_blocks(corpus["S3"], 2, name="S3", dense_cap=2, sparse_cap=3)
+    rep = hh1_blocks(corpus["S3"], 2, name="S3", sparse_cap=3)
     errored = [r for r in rep.per_block if r.error is not None]
     assert len(errored) == 1 and errored[0].dim == 4
     assert errored[0].hh1_dim is None
@@ -290,3 +289,65 @@ def test_lie_structure_v4(corpus):
     A = group_algebra(corpus["V4"], 2)
     ls = lie_structure(derivation_space(A))
     assert len(ls.hh1_basis) == 8
+
+
+# Full output of lie_structure: the representatives and structure constants
+# are unique once the complement of the inner derivations is fixed, so any
+# change to them shows here.  Matrices are written row by row and bracket
+# coordinates block by block; every field here is prime, so each digit is
+# one raw value.
+LIE_PINS = {
+    ("C2", 2): (
+        ["0100",
+         "0001"],
+        ["00 10",
+         "10 00"],
+        [1, 0]),
+    ("C3", 3): (
+        ["010002000",
+         "000010002",
+         "002000010"],
+        ["000 100 020",
+         "200 000 001",
+         "010 002 000"],
+        [3]),
+    ("S3", 3): (
+        ["001010000101000020000002002000000200"],
+        ["0"],
+        [0]),
+    ("V4", 2): (
+        ["0100000000010000",
+         "0000010000000001",
+         "0001000001000000",
+         "0000000100000100",
+         "0010000100000000",
+         "0001001000000000",
+         "0000000000100001",
+         "0000000000010010"],
+        ["00000000 10000000 00000000 00100000 00000000 00001000 00000000 00000010",
+         "10000000 00000000 00100000 00000000 00000000 00000100 00000000 00000001",
+         "00000000 00100000 00000000 10000000 10000000 01000010 00100000 00011000",
+         "00100000 00000000 10000000 00000000 01000000 10000001 00010000 00100100",
+         "00000000 00000000 10000000 01000000 00000000 00000000 00001000 00000100",
+         "00001000 00000100 01000010 10000001 00000000 00000000 00000100 00001000",
+         "00000000 00000000 00100000 00010000 00001000 00000100 00000000 00000000",
+         "00000010 00000001 00011000 00100100 00000100 00001000 00000000 00000000"],
+        [8]),
+}
+
+
+@pytest.mark.parametrize("name,p", list(LIE_PINS))
+def test_lie_structure_pinned(corpus, name, p):
+    basis, brackets, lengths = LIE_PINS[name, p]
+    A = group_algebra(corpus[name], p)
+    assert A.field.m == 1
+    ls = lie_structure(derivation_space(A))
+
+    def digits(values):
+        return "".join(str(v) for v in values)
+
+    assert [digits(v for row in mat for v in row)
+            for mat in ls.hh1_basis] == basis
+    assert [" ".join(digits(br) for br in row)
+            for row in ls.brackets] == brackets
+    assert ls.derived_series_lengths == lengths
