@@ -50,9 +50,6 @@ class FinCategory:
     def composable(self, g, f):
         return self.morphisms[f].cod == self.morphisms[g].dom
 
-    def compose(self, g, f):
-        return self.comp[g, f]
-
     def validate(self):
         """Exhaustive category-axiom check; raises InvalidCategory."""
         n = len(self.morphisms)
@@ -159,7 +156,8 @@ class HappelVerdict:
 def one_object_category(G):
     """A group as a category with a single object."""
     morphisms = [Morphism(f"g{i}", 0, 0) for i in range(G.order)]
-    comp = {(g, f): G.product_index(g, f)
+    table = G.multiplication_table()
+    comp = {(g, f): int(table[g, f])
             for g in range(G.order) for f in range(G.order)}
     return FinCategory(1, morphisms, comp, [0])
 
@@ -197,11 +195,12 @@ def transporter_category(G, points, action="natural"):
             y = act(gi, x)
             mor_index[gi, xi] = len(morphisms)
             morphisms.append(Morphism(f"g{gi}@{x}", xi, pt_index[y]))
+    table = G.multiplication_table()
     comp = {}
     for (g2, x2), i2 in mor_index.items():
         for (g1, x1), i1 in mor_index.items():
             if morphisms[i1].cod == morphisms[i2].dom:
-                comp[i2, i1] = mor_index[G.product_index(g2, g1), x1]
+                comp[i2, i1] = mor_index[int(table[g2, g1]), x1]
     identities = [mor_index[0, xi] for xi in range(len(points))]
     cat = FinCategory(len(points), morphisms, comp, identities)
     cat._transporter_group = G

@@ -37,6 +37,10 @@ class NotASubgroup(HH1LabError):
     pass
 
 
+class InvariantViolation(HH1LabError):
+    """A mathematical invariant failed: a bug, not a bad input."""
+
+
 class DimCapExceeded(HH1LabError):
     pass
 

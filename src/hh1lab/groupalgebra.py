@@ -25,14 +25,23 @@ TENSOR_DIM_CAP = 4096
 
 
 class GroupTableSC:
-    """Lazy structure constants of a group algebra: e_i * e_j = e_{ij}."""
+    """Lazy structure constants of a group algebra: e_i * e_j = e_{ij}, from
+    the multiplication table up to MATERIALIZE_DIM_CAP elements."""
 
     def __init__(self, group, spec):
         self._group = group
         self._one = spec.one
+        self._table = None
+
+    def table(self):
+        if self._table is None:
+            self._table = self._group.multiplication_table()
+        return self._table
 
     def __getitem__(self, key):
         i, j = key
+        if self._group.order <= MATERIALIZE_DIM_CAP:
+            return ((int(self.table()[i, j]), self._one),)
         return ((self._group.product_index(i, j), self._one),)
 
 
@@ -52,9 +61,6 @@ class StructAlgebra:
         self.sc = sc
         self.unit = tuple(unit)
         self.group = group  # the source PermGroup for group algebras
-
-    def basis_product(self, i, j):
-        return self.sc[i, j]
 
     def multiply(self, u, v):
         """Product of two coordinate vectors (raw values)."""
@@ -77,20 +83,6 @@ class StructAlgebra:
         v[i] = spec.one
         return tuple(v)
 
-    def right_mult_matrix(self, v):
-        """Rows r, cols j: coefficient of e_r in e_j * v."""
-        spec = self.field
-        cols = []
-        for j in range(self.dim):
-            col = [spec.zero] * self.dim
-            for g, vg in enumerate(v):
-                if spec.is_zero(vg):
-                    continue
-                for k, ck in self.sc[j, g]:
-                    col[k] = spec.add(col[k], spec.mul(vg, ck))
-            cols.append(col)
-        return [[cols[j][r] for j in range(self.dim)] for r in range(self.dim)]
-
     def is_group_like(self):
         """True when every basis product is a single basis element with
         coefficient one and the unit is a single basis element."""
@@ -107,6 +99,8 @@ class StructAlgebra:
 
     def group_table(self):
         """dim x dim table of product indices (group-like algebras only)."""
+        if isinstance(self.sc, GroupTableSC):
+            return self.sc.table()
         return np.array([[self.sc[i, j][0][0] for j in range(self.dim)]
                          for i in range(self.dim)], dtype=np.int64)
 
@@ -154,21 +148,6 @@ class CenterBasis:
     spec: FieldSpec
     class_count: int
     sc_int: np.ndarray = dc_field(repr=False)
-
-    def class_sum_matrix(self):
-        """Rows = class-sum coordinate vectors in kG (materialised)."""
-        G = self.group
-        if G.order > MATERIALIZE_DIM_CAP:
-            raise DimCapExceeded(
-                f"class-sum matrix of order {G.order} exceeds cap")
-        spec = self.spec
-        rows = []
-        for cl in G.conjugacy_classes():
-            row = [spec.zero] * G.order
-            for i in cl.indices:
-                row[int(i)] = spec.one
-            rows.append(row)
-        return rows
 
     def product(self, u, v):
         """Product of two center elements in class-sum coordinates."""
@@ -226,14 +205,17 @@ class BlockData:
         G = self.group
         if G.order > MATERIALIZE_DIM_CAP:
             raise DimCapExceeded("idempotent expansion exceeds cap")
-        spec = self.spec
-        out = [spec.zero] * G.order
-        for ci, cl in enumerate(G.conjugacy_classes()):
-            coef = self.idempotent_class_coords[ci]
-            if not spec.is_zero(coef):
-                for i in cl.indices:
-                    out[int(i)] = coef
-        return tuple(out)
+        return _class_vector(G, self.spec, self.idempotent_class_coords)
+
+
+def _class_vector(G, spec, coords):
+    """Coordinates in kG of a center element given in the class-sum basis."""
+    out = [spec.zero] * G.order
+    for coef, cl in zip(coords, G.conjugacy_classes()):
+        if not spec.is_zero(coef):
+            for i in cl.indices:
+                out[int(i)] = coef
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -285,17 +267,15 @@ def center(A, G):
     classes = G.conjugacy_classes()
     c = len(classes)
     class_of = G.class_of_array()
-    E = G.element_rows()
     inv_rows = G.inverse_rows()
+    base = G.base
     sc_int = np.zeros((c, c, c), dtype=np.int64)
     for k, cl in enumerate(classes):
-        gk = np.asarray(cl.representative.images, dtype=E.dtype)
-        # rows of x^{-1} g_k for every x at once
-        T = inv_rows[:, gk]
-        j_arr = np.empty(G.order, dtype=np.int64)
-        for i in range(G.order):
-            j_arr[i] = class_of[G._index[T[i].tobytes()]]
-        np.add.at(sc_int, (class_of, j_arr, np.full(G.order, k)), 1)
+        gk = np.asarray(cl.representative.images)
+        # classes of x^{-1} g_k for every x at once, from its base images
+        j_arr = class_of[G.locate(inv_rows[:, gk[base]])]
+        sc_int[:, :, k] = np.bincount(class_of * c + j_arr,
+                                      minlength=c * c).reshape(c, c)
     return CenterBasis(G, A.field, c, sc_int)
 
 
@@ -451,22 +431,11 @@ def _block_dimension(A, G, e_class_coords):
     from .ffield import rank_nullspace_raw
     spec = A.field
     n = G.order
-    classes = G.conjugacy_classes()
-    bvec = [spec.zero] * n
-    for ci, cl in enumerate(classes):
-        coef = e_class_coords[ci]
-        if not spec.is_zero(coef):
-            for i in cl.indices:
-                bvec[int(i)] = coef
-    rows = []
-    for j in range(n):
-        row = {}
-        for g, vg in enumerate(bvec):
-            if spec.is_zero(vg):
-                continue
-            k = G.product_index(j, g)
-            row[k] = spec.add(row.get(k, spec.zero), vg)
-        rows.append({c: v for c, v in row.items() if not spec.is_zero(v)})
+    bvec = _class_vector(G, spec, e_class_coords)
+    # e_j b = sum of b_g e_{jg}; the jg are distinct for a fixed j
+    support = [(g, v) for g, v in enumerate(bvec) if not spec.is_zero(v)]
+    table = A.group_table()
+    rows = [{int(table[j, g]): v for g, v in support} for j in range(n)]
     rank, _ = rank_nullspace_raw(rows, n, spec, want_basis=False)
     return rank
 

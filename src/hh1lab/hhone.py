@@ -18,8 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (DimCapExceeded, InvalidL, NegativeResult, NonDivisor,
-                     TrivialSylow)
+from .errors import (DimCapExceeded, InvalidL, InvariantViolation,
+                     NegativeResult, NonDivisor, TrivialSylow)
 from .ffield import (echelonize, kernel_from_echelon, np_kernel_mod_p,
                      np_rref_mod_p, rank_nullspace_raw)
 from .groupalgebra import block_algebra, block_decompose, group_algebra
@@ -166,9 +166,7 @@ def _derivations_group_like(A):
     table = A.group_table()
     e0 = next(i for i, c in enumerate(A.unit) if not spec.is_zero(c))
 
-    inv = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        inv[i] = int(np.nonzero(table[i] == e0)[0][0])
+    inv = np.argmax(table == e0, axis=1)
 
     # greedy generators and BFS tree from the identity
     gens = []
@@ -369,10 +367,10 @@ def principal_inertial_quotient(G, p):
         raise TrivialSylow(f"{p} does not divide the group order")
     N = normalizer(G, P)
     C = subgroup_centralizer(G, P)
-    pc_inter = sum(1 for row in P.element_rows()
-                   if row.tobytes() in C._index)
+    pc_inter = int(np.count_nonzero(C.lookup(P.element_rows()) >= 0))
     pc_order = P.order * C.order // pc_inter
-    assert N.order % pc_order == 0
+    if N.order % pc_order:
+        raise InvariantViolation("|P C_G(P)| does not divide |N_G(P)|")
     return N.order // pc_order
 
 

@@ -1,10 +1,16 @@
 """Permutation groups by explicit element enumeration.
 
 Groups are given by generators acting on {0..degree-1}; the element set is
-enumerated breadth-first (capped), kept as a numpy array of image rows, and
-all invariants (conjugacy classes, centralizers, Sylow subgroups, derived
-data) are computed by direct scans over that array.  This is deliberate:
-every target group fits in memory as image lists, and scans vectorise well.
+enumerated breadth-first (capped) and kept as a numpy array of image rows.
+Every target group fits in memory as image lists.
+
+Elements are found through one sorted index of base images, built on
+first use; a base is a set of points whose images tell all elements apart
+(Seress, *Permutation Group Algorithms*, 2003).  ``lookup(rows)`` takes
+rows that may lie outside the group and confirms each hit on the full row
+(-1 for non-members); ``locate(base_images)`` takes products of elements,
+members by construction, from their |base| columns alone.  Classes,
+centralizers, normalizers and p-ranks are vectorised on these two.
 
 The on-disk group format is text: a ``degree n`` line, then one generator
 per line as n whitespace-separated 1-based images.  Lines starting with
@@ -13,18 +19,20 @@ per line as n whitespace-separated 1-based images.  Lines starting with
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (InvalidPermutation, NotAMember, NotASubgroup,
-                     OrderCapExceeded)
+from .errors import (InvalidPermutation, InvariantViolation, NotAMember,
+                     NotASubgroup, OrderCapExceeded)
 from .ffield import p_adic_valuation
 
 DEFAULT_ORDER_CAP = 1 << 21
 DEFAULT_MEMORY_CAP = 32 << 20  # bytes for the enumerated element table
+_SCATTER_ENTRIES = 1 << 20  # index entries per inverse_rows chunk
 
 
 class Perm:
@@ -61,19 +69,7 @@ class Perm:
         return Perm(out)
 
     def order(self):
-        seen = [False] * self.degree
-        result = 1
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            length = 0
-            x = start
-            while not seen[x]:
-                seen[x] = True
-                x = self.images[x]
-                length += 1
-            result = math.lcm(result, length)
-        return result
+        return math.lcm(1, *(len(c) for c in self.cycles()))
 
     def cycles(self):
         seen = [False] * self.degree
@@ -118,67 +114,74 @@ def _np_dtype(degree):
     return np.uint8 if degree <= 255 else np.uint16
 
 
+def _keys(rows, dtype):
+    """One bytes key per row; big-endian bytes sort like the numbers."""
+    rows = np.ascontiguousarray(rows, dtype=np.dtype(dtype).newbyteorder(">"))
+    return rows.view(f"V{rows.shape[1] * rows.itemsize}").ravel()
+
+
 def _closure_rows(degree, gen_rows, order_cap, memory_cap):
     """Breadth-first closure of generator image rows.
 
-    Returns (elements array, index dict bytes->row number).  Enumeration
-    order is deterministic: BFS level by level, lexicographic inside each
-    level, identity first.
+    Returns the array of element rows.  Enumeration order is
+    deterministic: BFS level by level, lexicographic inside each level,
+    identity first.
     """
     dtype = _np_dtype(degree)
-    itemsize = np.dtype(dtype).itemsize
+    width = degree * np.dtype(dtype).itemsize
     ident = np.arange(degree, dtype=dtype)
     gens = [np.asarray(g, dtype=dtype) for g in gen_rows]
-    index = {ident.tobytes(): 0}
-    rows = [ident]
-    frontier = np.array([ident])
-    while len(frontier):
-        if not gens:
-            break
-        batch = np.concatenate([frontier[:, g] for g in gens])
-        batch = np.unique(batch, axis=0)
+    seen = {ident.tobytes()}
+    levels = [ident[None]]
+    total = 1
+    while gens:
+        batch = np.concatenate([levels[-1][:, g] for g in gens])
+        keys = _keys(batch, dtype)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        batch = batch[order[np.r_[True, keys[1:] != keys[:-1]]]]
+        buf = batch.tobytes()
         fresh = []
-        for row in batch:
-            key = row.tobytes()
-            if key not in index:
-                index[key] = len(rows) + len(fresh)
-                fresh.append(row)
+        for i in range(len(batch)):
+            key = buf[i * width:(i + 1) * width]
+            if key not in seen:
+                seen.add(key)
+                fresh.append(i)
         if not fresh:
             break
-        total = len(rows) + len(fresh)
+        total += len(fresh)
         if total > order_cap:
             raise OrderCapExceeded(
                 f"enumeration exceeded the order cap {order_cap}")
-        if total * degree * itemsize > memory_cap:
+        if total * width > memory_cap:
             raise OrderCapExceeded(
                 f"enumeration needs more than {memory_cap} bytes "
                 f"({total} elements of degree {degree}); "
                 "raise the memory cap (--allow-large) for stretch groups")
-        rows.extend(fresh)
-        frontier = np.array(fresh)
-    return np.array(rows), index
+        levels.append(batch[fresh])
+    return np.concatenate(levels)
 
 
 class PermGroup:
     """A finite permutation group with fully enumerated elements.
 
-    Immutable after construction.  Lazy invariants (conjugacy classes,
-    inverse table) are computed once under a lock, so concurrent readers
-    observe a single consistent result.
+    Immutable after construction.  Lazy invariants (the base index,
+    conjugacy classes) are computed once, each under its own lock, so
+    concurrent readers observe a single consistent result.
     """
 
-    def __init__(self, degree, generators, elements, index,
+    def __init__(self, degree, generators, elements,
                  order_cap=DEFAULT_ORDER_CAP, memory_cap=DEFAULT_MEMORY_CAP):
         self.degree = degree
         self.generators = list(generators)
         self._elements = elements
-        self._index = index
         self.order = len(elements)
         self.order_cap = order_cap
         self.memory_cap = memory_cap
         self._lock = threading.Lock()
         self._classes = None
-        self._inv_index = None
+        self._index_lock = threading.Lock()
+        self._base_index = None
 
     # -- construction -------------------------------------------------------
 
@@ -193,74 +196,128 @@ class PermGroup:
                 raise InvalidPermutation(
                     f"generator degree {perm.degree} != {degree}")
             gens.append(perm)
-        rows, index = _closure_rows(degree, [g.images for g in gens],
-                                    order_cap, memory_cap)
-        return cls(degree, gens, rows, index, order_cap, memory_cap)
+        rows = _closure_rows(degree, [g.images for g in gens],
+                             order_cap, memory_cap)
+        return cls(degree, gens, rows, order_cap, memory_cap)
 
     @classmethod
     def from_element_rows(cls, degree, rows, order_cap=DEFAULT_ORDER_CAP,
                           memory_cap=DEFAULT_MEMORY_CAP):
-        """Subgroup from an explicit element array; generators extracted
-        greedily in row order (deterministic)."""
+        """Subgroup from an explicit element array; each generator is the
+        first row outside the subgroup generated so far (deterministic)."""
         gens = []
-        known = {np.arange(degree, dtype=_np_dtype(degree)).tobytes()}
-        for row in rows:
-            if row.tobytes() in known:
-                continue
-            gens.append(Perm(row))
-            closed, _ = _closure_rows(degree, [g.images for g in gens],
-                                      order_cap, memory_cap)
-            known = {r.tobytes() for r in closed}
-        return cls.from_generators(degree, gens, order_cap, memory_cap)
+        H = cls.from_generators(degree, gens, order_cap, memory_cap)
+        while True:
+            outside = np.flatnonzero(H.lookup(rows) < 0)
+            if not len(outside):
+                return H
+            gens.append(Perm(rows[outside[0]]))
+            H = cls.from_generators(degree, gens, order_cap, memory_cap)
+
+    # -- the base index ------------------------------------------------------
+
+    def _index(self):
+        """(base, sorted base-image keys, element index of each key)."""
+        with self._index_lock:
+            if self._base_index is None:
+                # greedy base: each point whose images split the rows further
+                E, n = self._elements, self.order
+                base, labels, parts = [], np.zeros(n, dtype=np.int64), 1
+                for x in range(self.degree):
+                    if parts == n:
+                        break
+                    _, refined = np.unique(labels * self.degree + E[:, x],
+                                           return_inverse=True)
+                    if refined.max() + 1 > parts:
+                        base.append(x)
+                        labels, parts = refined.reshape(n), refined.max() + 1
+                if parts < n:
+                    raise InvariantViolation("element rows are not distinct")
+                base = np.array(base or [0], dtype=np.intp)
+                keys = _keys(E[:, base], E.dtype)
+                order = np.argsort(keys, kind="stable")
+                self._base_index = base, keys[order], order
+        return self._base_index
+
+    @property
+    def base(self):
+        """Points whose images determine an element of the group."""
+        return self._index()[0]
+
+    def _find(self, base_images):
+        # element index of each row of base images, -1 where no key matches
+        _, keys, order = self._index()
+        query = _keys(base_images, self._elements.dtype)
+        pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+        return np.where(keys[pos] == query, order[pos], -1)
+
+    def locate(self, base_images):
+        """Element indices of group elements given by their base images.
+
+        Only for rows known to lie in the group (products of its
+        elements): just the base columns are read.
+        """
+        idx = self._find(base_images)
+        if np.any(idx < 0):
+            raise InvariantViolation("base images of a non-member")
+        return idx
+
+    def lookup(self, rows):
+        """Element indices of image rows, -1 for rows outside the group.
+
+        Each hit on the base images is confirmed against the full row.
+        """
+        rows = np.asarray(rows)
+        if rows.ndim != 2 or rows.shape[1] != self.degree:
+            return np.full(len(rows), -1, dtype=np.intp)
+        idx = self._find(rows[:, self.base])
+        hit = np.flatnonzero(idx >= 0)
+        idx[hit[np.any(self._elements[idx[hit]] != rows[hit], axis=1)]] = -1
+        return idx
 
     # -- basic queries -------------------------------------------------------
 
     def element(self, i):
         return Perm(self._elements[i])
 
-    def elements(self):
-        return [Perm(r) for r in self._elements]
-
     def element_rows(self):
         return self._elements
 
     def index_of(self, perm):
-        key = np.asarray(perm.images, dtype=self._elements.dtype).tobytes()
-        idx = self._index.get(key)
-        if idx is None:
-            raise NotAMember(f"{perm!r} is not in the group")
-        return idx
-
-    def contains(self, perm):
-        if perm.degree != self.degree:
-            return False
-        key = np.asarray(perm.images, dtype=self._elements.dtype).tobytes()
-        return key in self._index
+        if perm.degree == self.degree:
+            idx = int(self.lookup(np.array([perm.images]))[0])
+            if idx >= 0:
+                return idx
+        raise NotAMember(f"{perm!r} is not in the group")
 
     def product_index(self, i, j):
         """Index of element i composed with element j (apply j first)."""
-        row = self._elements[i][self._elements[j]]
-        return self._index[row.tobytes()]
+        E = self._elements
+        return int(self.locate(E[i][E[j][self.base]][None])[0])
 
-    def inverse_index(self, i):
-        self._ensure_inverses()
-        return int(self._inv_index[i])
-
-    def _ensure_inverses(self):
-        with self._lock:
-            if self._inv_index is None:
-                inv_rows = self.inverse_rows()
-                self._inv_index = np.array(
-                    [self._index[r.tobytes()] for r in inv_rows])
+    def multiplication_table(self):
+        """Table of product_index over all pairs, one locate per column."""
+        E = self._elements
+        base = self.base
+        table = np.empty((self.order, self.order), dtype=np.int64)
+        for j in range(self.order):
+            table[:, j] = self.locate(E[:, E[j, base]])
+        return table
 
     def inverse_rows(self):
-        return np.argsort(self._elements, axis=1).astype(self._elements.dtype)
+        """Image rows of the inverses, scattered in chunks of rows."""
+        E = self._elements
+        out = np.empty_like(E)
+        points = np.arange(self.degree, dtype=E.dtype)[None, :]
+        step = max(1, _SCATTER_ENTRIES // self.degree)
+        for start in range(0, self.order, step):
+            np.put_along_axis(out[start:start + step],
+                              E[start:start + step], points, axis=1)
+        return out
 
     def is_subgroup_of(self, other):
-        if self.degree != other.degree:
-            return False
-        sub = np.asarray(self._elements, dtype=other._elements.dtype)
-        return all(r.tobytes() in other._index for r in sub)
+        return (self.degree == other.degree
+                and bool(np.all(other.lookup(self._elements) >= 0)))
 
     # -- conjugacy classes ---------------------------------------------------
 
@@ -272,32 +329,26 @@ class PermGroup:
 
     def _compute_classes(self):
         E = self._elements
-        n = self.order
-        parent = list(range(n))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        def union(i, j):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-
+        base = self.base
+        # index of g x g^-1 for every x, one array per generator g
+        moves = []
         for g in self.generators:
             garr = np.asarray(g.images, dtype=E.dtype)
             ginv = np.asarray(g.inv().images, dtype=E.dtype)
-            conj = garr[E[:, ginv]]
-            for i in range(n):
-                union(i, self._index[conj[i].tobytes()])
-        groups = {}
-        for i in range(n):
-            groups.setdefault(find(i), []).append(i)
+            moves.append(self.locate(garr[E[:, ginv[base]]]))
+        # label every element with the smallest index in its orbit
+        labels = np.arange(self.order)
+        while True:
+            before = labels
+            for move in moves:
+                labels = np.minimum(labels, labels[move])
+            labels = labels[labels]
+            if np.array_equal(labels, before):
+                break
+        members = np.argsort(labels, kind="stable")
+        reps, starts = np.unique(labels[members], return_index=True)
         classes = []
-        for rep in sorted(groups):
-            idxs = np.array(groups[rep])
+        for rep, idxs in zip(reps, np.split(members, starts[1:])):
             size = len(idxs)
             classes.append(ConjClass(self.element(rep), size,
                                      self.order // size, idxs))
@@ -336,43 +387,49 @@ def conjugacy_classes(G):
     return G.conjugacy_classes()
 
 
+def _commuting_mask(G, perms):
+    # x*h and h*x both lie in G, so they are equal iff they agree on the base
+    E = G.element_rows()
+    base = G.base
+    mask = np.ones(G.order, dtype=bool)
+    for h in perms:
+        harr = np.asarray(h.images, dtype=E.dtype)
+        mask &= np.all(E[:, harr[base]] == harr[E[:, base]], axis=1)
+    return mask
+
+
 def centralizer(G, g):
     """Subgroup of all elements commuting with g (g must lie in G)."""
     gidx = G.index_of(g)  # raises NotAMember
     if gidx == 0:
         return G
-    E = G._elements
-    garr = np.asarray(g.images, dtype=E.dtype)
-    commutes = np.all(E[:, garr] == garr[E], axis=1)
-    return PermGroup.from_element_rows(G.degree, E[commutes],
-                                       G.order_cap, G.memory_cap)
+    return PermGroup.from_element_rows(
+        G.degree, G.element_rows()[_commuting_mask(G, [g])],
+        G.order_cap, G.memory_cap)
 
 
 def subgroup_centralizer(G, H):
-    """Elements of G commuting with every element of H."""
-    E = G._elements
-    mask = np.ones(len(E), dtype=bool)
-    for h in H.generators:
-        harr = np.asarray(h.images, dtype=E.dtype)
-        mask &= np.all(E[:, harr] == harr[E], axis=1)
-    return PermGroup.from_element_rows(G.degree, E[mask],
-                                       G.order_cap, G.memory_cap)
+    """Elements of G commuting with every element of H (H inside G)."""
+    if not H.is_subgroup_of(G):
+        raise NotASubgroup("H is not a subgroup of G")
+    return PermGroup.from_element_rows(
+        G.degree, G.element_rows()[_commuting_mask(G, H.generators)],
+        G.order_cap, G.memory_cap)
 
 
 def normalizer(G, H):
     """Normalizer of a subgroup H in G."""
     if not H.is_subgroup_of(G):
         raise NotASubgroup("H is not a subgroup of G")
-    E = G._elements
-    einv = G.inverse_rows()
-    hkeys = {r.tobytes() for r in np.asarray(H._elements, dtype=E.dtype)}
-    mask = np.ones(len(E), dtype=bool)
+    E = G.element_rows()
+    in_h = np.zeros(G.order, dtype=bool)
+    in_h[G.lookup(H.element_rows())] = True
+    inv_base = G.inverse_rows()[:, G.base]
+    mask = np.ones(G.order, dtype=bool)
     for h in H.generators:
         harr = np.asarray(h.images, dtype=E.dtype)
-        conj = np.take_along_axis(E, harr[einv], axis=1)  # rows n h n^-1
-        ok = np.fromiter((conj[i].tobytes() in hkeys for i in range(len(E))),
-                         count=len(E), dtype=bool)
-        mask &= ok
+        # n h n^-1 on the base points, for every n
+        mask &= in_h[G.locate(np.take_along_axis(E, harr[inv_base], axis=1))]
     return PermGroup.from_element_rows(G.degree, E[mask],
                                        G.order_cap, G.memory_cap)
 
@@ -388,34 +445,21 @@ def sylow_subgroup(G, p, order_cap=None, memory_cap=None):
     order_cap = order_cap if order_cap is not None else G.order_cap
     memory_cap = memory_cap if memory_cap is not None else G.memory_cap
     target = p ** p_adic_valuation(G.order, p)
-    ident_rows = G._elements[:1]
-    Q = PermGroup.from_element_rows(G.degree, ident_rows,
-                                    order_cap, memory_cap)
     if target == 1:
-        return Q
+        return PermGroup.from_generators(G.degree, [], order_cap, memory_cap)
     # seed with a p-element derived from the first element of order
     # divisible by p in enumeration order
-    seed = None
-    for i in range(G.order):
-        e = G.element(i)
-        o = e.order()
-        if o % p == 0:
-            power = o // (p ** p_adic_valuation(o, p))
-            acc = Perm.identity(G.degree)
-            for _ in range(power):
-                acc = acc * e
-            seed = acc
-            break
+    e = next(G.element(i) for i in range(G.order)
+             if G.element(i).order() % p == 0)
+    o = e.order()
+    seed = functools.reduce(Perm.__mul__,
+                            [e] * (o // p ** p_adic_valuation(o, p)))
     Q = PermGroup.from_generators(G.degree, [seed], order_cap, memory_cap)
     while Q.order < target:
         N = normalizer(G, Q)
-        qkeys = {r.tobytes() for r in Q._elements}
         grown = False
-        for i in range(N.order):
-            row = N._elements[i]
-            if row.tobytes() in qkeys:
-                continue
-            cand = Perm(row)
+        for i in np.flatnonzero(Q.lookup(N.element_rows()) < 0):
+            cand = N.element(i)
             o = cand.order()
             if o != 1 and o == p ** p_adic_valuation(o, p):
                 Q = PermGroup.from_generators(
@@ -427,56 +471,47 @@ def sylow_subgroup(G, p, order_cap=None, memory_cap=None):
     return Q
 
 
-def p_rank_abelianization(H, p, order_cap=None, memory_cap=None):
+def p_rank_abelianization(H, p):
     """Rank d with H/[H,H]H^p elementary abelian of order p^d.
 
-    Computed as the index of the normal closure of generator commutators
-    and generator p-th powers.
+    Computed as the index of K, the normal closure of generator
+    commutators and generator p-th powers.  K is a membership mask over
+    H's elements: each new generator of K extends it by a breadth-first
+    closure on element indices and queues its conjugates by the generators
+    of H, and the search stops once K is all of H.
     """
-    order_cap = order_cap if order_cap is not None else H.order_cap
-    memory_cap = memory_cap if memory_cap is not None else H.memory_cap
-    if H.order == 1:
-        return 0
-    gens = H.generators
-    seed = []
-    for a in gens:
-        for b in gens:
-            seed.append(a.inv() * b.inv() * a * b)
-        ap = Perm.identity(H.degree)
-        for _ in range(p):
-            ap = ap * a
-        seed.append(ap)
-    kgens = []
-    known = {Perm.identity(H.degree).images}
-    for s in seed:
-        if s.images not in known:
-            kgens.append(s)
-            rows, _ = _closure_rows(H.degree, [g.images for g in kgens],
-                                    order_cap, memory_cap)
-            known = {tuple(r) for r in rows}
-    # normal closure under conjugation by the generators of H
-    changed = True
-    while changed:
-        changed = False
-        for h in gens:
-            hinv = h.inv()
-            for s in list(kgens):
-                c = h * s * hinv
-                if c.images not in known:
-                    kgens.append(c)
-                    rows, _ = _closure_rows(H.degree,
-                                            [g.images for g in kgens],
-                                            order_cap, memory_cap)
-                    known = {tuple(r) for r in rows}
-                    changed = True
-    sub_order = len(known)
+    E = H.element_rows()
+    base = H.base
+    in_k = np.zeros(H.order, dtype=bool)
+    in_k[0] = True
+    kbase, pending = [], []
+    for a in H.generators:
+        pending += [a.inv() * b.inv() * a * b for b in H.generators]
+        pending.append(functools.reduce(Perm.__mul__, [a] * p))
+    sub_order = 1
+    while pending and sub_order < H.order:
+        s = pending.pop(0)
+        if in_k[H.locate(np.asarray(s.images)[base][None])[0]]:
+            continue
+        # <K, s>: right multiples of K by s, then of each new element by
+        # every generator of K
+        kbase.append(np.asarray(s.images)[base])
+        frontier, steps = np.flatnonzero(in_k), kbase[-1:]
+        while len(frontier):
+            found = np.unique(np.concatenate(
+                [H.locate(E[frontier[:, None], b]) for b in steps]))
+            frontier = found[~in_k[found]]
+            in_k[frontier] = True
+            steps = kbase
+        sub_order = int(np.count_nonzero(in_k))
+        pending += [h * s * h.inv() for h in H.generators]
     index, rem = divmod(H.order, sub_order)
-    assert rem == 0, "commutator closure is not a subgroup?"
-    d = 0
-    while index % p == 0:
-        index //= p
-        d += 1
-    assert index == 1, "abelianized quotient is not elementary abelian"
+    if rem:
+        raise InvariantViolation("commutator closure is not a subgroup")
+    d = p_adic_valuation(index, p)
+    if index != p ** d:
+        raise InvariantViolation(
+            "abelianized quotient is not elementary abelian")
     return d
 
 
@@ -527,13 +562,6 @@ def parse_group_file(text):
     if degree is None:
         raise InvalidPermutation("missing 'degree n' header")
     return degree, gens
-
-
-def load_group_file(path, order_cap=DEFAULT_ORDER_CAP,
-                    memory_cap=DEFAULT_MEMORY_CAP):
-    with open(path, "r", encoding="utf-8") as fh:
-        degree, gens = parse_group_file(fh.read())
-    return PermGroup.from_generators(degree, gens, order_cap, memory_cap)
 
 
 def format_group_file(degree, gens, comment=None):

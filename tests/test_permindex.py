@@ -1,0 +1,279 @@
+"""The base-image element index of PermGroup and the code built on it.
+
+Property tests check lookups, classes, the center, centralizers,
+normalizers and p-ranks of random small groups against brute-force
+references that never touch the index.  Pin tests hold element order and
+class data to values recorded before the index replaced the bytes-keyed
+dict.
+"""
+
+import hashlib
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hh1lab.cli import CorpusManifest, resolve_group
+from hh1lab.errors import InvariantViolation, NotAMember
+from hh1lab.groupalgebra import center, group_algebra
+from hh1lab.hhone import additive_oracle
+from hh1lab.permgroup import (Perm, PermGroup, centralizer,
+                              group_from_generators, normalizer,
+                              p_rank_abelianization)
+
+PROPERTY = settings(max_examples=60, deadline=None)
+
+
+def groups(max_degree, max_order):
+    """Groups generated by 1-3 random permutations of small degree."""
+    def build(gens):
+        return group_from_generators(len(gens[0]), [Perm(g) for g in gens])
+
+    gens = st.integers(1, max_degree).flatmap(
+        lambda n: st.lists(st.permutations(range(n)), min_size=1,
+                           max_size=3))
+    return gens.map(build).filter(lambda G: G.order <= max_order)
+
+
+# -- brute-force references: full rows and a dict of row tuples ------------
+
+
+def _rows(G):
+    return G.element_rows().astype(np.int64)
+
+
+def _row_index(G):
+    return {tuple(r): i for i, r in enumerate(_rows(G).tolist())}
+
+
+def _inverses(E):
+    return np.argsort(E, axis=1)
+
+
+def _compose(a, b):
+    """Rows of a*b (apply b first) for row arrays a, b of one shape."""
+    return np.take_along_axis(a, b, axis=-1)
+
+
+def _brute_classes(G):
+    E = _rows(G)
+    index = _row_index(G)
+    inv = _inverses(E)
+    seen = np.zeros(G.order, dtype=bool)
+    classes = []
+    for x in range(G.order):
+        if seen[x]:
+            continue
+        conj = _compose(_compose(E, np.broadcast_to(E[x], E.shape)), inv)
+        orbit = sorted({index[tuple(r)] for r in conj.tolist()})
+        seen[orbit] = True
+        classes.append(orbit)
+    return classes
+
+
+def _element_set(G):
+    return {tuple(r) for r in _rows(G).tolist()}
+
+
+def _closure(rows):
+    """Subgroup generated by a set of row tuples, as a set of tuples."""
+    degree = len(next(iter(rows)))
+    found = {tuple(range(degree))}
+    frontier = list(found)
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for b in rows:
+                c = tuple(a[x] for x in b)
+                if c not in found:
+                    found.add(c)
+                    fresh.append(c)
+        frontier = fresh
+    return found
+
+
+# -- properties --------------------------------------------------------------
+
+
+@PROPERTY
+@given(groups(7, 5040))
+def test_lookup_finds_members_and_rejects_the_rest(G):
+    E = G.element_rows()
+    assert np.array_equal(G.lookup(E), np.arange(G.order))
+    members = _element_set(G)
+    assert len(members) == G.order
+    others = [p for p in itertools.permutations(range(G.degree))
+              if p not in members]
+    if others:
+        assert np.all(G.lookup(np.array(others)) == -1)
+
+
+@PROPERTY
+@given(groups(7, 720))
+def test_classes_are_the_conjugation_orbits(G):
+    classes = G.conjugacy_classes()
+    assert [list(cl.indices) for cl in classes] == _brute_classes(G)
+    for cl in classes:
+        assert cl.representative == G.element(int(cl.indices[0]))
+        assert cl.size * cl.centralizer_order == G.order
+
+
+@PROPERTY
+@given(groups(5, 120))
+def test_center_counts_match_a_triple_count(G):
+    E = _rows(G)
+    classes = G.conjugacy_classes()
+    class_of = G.class_of_array()
+    c = len(classes)
+    expected = np.zeros((c, c, c), dtype=np.int64)
+    for k, cl in enumerate(classes):
+        gk = np.array(cl.representative.images)
+        for x in range(G.order):
+            ys = np.flatnonzero(np.all(E[x][E] == gk, axis=1))
+            np.add.at(expected, (class_of[x], class_of[ys], k), 1)
+    A = group_algebra(G, 2)
+    assert np.array_equal(center(A, G).sc_int, expected)
+
+
+@PROPERTY
+@given(groups(7, 720), st.integers(0, 10 ** 6))
+def test_centralizer_matches_a_full_row_check(G, pick):
+    E = _rows(G)
+    g = E[pick % G.order]
+    commutes = np.all(E[:, g] == g[E], axis=1)
+    C = centralizer(G, Perm(g))
+    assert _element_set(C) == {tuple(r) for r in E[commutes].tolist()}
+
+
+@PROPERTY
+@given(groups(6, 720), st.lists(st.integers(0, 10 ** 6), min_size=1,
+                                max_size=2), groups(6, 720))
+def test_normalizer_and_subgroup_test_match_brute_force(G, picks, K):
+    E = _rows(G)
+    H = group_from_generators(G.degree,
+                              [Perm(E[i % G.order]) for i in picks])
+    assert H.is_subgroup_of(G)
+    assert K.is_subgroup_of(G) == (K.degree == G.degree
+                                   and _element_set(K) <= _element_set(G))
+    hset = _element_set(H)
+    inv = _inverses(E)
+    hrows = _rows(H)
+    expected = set()
+    for n in range(G.order):
+        conj = _compose(_compose(np.broadcast_to(E[n], hrows.shape), hrows),
+                        np.broadcast_to(inv[n], hrows.shape))
+        if {tuple(r) for r in conj.tolist()} == hset:
+            expected.add(tuple(E[n].tolist()))
+    assert _element_set(normalizer(G, H)) == expected
+
+
+@PROPERTY
+@given(groups(5, 120), st.sampled_from([2, 3, 5]))
+def test_p_rank_matches_a_naive_closure(G, p):
+    E = _rows(G)
+    inv = _inverses(E)
+    seeds = set()
+    for x in range(G.order):
+        xs = np.broadcast_to(E[x], E.shape)
+        xinv = np.broadcast_to(inv[x], E.shape)
+        comm = _compose(_compose(_compose(xinv, inv), xs), E)
+        seeds.update(tuple(r) for r in comm.tolist())
+        power = np.arange(G.degree)
+        for _ in range(p):
+            power = E[x][power]
+        seeds.add(tuple(power.tolist()))
+    index = G.order // len(_closure(seeds))
+    d = 0
+    while index % p == 0:
+        index //= p
+        d += 1
+    assert index == 1
+    assert p_rank_abelianization(G, p) == d
+
+
+# -- errors the index raises ------------------------------------------------
+
+
+def test_index_of_a_non_member_raises():
+    G = group_from_generators(4, [Perm([1, 2, 0, 3])])
+    assert G.index_of(Perm([2, 0, 1, 3])) == 2
+    assert G.lookup(np.array([[1, 0, 2, 3], [0, 1, 2, 3]])).tolist() == [-1, 0]
+    with pytest.raises(NotAMember):
+        G.index_of(Perm([1, 0, 2, 3]))
+    with pytest.raises(NotAMember):
+        G.index_of(Perm([1, 2, 0]))
+
+
+def test_rows_that_are_not_distinct_raise():
+    rows = np.array([[0, 1, 2], [1, 0, 2], [1, 0, 2]], dtype=np.uint8)
+    G = PermGroup(3, [Perm([1, 0, 2])], rows)
+    with pytest.raises(InvariantViolation):
+        G.lookup(rows)
+
+
+def test_locating_a_non_member_raises():
+    G = group_from_generators(4, [Perm([1, 2, 0, 3])])
+    with pytest.raises(InvariantViolation):
+        G.locate(np.full((1, len(G.base)), 3))  # point 3 is fixed
+
+
+# -- pins recorded before the base index ------------------------------------
+
+CORPUS_PINS = {
+    "C2": ("d5e2d2ac07b741be58f6b9e50ede5fdcf16f3e8053ecef9350e7744b0d8bd90c",
+           [(0, 1), (1, 1)]),
+    "C3": ("21b6c798a9598add6e76fa908677bbdcff627f10aeae665bfd1859bf124b0d1b",
+           [(0, 1), (1, 1), (2, 1)]),
+    "C4": ("c8f4d95eaa39ad00b45609af41b180c761cd68c9afdab05b4c8d047af559bb04",
+           [(0, 1), (1, 1), (2, 1), (3, 1)]),
+    "V4": ("62d40abfb721c5a0c265c70a68d2e962d3f13be6480239c305f2f0bca8590440",
+           [(0, 1), (1, 1), (2, 1), (3, 1)]),
+    "S3": ("2608697e3a1037fbcd0c07a606772116f0f21f57002e4c1fdd3dd9da03488b23",
+           [(0, 1), (1, 3), (2, 2)]),
+    "D8": ("a2a62f7b9e3d97000eedd57b3ba51f3b2b561629c2ed3c008c7f25d03ae18a3d",
+           [(0, 1), (1, 2), (2, 2), (3, 2), (4, 1)]),
+    "Q8": ("13c39bc9f0e6c9a9f07e89a7aaf8784af22edad7a9f604fe82f1a541b830fef5",
+           [(0, 1), (1, 2), (2, 2), (3, 1), (4, 2)]),
+    "A4": ("cf2f382a9f27c2facce3883524fd8ba1ff3e1a247c402824065dfb92e3acc30c",
+           [(0, 1), (1, 3), (2, 4), (4, 4)]),
+    "S4": ("1f099d41b03a62893fa5ba1fae0b5ff4c16968624976cc503af70bcd6f730ceb",
+           [(0, 1), (1, 6), (2, 6), (3, 8), (5, 3)]),
+    "C2xS3": (
+        "dbaaac117708837569c3b1e27cdaa585f3d1bd7d79436a5f89bc596ef74b9dbc",
+        [(0, 1), (1, 3), (2, 2), (3, 1), (7, 3), (8, 2)]),
+    "S3xS3": (
+        "ee65cda0cc949b2e116b83bb7aa01613921e5f532b1a1b25e749865da80a1ad1",
+        [(0, 1), (1, 3), (2, 2), (3, 3), (4, 2), (9, 9), (10, 6), (11, 6),
+         (12, 4)]),
+}
+
+
+def test_corpus_elements_and_classes_pinned(corpus):
+    for name, (sha, classes) in CORPUS_PINS.items():
+        G = corpus[name]
+        assert hashlib.sha256(G.element_rows().tobytes()).hexdigest() == sha
+        assert [(int(cl.indices.min()), cl.size)
+                for cl in G.conjugacy_classes()] == classes
+
+
+@pytest.mark.stretch
+def test_j1_classes_center_and_oracle_pinned():
+    manifest = CorpusManifest.packaged()
+    try:
+        manifest.file_bytes(manifest.entry("J1"))
+    except FileNotFoundError:
+        pytest.skip("J1 generator file not packaged")
+    G, _, _ = resolve_group("J1", allow_large=True)
+    classes = G.conjugacy_classes()
+    assert [cl.size for cl in classes] == [
+        1, 25080, 5852, 17556, 5852, 15960, 9240, 29260, 17556, 1463, 9240,
+        9240, 5852, 11704, 11704]
+    members = np.concatenate([cl.indices.astype("<i8") for cl in classes])
+    assert hashlib.sha256(members.tobytes()).hexdigest() == (
+        "ce4d974d812733f1bb4abb59fda51ca3560d5deffab230a5edea66f310466732")
+    sc_int = center(group_algebra(G, 2, allow_large=True), G).sc_int
+    assert hashlib.sha256(
+        np.ascontiguousarray(sc_int, dtype="<i8").tobytes()).hexdigest() == (
+        "5e9ec07ac6a0897d003b7e2ef944814eecc4fb82bbe9a4bcdeb05a1924728d84")
+    assert additive_oracle(G, 2) == 7
