@@ -19,8 +19,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import (DimCapExceeded, InvalidCategory, NerveCapExceeded,
-                     NotAnAction)
+from .errors import (DimCapExceeded, InvalidCategory, InvariantViolation,
+                     NerveCapExceeded, NotAnAction)
 from .ffield import echelonize, field_make, rank_nullspace_raw
 from .groupalgebra import StructAlgebra
 
@@ -370,23 +370,6 @@ def bar_hh(A, N, dim_cap=BAR_DIM_CAP, degree_cap=BAR_DEGREE_CAP):
 
     def delta_rank(q):
         """Rank of delta^q: C^q -> C^{q+1}; C^q has dimension n^{q+1}."""
-        rows = []
-        if q == 0:
-            # (delta a)(x) = a x - x a, source basis e_j
-            for j in range(n):
-                row = {}
-                for x in range(n):
-                    for k, c in A.sc[j, x]:
-                        key = x * n + k
-                        row[key] = spec.add(row.get(key, spec.zero), c)
-                    for k, c in A.sc[x, j]:
-                        key = x * n + k
-                        row[key] = spec.sub(row.get(key, spec.zero), c)
-                row = {c_: v for c_, v in row.items() if not spec.is_zero(v)}
-                rows.append(row)
-            rank, _ = rank_nullspace_raw(rows, n * n, spec, want_basis=False)
-            return rank
-
         def gen_rows():
             for flat in range(n ** q):
                 args = []
@@ -645,15 +628,8 @@ def _fp_restriction_regular_rep(A):
     spec = A.field
     n, m, p = A.dim, spec.m, spec.p
     N = n * m
-    # raw values of t^c
-    tpow = [spec.one]
-    if m > 1:
-        if spec._kind == "gf2":
-            gen = 2
-        else:
-            gen = (0, 1)
-        for _ in range(m - 1):
-            tpow.append(spec.mul(tpow[-1], gen))
+    # raw values of t^c: the base-p digit c is one
+    tpow = [p ** c for c in range(m)]
 
     def basis_vec_index(i, c):
         return i * m + c
@@ -732,7 +708,8 @@ def radical_and_semisimplicity(A, fp_dim_cap=RADICAL_FP_DIM_CAP):
         j += 1
 
     rad_fp = len(basis)
-    assert rad_fp % m == 0, "radical not stable under the field"
+    if rad_fp % m:
+        raise InvariantViolation("radical not stable under the field")
     rad_dim = rad_fp // m
     return rad_dim, rad_dim == 0
 
@@ -754,8 +731,8 @@ def happel_probe(C, p, N, *, seed=0):
     spec = field_make(p, 1)
     A = category_algebra(C, spec)
     cert = frobenius_certificate(A, seed=seed)
-    if cert is not None:
-        assert verify_frobenius_certificate(A, cert)
+    if cert is not None and not verify_frobenius_certificate(A, cert):
+        raise InvariantViolation("Frobenius certificate fails to verify")
     rad_dim, semisimple = radical_and_semisimplicity(A)
     if semisimple:
         gldim = "0"

@@ -165,13 +165,17 @@ def cache_key(kind, group_bytes, prime, caps, seed, extra=""):
 
 
 def cache_get(key):
+    """The cached document for key, or None on a miss.  An entry that cannot
+    be read or decoded counts as a miss, so the recompute rewrites it."""
     path = os.path.join(cache_dir(), f"{key}.json")
-    if os.path.exists(path):
+    try:
         with open(path, "r", encoding="utf-8") as fh:
-            CACHE_STATS["hits"] += 1
-            return json.load(fh)
-    CACHE_STATS["misses"] += 1
-    return None
+            doc = json.load(fh)
+    except (OSError, ValueError):
+        CACHE_STATS["misses"] += 1
+        return None
+    CACHE_STATS["hits"] += 1
+    return doc
 
 
 def cache_put(key, doc):

@@ -1,17 +1,20 @@
 """Exact arithmetic in GF(p^m) and rank/nullspace kernels.
 
-Field elements are stored in one of three raw shapes chosen by the field:
+Every field element is an int in ``[0, q)`` whose base-p digits are its
+coefficients over the prime field, constant term first: ``a_0 + a_1 p +
+... + a_{m-1} p^{m-1}`` stands for ``a_0 + a_1 t + ... + a_{m-1} t^{m-1}``
+modulo the field's irreducible ``t``-polynomial.  For p = 2 the digits are
+the bits.  Arithmetic follows the field: prime fields reduce mod p; GF(2^m)
+multiplies carry-less on the bits; odd extension fields of order at most
+``LOG_TABLE_MAX_ORDER`` read exp/log/Zech tables built once per (p, m);
+larger odd extension fields multiply digit vectors as polynomials.
 
-* ``m == 1``      -- a plain int in ``[0, p)``;
-* ``p == 2, m>1`` -- an int whose bit ``i`` is the coefficient of ``t^i``;
-* ``p > 2, m>1``  -- a tuple of ``m`` ints mod ``p`` (ascending powers).
-
-The raw shapes are an internal detail; the public surface is `FieldSpec`
-(raw arithmetic), `field_make`, the ``poly_*`` helpers, and elimination:
-`echelonize` / `rank_nullspace_raw` on sparse rows (dicts col -> raw), which
-run GF(2) through a packed-bit kernel and every other field through the row
-step `echelon_insert`, and `np_rref_mod_p` / `np_kernel_mod_p` for dense int
-matrices over a prime field.
+The public surface is `FieldSpec` (raw arithmetic), `field_make`, the
+``poly_*`` helpers, and elimination: `echelonize` / `rank_nullspace_raw` on
+sparse rows (dicts col -> raw), which run GF(2) through a packed-bit kernel
+and every other field through the row step `echelon_insert`, and
+`np_rref_mod_p` / `np_kernel_mod_p` for dense int matrices over a prime
+field.
 Everything here is immutable after construction and safe to share between
 threads.
 """
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import zip_longest
 from random import Random
 
 import numpy as np
@@ -27,6 +31,7 @@ import numpy as np
 from .errors import DegreeOutOfRange, DivisionByZero, NotPrime
 
 MAX_EXTENSION_DEGREE = 16
+LOG_TABLE_MAX_ORDER = 1 << 16
 
 
 def is_prime(n):
@@ -216,6 +221,66 @@ def _fpp_irreducible(f, p):
 # ---------------------------------------------------------------------------
 
 
+def _digits(a, p):
+    """Base-p digits of a, least significant first, without trailing zeros."""
+    out = []
+    while a:
+        a, r = divmod(a, p)
+        out.append(r)
+    return tuple(out)
+
+
+def _undigits(c, p):
+    a = 0
+    for x in reversed(c):
+        a = a * p + x
+    return a
+
+
+def _fpp_mul_int(a, b, p, modulus):
+    """Product of two elements of F_p[t]/(modulus) as base-p digit ints."""
+    return _undigits(_fpp_mod(_fpp_mul(_digits(a, p), _digits(b, p), p),
+                              modulus, p), p)
+
+
+def _power(mul, a, e):
+    result = 1
+    while e:
+        if e & 1:
+            result = mul(result, a)
+        a = mul(a, a)
+        e >>= 1
+    return result
+
+
+@lru_cache(maxsize=None)
+def _log_tables(p, m):
+    """Tables of GF(p^m) for p odd, from its least primitive element g:
+    ``exp[i] = g^i`` for 0 <= i < 2(q-1), ``log`` the inverse map on nonzero
+    elements, ``zech[n] = log(1 + g^n)`` (None where 1 + g^n = 0), and
+    ``neg[a] = -a``.  Indices into zech may be negative, modulo q-1."""
+    modulus = _lex_least_irreducible(p, m)
+    q = p ** m
+
+    def mul(a, b):
+        return _fpp_mul_int(a, b, p, modulus)
+
+    g = next(g for g in range(p, q)
+             if all(_power(mul, g, (q - 1) // r) != 1
+                    for r in prime_factors(q - 1)))
+    exp = [1]
+    for _ in range(q - 2):
+        exp.append(mul(exp[-1], g))
+    log = [None] * q
+    for i, x in enumerate(exp):
+        log[x] = i
+    # 1 + x raises only the constant digit of x
+    zech = [log[x - x % p + (x + 1) % p] for x in exp]
+    exp += exp
+    neg = [0] + [exp[log[x] + (q - 1) // 2] for x in range(1, q)]
+    return exp, log, zech, neg
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """A finite field GF(p^m) with a fixed irreducible modulus.
@@ -237,7 +302,9 @@ class FieldSpec:
     def _kind(self):
         if self.m == 1:
             return "prime"
-        return "gf2" if self.p == 2 else "tuple"
+        if self.p == 2:
+            return "gf2"
+        return "log" if self.order <= LOG_TABLE_MAX_ORDER else "poly"
 
     @cached_property
     def _modint(self):
@@ -248,25 +315,21 @@ class FieldSpec:
                 v |= 1 << i
         return v
 
+    @cached_property
+    def _tables(self):
+        return _log_tables(self.p, self.m)
+
     # -- raw constants ------------------------------------------------------
 
-    @property
-    def zero(self):
-        return 0 if self._kind != "tuple" else ()
-
-    @property
-    def one(self):
-        return 1 if self._kind != "tuple" else (1,)
+    zero = 0
+    one = 1
 
     def from_int(self, n):
         """Embed an integer via the prime subfield."""
-        n %= self.p
-        if self._kind == "tuple":
-            return (n,) if n else ()
-        return n
+        return n % self.p
 
     def is_zero(self, a):
-        return a == self.zero
+        return a == 0
 
     # -- raw arithmetic -----------------------------------------------------
 
@@ -276,21 +339,28 @@ class FieldSpec:
             return (a + b) % self.p
         if k == "gf2":
             return a ^ b
-        la, lb = len(a), len(b)
-        if la < lb:
-            a, b, la, lb = b, a, lb, la
-        out = list(a)
-        for i in range(lb):
-            out[i] = (out[i] + b[i]) % self.p
-        return _fpp_trim(out)
+        if k == "log":
+            if not a:
+                return b
+            if not b:
+                return a
+            exp, log, zech, _ = self._tables
+            z = zech[log[b] - log[a]]
+            return 0 if z is None else exp[log[a] + z]
+        p = self.p
+        return _undigits([(x + y) % p for x, y in zip_longest(
+            _digits(a, p), _digits(b, p), fillvalue=0)], p)
 
     def neg(self, a):
         k = self._kind
         if k == "prime":
             return (-a) % self.p
-        if k == "gf2":
+        if k == "gf2" or not a:
             return a
-        return tuple((-x) % self.p for x in a)
+        if k == "log":
+            return self._tables[3][a]
+        p = self.p
+        return _undigits([(-x) % p for x in _digits(a, p)], p)
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -301,10 +371,15 @@ class FieldSpec:
             return a * b % self.p
         if k == "gf2":
             return _gf2p_mod(_gf2p_mul(a, b), self._modint)
-        return _fpp_mod(_fpp_mul(a, b, self.p), self.modulus, self.p)
+        if not a or not b:
+            return 0
+        if k == "log":
+            exp, log, _, _ = self._tables
+            return exp[log[a] + log[b]]
+        return _fpp_mul_int(a, b, self.p, self.modulus)
 
     def inv(self, a):
-        if self.is_zero(a):
+        if not a:
             raise DivisionByZero("inverse of zero")
         k = self._kind
         if k == "prime":
@@ -318,43 +393,15 @@ class FieldSpec:
                 r0, r1 = r1, r
                 s0, s1 = s1, s0 ^ _gf2p_mul(q, s1)
             return _gf2p_mod(s0, self._modint)
-        # generic extended Euclid over F_p[t]
-        p = self.p
-        r0, r1 = self.modulus, a
-        s0, s1 = (), (1,)
-        while r1:
-            linv = pow(r1[-1], p - 2, p)
-            r1m = tuple(x * linv % p for x in r1)
-            # long division r0 = q*r1m + rem
-            rem = list(r0)
-            q = [0] * max(1, len(rem) - len(r1m) + 1)
-            while len(rem) >= len(r1m) and _fpp_trim(rem):
-                rem = list(_fpp_trim(rem))
-                if len(rem) < len(r1m):
-                    break
-                shift = len(rem) - len(r1m)
-                lead = rem[-1]
-                q[shift] = (q[shift] + lead) % p
-                for i, fi in enumerate(r1m):
-                    rem[shift + i] = (rem[shift + i] - lead * fi) % p
-                rem.pop()
-            qs = _fpp_mul(_fpp_trim(q), (linv,), p)
-            r0, r1 = r1, _fpp_trim(rem)
-            s0, s1 = s1, self.sub(s0, _fpp_mod(_fpp_mul(qs, s1, p), self.modulus, p))
-        # r0 is the gcd (a unit); normalise
-        c = pow(r0[0] if len(r0) == 1 else r0[-1], p - 2, p)
-        return _fpp_mod(_fpp_mul(s0, (c,), p), self.modulus, p)
+        if k == "log":
+            exp, log, _, _ = self._tables
+            return exp[-log[a]]
+        return self.pow(a, self.order - 2)
 
     def pow(self, a, e):
         if e < 0:
             return self.pow(self.inv(a), -e)
-        result = self.one
-        while e:
-            if e & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return result
+        return _power(self.mul, a, e)
 
     def frobenius(self, a):
         return self.pow(a, self.p)
@@ -366,31 +413,15 @@ class FieldSpec:
         return a
 
     def elements(self):
-        """Iterate all raw elements (small fields only)."""
+        """All raw elements in ascending order (small fields only)."""
         if self.order > 1 << 20:
             raise DegreeOutOfRange("field too large to enumerate")
-        k = self._kind
-        if k == "prime":
-            yield from range(self.p)
-        elif k == "gf2":
-            yield from range(self.order)
-        else:
-            def rec(prefix, left):
-                if left == 0:
-                    yield _fpp_trim(prefix)
-                    return
-                for c in range(self.p):
-                    yield from rec(prefix + [c], left - 1)
-            yield from rec([], self.m)
+        return range(self.order)
 
     def coeffs(self, a):
         """Coefficient tuple (length m, constant first) of a raw element."""
-        k = self._kind
-        if k == "prime":
-            return (a,)
-        if k == "gf2":
-            return tuple(a >> i & 1 for i in range(self.m))
-        return tuple(a) + (0,) * (self.m - len(a))
+        c = _digits(a, self.p)
+        return c + (0,) * (self.m - len(c))
 
 
 @lru_cache(maxsize=None)
@@ -401,21 +432,11 @@ def _lex_least_irreducible(p, m):
     """
     if m == 1:
         return (0, 1)  # the polynomial t
-    if p == 2:
-        for tail in range(1 << m):
-            f = tail | 1 << m
-            if _gf2p_irreducible(f):
-                return tuple(f >> i & 1 for i in range(m + 1))
-    else:
-        for value in range(p ** m):
-            tail = []
-            v = value
-            for _ in range(m):
-                tail.append(v % p)
-                v //= p
-            f = tuple(tail) + (1,)
-            if _fpp_irreducible(f, p):
-                return f
+    # value - p^m runs through the tails; the digits of value are f itself
+    for value in range(p ** m, 2 * p ** m):
+        if (_gf2p_irreducible(value) if p == 2
+                else _fpp_irreducible(_digits(value, p), p)):
+            return _digits(value, p)
     raise DegreeOutOfRange(f"no irreducible of degree {m} over F_{p}")  # pragma: no cover
 
 
@@ -614,14 +635,7 @@ def _distinct_degree(spec, f):
 
 
 def _random_poly(spec, degree, rng):
-    if spec._kind == "prime":
-        coeffs = [rng.randrange(spec.p) for _ in range(degree)]
-    elif spec._kind == "gf2":
-        coeffs = [rng.randrange(spec.order) for _ in range(degree)]
-    else:
-        coeffs = [_fpp_trim([rng.randrange(spec.p) for _ in range(spec.m)])
-                  for _ in range(degree)]
-    return poly_trim(spec, coeffs)
+    return poly_trim(spec, [rng.randrange(spec.order) for _ in range(degree)])
 
 
 def _equal_degree(spec, f, d, rng):

@@ -14,7 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimCapExceeded, FieldMismatch, SplitFieldTooSmall
+from .errors import (DimCapExceeded, FieldMismatch, InvariantViolation,
+                     SplitFieldTooSmall)
 from .ffield import (FieldSpec, echelon_insert, field_make, p_adic_valuation,
                      poly_divmod, poly_ext_gcd, poly_factor, poly_mod,
                      poly_monic, poly_mul, poly_roots_of_split)
@@ -178,7 +179,7 @@ class CenterBasis:
             if cl.size == 1 and cl.representative.order() == 1:
                 out[ci] = spec.one
                 return tuple(out)
-        raise AssertionError("identity class not found")  # pragma: no cover
+        raise InvariantViolation("identity class not found")  # pragma: no cover
 
 
 @dataclass
@@ -349,23 +350,28 @@ def block_decompose(A, G, p, seed=0):
                     for _ in range(mult):
                         irr_pow = poly_mul(spec, irr_pow, list(irr))
                     q, rem = poly_divmod(spec, mu, irr_pow)
-                    assert not rem
+                    if rem:
+                        raise InvariantViolation("factor power does not divide")
                     g, u, _ = poly_ext_gcd(spec, q, irr_pow)
-                    assert len(g) == 1  # coprime
+                    if len(g) != 1:
+                        raise InvariantViolation("cofactors not coprime")
                     h = poly_mod(spec, poly_mul(spec, u, q), mu)
                     f = _eval_poly_at(cb, h, w, e)
-                    assert cb.product(f, f) == f, "refinement not idempotent"
+                    if cb.product(f, f) != f:
+                        raise InvariantViolation("refinement not idempotent")
                     new_idems.append(f)
             idems = new_idems
     # sanity: orthogonal, complete
     total = tuple([spec.zero] * c)
     for e in idems:
         total = tuple(spec.add(a, b) for a, b in zip(total, e))
-    assert total == unit, "idempotents do not sum to 1"
+    if total != unit:
+        raise InvariantViolation("idempotents do not sum to 1")
     for a in range(len(idems)):
         for b in range(a + 1, len(idems)):
             prod = cb.product(idems[a], idems[b])
-            assert all(spec.is_zero(v) for v in prod), "idempotents not orthogonal"
+            if any(not spec.is_zero(v) for v in prod):
+                raise InvariantViolation("idempotents not orthogonal")
 
     classes = G.conjugacy_classes()
     class_sizes = [cl.size for cl in classes]
@@ -421,7 +427,9 @@ def _central_character(cb, e, seed):
             raise SplitFieldTooSmall(
                 "central character value outside the field; "
                 "splitting degree computation is wrong")
-        assert len(roots) == 1, "character minimal polynomial not primary"
+        if len(roots) != 1:
+            raise InvariantViolation(
+                "character minimal polynomial not primary")
         lam.append(roots[0][0])
     return tuple(lam)
 
@@ -465,8 +473,8 @@ def block_algebra(A, b):
         row = rowlist[pivots[col]]
         basis.append(tuple(row.get(cc, spec.zero) for cc in range(n)))
     d = len(basis)
-    if b.dim is not None:
-        assert d == b.dim, "ideal basis does not match block dimension"
+    if b.dim is not None and d != b.dim:
+        raise InvariantViolation("ideal basis does not match block dimension")
     pivot_cols = order
 
     def express(vec):
@@ -479,7 +487,8 @@ def block_algebra(A, b):
                 continue
             for idx in range(n):
                 recon[idx] = spec.add(recon[idx], spec.mul(coef, brow[idx]))
-        assert tuple(recon) == tuple(vec), "vector outside the block ideal"
+        if tuple(recon) != tuple(vec):
+            raise InvariantViolation("vector outside the block ideal")
         return coeffs
 
     sc = {}

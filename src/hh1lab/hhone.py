@@ -84,27 +84,10 @@ class HH1Report:
 
 
 def _center_dimension(A):
-    """dim Z(A) from the commutator linear system."""
-    spec = A.field
-    n = A.dim
-    rows = []
-    for i in range(n):
-        for t in range(n):
-            row = {}
-            for s in range(n):
-                c_si = next((c for k, c in A.sc[s, i] if k == t), None)
-                c_is = next((c for k, c in A.sc[i, s] if k == t), None)
-                val = spec.zero
-                if c_si is not None:
-                    val = spec.add(val, c_si)
-                if c_is is not None:
-                    val = spec.sub(val, c_is)
-                if not spec.is_zero(val):
-                    row[s] = val
-            if row:
-                rows.append(row)
-    rank, _ = rank_nullspace_raw(rows, n, spec, want_basis=False)
-    return n - rank
+    """dim Z(A): the kernel of a -> [a, -]."""
+    rank, _ = rank_nullspace_raw(_inner_derivation_rows(A), A.dim ** 2,
+                                 A.field, want_basis=False)
+    return A.dim - rank
 
 
 def _leibniz_rows(A):
@@ -274,7 +257,9 @@ def derivation_space(A, sparse_cap=SPARSE_DIM_CAP):
         mat = tuple(tuple(vec[i * n + t] for i in range(n)) for t in range(n))
         matrices.append(mat)
     hh1 = der_dim - (n - z)
-    assert hh1 >= 0, "negative HH1 dimension: solver inconsistency"
+    if hh1 < 0:
+        raise InvariantViolation(
+            "negative HH1 dimension: solver inconsistency")
     return DerivationSpace(algebra=A, der_dim=der_dim, center_dim=z,
                            hh1_dim=hh1, basis=matrices)
 
@@ -384,8 +369,12 @@ def _flatten(matrix, n):
     return [matrix[t][i] for i in range(n) for t in range(n)]
 
 
+def _sparse(spec, vec):
+    return {i: v for i, v in enumerate(vec) if not spec.is_zero(v)}
+
+
 def _inner_derivation_rows(A):
-    """Flattened ad matrices of the basis elements."""
+    """Flattened ad matrices of the basis elements, as sparse rows."""
     spec = A.field
     n = A.dim
     rows = []
@@ -396,7 +385,7 @@ def _inner_derivation_rows(A):
                 mat[k][j] = spec.add(mat[k][j], c)
             for k, c in A.sc[j, a]:
                 mat[k][j] = spec.sub(mat[k][j], c)
-        rows.append(_flatten(mat, n))
+        rows.append(_sparse(spec, _flatten(mat, n)))
     return rows
 
 
@@ -415,17 +404,16 @@ def lie_structure(D, cap=LIE_DIM_CAP):
     if D.hh1_dim > cap:
         raise DimCapExceeded(f"HH1 dimension {D.hh1_dim} exceeds cap {cap}")
 
-    def sparse(vec):
-        return {i: v for i, v in enumerate(vec) if not spec.is_zero(v)}
-
-    inner_rows = [sparse(r) for r in _inner_derivation_rows(A)]
+    inner_rows = _inner_derivation_rows(A)
     inn_pivots, inn_rowlist = echelonize(inner_rows, n * n, spec)
-    assert len(inn_pivots) == n - D.center_dim, "inner dimension mismatch"
+    if len(inn_pivots) != n - D.center_dim:
+        raise InvariantViolation("inner dimension mismatch")
     der_pivots, der_rowlist = echelonize(
-        inner_rows + [sparse(_flatten(mat, n)) for mat in D.basis],
+        inner_rows + [_sparse(spec, _flatten(mat, n)) for mat in D.basis],
         n * n, spec)
     rep_cols = sorted(set(der_pivots) - set(inn_pivots))
-    assert len(rep_cols) == D.hh1_dim, "representative count mismatch"
+    if len(rep_cols) != D.hh1_dim:
+        raise InvariantViolation("representative count mismatch")
     rep_rows = [der_rowlist[der_pivots[c]] for c in rep_cols]
     rep_mats = [tuple(tuple(row.get(i * n + t, spec.zero) for i in range(n))
                       for t in range(n)) for row in rep_rows]
@@ -446,7 +434,8 @@ def lie_structure(D, cap=LIE_DIM_CAP):
         inner_part = combine(inner)
         coords = tuple(spec.sub(vec[c], inner_part[c]) for c in rep_cols)
         recon = combine(inner + list(zip(coords, rep_rows)))
-        assert recon == list(vec), "bracket outside the span"
+        if recon != list(vec):
+            raise InvariantViolation("bracket outside the span")
         return coords
 
     def mat_mul(X, Y):
@@ -473,10 +462,12 @@ def lie_structure(D, cap=LIE_DIM_CAP):
 
     # alternation and Jacobi on the basis
     for a in range(h):
-        assert all(spec.is_zero(v) for v in brackets[a][a]), "not alternating"
+        if any(not spec.is_zero(v) for v in brackets[a][a]):
+            raise InvariantViolation("not alternating")
         for b in range(h):
             s = [spec.add(x, y) for x, y in zip(brackets[a][b], brackets[b][a])]
-            assert all(spec.is_zero(v) for v in s), "not antisymmetric"
+            if any(not spec.is_zero(v) for v in s):
+                raise InvariantViolation("not antisymmetric")
 
     def bracket_coords(u, v):
         out = [spec.zero] * h
@@ -502,7 +493,8 @@ def lie_structure(D, cap=LIE_DIM_CAP):
                 t3 = bracket_coords(ec, bracket_coords(ea, eb))
                 total = [spec.add(spec.add(x, y), z)
                          for x, y, z in zip(t1, t2, t3)]
-                assert all(spec.is_zero(v) for v in total), "Jacobi fails"
+                if any(not spec.is_zero(v) for v in total):
+                    raise InvariantViolation("Jacobi fails")
 
     # derived series in representative coordinates
     lengths = []
@@ -572,8 +564,9 @@ def hh1_blocks(G, p, *, name=None, seed=0, sparse_cap=SPARSE_DIM_CAP,
         consistency["whole_algebra_hh1"] = whole.hh1_dim
         if all_blocks_ok:
             consistency["block_sum_equals_whole"] = (block_sum == whole.hh1_dim)
-            assert block_sum == whole.hh1_dim, (
-                f"block sum {block_sum} != whole-algebra {whole.hh1_dim}")
+            if block_sum != whole.hh1_dim:
+                raise InvariantViolation(
+                    f"block sum {block_sum} != whole-algebra {whole.hh1_dim}")
         total = whole.hh1_dim
     if run_oracle:
         oracle = additive_oracle(G, p)

@@ -219,3 +219,49 @@ def test_module_entry_point():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["kind"] == "blocks"
+
+
+def test_corrupt_cache_entry_is_recomputed(tmp_path, capsys):
+    argv = ["hh1", "--group", "S3", "--prime", "2"]
+    code, fresh = run_cli(capsys, argv)
+    assert code == 0
+    (entry,) = (tmp_path / "cache").glob("*.json")
+    entry.write_bytes(entry.read_bytes()[:40])
+    code, again = run_cli(capsys, argv)
+    assert code == 0
+    fresh.pop("timings")
+    again.pop("timings")
+    assert again == fresh
+    rewritten = json.loads(entry.read_text())
+    rewritten.pop("timings")
+    assert rewritten == fresh
+
+
+def test_invariant_violation_is_a_report_error(tmp_path, capsys, monkeypatch):
+    from importlib import resources
+    from hh1lab import hhone
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    data = resources.files("hh1lab").joinpath("data/groups/S3.grp")
+    (corpus_dir / "S3.grp").write_bytes(data.read_bytes())
+    manifest_path = corpus_dir / "manifest.json"
+    manifest_path.write_text(json.dumps({"entries": [
+        {"name": "S3", "file": "S3.grp", "order": 6, "notes": "",
+         "stretch": False}]}))
+    real = hhone.derivation_space
+
+    def skewed(A, *args, **kwargs):
+        # one more HH^1 dimension on every block algebra breaks the
+        # block sum == whole-algebra identity
+        ds = real(A, *args, **kwargs)
+        if A.group is None:
+            ds.hh1_dim += 1
+        return ds
+
+    monkeypatch.setattr(hhone, "derivation_space", skewed)
+    code, doc = run_cli(capsys, ["report", "--corpus", str(manifest_path),
+                                 "--primes", "2"])
+    assert code == 2
+    assert doc["entries"][0]["status"] == "error"
+    assert doc["errors"] == [{"group": "S3", "prime": 2,
+                              "error": "block sum 4 != whole-algebra 2"}]

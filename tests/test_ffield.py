@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hh1lab.errors import DegreeOutOfRange, DivisionByZero, NotPrime
 from hh1lab.ffield import (field_make, np_kernel_mod_p, np_rref_mod_p,
@@ -244,3 +245,71 @@ def test_sparse_vs_dense_rank_agreement(p):
             for r in dense:
                 acc = sum(r[c] * vec[c] for c in range(cols)) % p
                 assert acc == 0
+
+
+# ---------------------------------------------------------------------------
+# odd extension fields against coefficient-vector arithmetic
+# ---------------------------------------------------------------------------
+
+# GF(3^11) is above the log-table bound and multiplies digit vectors
+ODD_EXTENSIONS = [(3, 2), (5, 2), (3, 3), (7, 2), (3, 11)]
+FIELD_PROPERTY = settings(max_examples=60, deadline=None)
+
+
+def ref_vec(f, a):
+    """Coefficients of the element a: its base-p digits, constant first."""
+    return [a // f.p ** i % f.p for i in range(f.m)]
+
+
+def ref_int(f, vec):
+    return sum(c * f.p ** i for i, c in enumerate(vec))
+
+
+def ref_mul(f, a, b):
+    """Schoolbook product of the coefficient vectors, reduced by the
+    monic modulus from the top degree down."""
+    p, m = f.p, f.m
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(ref_vec(f, a)):
+        for j, y in enumerate(ref_vec(f, b)):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for d in range(2 * m - 2, m - 1, -1):
+        lead = prod[d]
+        for i, c in enumerate(f.modulus):
+            prod[d - m + i] = (prod[d - m + i] - lead * c) % p
+    return ref_int(f, prod[:m])
+
+
+def ref_pow(f, a, e):
+    out = 1
+    for _ in range(e):
+        out = ref_mul(f, out, a)
+    return out
+
+
+@pytest.mark.parametrize("p,m", ODD_EXTENSIONS)
+@FIELD_PROPERTY
+@given(data=st.data())
+def test_odd_extension_arithmetic_matches_reference(p, m, data):
+    f = field_make(p, m)
+    a, b = (data.draw(st.integers(0, f.order - 1)) for _ in range(2))
+    e = data.draw(st.integers(0, 12))
+    va, vb = ref_vec(f, a), ref_vec(f, b)
+    assert f.add(a, b) == ref_int(f, [(x + y) % p for x, y in zip(va, vb)])
+    assert f.sub(a, b) == ref_int(f, [(x - y) % p for x, y in zip(va, vb)])
+    assert f.neg(a) == ref_int(f, [(-x) % p for x in va])
+    assert f.mul(a, b) == ref_mul(f, a, b)
+    assert f.pow(a, e) == ref_pow(f, a, e)
+    assert f.frobenius(a) == ref_pow(f, a, p)
+    assert ref_pow(f, f.frobenius_inv(a), p) == a
+    if a:
+        assert ref_mul(f, a, f.inv(a)) == 1
+    assert list(f.coeffs(a)) == va
+    assert ref_int(f, f.coeffs(a)) == a
+
+
+@pytest.mark.parametrize("p,m", ODD_EXTENSIONS)
+def test_elements_are_the_ints_below_q(p, m):
+    f = field_make(p, m)
+    assert list(f.elements()) == list(range(f.order))
+    assert (f.zero, f.one) == (0, 1)
