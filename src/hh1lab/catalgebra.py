@@ -55,6 +55,10 @@ class FinCategory:
         n = len(self.morphisms)
         if len(self.identities) != self.n_objects:
             raise InvalidCategory("one identity per object required")
+        objects = range(self.n_objects)
+        if any(m.dom not in objects or m.cod not in objects
+               for m in self.morphisms):
+            raise InvalidCategory("morphism end is not an object")
         for x, i in enumerate(self.identities):
             m = self.morphisms[i]
             if m.dom != x or m.cod != x:
@@ -512,34 +516,21 @@ def restriction_map(pi, spec, N, cap=NERVE_CHAIN_CAP):
     for q in range(N + 1):
         # cocycle and coboundary data on both sides
         def complex_data(C, chains):
-            rows_q = _nerve_delta_rows(C, chains, q, spec)
-            nq = len(chains[q])
-            rank_q, kernel = rank_nullspace_raw(rows_q, nq, spec)
+            _, kernel = rank_nullspace_raw(
+                _nerve_delta_rows(C, chains, q, spec), len(chains[q]), spec)
             if q == 0:
-                image_rows = []
-            else:
-                image_rows = _nerve_delta_rows(C, chains, q - 1, spec)
-                # rows of delta^{q-1} are indexed by q-chains: transpose view
-                # build image of delta^{q-1} as vectors on q-chains
-                prev = len(chains[q - 1])
-                cols = [{} for _ in range(prev)]
-                for r, row in enumerate(image_rows):
-                    for c, v in row.items():
-                        cols[c][r] = v
-                # image spanned by delta(e_c) for each (q-1)-chain c
-                image_vecs = []
-                for c in range(prev):
-                    vec = {}
-                    for sigma_i, coeff in cols[c].items():
-                        vec[sigma_i] = coeff
-                    if vec:
-                        image_vecs.append(vec)
-                image_rows = image_vecs
-            return kernel, image_rows
+                return kernel, []
+            # the image of delta^{q-1} on q-chains is spanned by its
+            # columns delta(e_c), one per (q-1)-chain c
+            cols = [{} for _ in chains[q - 1]]
+            for r, row in enumerate(_nerve_delta_rows(C, chains, q - 1, spec)):
+                for c, v in row.items():
+                    cols[c][r] = v
+            return kernel, [col for col in cols if col]
 
         kern_s, im_s = complex_data(S, chains_s)
         kern_t, im_t = complex_data(T, chains_t)
-        im_s_piv, im_s_rows = echelonize(im_s, len(chains_s[q]), spec)
+        im_s_piv, _ = echelonize(im_s, len(chains_s[q]), spec)
         im_t_piv, _ = echelonize(im_t, len(chains_t[q]), spec)
         dim_hs = len(kern_s) - len(im_s_piv)
         dim_ht = len(kern_t) - len(im_t_piv)
@@ -561,10 +552,8 @@ def restriction_map(pi, spec, N, cap=NERVE_CHAIN_CAP):
                     w[si] = tv
             pulled.append(w)
         # rank of the induced map on cohomology
-        base = [dict(r) for r in im_s]
-        piv_b, _ = echelonize(base, len(chains_s[q]), spec)
-        piv_all, _ = echelonize(base + pulled, len(chains_s[q]), spec)
-        rank_induced = len(piv_all) - len(piv_b)
+        piv_all, _ = echelonize(im_s + pulled, len(chains_s[q]), spec)
+        rank_induced = len(piv_all) - len(im_s_piv)
         out.append({
             "degree": q,
             "dim_source": dim_hs,
@@ -759,6 +748,14 @@ def happel_probe(C, p, N, *, seed=0):
 # ---------------------------------------------------------------------------
 
 
+def _parse_int(token, lineno):
+    try:
+        return int(token)
+    except ValueError:
+        raise InvalidCategory(
+            f"line {lineno}: expected an integer, got {token!r}") from None
+
+
 def parse_category_file(text):
     n_objects = None
     morphisms = []
@@ -774,13 +771,14 @@ def parse_category_file(text):
             if parts[0] != "objects" or len(parts) != 2:
                 raise InvalidCategory(
                     f"line {lineno}: expected 'objects n'")
-            n_objects = int(parts[1])
+            n_objects = _parse_int(parts[1], lineno)
             continue
         if parts[0] == "morphism":
             if len(parts) not in (4, 5):
                 raise InvalidCategory(
                     f"line {lineno}: morphism NAME DOM COD [identity]")
-            name, dom, cod = parts[1], int(parts[2]), int(parts[3])
+            name = parts[1]
+            dom, cod = (_parse_int(t, lineno) for t in parts[2:4])
             if name in name_index:
                 raise InvalidCategory(f"line {lineno}: duplicate {name}")
             name_index[name] = len(morphisms)
@@ -812,5 +810,10 @@ def parse_category_file(text):
 
 
 def load_category_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_category_file(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidCategory(
+            f"cannot read category file {path!r}: {exc}") from None
+    return parse_category_file(text)

@@ -5,13 +5,14 @@ byte-identical inputs (group file, prime, caps, seed) produce byte-identical
 output; wall-clock timings and cache statistics go to stderr only, except
 that cached hh1 documents keep the timing of the run that first produced
 them.  The cache lives under $HH1LAB_CACHE (default .hh1lab-cache/), one
-JSON file per content hash, written via temp-file-then-rename so concurrent
-writers are safe.
+JSON file per hash of those inputs and of the package source, written via
+temp-file-then-rename so concurrent writers are safe.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -20,6 +21,7 @@ import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
+from pathlib import Path
 
 from . import catalgebra, hhone
 from .errors import HH1LabError
@@ -111,7 +113,12 @@ def resolve_group(name_or_path, *, allow_large=False, manifest=None):
             raw = fh.read()
         name = os.path.splitext(os.path.basename(name_or_path))[0]
         entry = None
-    degree, gens = parse_group_file(raw.decode("utf-8"))
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise HH1LabError(
+            f"group file of {name} is not UTF-8: {exc}") from None
+    degree, gens = parse_group_file(text)
     memory_cap = LARGE_MEMORY_CAP if allow_large else DEFAULT_MEMORY_CAP
     if allow_large and entry is not None and "order" in entry:
         itemsize = 1 if degree <= 255 else 2
@@ -149,10 +156,21 @@ def cache_dir():
     return os.environ.get("HH1LAB_CACHE", ".hh1lab-cache")
 
 
+@functools.lru_cache(maxsize=None)
+def source_fingerprint():
+    """SHA-256 of the package's Python files, read once per process, so a
+    code change never serves documents that older code computed."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(path.name.encode("utf-8") + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
 def cache_key(kind, group_bytes, prime, caps, seed, extra=""):
     h = hashlib.sha256()
     payload = json.dumps({
         "schema": SCHEMA_VERSION,
+        "code": source_fingerprint(),
         "kind": kind,
         "group_sha": hashlib.sha256(group_bytes).hexdigest(),
         "prime": prime,

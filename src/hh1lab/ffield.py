@@ -683,21 +683,6 @@ def poly_factor(spec, f, seed=0):
     return factors
 
 
-def poly_roots_of_split(spec, f, seed=0):
-    """Roots of a polynomial all of whose irreducible factors are linear.
-
-    Returns (roots, all_linear) where roots is a list of (root, mult).
-    """
-    roots = []
-    all_linear = True
-    for irr, mult in poly_factor(spec, f, seed=seed):
-        if len(irr) == 2:
-            roots.append((spec.neg(irr[0]), mult))
-        else:
-            all_linear = False
-    return roots, all_linear
-
-
 # ---------------------------------------------------------------------------
 # Sparse rank / nullspace
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from .errors import (DimCapExceeded, FieldMismatch, InvariantViolation,
                      SplitFieldTooSmall)
 from .ffield import (FieldSpec, echelon_insert, field_make, p_adic_valuation,
                      poly_divmod, poly_ext_gcd, poly_factor, poly_mod,
-                     poly_monic, poly_mul, poly_roots_of_split)
+                     poly_monic, poly_mul)
 
 # caps for materialising dense data; stretch-scale groups stay lazy
 MATERIALIZE_DIM_CAP = 512
@@ -199,7 +199,6 @@ class BlockData:
     central_character: tuple
     spec: FieldSpec
     group: object = dc_field(repr=False, default=None)
-    hh1_dim: Optional[int] = None
 
     def idempotent_vector(self):
         """Coordinates of the idempotent in kG (desk scale only)."""
@@ -319,10 +318,14 @@ def _eval_poly_at(cb, poly, w, unit):
 def block_decompose(A, G, p, seed=0):
     """All primitive central idempotents of kG with their block data.
 
-    Refines orthogonal central idempotents by factoring minimal polynomials
-    of class sums (distinct-degree plus equal-degree splitting, PRNG seeded
-    deterministically).  Blocks are ordered: principal first, then by
-    dimension, then by idempotent coordinates.
+    A worklist of orthogonal central idempotents starts from the unit.  For
+    an idempotent e taken off it, the minimal polynomial of z_i e on eZ is
+    factored for each class sum z_i in turn (distinct-degree plus
+    equal-degree splitting, PRNG seeded deterministically).  Two or more
+    coprime factors split e into idempotents that go back on the list; when
+    no class splits e it is primitive, and the roots of its single linear
+    factors are its central character.  Blocks are ordered: principal
+    first, then by dimension, then by idempotent coordinates.
     """
     spec = A.field
     if spec.p != p:
@@ -330,108 +333,85 @@ def block_decompose(A, G, p, seed=0):
     cb = center(A, G)
     c = cb.class_count
     unit = cb.unit_vector()
-    idems = [unit]
-    changed = True
-    while changed:
-        changed = False
+    classes = G.conjugacy_classes()
+    sizes = [spec.from_int(cl.size) for cl in classes]
+    materialize = G.order <= MATERIALIZE_DIM_CAP
+    work = [unit]
+    blocks = []
+    while work:
+        e = work.pop()
+        lam = []
         for i in range(c):
             zi = tuple(spec.one if j == i else spec.zero for j in range(c))
-            new_idems = []
-            for e in idems:
-                w = cb.product(zi, e)
-                mu = _min_poly_in_subalgebra(cb, w, e)
-                factors = poly_factor(spec, mu, seed=seed)
-                if len(factors) <= 1:
-                    new_idems.append(e)
-                    continue
-                changed = True
-                for irr, mult in factors:
-                    irr_pow = [spec.one]
-                    for _ in range(mult):
-                        irr_pow = poly_mul(spec, irr_pow, list(irr))
-                    q, rem = poly_divmod(spec, mu, irr_pow)
-                    if rem:
-                        raise InvariantViolation("factor power does not divide")
-                    g, u, _ = poly_ext_gcd(spec, q, irr_pow)
-                    if len(g) != 1:
-                        raise InvariantViolation("cofactors not coprime")
-                    h = poly_mod(spec, poly_mul(spec, u, q), mu)
-                    f = _eval_poly_at(cb, h, w, e)
-                    if cb.product(f, f) != f:
-                        raise InvariantViolation("refinement not idempotent")
-                    new_idems.append(f)
-            idems = new_idems
+            w = cb.product(zi, e)
+            mu = _min_poly_in_subalgebra(cb, w, e)
+            factors = poly_factor(spec, mu, seed=seed)
+            if len(factors) > 1:
+                work += _split_idempotent(cb, mu, factors, w, e)
+                break
+            (irr, _), = factors
+            lam.append(spec.neg(irr[0]) if len(irr) == 2 else None)
+        else:
+            if None in lam:
+                raise SplitFieldTooSmall(
+                    "central character value outside the field; "
+                    "splitting degree computation is wrong")
+            blocks.append(BlockData(
+                index=0, idempotent_class_coords=e,
+                dim=_block_dimension(A, G, e) if materialize else None,
+                defect=_defect(classes, spec, e, p),
+                is_principal=lam == sizes, central_character=tuple(lam),
+                spec=spec, group=G))
     # sanity: orthogonal, complete
     total = tuple([spec.zero] * c)
-    for e in idems:
-        total = tuple(spec.add(a, b) for a, b in zip(total, e))
+    for b in blocks:
+        total = tuple(spec.add(x, y)
+                      for x, y in zip(total, b.idempotent_class_coords))
     if total != unit:
         raise InvariantViolation("idempotents do not sum to 1")
-    for a in range(len(idems)):
-        for b in range(a + 1, len(idems)):
-            prod = cb.product(idems[a], idems[b])
+    for i, a in enumerate(blocks):
+        for b in blocks[i + 1:]:
+            prod = cb.product(a.idempotent_class_coords,
+                              b.idempotent_class_coords)
             if any(not spec.is_zero(v) for v in prod):
                 raise InvariantViolation("idempotents not orthogonal")
+    if materialize and sum(b.dim for b in blocks) != G.order:
+        raise SplitFieldTooSmall("block dimensions do not sum to |G|")
+    blocks.sort(key=lambda b: (not b.is_principal, b.dim or 0,
+                               b.idempotent_class_coords))
+    for idx, b in enumerate(blocks):
+        b.index = idx
+    return blocks
 
-    classes = G.conjugacy_classes()
-    class_sizes = [cl.size for cl in classes]
-    blocks = []
-    for e in idems:
-        lam = _central_character(cb, e, seed)
-        principal = all(
-            lam[i] == spec.from_int(class_sizes[i]) for i in range(c))
-        defect = max(
-            p_adic_valuation(classes[i].centralizer_order, p)
-            for i in range(c) if not spec.is_zero(e[i]))
-        blocks.append((e, lam, principal, defect))
 
-    dims = [None] * len(blocks)
-    if G.order <= MATERIALIZE_DIM_CAP:
-        for bi, (e, lam, principal, defect) in enumerate(blocks):
-            dims[bi] = _block_dimension(A, G, e)
-        if sum(dims) != G.order:
-            raise SplitFieldTooSmall(
-                "block dimensions do not sum to |G|")
-
-    def sort_key(item):
-        (e, lam, principal, defect), dim = item
-        return (0 if principal else 1,
-                dim if dim is not None else 1 << 60,
-                tuple(e))
-
-    ordered = sorted(zip(blocks, dims), key=sort_key)
+def _split_idempotent(cb, mu, factors, w, e):
+    """The idempotents of e*Z cut out by the coprime primary factors of mu,
+    the minimal polynomial of w on e*Z."""
+    spec = cb.spec
     out = []
-    for idx, ((e, lam, principal, defect), dim) in enumerate(ordered):
-        out.append(BlockData(index=idx, idempotent_class_coords=e, dim=dim,
-                             defect=defect, is_principal=principal,
-                             central_character=lam, spec=spec, group=G))
+    for irr, mult in factors:
+        irr_pow = [spec.one]
+        for _ in range(mult):
+            irr_pow = poly_mul(spec, irr_pow, list(irr))
+        q, rem = poly_divmod(spec, mu, irr_pow)
+        if rem:
+            raise InvariantViolation("factor power does not divide")
+        g, u, _ = poly_ext_gcd(spec, q, irr_pow)
+        if len(g) != 1:
+            raise InvariantViolation("cofactors not coprime")
+        h = poly_mod(spec, poly_mul(spec, u, q), mu)
+        f = _eval_poly_at(cb, h, w, e)
+        if cb.product(f, f) != f:
+            raise InvariantViolation("refinement not idempotent")
+        out.append(f)
     return out
 
 
-def _central_character(cb, e, seed):
-    """lambda(class sum i) for the block with idempotent e.
-
-    The minimal polynomial of z_i e on eZ is a power of a single linear
-    factor; its root is the character value.  A nonlinear factor means the
-    field fails to split the center.
-    """
-    spec = cb.spec
-    c = cb.class_count
-    lam = []
-    for i in range(c):
-        zi = tuple(spec.one if j == i else spec.zero for j in range(c))
-        w = cb.product(zi, e)
-        mu = _min_poly_in_subalgebra(cb, w, e)
-        roots, all_linear = poly_roots_of_split(spec, mu, seed=seed)
-        if not all_linear:
-            raise SplitFieldTooSmall(
-                "central character value outside the field; "
-                "splitting degree computation is wrong")
-        if len(roots) != 1:
-            raise InvariantViolation(
-                "character minimal polynomial not primary")
-        lam.append(roots[0][0])
-    return tuple(lam)
+def _defect(classes, spec, coords, p):
+    """The largest nu_p(|C_G(x)|) over the classes carrying a nonzero
+    coefficient of a block idempotent."""
+    return max(p_adic_valuation(cl.centralizer_order, p)
+               for cl, v in zip(classes, coords) if not spec.is_zero(v))
 
 
 def _block_dimension(A, G, e_class_coords):
@@ -506,11 +486,7 @@ def block_algebra(A, b):
 def defect_number(b, G, p):
     """Defect d of a block: the largest nu_p(|C_G(x)|) over the classes
     carrying a nonzero coefficient of the block idempotent."""
-    spec = b.spec
-    classes = G.conjugacy_classes()
-    return max(p_adic_valuation(classes[i].centralizer_order, p)
-               for i in range(len(classes))
-               if not spec.is_zero(b.idempotent_class_coords[i]))
+    return _defect(G.conjugacy_classes(), b.spec, b.idempotent_class_coords, p)
 
 
 def tensor_algebra(A, B):

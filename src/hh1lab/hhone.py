@@ -549,7 +549,6 @@ def hh1_blocks(G, p, *, name=None, seed=0, sparse_cap=SPARSE_DIM_CAP,
         try:
             B = block_algebra(A, b)
             ds = derivation_space(B, sparse_cap)
-            b.hh1_dim = ds.hh1_dim
             per_block.append(BlockHH1Row(b.index, b.dim, b.defect,
                                          ds.hh1_dim, "solver"))
             block_sum += ds.hh1_dim

@@ -547,14 +547,20 @@ def parse_group_file(text):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
+        parts = line.split()
+        tokens = parts[1:] if degree is None else parts
+        try:
+            numbers = [int(tok) for tok in tokens]
+        except ValueError:
+            raise InvalidPermutation(
+                f"line {lineno}: expected integers, got {line!r}") from None
         if degree is None:
-            parts = line.split()
-            if len(parts) != 2 or parts[0] != "degree":
+            if len(parts) != 2 or parts[0] != "degree" or numbers[0] < 1:
                 raise InvalidPermutation(
                     f"line {lineno}: expected 'degree n', got {line!r}")
-            degree = int(parts[1])
+            degree = numbers[0]
             continue
-        images = [int(tok) - 1 for tok in line.split()]
+        images = [v - 1 for v in numbers]
         if len(images) != degree:
             raise InvalidPermutation(
                 f"line {lineno}: expected {degree} images, got {len(images)}")

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from hh1lab import cli
 
 
@@ -265,3 +267,90 @@ def test_invariant_violation_is_a_report_error(tmp_path, capsys, monkeypatch):
     assert doc["entries"][0]["status"] == "error"
     assert doc["errors"] == [{"group": "S3", "prime": 2,
                               "error": "block sum 4 != whole-algebra 2"}]
+
+
+BAD_GROUP_FILES = {
+    "not_a_number.grp": b"degree 3\n2 3 x\n",
+    "bad_degree.grp": b"degree three\n2 3 1\n",
+    "not_utf8.grp": b"degree 3\n\xff\xfe\n",
+}
+
+
+@pytest.mark.parametrize("command", ["blocks", "hh1"])
+@pytest.mark.parametrize("filename", sorted(BAD_GROUP_FILES))
+def test_malformed_group_file_is_an_error(tmp_path, capsys, command,
+                                          filename):
+    path = tmp_path / filename
+    path.write_bytes(BAD_GROUP_FILES[filename])
+    code = cli.main([command, "--group", str(path), "--prime", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("content", [
+    b"objects two\n",
+    b"objects 1\nmorphism id0 0 zero identity\ncomp id0 id0 id0\n",
+    b"objects 1\nmorphism id0 0 0 identity\nmorphism a 5 0\n"
+    b"comp id0 id0 id0\ncomp id0 a a\n",
+    b"objects 1\n\xff\n",
+    None,
+])
+def test_malformed_or_missing_category_file_is_an_error(tmp_path, capsys,
+                                                        content):
+    path = tmp_path / "bad.cat"
+    if content is not None:
+        path.write_bytes(content)
+    code = cli.main(["happel", "--category", str(path), "--prime", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_report_survives_one_malformed_group_file(tmp_path, capsys):
+    from importlib import resources
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    data = resources.files("hh1lab").joinpath("data/groups/S3.grp")
+    (corpus_dir / "S3.grp").write_bytes(data.read_bytes())
+    (corpus_dir / "Bad.grp").write_bytes(BAD_GROUP_FILES["not_a_number.grp"])
+    manifest_path = corpus_dir / "manifest.json"
+    manifest_path.write_text(json.dumps({"entries": [
+        {"name": "Bad", "file": "Bad.grp", "order": 3, "notes": "",
+         "stretch": False},
+        {"name": "S3", "file": "S3.grp", "order": 6, "notes": "",
+         "stretch": False}]}))
+    code, doc = run_cli(capsys, ["report", "--corpus", str(manifest_path),
+                                 "--primes", "2"])
+    assert code == 2
+    bad, good = doc["entries"]
+    assert bad["status"] == "error" and "line 2" in bad["error"]
+    assert doc["errors"] == [{"group": "Bad", "prime": 2,
+                              "error": bad["error"]}]
+    assert good["status"] == "ok"
+    assert good["document"]["totals"]["hh1_total"] == 2
+
+
+def test_source_change_misses_the_cache(capsys, monkeypatch):
+    argv = ["hh1", "--group", "S3", "--prime", "2"]
+    computed = []
+    real = cli.compute_hh1_doc
+
+    def counting(*args):
+        computed.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(cli, "compute_hh1_doc", counting)
+    run_cli(capsys, argv)
+    run_cli(capsys, argv)
+    assert computed == ["S3"]  # the second run is a hit
+    monkeypatch.setattr(cli, "source_fingerprint", lambda: "0" * 64)
+    before = dict(cli.CACHE_STATS)
+    code, doc = run_cli(capsys, argv)
+    assert code == 0
+    assert computed == ["S3", "S3"]
+    assert cli.CACHE_STATS["misses"] == before["misses"] + 1
+    assert cli.CACHE_STATS["hits"] == before["hits"]
+    assert doc["totals"]["hh1_total"] == 2

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_permindex import groups
 
 from hh1lab.catalgebra import radical_and_semisimplicity
 from hh1lab.errors import FieldMismatch
@@ -301,3 +303,51 @@ def test_block_idempotents_and_characters_pinned(corpus, name, p, q):
 
     assert [(enc(b.idempotent_class_coords), enc(b.central_character))
             for b in block_decompose(A, G, p)] == BLOCK_PINS[name, p]
+
+
+def _block_record(b):
+    return (b.index, b.idempotent_class_coords, b.dim, b.defect,
+            b.is_principal, b.central_character)
+
+
+@settings(max_examples=40, deadline=None)
+@given(G=groups(5, 120), p=st.sampled_from([2, 3, 5]))
+def test_blocks_of_generated_groups(G, p):
+    A = group_algebra(G, p)
+    spec = A.field
+    cb = center(A, G)
+    c = cb.class_count
+    blocks = block_decompose(A, G, p)
+    # complete and orthogonal
+    total = [spec.zero] * c
+    for b in blocks:
+        total = [spec.add(x, y) for x, y in zip(total,
+                                                 b.idempotent_class_coords)]
+    assert tuple(total) == cb.unit_vector()
+    for i, a in enumerate(blocks):
+        e = a.idempotent_class_coords
+        assert cb.product(e, e) == e
+        for b in blocks[i + 1:]:
+            prod = cb.product(e, b.idempotent_class_coords)
+            assert all(spec.is_zero(v) for v in prod)
+    # each central character is multiplicative on the class sums
+    for b in blocks:
+        lam = b.central_character
+        for i in range(c):
+            for j in range(c):
+                lhs = spec.zero
+                for k in range(c):
+                    a = int(cb.sc_int[i, j, k]) % p
+                    if a:
+                        lhs = spec.add(lhs, spec.mul(spec.from_int(a), lam[k]))
+                assert lhs == spec.mul(lam[i], lam[j])
+    # one principal block, whose character is the class sizes mod p
+    principal = [b for b in blocks if b.is_principal]
+    assert len(principal) == 1
+    assert list(principal[0].central_character) == [
+        spec.from_int(cl.size % p) for cl in G.conjugacy_classes()]
+    assert sum(b.dim for b in blocks) == G.order
+    assert len(blocks) <= G.p_regular_class_count(p)
+    # the splitting seed does not change the output
+    assert ([_block_record(b) for b in block_decompose(A, G, p, seed=1)]
+            == [_block_record(b) for b in blocks])
