@@ -1,9 +1,16 @@
 """Finite categories, their algebras, and the Happel probe.
 
-Covers transporter categories of group actions, bar-complex Hochschild
-cohomology in low degrees, nerve cohomology with constant coefficients,
-restriction along a functor to a one-object category, Frobenius-form
-certificates, and Jacobson radicals over finite fields.
+Covers transporter categories of group actions, Hochschild cohomology in
+low degrees, nerve cohomology with constant coefficients, restriction
+along a functor to a one-object category, Frobenius-form certificates,
+and Jacobson radicals over finite fields.
+
+The identities of a category span a separable subalgebra E of its
+algebra, so HH^* comes from the normalized complex relative to E
+(Gerstenhaber-Schack 1983): its q-cochains are the strings a_1 .. a_q of
+composable non-identity morphisms with a value in k Hom(dom a_q, cod a_1).
+Those strings are also the non-degenerate chains of the nerve, so the
+nerve and the restriction map use the same normalized chains.
 
 Category files are text: an ``objects n`` line, then ``morphism NAME DOM
 COD [identity]`` lines, then ``comp G F GF`` lines naming g, f and their
@@ -341,165 +348,158 @@ def frobenius_certificate(A, trials=64, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# bar-complex Hochschild cohomology
+# the normalized string complex: HH^* relative to the identities, the nerve
 # ---------------------------------------------------------------------------
 
 
-def bar_hh(A, N, dim_cap=BAR_DIM_CAP, degree_cap=BAR_DEGREE_CAP):
-    """Dimensions of HH^0..HH^N from the bar cochain complex
-    Hom(A^{tensor q}, A).  Degree 0 equals dim Z(A); degree 1 agrees with
-    the derivation solver."""
+def _strings(C, N, cap):
+    """Strings (a_1, ..., a_q) of composable non-identity morphisms, with
+    dom a_s = cod a_{s+1}, per length q = 0..N: the non-degenerate chains
+    of the nerve."""
+    identities = set(C.identities)
+    nonid = [f for f in range(len(C.morphisms)) if f not in identities]
+    by_cod = {}
+    for f in nonid:
+        by_cod.setdefault(C.morphisms[f].cod, []).append(f)
+    strings = [[()]]
+    total = C.n_objects
+    for q in range(1, N + 1):
+        strings.append([t + (f,) for t in strings[-1] for f in (
+            by_cod.get(C.morphisms[t[-1]].dom, ()) if t else nonid)])
+        total += len(strings[-1])
+        if total > cap:
+            raise NerveCapExceeded(f"nerve exceeds {cap} chains by degree {q}")
+    return strings
+
+
+def _string_complex(C, spec, N, values, left, right, cap=NERVE_CHAIN_CAP):
+    """Cochain bases of degrees 0..N+1 and the coboundary rows.
+
+    A q-cochain basis element is a pair (string, v) with v in values(x, y),
+    where x = dom a_q and y = cod a_1; the empty string has the pairs
+    (x, x), one per object.  left(a, v) lists the u with a.u = v, and
+    right(v, b) the u with u.b = v.  The coboundary
+        (delta f)(a_1 .. a_{q+1}) = a_1 f(a_2 ..)
+            + sum_s (-1)^s f(.. a_s a_{s+1} ..) + (-1)^{q+1} f(.. a_q) a_{q+1}
+    drops the terms where a_s a_{s+1} is an identity.
+    """
+    identities = set(C.identities)
+    ms = C.morphisms
+    cochains = []
+    for strings in _strings(C, N + 1, cap):
+        basis = []
+        for t in strings:
+            ends = ([(ms[t[-1]].dom, ms[t[0]].cod)] if t else
+                    [(x, x) for x in range(C.n_objects)])
+            basis += [(t, v) for x, y in ends for v in values(x, y)]
+        cochains.append(basis)
+    minus_one = spec.neg(spec.one)
+
+    def delta_rows(q):
+        """Rows of delta^q, one per (q+1)-cochain (empty rows included),
+        with its faces among the q-cochains as columns."""
+        col_index = {key: i for i, key in enumerate(cochains[q])}
+        rows = []
+        for t, v in cochains[q + 1]:
+            row = {}
+
+            def add(key, s):
+                c = col_index[key]
+                row[c] = spec.add(row.get(c, spec.zero),
+                                  minus_one if s % 2 else spec.one)
+
+            for u in left(t[0], v):
+                add((t[1:], u), 0)
+            for s in range(1, q + 1):
+                composed = C.comp[t[s - 1], t[s]]
+                if composed not in identities:
+                    add((t[:s - 1] + (composed,) + t[s + 1:], v), s)
+            for u in right(v, t[-1]):
+                add((t[:-1], u), q + 1)
+            rows.append({c: x for c, x in row.items() if not spec.is_zero(x)})
+        return rows
+
+    return cochains, delta_rows
+
+
+def _cohomology_dims(cochains, delta_rows, spec, N):
+    ranks = [rank_nullspace_raw(delta_rows(q), len(cochains[q]), spec,
+                                want_basis=False)[0] for q in range(N + 1)]
+    return [len(cochains[q]) - ranks[q] - (ranks[q - 1] if q else 0)
+            for q in range(N + 1)]
+
+
+def _category_basis(A):
+    """The finite category whose morphisms are the basis of A: identities
+    the support of the unit, dom and cod from e_y b e_x = b, composites
+    from products.  Raises InvalidCategory when the basis is not one."""
     spec = A.field
+    n = A.dim
+    ids = [i for i, c in enumerate(A.unit) if not spec.is_zero(c)]
+    morphisms = []
+    for b in range(n):
+        dom = [x for x, e in enumerate(ids) if A.sc[b, e] == ((b, spec.one),)]
+        cod = [y for y, e in enumerate(ids) if A.sc[e, b] == ((b, spec.one),)]
+        if len(dom) != 1 or len(cod) != 1:
+            raise InvalidCategory(f"basis element {A.labels[b]} has no "
+                                  "single domain and codomain")
+        morphisms.append(Morphism(A.labels[b], dom[0], cod[0]))
+    comp = {}
+    for g in range(n):
+        for f in range(n):
+            prod = A.sc[g, f]
+            if morphisms[g].dom != morphisms[f].cod:
+                if prod:
+                    raise InvalidCategory("non-composable basis elements "
+                                          "have a nonzero product")
+            elif len(prod) == 1 and prod[0][1] == spec.one:
+                comp[g, f] = prod[0][0]
+            else:
+                raise InvalidCategory(
+                    f"{A.labels[g]} {A.labels[f]} is not a basis element")
+    return FinCategory(len(ids), morphisms, comp, ids)
+
+
+def bar_hh(A, N, dim_cap=BAR_DIM_CAP, degree_cap=BAR_DEGREE_CAP):
+    """Dimensions of HH^0..HH^N of a category algebra, from the normalized
+    Hochschild complex relative to the span E of the identities.
+
+    E is separable, so this complex computes HH^*(A); its q-cochains are
+    the pairs (a_1 .. a_q, m) of a string of composable non-identity
+    morphisms and a morphism m: dom a_q -> cod a_1.  Degree 0 equals dim
+    Z(A); degree 1 agrees with the derivation solver.
+    """
     n = A.dim
     if n > dim_cap or N > degree_cap:
         raise DimCapExceeded(
             f"bar complex cap: dim {n} <= {dim_cap}, degree {N} <= {degree_cap}")
-    # pairs_to[k] = [(u, v, c)] with e_u e_v having e_k-coefficient c
-    pairs_to = [[] for _ in range(n)]
-    for u in range(n):
-        for v in range(n):
-            for k, c in A.sc[u, v]:
-                pairs_to[k].append((u, v, c))
-
-    def tuple_index(args):
-        idx = 0
-        for a in args:
-            idx = idx * n + a
-        return idx
-
-    minus_one = spec.neg(spec.one)
-
-    def sign(s):
-        return spec.one if s % 2 == 0 else minus_one
-
-    def delta_rank(q):
-        """Rank of delta^q: C^q -> C^{q+1}; C^q has dimension n^{q+1}."""
-        def gen_rows():
-            for flat in range(n ** q):
-                args = []
-                rem = flat
-                for _ in range(q):
-                    args.append(rem % n)
-                    rem //= n
-                args.reverse()
-                args = tuple(args)
-                for j in range(n):
-                    row = {}
-
-                    def add(target_args, out, coeff):
-                        key = tuple_index(target_args) * n + out
-                        row[key] = spec.add(row.get(key, spec.zero), coeff)
-
-                    # a1 . f(a2..)
-                    for b in range(n):
-                        for k, c in A.sc[b, j]:
-                            add((b,) + args, k, c)
-                    # interior contractions
-                    for s in range(1, q + 1):
-                        target_coeff = sign(s)
-                        for (u, v, c) in pairs_to[args[s - 1]]:
-                            t_args = args[:s - 1] + (u, v) + args[s:]
-                            add(t_args, j, spec.mul(target_coeff, c))
-                    # f(a1..aq) . a_{q+1}
-                    for b in range(n):
-                        for k, c in A.sc[j, b]:
-                            add(args + (b,), k,
-                                spec.mul(sign(q + 1), c))
-                    row = {c_: v for c_, v in row.items()
-                           if not spec.is_zero(v)}
-                    if row:
-                        yield row
-
-        rank, _ = rank_nullspace_raw(gen_rows(), n ** (q + 2), spec,
-                                     want_basis=False)
-        return rank
-
-    ranks = [delta_rank(q) for q in range(N + 1)]
-    dims = []
-    for q in range(N + 1):
-        kernel = n ** (q + 1) - ranks[q]
-        image_prev = ranks[q - 1] if q >= 1 else 0
-        dims.append(kernel - image_prev)
-    return dims
-
-
-# ---------------------------------------------------------------------------
-# nerve cohomology and restriction
-# ---------------------------------------------------------------------------
-
-
-def _nerve_chains(C, N, cap=NERVE_CHAIN_CAP):
-    """Lists of composable chains per degree 0..N (degree 0: objects)."""
-    chains = [[(x,) for x in range(C.n_objects)]]
-    total = C.n_objects
-    by_dom = {}
+    C = _category_basis(A)
+    hom, lpre, rpre = {}, {}, {}
     for f, m in enumerate(C.morphisms):
-        by_dom.setdefault(m.dom, []).append(f)
-    for q in range(1, N + 1):
-        new = []
-        if q == 1:
-            new = [(f,) for f in range(len(C.morphisms))]
-        else:
-            for chain in chains[q - 1]:
-                last_cod = C.morphisms[chain[-1]].cod
-                for f in by_dom.get(last_cod, ()):
-                    new.append(chain + (f,))
-        total += len(new)
-        if total > cap:
-            raise NerveCapExceeded(f"nerve exceeds {cap} chains by degree {q}")
-        chains.append(new)
-    return chains
+        hom.setdefault((m.dom, m.cod), []).append(f)
+    for (g, f), gf in C.comp.items():
+        lpre.setdefault((g, gf), []).append(f)
+        rpre.setdefault((gf, f), []).append(g)
+    cochains, delta_rows = _string_complex(
+        C, A.field, N, lambda x, y: hom.get((x, y), ()),
+        lambda a, v: lpre.get((a, v), ()), lambda v, b: rpre.get((v, b), ()))
+    return _cohomology_dims(cochains, delta_rows, A.field, N)
 
 
-def _nerve_delta_rows(C, chains, q, spec):
-    """Sparse rows of delta^q: functions on q-chains -> on (q+1)-chains.
-
-    One row per (q+1)-chain sigma (kept aligned with chains[q+1], empty
-    rows included): the alternating sum of its faces as columns.
-    """
-    minus_one = spec.neg(spec.one)
-    col_index = {ch: i for i, ch in enumerate(chains[q])}
-    rows = []
-    for sigma in chains[q + 1]:
-        row = {}
-
-        def add(face, s):
-            coeff = spec.one if s % 2 == 0 else minus_one
-            c = col_index[face]
-            row[c] = spec.add(row.get(c, spec.zero), coeff)
-
-        if q == 0:
-            f = sigma[0]
-            add((C.morphisms[f].cod,), 0)
-            add((C.morphisms[f].dom,), 1)
-        else:
-            add(sigma[1:], 0)
-            for i in range(1, q + 1):
-                composed = C.comp[sigma[i], sigma[i - 1]]
-                face = sigma[:i - 1] + (composed,) + sigma[i + 1:]
-                add(face, i)
-            add(sigma[:-1], q + 1)
-        rows.append({c: v for c, v in row.items() if not spec.is_zero(v)})
-    return rows
+def _nerve_complex(C, spec, N, cap):
+    """The normalized cochain complex of the nerve with coefficients k:
+    one value per string, labelled by its ends."""
+    ms = C.morphisms
+    return _string_complex(C, spec, N, lambda x, y: ((x, y),),
+                           lambda a, v: ((v[0], ms[a].dom),),
+                           lambda v, b: ((ms[b].cod, v[1]),), cap)
 
 
 def nerve_cohomology(C, spec, N, cap=NERVE_CHAIN_CAP):
     """Dimensions of H^0..H^N of the category with constant coefficients,
-    from the simplicial cochain complex of the nerve."""
+    from the normalized cochain complex of the nerve."""
     C.validate()
-    chains = _nerve_chains(C, N + 1, cap)
-    ranks = []
-    for q in range(N + 1):
-        rows = _nerve_delta_rows(C, chains, q, spec)
-        rank, _ = rank_nullspace_raw(rows, len(chains[q]), spec,
-                                     want_basis=False)
-        ranks.append(rank)
-    dims = []
-    for q in range(N + 1):
-        kernel = len(chains[q]) - ranks[q]
-        image_prev = ranks[q - 1] if q >= 1 else 0
-        dims.append(kernel - image_prev)
-    return dims
+    return _cohomology_dims(*_nerve_complex(C, spec, N, cap), spec, N)
 
 
 def restriction_map(pi, spec, N, cap=NERVE_CHAIN_CAP):
@@ -509,50 +509,39 @@ def restriction_map(pi, spec, N, cap=NERVE_CHAIN_CAP):
         raise InvalidCategory("restriction target must have one object")
     pi.validate()
     S, T = pi.source, pi.target
-    chains_s = _nerve_chains(S, N + 1, cap)
-    chains_t = _nerve_chains(T, N + 1, cap)
+    cochains_s, rows_s = _nerve_complex(S, spec, N, cap)
+    cochains_t, rows_t = _nerve_complex(T, spec, N, cap)
 
     out = []
     for q in range(N + 1):
-        # cocycle and coboundary data on both sides
-        def complex_data(C, chains):
-            _, kernel = rank_nullspace_raw(
-                _nerve_delta_rows(C, chains, q, spec), len(chains[q]), spec)
-            if q == 0:
-                return kernel, []
-            # the image of delta^{q-1} on q-chains is spanned by its
-            # columns delta(e_c), one per (q-1)-chain c
-            cols = [{} for _ in chains[q - 1]]
-            for r, row in enumerate(_nerve_delta_rows(C, chains, q - 1, spec)):
+        _, kern_s = rank_nullspace_raw(rows_s(q), len(cochains_s[q]), spec)
+        _, kern_t = rank_nullspace_raw(rows_t(q), len(cochains_t[q]), spec)
+        im_s = []
+        if q:
+            # the image of delta^{q-1} on the source is spanned by its
+            # columns delta(e_c), one per (q-1)-cochain c
+            cols = [{} for _ in cochains_s[q - 1]]
+            for r, row in enumerate(rows_s(q - 1)):
                 for c, v in row.items():
                     cols[c][r] = v
-            return kernel, [col for col in cols if col]
-
-        kern_s, im_s = complex_data(S, chains_s)
-        kern_t, im_t = complex_data(T, chains_t)
-        im_s_piv, _ = echelonize(im_s, len(chains_s[q]), spec)
-        im_t_piv, _ = echelonize(im_t, len(chains_t[q]), spec)
+            im_s = [col for col in cols if col]
+        im_s_piv, _ = echelonize(im_s, len(cochains_s[q]), spec)
+        rank_t = (rank_nullspace_raw(rows_t(q - 1), len(cochains_t[q - 1]),
+                                     spec, want_basis=False)[0] if q else 0)
         dim_hs = len(kern_s) - len(im_s_piv)
-        dim_ht = len(kern_t) - len(im_t_piv)
+        dim_ht = len(kern_t) - rank_t
 
-        # pull back the target cocycle basis along the functor
-        t_index = {ch: i for i, ch in enumerate(chains_t[q])}
-
-        def push_chain(ch):
-            if q == 0:
-                return (0,)
-            return tuple(pi.morphism_map[f] for f in ch)
-
-        pulled = []
-        for vec in kern_t:
-            w = {}
-            for si, ch in enumerate(chains_s[q]):
-                tv = vec[t_index[push_chain(ch)]]
-                if not spec.is_zero(tv):
-                    w[si] = tv
-            pulled.append(w)
+        # pull back the target cocycle basis along the functor; a chain
+        # whose image holds an identity is degenerate, so it is not among
+        # the target's cochains and the pulled-back cochain is 0 on it
+        t_index = {key: i for i, key in enumerate(cochains_t[q])}
+        pushed = [t_index.get((tuple(pi.morphism_map[f] for f in t), (0, 0)))
+                  for t, _ in cochains_s[q]]
+        pulled = [{si: vec[ti] for si, ti in enumerate(pushed)
+                   if ti is not None and not spec.is_zero(vec[ti])}
+                  for vec in kern_t]
         # rank of the induced map on cohomology
-        piv_all, _ = echelonize(im_s + pulled, len(chains_s[q]), spec)
+        piv_all, _ = echelonize(im_s + pulled, len(cochains_s[q]), spec)
         rank_induced = len(piv_all) - len(im_s_piv)
         out.append({
             "degree": q,

@@ -50,6 +50,11 @@ class CorpusManifest:
     stretch entries as external generator files."""
 
     def __init__(self, entries, base=None):
+        if not isinstance(entries, list) or not all(
+                isinstance(e, dict) and "name" in e and "file" in e
+                for e in entries):
+            raise HH1LabError("corpus entries must be a list of objects "
+                              "with a name and a file")
         names = [e["name"] for e in entries]
         if len(set(names)) != len(names):
             raise HH1LabError("duplicate corpus names")
@@ -64,9 +69,16 @@ class CorpusManifest:
 
     @classmethod
     def from_path(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        return cls(manifest["entries"], base=os.path.dirname(os.path.abspath(path)))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                manifest = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise HH1LabError(
+                f"cannot read corpus manifest {path!r}: {exc}") from None
+        if not isinstance(manifest, dict) or "entries" not in manifest:
+            raise HH1LabError(f"corpus manifest {path!r} has no entries")
+        return cls(manifest["entries"],
+                   base=os.path.dirname(os.path.abspath(path)))
 
     def entry(self, name):
         for e in self.entries:
@@ -255,9 +267,15 @@ def compute_hh1_doc(name, G, prime, method, seed, allow_large):
             for r in rep.per_block]
         doc["totals"] = {"hh1_total": rep.total_hh1,
                          "oracle_total": rep.consistency.get("oracle_total")}
+        # a counterexample decides the verdict; otherwise a block of
+        # positive defect without an HH^1 value leaves it open
+        undecided = any(r.defect >= 1 and r.hh1_dim is None
+                        for r in rep.per_block)
         doc["verdicts"] = {
             "counterexamples": rep.counterexamples,
-            "all_positive_defect_nonvanishing": not rep.counterexamples,
+            "all_positive_defect_nonvanishing": (
+                False if rep.counterexamples else None if undecided
+                else True),
         }
         doc["consistency"] = {k: v for k, v in rep.consistency.items()}
     doc["timings"] = {"seconds": f"{time.monotonic() - started:.3f}"}
@@ -395,7 +413,12 @@ def cmd_tensor(args):
 def cmd_report(args):
     manifest = (CorpusManifest.from_path(args.corpus) if args.corpus
                 else CorpusManifest.packaged())
-    primes = [int(t) for t in args.primes.split(",") if t.strip()]
+    try:
+        primes = [int(t) for t in args.primes.split(",") if t.strip()]
+    except ValueError:
+        raise HH1LabError(
+            f"--primes takes comma-separated integers, not {args.primes!r}"
+        ) from None
     entries = manifest.desk_entries()
     if args.allow_large:
         entries = manifest.entries

@@ -171,7 +171,7 @@ def _derivations_group_like(A):
             frontier = nxt
     r = len(gens)
     if r == 0:
-        return [], n  # the ground field: no nonzero derivations
+        return []  # the ground field: no nonzero derivations
     gpos = {s: a for a, s in enumerate(gens)}
 
     # propagate coefficient matrices C_w (n x n*r) along a BFS tree
@@ -232,7 +232,7 @@ def _derivations_group_like(A):
     rref, pivots = np_rref_mod_p(flat, p)
     basis = [[spec.from_int(int(v)) for v in rref[i]]
              for i in range(len(pivots))]
-    return basis, n
+    return basis
 
 
 def derivation_space(A, sparse_cap=SPARSE_DIM_CAP):
@@ -245,10 +245,9 @@ def derivation_space(A, sparse_cap=SPARSE_DIM_CAP):
     n = A.dim
     if n > sparse_cap:
         raise DimCapExceeded(f"dim {n} exceeds the solver cap {sparse_cap}")
-    spec = A.field
     z = _center_dimension(A)
-    if n <= sparse_cap and A.is_group_like():
-        basis_vecs, _ = _derivations_group_like(A)
+    if A.is_group_like():
+        basis_vecs = _derivations_group_like(A)
     else:
         basis_vecs = _derivations_general(A)
     der_dim = len(basis_vecs)

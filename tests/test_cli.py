@@ -354,3 +354,47 @@ def test_source_change_misses_the_cache(capsys, monkeypatch):
     assert cli.CACHE_STATS["misses"] == before["misses"] + 1
     assert cli.CACHE_STATS["hits"] == before["hits"]
     assert doc["totals"]["hh1_total"] == 2
+
+
+@pytest.mark.parametrize("case", ["missing", "truncated", "no_name",
+                                  "no_file", "bad_primes"])
+def test_bad_report_input_is_an_error(tmp_path, capsys, case):
+    manifest_path = tmp_path / "manifest.json"
+    manifest = {
+        "truncated": '{"entries": [{"name": "S3", "fi',
+        "no_name": json.dumps({"entries": [
+            {"file": "S3.grp", "order": 6, "notes": "", "stretch": False}]}),
+        "no_file": json.dumps({"entries": [
+            {"name": "S3", "order": 6, "notes": "", "stretch": False}]}),
+    }
+    if case in manifest:
+        manifest_path.write_text(manifest[case])
+    argv = ["report", "--primes", "2,x" if case == "bad_primes" else "2"]
+    if case != "bad_primes":
+        argv += ["--corpus", str(manifest_path)]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_undecided_positive_defect_block_leaves_the_verdict_open(
+        capsys, monkeypatch):
+    from hh1lab import hhone
+    from hh1lab.errors import DimCapExceeded
+    real = hhone.derivation_space
+
+    def whole_algebra_only(A, *args, **kwargs):
+        if A.group is None:
+            raise DimCapExceeded("block algebras are over the cap here")
+        return real(A, *args, **kwargs)
+
+    monkeypatch.setattr(hhone, "derivation_space", whole_algebra_only)
+    code, doc = run_cli(capsys, ["hh1", "--group", "S3", "--prime", "2"])
+    assert code == 0
+    assert [(b["defect"], b["hh1_dim"]) for b in doc["blocks"]] == \
+        [(1, None), (0, None)]
+    assert doc["verdicts"] == {"counterexamples": [],
+                               "all_positive_defect_nonvanishing": None}
+    assert doc["totals"] == {"hh1_total": 2, "oracle_total": 2}

@@ -1,0 +1,246 @@
+"""Exactness of the normalized string complex behind bar_hh and the nerve.
+
+`bar_hh` computes HH^* of a category algebra from the complex relative to
+the span of the identities.  These tests check it against the full bar
+cochains Hom(A^{tensor q}, A) on small algebras, against the order complex
+of random posets (for a poset P, HH^*(kP) is the cohomology of its order
+complex), and against the class count and the centralizer-sum oracle on
+random small groups.
+"""
+
+import os
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from hh1lab import catalgebra
+from hh1lab.catalgebra import (CatFunctor, FinCategory, Morphism, bar_hh,
+                               category_algebra, load_category_file,
+                               nerve_cohomology, one_object_category,
+                               restriction_map)
+from hh1lab.errors import InvalidCategory
+from hh1lab.ffield import field_make, rank_nullspace_raw
+from hh1lab.groupalgebra import StructAlgebra, group_algebra
+from hh1lab.hhone import additive_oracle
+from test_permindex import groups
+
+PROPERTY = settings(max_examples=60, deadline=None)
+
+
+def full_bar_hh(A, N):
+    """Dimensions of HH^0..HH^N from the full bar cochain complex
+    Hom(A^{tensor q}, A), whose q-cochains have dimension dim^(q+1)."""
+    spec = A.field
+    n = A.dim
+    # pairs_to[k] = [(u, v, c)] with e_u e_v having e_k-coefficient c
+    pairs_to = [[] for _ in range(n)]
+    for u in range(n):
+        for v in range(n):
+            for k, c in A.sc[u, v]:
+                pairs_to[k].append((u, v, c))
+
+    def tuple_index(args):
+        idx = 0
+        for a in args:
+            idx = idx * n + a
+        return idx
+
+    minus_one = spec.neg(spec.one)
+
+    def sign(s):
+        return spec.one if s % 2 == 0 else minus_one
+
+    def delta_rank(q):
+        """Rank of delta^q: C^q -> C^{q+1}; C^q has dimension n^{q+1}."""
+        def gen_rows():
+            for flat in range(n ** q):
+                args = []
+                rem = flat
+                for _ in range(q):
+                    args.append(rem % n)
+                    rem //= n
+                args.reverse()
+                args = tuple(args)
+                for j in range(n):
+                    row = {}
+
+                    def add(target_args, out, coeff):
+                        key = tuple_index(target_args) * n + out
+                        row[key] = spec.add(row.get(key, spec.zero), coeff)
+
+                    # a1 . f(a2..)
+                    for b in range(n):
+                        for k, c in A.sc[b, j]:
+                            add((b,) + args, k, c)
+                    # interior contractions
+                    for s in range(1, q + 1):
+                        target_coeff = sign(s)
+                        for (u, v, c) in pairs_to[args[s - 1]]:
+                            t_args = args[:s - 1] + (u, v) + args[s:]
+                            add(t_args, j, spec.mul(target_coeff, c))
+                    # f(a1..aq) . a_{q+1}
+                    for b in range(n):
+                        for k, c in A.sc[j, b]:
+                            add(args + (b,), k,
+                                spec.mul(sign(q + 1), c))
+                    row = {c_: v for c_, v in row.items()
+                           if not spec.is_zero(v)}
+                    if row:
+                        yield row
+
+        rank, _ = rank_nullspace_raw(gen_rows(), n ** (q + 2), spec,
+                                     want_basis=False)
+        return rank
+
+    ranks = [delta_rank(q) for q in range(N + 1)]
+    dims = []
+    for q in range(N + 1):
+        kernel = n ** (q + 1) - ranks[q]
+        image_prev = ranks[q - 1] if q >= 1 else 0
+        dims.append(kernel - image_prev)
+    return dims
+
+
+def ground_field(p):
+    spec = field_make(p, 1)
+    return StructAlgebra(spec, 1, ["e"], {(0, 0): ((0, spec.one),)},
+                         (spec.one,))
+
+
+def packaged_poset():
+    return load_category_file(os.path.join(
+        os.path.dirname(catalgebra.__file__), "data", "categories",
+        "poset_a_to_b.cat"))
+
+
+def poset_category(n, less):
+    """The poset on 0..n-1 with the transitively closed relation `less`
+    (pairs x < y), as a category with one morphism x -> y for x <= y."""
+    morphisms = ([Morphism(f"id{x}", x, x) for x in range(n)]
+                 + [Morphism(f"{x}<{y}", x, y) for x, y in sorted(less)])
+    index = {(m.dom, m.cod): f for f, m in enumerate(morphisms)}
+    comp = {(index[y, z], index[x, y]): index[x, z]
+            for x, y in index for y2, z in index if y == y2}
+    return FinCategory(n, morphisms, comp, list(range(n)))
+
+
+def transitive_closure(pairs):
+    less = set(pairs)
+    while True:
+        more = {(x, z) for x, y in less for y2, z in less if y == y2} - less
+        if not more:
+            return less
+        less |= more
+
+
+@st.composite
+def posets(draw, max_points=6, max_morphisms=12):
+    n = draw(st.integers(1, max_points))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)), max_size=6))
+    less = transitive_closure((min(a, b), max(a, b))
+                              for a, b in pairs if a != b)
+    assume(n + len(less) <= max_morphisms)
+    return n, less
+
+
+CROWN = (4, {(0, 2), (0, 3), (1, 2), (1, 3)})
+
+
+# ---------------------------------------------------------------------------
+# against the full bar complex
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("case", ["k", "kC2@2", "kC3@GF(4)", "poset@2",
+                                  "BV4@2"])
+def test_relative_complex_equals_full_bar_complex(case, corpus):
+    f2 = field_make(2, 1)
+    A, N = {
+        "k": lambda: (ground_field(2), 4),
+        "kC2@2": lambda: (group_algebra(corpus["C2"], 2), 4),
+        "kC3@GF(4)": lambda: (group_algebra(corpus["C3"], 2), 2),
+        "poset@2": lambda: (category_algebra(packaged_poset(), f2), 3),
+        "BV4@2": lambda: (category_algebra(
+            one_object_category(corpus["V4"]), f2), 2),
+    }[case]()
+    assert bar_hh(A, N) == full_bar_hh(A, N)
+
+
+# ---------------------------------------------------------------------------
+# posets: HH^* of kP is the cohomology of the order complex
+# ---------------------------------------------------------------------------
+
+
+@PROPERTY
+@given(poset=posets(), p=st.sampled_from([2, 3]))
+def test_poset_hh_equals_nerve_cohomology(poset, p):
+    P = poset_category(*poset)
+    spec = field_make(p, 1)
+    assert bar_hh(category_algebra(P, spec), 3) == \
+        nerve_cohomology(P, spec, 3)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_crown_poset_is_a_circle(p):
+    P = poset_category(*CROWN)
+    spec = field_make(p, 1)
+    assert bar_hh(category_algebra(P, spec), 3) == [1, 1, 0, 0]
+    assert nerve_cohomology(P, spec, 3) == [1, 1, 0, 0]
+
+
+# ---------------------------------------------------------------------------
+# groups: HH^0 is the class count, HH^1 the centralizer-sum oracle
+# ---------------------------------------------------------------------------
+
+
+@PROPERTY
+@given(G=groups(5, 12), p=st.sampled_from([2, 3, 5]))
+def test_group_algebra_hh0_hh1(G, p):
+    assert bar_hh(group_algebra(G, p), 1) == [
+        len(G.conjugacy_classes()), additive_oracle(G, p)]
+
+
+def test_non_category_basis_is_rejected():
+    # k[x]/(x^2): x is composable with itself, but x.x = 0
+    spec = field_make(2, 1)
+    A = StructAlgebra(spec, 2, ["1", "x"],
+                      {(0, 0): ((0, 1),), (0, 1): ((1, 1),),
+                       (1, 0): ((1, 1),), (1, 1): ()}, (1, 0))
+    with pytest.raises(InvalidCategory):
+        bar_hh(A, 1)
+
+
+# ---------------------------------------------------------------------------
+# restriction along a functor that sends non-identities to identities
+# ---------------------------------------------------------------------------
+
+
+def quotient_functor(G, H):
+    """The functor BG -> BH of the surjection of cyclic groups sending a
+    generator g of G to a generator h of H, so g^k -> h^k."""
+    def powers(K):
+        table = K.multiplication_table()
+        for x in range(K.order):
+            seq = [0]
+            while len(seq) < K.order and int(table[seq[-1], x]) != 0:
+                seq.append(int(table[seq[-1], x]))
+            if len(seq) == K.order:
+                return seq
+        raise ValueError("not cyclic")
+
+    g, h = powers(G), powers(H)
+    morphism_map = [0] * G.order
+    for k, x in enumerate(g):
+        morphism_map[x] = h[k % H.order]
+    return CatFunctor(one_object_category(G), one_object_category(H), [0],
+                      morphism_map)
+
+
+def test_inflation_from_c2_to_c4(corpus):
+    # H^*(C2; F2) = F2[x] and H^*(C4; F2) = F2[z] (y), y^2 = 0: inflation
+    # sends x to y, so x^2 and x^3 go to 0; g^2 in C4 maps to the identity
+    pi = quotient_functor(corpus["C4"], corpus["C2"])
+    res = restriction_map(pi, field_make(2, 1), 3)
+    assert [(r["dim_source"], r["dim_target"], r["rank"]) for r in res] == \
+        [(1, 1, 1), (1, 1, 1), (1, 1, 0), (1, 1, 0)]
