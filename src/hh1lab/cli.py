@@ -24,8 +24,8 @@ from importlib import resources
 from pathlib import Path
 
 from . import catalgebra, hhone
-from .errors import HH1LabError
-from .ffield import field_make
+from .errors import HH1LabError, NotPrime
+from .ffield import field_make, is_prime
 from .groupalgebra import block_decompose, group_algebra
 from .permgroup import (DEFAULT_MEMORY_CAP, DEFAULT_ORDER_CAP,
                         group_from_generators, parse_group_file)
@@ -370,19 +370,13 @@ def cmd_tensor(args):
     from .permgroup import direct_product
     p = args.prime
     GaxGb = direct_product(Ga, Gb)
-    A = group_algebra(GaxGb, p)
-    blocks_prod = block_decompose(A, GaxGb, p, seed=args.seed)
-    Aa = group_algebra(Ga, p)
-    Ab = group_algebra(Gb, p)
-    blocks_a = block_decompose(Aa, Ga, p, seed=args.seed)
-    blocks_b = block_decompose(Ab, Gb, p, seed=args.seed)
-    dims_prod = sorted(b.dim for b in blocks_prod)
-    dims_pairwise = sorted(ba.dim * bb.dim
-                           for ba in blocks_a for bb in blocks_b)
     rep_a = hhone.hh1_blocks(Ga, p, name=name_a, seed=args.seed)
     rep_b = hhone.hh1_blocks(Gb, p, name=name_b, seed=args.seed)
     rep_prod = hhone.hh1_blocks(GaxGb, p, name=f"{name_a}x{name_b}",
                                 seed=args.seed)
+    dims_a, dims_b, dims_prod = (sorted(r.dim for r in rep.per_block)
+                                 for rep in (rep_a, rep_b, rep_prod))
+    dims_pairwise = sorted(da * db for da in dims_a for db in dims_b)
     za = len(Ga.conjugacy_classes())
     zb = len(Gb.conjugacy_classes())
     predicted = hhone.kuenneth_hh1(rep_a.total_hh1, za, rep_b.total_hh1, zb)
@@ -392,8 +386,8 @@ def cmd_tensor(args):
         "inputs": {"group": name_a, "group_b": name_b, "prime": p,
                    "seed": args.seed, "caps": caps_dict(args.allow_large)},
         "blocks": {
-            "factor_a_dims": sorted(b.dim for b in blocks_a),
-            "factor_b_dims": sorted(b.dim for b in blocks_b),
+            "factor_a_dims": dims_a,
+            "factor_b_dims": dims_b,
             "product_dims": dims_prod,
             "pairwise_products": dims_pairwise,
             "pairwise_matches_product": dims_prod == dims_pairwise,
@@ -419,6 +413,9 @@ def cmd_report(args):
         raise HH1LabError(
             f"--primes takes comma-separated integers, not {args.primes!r}"
         ) from None
+    for p in primes:
+        if not is_prime(p):
+            raise NotPrime(f"{p} is not prime")
     entries = manifest.desk_entries()
     if args.allow_large:
         entries = manifest.entries

@@ -15,10 +15,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import (DimCapExceeded, FieldMismatch, InvariantViolation,
-                     SplitFieldTooSmall)
-from .ffield import (FieldSpec, echelon_insert, field_make, p_adic_valuation,
-                     poly_divmod, poly_ext_gcd, poly_factor, poly_mod,
-                     poly_monic, poly_mul)
+                     NotPrime, SplitFieldTooSmall)
+from .ffield import (FieldSpec, echelon_insert, field_make, is_prime,
+                     p_adic_valuation, poly_divmod, poly_ext_gcd,
+                     poly_factor, poly_mod, poly_monic, poly_mul)
 
 # caps for materialising dense data; stretch-scale groups stay lazy
 MATERIALIZE_DIM_CAP = 512
@@ -229,6 +229,8 @@ def splitting_degree(G, p):
     m is the multiplicative order of p modulo the p'-part of the exponent
     of G, which makes every central character take values in GF(p^m).
     """
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
     e = G.exponent()
     while e % p == 0:
         e //= p

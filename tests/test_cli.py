@@ -250,17 +250,14 @@ def test_invariant_violation_is_a_report_error(tmp_path, capsys, monkeypatch):
     manifest_path.write_text(json.dumps({"entries": [
         {"name": "S3", "file": "S3.grp", "order": 6, "notes": "",
          "stretch": False}]}))
-    real = hhone.derivation_space
+    real = hhone._block_hh1
 
-    def skewed(A, *args, **kwargs):
-        # one more HH^1 dimension on every block algebra breaks the
+    def skewed(whole, b):
+        # one more HH^1 dimension on every block breaks the
         # block sum == whole-algebra identity
-        ds = real(A, *args, **kwargs)
-        if A.group is None:
-            ds.hh1_dim += 1
-        return ds
+        return real(whole, b) + 1
 
-    monkeypatch.setattr(hhone, "derivation_space", skewed)
+    monkeypatch.setattr(hhone, "_block_hh1", skewed)
     code, doc = run_cli(capsys, ["report", "--corpus", str(manifest_path),
                                  "--primes", "2"])
     assert code == 2
@@ -383,14 +380,11 @@ def test_undecided_positive_defect_block_leaves_the_verdict_open(
         capsys, monkeypatch):
     from hh1lab import hhone
     from hh1lab.errors import DimCapExceeded
-    real = hhone.derivation_space
 
-    def whole_algebra_only(A, *args, **kwargs):
-        if A.group is None:
-            raise DimCapExceeded("block algebras are over the cap here")
-        return real(A, *args, **kwargs)
+    def over_cap(A, *args, **kwargs):
+        raise DimCapExceeded("the whole algebra is over the cap here")
 
-    monkeypatch.setattr(hhone, "derivation_space", whole_algebra_only)
+    monkeypatch.setattr(hhone, "derivation_space", over_cap)
     code, doc = run_cli(capsys, ["hh1", "--group", "S3", "--prime", "2"])
     assert code == 0
     assert [(b["defect"], b["hh1_dim"]) for b in doc["blocks"]] == \
@@ -398,3 +392,20 @@ def test_undecided_positive_defect_block_leaves_the_verdict_open(
     assert doc["verdicts"] == {"counterexamples": [],
                                "all_positive_defect_nonvanishing": None}
     assert doc["totals"] == {"hh1_total": 2, "oracle_total": 2}
+
+
+@pytest.mark.parametrize("argv", [
+    ["hh1", "--group", "S3", "--prime", "4"],
+    ["blocks", "--group", "S3", "--prime", "4"],
+    ["blocks", "--group", "C3", "--prime", "9"],
+    ["hh1", "--group", "S3", "--prime", "1", "--method", "oracle"],
+    ["hh1", "--group", "S3", "--prime", "0"],
+    ["tensor", "--group", "S3", "--group-b", "C2", "--prime", "6"],
+    ["report", "--primes", "2,4"],
+])
+def test_non_prime_is_an_error(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")

@@ -147,17 +147,16 @@ def test_vacuous_verdicts_when_p_coprime(corpus):
 
 
 def test_over_cap_block_reported_and_oracle_fills_total(corpus):
-    # with an artificially tiny solver cap, the dim-4 block errors but the
-    # oracle still supplies the whole-algebra total
+    # with an artificially tiny solver cap, kG itself is over the cap, so
+    # every block errors but the oracle still supplies the total
     rep = hh1_blocks(corpus["S3"], 2, name="S3", sparse_cap=3)
-    errored = [r for r in rep.per_block if r.error is not None]
-    assert len(errored) == 1 and errored[0].dim == 4
-    assert errored[0].hh1_dim is None
+    assert [(r.dim, r.hh1_dim, r.error) for r in rep.per_block] == [
+        (2, None, "dim 6 exceeds the solver cap 3"),
+        (4, None, "dim 6 exceeds the solver cap 3")]
     assert rep.total_hh1 == 2  # from the oracle
     assert rep.consistency["oracle_total"] == 2
-    # the blocked row gets no verdict
-    flags = {i: f for i, _, f in rep.verdicts}
-    assert flags[errored[0].block_index] is None
+    # the blocked rows get no verdict
+    assert [f for _, _, f in rep.verdicts] == [None, None]
 
 
 # ---------------------------------------------------------------------------
