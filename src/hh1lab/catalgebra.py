@@ -352,7 +352,7 @@ def frobenius_certificate(A, trials=64, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def _strings(C, N, cap):
+def _strings(C, N):
     """Strings (a_1, ..., a_q) of composable non-identity morphisms, with
     dom a_s = cod a_{s+1}, per length q = 0..N: the non-degenerate chains
     of the nerve."""
@@ -367,12 +367,13 @@ def _strings(C, N, cap):
         strings.append([t + (f,) for t in strings[-1] for f in (
             by_cod.get(C.morphisms[t[-1]].dom, ()) if t else nonid)])
         total += len(strings[-1])
-        if total > cap:
-            raise NerveCapExceeded(f"nerve exceeds {cap} chains by degree {q}")
+        if total > NERVE_CHAIN_CAP:
+            raise NerveCapExceeded(
+                f"nerve exceeds {NERVE_CHAIN_CAP} chains by degree {q}")
     return strings
 
 
-def _string_complex(C, spec, N, values, left, right, cap=NERVE_CHAIN_CAP):
+def _string_complex(C, spec, N, values, left, right):
     """Cochain bases of degrees 0..N+1 and the coboundary rows.
 
     A q-cochain basis element is a pair (string, v) with v in values(x, y),
@@ -386,7 +387,7 @@ def _string_complex(C, spec, N, values, left, right, cap=NERVE_CHAIN_CAP):
     identities = set(C.identities)
     ms = C.morphisms
     cochains = []
-    for strings in _strings(C, N + 1, cap):
+    for strings in _strings(C, N + 1):
         basis = []
         for t in strings:
             ends = ([(ms[t[-1]].dom, ms[t[0]].cod)] if t else
@@ -460,7 +461,7 @@ def _category_basis(A):
     return FinCategory(len(ids), morphisms, comp, ids)
 
 
-def bar_hh(A, N, dim_cap=BAR_DIM_CAP, degree_cap=BAR_DEGREE_CAP):
+def bar_hh(A, N):
     """Dimensions of HH^0..HH^N of a category algebra, from the normalized
     Hochschild complex relative to the span E of the identities.
 
@@ -470,9 +471,9 @@ def bar_hh(A, N, dim_cap=BAR_DIM_CAP, degree_cap=BAR_DEGREE_CAP):
     Z(A); degree 1 agrees with the derivation solver.
     """
     n = A.dim
-    if n > dim_cap or N > degree_cap:
-        raise DimCapExceeded(
-            f"bar complex cap: dim {n} <= {dim_cap}, degree {N} <= {degree_cap}")
+    if n > BAR_DIM_CAP or N > BAR_DEGREE_CAP:
+        raise DimCapExceeded(f"bar complex cap: dim {n} <= {BAR_DIM_CAP}, "
+                             f"degree {N} <= {BAR_DEGREE_CAP}")
     C = _category_basis(A)
     hom, lpre, rpre = {}, {}, {}
     for f, m in enumerate(C.morphisms):
@@ -486,31 +487,31 @@ def bar_hh(A, N, dim_cap=BAR_DIM_CAP, degree_cap=BAR_DEGREE_CAP):
     return _cohomology_dims(cochains, delta_rows, A.field, N)
 
 
-def _nerve_complex(C, spec, N, cap):
+def _nerve_complex(C, spec, N):
     """The normalized cochain complex of the nerve with coefficients k:
     one value per string, labelled by its ends."""
     ms = C.morphisms
     return _string_complex(C, spec, N, lambda x, y: ((x, y),),
                            lambda a, v: ((v[0], ms[a].dom),),
-                           lambda v, b: ((ms[b].cod, v[1]),), cap)
+                           lambda v, b: ((ms[b].cod, v[1]),))
 
 
-def nerve_cohomology(C, spec, N, cap=NERVE_CHAIN_CAP):
+def nerve_cohomology(C, spec, N):
     """Dimensions of H^0..H^N of the category with constant coefficients,
     from the normalized cochain complex of the nerve."""
     C.validate()
-    return _cohomology_dims(*_nerve_complex(C, spec, N, cap), spec, N)
+    return _cohomology_dims(*_nerve_complex(C, spec, N), spec, N)
 
 
-def restriction_map(pi, spec, N, cap=NERVE_CHAIN_CAP):
+def restriction_map(pi, spec, N):
     """Induced map on nerve cohomology of a functor to a one-object
     category, per degree: dims, rank, and injectivity flag."""
     if pi.target.n_objects != 1:
         raise InvalidCategory("restriction target must have one object")
     pi.validate()
     S, T = pi.source, pi.target
-    cochains_s, rows_s = _nerve_complex(S, spec, N, cap)
-    cochains_t, rows_t = _nerve_complex(T, spec, N, cap)
+    cochains_s, rows_s = _nerve_complex(S, spec, N)
+    cochains_t, rows_t = _nerve_complex(T, spec, N)
 
     out = []
     for q in range(N + 1):
@@ -632,7 +633,7 @@ def _fp_restriction_regular_rep(A):
     return N, mats
 
 
-def radical_and_semisimplicity(A, fp_dim_cap=RADICAL_FP_DIM_CAP):
+def radical_and_semisimplicity(A):
     """Jacobson radical dimension (over the ground field) and whether the
     algebra is semisimple.
 
@@ -644,7 +645,7 @@ def radical_and_semisimplicity(A, fp_dim_cap=RADICAL_FP_DIM_CAP):
     spec = A.field
     p, m = spec.p, spec.m
     N, mats = _fp_restriction_regular_rep(A)
-    if N > fp_dim_cap:
+    if N > RADICAL_FP_DIM_CAP:
         raise DimCapExceeded(f"prime-field dimension {N} exceeds cap")
     mats_np = [np.array(M, dtype=np.int64) for M in mats]
 

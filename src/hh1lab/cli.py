@@ -292,6 +292,11 @@ def hh1_doc_cached(name, G, raw, prime, method, seed, allow_large):
     return doc
 
 
+def _check_at_least(value, low, flag):
+    if value < low:
+        raise HH1LabError(f"{flag} must be at least {low}, not {value}")
+
+
 def cmd_blocks(args):
     G, raw, name = resolve_group(args.group, allow_large=args.allow_large)
     doc = compute_blocks_doc(name, G, args.prime, args.seed, args.allow_large)
@@ -317,6 +322,8 @@ def cmd_hh1(args):
 
 
 def cmd_happel(args):
+    _check_at_least(args.degrees, 0, "--degrees")
+    _check_at_least(args.points, 1, "--points")
     if args.category:
         cat = catalgebra.load_category_file(args.category)
         source = os.path.basename(args.category)
@@ -405,6 +412,7 @@ def cmd_tensor(args):
 
 
 def cmd_report(args):
+    _check_at_least(args.jobs, 1, "--jobs")
     manifest = (CorpusManifest.from_path(args.corpus) if args.corpus
                 else CorpusManifest.packaged())
     try:
@@ -439,11 +447,8 @@ def cmd_report(args):
                     "status": "unavailable" if missing else "error",
                     "error": str(exc)}
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run_one, jobs))
-    else:
-        results = [run_one(j) for j in jobs]
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        results = list(pool.map(run_one, jobs))
 
     counterexamples = []
     errors = []

@@ -12,9 +12,11 @@ larger odd extension fields multiply digit vectors as polynomials.
 The public surface is `FieldSpec` (raw arithmetic), `field_make`, the
 ``poly_*`` helpers, and elimination: `echelonize` / `rank_nullspace_raw` on
 sparse rows (dicts col -> raw), which run GF(2) through a packed-bit kernel
-and every other field through the row step `echelon_insert`, and
-`np_rref_mod_p` / `np_kernel_mod_p` for dense int matrices over a prime
-field.
+and every other field through the row step `echelon_insert`.  Dense front
+ends of the echelon take int arrays over a prime field: `sparse_rows`
+turns array rows into sparse rows, and `np_rref_mod_p` / `np_kernel_mod_p`
+return the RREF and the canonical nullspace as int arrays.  Every rank and
+nullspace in the package goes through this one echelon.
 Everything here is immutable after construction and safe to share between
 threads.
 """
@@ -829,50 +831,40 @@ def rank_nullspace_raw(rows, ncols, spec, *, want_basis=True):
 
 
 # ---------------------------------------------------------------------------
-# numpy helpers over the prime field (raw int matrices mod p)
+# dense front ends of the echelon (int arrays over a prime field)
 # ---------------------------------------------------------------------------
 
 
-def np_rref_mod_p(mat, p):
-    """Reduced row echelon form of an int numpy array mod p.
+def sparse_rows(mat):
+    """The rows of a 2-d array of raw field values as sparse dicts
+    col -> raw, zeros dropped."""
+    rows = []
+    for row in mat:
+        nz = np.flatnonzero(row)
+        rows.append(dict(zip(nz.tolist(), row[nz].tolist())))
+    return rows
 
-    Returns (rref, pivot_cols).  Input is not modified.
+
+def np_rref_mod_p(mat, p):
+    """Reduced row echelon form of an int array mod p, by `echelonize`.
+
+    Returns (rref, pivot_cols): an int64 array of mat's shape with the RREF
+    rows on top and zero rows below, and the ascending pivot columns.
+    Input is not modified.
     """
-    a = np.array(mat, dtype=np.int64) % p
-    nrows, ncols = a.shape
-    pivots = []
-    prow = 0
-    for c in range(ncols):
-        col = a[prow:, c]
-        nz = np.nonzero(col)[0]
-        if len(nz) == 0:
-            continue
-        sel = prow + nz[0]
-        if sel != prow:
-            a[[prow, sel]] = a[[sel, prow]]
-        inv = pow(int(a[prow, c]), p - 2, p)
-        a[prow] = a[prow] * inv % p
-        other = np.nonzero(a[:, c])[0]
-        for r in other:
-            if r != prow:
-                a[r] = (a[r] - a[r, c] * a[prow]) % p
-        pivots.append(c)
-        prow += 1
-        if prow == nrows:
-            break
-    return a, pivots
+    a = np.asarray(mat, dtype=np.int64) % p
+    pivots, rowlist = echelonize(sparse_rows(a), a.shape[1], field_make(p, 1))
+    cols = sorted(pivots)
+    rref = np.zeros_like(a)
+    for r, lead in enumerate(cols):
+        row = rowlist[pivots[lead]]
+        rref[r, list(row)] = list(row.values())
+    return rref, cols
 
 
 def np_kernel_mod_p(mat, p):
-    """Canonical kernel basis (rows of the returned array) of mat over F_p."""
-    rref, pivots = np_rref_mod_p(mat, p)
-    ncols = rref.shape[1]
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = np.zeros((len(free), ncols), dtype=np.int64)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for r, pc in enumerate(pivots):
-            v = rref[r, fc]
-            if v:
-                basis[i, pc] = (-v) % p
-    return basis
+    """Canonical kernel basis of an int array over F_p: the rows of the
+    returned int64 array are the RREF of the nullspace."""
+    a = np.asarray(mat, dtype=np.int64) % p
+    _, basis = rank_nullspace_raw(sparse_rows(a), a.shape[1], field_make(p, 1))
+    return np.array(basis, dtype=np.int64).reshape(-1, a.shape[1])

@@ -324,10 +324,11 @@ def block_decompose(A, G, p, seed=0):
     an idempotent e taken off it, the minimal polynomial of z_i e on eZ is
     factored for each class sum z_i in turn (distinct-degree plus
     equal-degree splitting, PRNG seeded deterministically).  Two or more
-    coprime factors split e into idempotents that go back on the list; when
-    no class splits e it is primitive, and the roots of its single linear
-    factors are its central character.  Blocks are ordered: principal
-    first, then by dimension, then by idempotent coordinates.
+    coprime factors split e into idempotents that go back on the list and
+    resume the scan at the class that split e; when no class splits e it is
+    primitive, and the roots of its single linear factors are its central
+    character.  Blocks are ordered: principal first, then by dimension,
+    then by idempotent coordinates.
     """
     spec = A.field
     if spec.p != p:
@@ -338,18 +339,20 @@ def block_decompose(A, G, p, seed=0):
     classes = G.conjugacy_classes()
     sizes = [spec.from_int(cl.size) for cl in classes]
     materialize = G.order <= MATERIALIZE_DIM_CAP
-    work = [unit]
+    work = [(unit, [])]
     blocks = []
     while work:
-        e = work.pop()
-        lam = []
-        for i in range(c):
+        e, lam = work.pop()
+        for i in range(len(lam), c):
             zi = tuple(spec.one if j == i else spec.zero for j in range(c))
             w = cb.product(zi, e)
             mu = _min_poly_in_subalgebra(cb, w, e)
             factors = poly_factor(spec, mu, seed=seed)
             if len(factors) > 1:
-                work += _split_idempotent(cb, mu, factors, w, e)
+                # a piece's minimal polynomial of z_j divides e's, so for
+                # j < i it has e's single factor and e's character value
+                work += [(f, lam[:]) for f in
+                         _split_idempotent(cb, mu, factors, w, e)]
                 break
             (irr, _), = factors
             lam.append(spec.neg(irr[0]) if len(irr) == 2 else None)

@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import (DimCapExceeded, InvalidL, InvariantViolation,
                      NegativeResult, NonDivisor, NotPrime, TrivialSylow)
-from .ffield import (echelonize, is_prime, kernel_from_echelon,
-                     np_kernel_mod_p, np_rref_mod_p, rank_nullspace_raw)
+from .ffield import (echelonize, is_prime, np_kernel_mod_p, np_rref_mod_p,
+                     rank_nullspace_raw, sparse_rows)
 # block_algebra is not called here; the benchmark tracer wraps it by name
 from .groupalgebra import block_algebra, block_decompose, group_algebra
 from .permgroup import (centralizer, normalizer, p_rank_abelianization,
@@ -131,11 +131,7 @@ def _leibniz_rows(A):
 
 def _derivations_general(A):
     """Kernel of the Leibniz system; returns raw basis vectors (length n^2)."""
-    spec = A.field
-    n = A.dim
-    pivots, rowlist = echelonize(_leibniz_rows(A), n * n, spec)
-    basis = kernel_from_echelon(pivots, rowlist, n * n, spec)
-    return basis
+    return rank_nullspace_raw(_leibniz_rows(A), A.dim ** 2, A.field)[1]
 
 
 def _derivations_group_like(A):
@@ -238,7 +234,7 @@ def _derivations_group_like(A):
     return basis
 
 
-def derivation_space(A, sparse_cap=SPARSE_DIM_CAP):
+def derivation_space(A):
     """Solve for Der(A) and report dim HH^1(A).
 
     The Leibniz system has n^2 unknowns (the matrix of the derivation) and
@@ -246,8 +242,9 @@ def derivation_space(A, sparse_cap=SPARSE_DIM_CAP):
     propagation shortcut with identical output.
     """
     n = A.dim
-    if n > sparse_cap:
-        raise DimCapExceeded(f"dim {n} exceeds the solver cap {sparse_cap}")
+    if n > SPARSE_DIM_CAP:
+        raise DimCapExceeded(
+            f"dim {n} exceeds the solver cap {SPARSE_DIM_CAP}")
     z = _center_dimension(A)
     if A.is_group_like():
         basis_vecs = _derivations_group_like(A)
@@ -393,7 +390,7 @@ def _inner_derivation_rows(A):
     return rows
 
 
-def lie_structure(D, cap=LIE_DIM_CAP):
+def lie_structure(D):
     """Lie algebra structure on derivations modulo inner derivations.
 
     Representatives are the rows of RREF(inner + derivations) at the pivots
@@ -405,8 +402,9 @@ def lie_structure(D, cap=LIE_DIM_CAP):
     A = D.algebra
     spec = A.field
     n = A.dim
-    if D.hh1_dim > cap:
-        raise DimCapExceeded(f"HH1 dimension {D.hh1_dim} exceeds cap {cap}")
+    if D.hh1_dim > LIE_DIM_CAP:
+        raise DimCapExceeded(
+            f"HH1 dimension {D.hh1_dim} exceeds cap {LIE_DIM_CAP}")
 
     inner_rows = _inner_derivation_rows(A)
     inn_pivots, inn_rowlist = echelonize(inner_rows, n * n, spec)
@@ -568,16 +566,12 @@ def _block_hh1(whole, b):
 
 def _rank(mat, spec):
     """Rank of a 2-d array of raw field values."""
-    rows = []
-    for row in mat:
-        nz = np.flatnonzero(row)
-        rows.append(dict(zip(nz.tolist(), row[nz].tolist())))
-    rank, _ = rank_nullspace_raw(rows, mat.shape[1], spec, want_basis=False)
-    return rank
+    return rank_nullspace_raw(sparse_rows(mat), mat.shape[1], spec,
+                              want_basis=False)[0]
 
 
-def hh1_blocks(G, p, *, name=None, seed=0, sparse_cap=SPARSE_DIM_CAP,
-               allow_large=False, run_oracle=True):
+def hh1_blocks(G, p, *, name=None, seed=0, allow_large=False,
+               run_oracle=True):
     """Per-block HH^1 dimensions with consistency checks.
 
     Decomposes kG, solves for Der(kG) once and reads each block's HH^1 off
@@ -591,7 +585,7 @@ def hh1_blocks(G, p, *, name=None, seed=0, sparse_cap=SPARSE_DIM_CAP,
     blocks = block_decompose(A, G, p, seed=seed)
     consistency = {}
     try:
-        whole = derivation_space(A, sparse_cap)
+        whole = derivation_space(A)
     except DimCapExceeded as exc:
         per_block = [BlockHH1Row(b.index, b.dim, b.defect, None, "solver",
                                  error=str(exc)) for b in blocks]

@@ -409,3 +409,23 @@ def test_non_prime_is_an_error(capsys, argv):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["happel", "--group-as-category", "C2", "--prime", "2", "--degrees", "-1"],
+    ["happel", "--transporter", "C2", "--points", "0", "--prime", "2"],
+    ["happel", "--transporter", "C2", "--points", "-2", "--prime", "2"],
+    ["report", "--jobs", "0"],
+    ["report", "--jobs", "-3"],
+], ids=["degrees", "points_0", "points_negative", "jobs_0", "jobs_negative"])
+def test_out_of_range_integer_flag_is_an_error(capsys, monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the flags were checked")
+
+    monkeypatch.setattr(cli, "resolve_group", no_work)
+    monkeypatch.setattr(cli.CorpusManifest, "packaged", no_work)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")

@@ -1,5 +1,7 @@
+import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -218,33 +220,73 @@ def test_kernel_of_2x3_gf2_example_by_enumeration():
     assert basis == [[1, 1, 1]]
 
 
+def enumerate_span(vectors, dim, p):
+    """Every F_p-combination of the given vectors of length dim."""
+    vectors = np.asarray(vectors, dtype=np.int64).reshape(-1, dim)
+    k = len(vectors)
+    coeffs = np.array(list(itertools.product(range(p), repeat=k)),
+                      dtype=np.int64).reshape(p ** k, k)
+    return {tuple(v) for v in (coeffs @ vectors % p).tolist()}
+
+
+def brute_rref(space):
+    """The RREF basis of an enumerated subspace, read off without
+    elimination: per leading column, the one member with a leading 1 there
+    and zeros at the other leading columns."""
+    def lead(v):
+        return next(i for i, x in enumerate(v) if x)
+
+    nonzero = [v for v in space if any(v)]
+    leads = sorted({lead(v) for v in nonzero})
+    basis = []
+    for c in leads:
+        match = [list(v) for v in nonzero if lead(v) == c and v[c] == 1
+                 and all(v[d] == 0 for d in leads if d != c)]
+        assert len(match) == 1
+        basis += match
+    return basis
+
+
 @pytest.mark.parametrize("p", [2, 3])
-def test_sparse_vs_dense_rank_agreement(p):
-    # the numpy dense kernel is an independent reference for the sparse one
+def test_elimination_against_enumeration(p):
+    # brute force over GF(p)^cols is the reference for the sparse path and
+    # for both dense front ends
     f = field_make(p, 1)
     rng = random.Random(100 + p)
+    # no rows at all, and rows that are all zero
+    cases = [np.zeros((0, 4), dtype=np.int64),
+             np.zeros((3, 5), dtype=np.int64)]
     for _ in range(40):
-        rows = rng.randrange(1, 8)
-        cols = rng.randrange(1, 8)
-        dense = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
-        raw_rows = [{c: v for c, v in enumerate(r) if v} for r in dense]
+        rows, cols = rng.randrange(0, 8), rng.randrange(1, 8)
+        # entries outside [0, p) check the reduction mod p
+        cases.append(np.array([rng.randrange(-p, 2 * p)
+                               for _ in range(rows * cols)],
+                              dtype=np.int64).reshape(rows, cols))
+    for dense in cases:
+        cols = dense.shape[1]
+        reduced = dense % p
+        space = np.array(list(itertools.product(range(p), repeat=cols)),
+                         dtype=np.int64)
+        annihilated = {tuple(v) for v in space[
+            ~(reduced @ space.T % p).any(axis=0)].tolist()}
+        expected_kernel = brute_rref(annihilated)
+
+        raw_rows = [{c: int(v) for c, v in enumerate(r) if v} for r in reduced]
         rank, basis = rank_nullspace_raw(raw_rows, cols, f)
-        _, pivots = np_rref_mod_p(dense, p)
+        assert len(annihilated) == p ** (cols - rank)
+        assert enumerate_span(basis, cols, p) == annihilated
+        assert basis == expected_kernel
         kernel = np_kernel_mod_p(dense, p)
-        assert rank == len(pivots)
-        assert rank + len(basis) == cols
-        # the same kernel row space: the canonical sparse basis is the RREF
-        # of the dense kernel rows
-        if len(kernel):
-            kref, kpiv = np_rref_mod_p(kernel, p)
-            assert basis == kref[:len(kpiv)].tolist()
-        else:
-            assert basis == []
-        # every kernel vector is annihilated
-        for vec in basis:
-            for r in dense:
-                acc = sum(r[c] * vec[c] for c in range(cols)) % p
-                assert acc == 0
+        assert kernel.shape == (cols - rank, cols)
+        assert kernel.tolist() == expected_kernel
+
+        expected_rref = brute_rref(enumerate_span(reduced, cols, p))
+        rref, pivots = np_rref_mod_p(dense, p)
+        assert rref.shape == dense.shape
+        assert len(pivots) == len(expected_rref) == rank
+        assert rref[:rank].tolist() == expected_rref
+        assert pivots == [row.index(1) for row in expected_rref]
+        assert not rref[rank:].any()
 
 
 # ---------------------------------------------------------------------------

@@ -255,6 +255,26 @@ def test_block_ordering_deterministic(corpus):
     assert [b.dim for b in b1] == [6, 9, 9]
 
 
+@pytest.mark.parametrize("name,p", [("D8", 3), ("C2xS3", 5), ("S3xS3", 5)])
+def test_split_pieces_resume_at_the_splitting_class(corpus, monkeypatch,
+                                                     name, p):
+    # a class before the one that split an idempotent is not factored again
+    # for its pieces, so no block's scan repeats a class: at most
+    # blocks x classes minimal polynomials are factored
+    from hh1lab import groupalgebra
+    calls = []
+    real = groupalgebra.poly_factor
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groupalgebra, "poly_factor", counting)
+    G = corpus[name]
+    blocks = block_decompose(group_algebra(G, p), G, p)
+    assert len(calls) <= len(blocks) * len(G.conjugacy_classes())
+
+
 # (idempotent class coordinates, central character) per block.  Both come
 # from minimal polynomials of class sums over GF(q), which are unique.  An
 # element is written as its coefficient vector read as a little-endian

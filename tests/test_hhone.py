@@ -1,5 +1,6 @@
 import pytest
 
+from hh1lab import hhone
 from hh1lab.errors import (DimCapExceeded, InvalidL, NegativeResult,
                            NonDivisor, TrivialSylow)
 from hh1lab.ffield import field_make
@@ -70,12 +71,13 @@ def test_general_solver_equals_propagation(name, p, corpus):
     assert [list(v) for v in general] == [list(v) for v in fast]
 
 
-def test_solver_cap():
+def test_solver_cap(monkeypatch):
+    monkeypatch.setattr(hhone, "SPARSE_DIM_CAP", 5)
     spec = field_make(2, 1)
     with pytest.raises(DimCapExceeded):
         dummy = StructAlgebra(spec, 10, [str(i) for i in range(10)],
                               {}, tuple([spec.zero] * 10))
-        derivation_space(dummy, sparse_cap=5)
+        derivation_space(dummy)
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +148,11 @@ def test_vacuous_verdicts_when_p_coprime(corpus):
     assert rep.counterexamples == []
 
 
-def test_over_cap_block_reported_and_oracle_fills_total(corpus):
+def test_over_cap_block_reported_and_oracle_fills_total(corpus, monkeypatch):
     # with an artificially tiny solver cap, kG itself is over the cap, so
     # every block errors but the oracle still supplies the total
-    rep = hh1_blocks(corpus["S3"], 2, name="S3", sparse_cap=3)
+    monkeypatch.setattr(hhone, "SPARSE_DIM_CAP", 3)
+    rep = hh1_blocks(corpus["S3"], 2, name="S3")
     assert [(r.dim, r.hh1_dim, r.error) for r in rep.per_block] == [
         (2, None, "dim 6 exceeds the solver cap 3"),
         (4, None, "dim 6 exceeds the solver cap 3")]
