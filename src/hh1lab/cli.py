@@ -5,8 +5,9 @@ byte-identical inputs (group file, prime, caps, seed) produce byte-identical
 output; wall-clock timings and cache statistics go to stderr only, except
 that cached hh1 documents keep the timing of the run that first produced
 them.  The cache lives under $HH1LAB_CACHE (default .hh1lab-cache/), one
-JSON file per hash of those inputs and of the package source, written via
-temp-file-then-rename so concurrent writers are safe.
+JSON file per hash of those inputs, the order the corpus manifest claims
+and the package source, written via temp-file-then-rename so concurrent
+writers are safe.  A hit reads only the group file's bytes.
 """
 
 from __future__ import annotations
@@ -18,10 +19,12 @@ import json
 import os
 import sys
 import tempfile
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from . import catalgebra, hhone
 from .errors import HH1LabError, NotPrime
@@ -34,6 +37,7 @@ SCHEMA_VERSION = 1
 LARGE_MEMORY_CAP = 2 << 30
 
 CACHE_STATS = {"hits": 0, "misses": 0}
+_CACHE_STATS_LOCK = threading.Lock()  # report threads count concurrently
 
 
 def _log(msg):
@@ -102,12 +106,19 @@ class CorpusManifest:
         return ref.read_bytes()
 
 
-def resolve_group(name_or_path, *, allow_large=False, manifest=None):
-    """Load a corpus group by name or any group file by path.
+class GroupSource(NamedTuple):
+    """A group file as read, before any parsing: its display name, its bytes
+    and the order the manifest claims for it (None when it claims none)."""
+    name: str
+    raw: bytes
+    order: int | None
 
-    Returns (PermGroup, canonical file bytes, display name).  Stretch runs
-    need allow_large, which raises the enumeration memory cap and prints an
-    estimate of the element table first.
+
+def read_group_source(name_or_path, manifest=None):
+    """Read a corpus group's file by name, or any group file by path.
+
+    A corpus file that is not there raises HH1LabError caused by the
+    FileNotFoundError, which `report` marks as unavailable.
     """
     manifest = manifest or CorpusManifest.packaged()
     entry = manifest.entry(name_or_path)
@@ -116,15 +127,29 @@ def resolve_group(name_or_path, *, allow_large=False, manifest=None):
             raw = manifest.file_bytes(entry)
         except FileNotFoundError as exc:
             raise HH1LabError(str(exc)) from exc
-        name = entry["name"]
-    else:
-        if not os.path.exists(name_or_path):
-            raise HH1LabError(
-                f"{name_or_path!r} is neither a corpus name nor a file")
-        with open(name_or_path, "rb") as fh:
-            raw = fh.read()
-        name = os.path.splitext(os.path.basename(name_or_path))[0]
-        entry = None
+        return GroupSource(entry["name"], raw, entry.get("order"))
+    if not os.path.exists(name_or_path):
+        raise HH1LabError(
+            f"{name_or_path!r} is neither a corpus name nor a file")
+    with open(name_or_path, "rb") as fh:
+        raw = fh.read()
+    return GroupSource(os.path.splitext(os.path.basename(name_or_path))[0],
+                       raw, None)
+
+
+def resolve_group(name_or_path, *, allow_large=False, manifest=None):
+    """Load a corpus group by name or any group file by path.  A GroupSource
+    already read is built from its bytes, not read again, so a cached
+    document is computed from the bytes its key hashes.
+
+    Returns (PermGroup, canonical file bytes, display name).  Stretch runs
+    need allow_large, which raises the enumeration memory cap and prints an
+    estimate of the element table first.  A group whose order is not the
+    one its manifest claims is an error.
+    """
+    source = (name_or_path if isinstance(name_or_path, GroupSource)
+              else read_group_source(name_or_path, manifest))
+    name, raw, order = source
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -132,15 +157,15 @@ def resolve_group(name_or_path, *, allow_large=False, manifest=None):
             f"group file of {name} is not UTF-8: {exc}") from None
     degree, gens = parse_group_file(text)
     memory_cap = LARGE_MEMORY_CAP if allow_large else DEFAULT_MEMORY_CAP
-    if allow_large and entry is not None and "order" in entry:
+    if allow_large and order is not None:
         itemsize = 1 if degree <= 255 else 2
-        est = entry["order"] * degree * itemsize
+        est = order * degree * itemsize
         _log(f"estimated element table for {name}: "
-             f"{est / (1 << 20):.0f} MiB ({entry['order']} x {degree})")
+             f"{est / (1 << 20):.0f} MiB ({order} x {degree})")
     G = group_from_generators(degree, gens, DEFAULT_ORDER_CAP, memory_cap)
-    if entry is not None and "order" in entry and G.order != entry["order"]:
+    if order is not None and G.order != order:
         raise HH1LabError(
-            f"group {name} has order {G.order}, manifest says {entry['order']}")
+            f"group {name} has order {G.order}, manifest says {order}")
     return G, raw, name
 
 
@@ -202,9 +227,9 @@ def cache_get(key):
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, ValueError):
-        CACHE_STATS["misses"] += 1
-        return None
-    CACHE_STATS["hits"] += 1
+        doc = None
+    with _CACHE_STATS_LOCK:
+        CACHE_STATS["misses" if doc is None else "hits"] += 1
     return doc
 
 
@@ -282,11 +307,19 @@ def compute_hh1_doc(name, G, prime, method, seed, allow_large):
     return doc
 
 
-def hh1_doc_cached(name, G, raw, prime, method, seed, allow_large):
-    caps = caps_dict(allow_large)
-    key = cache_key("hh1", raw, prime, caps, seed, extra=method)
+def hh1_doc_cached(group, manifest, allow_large, prime, method, seed):
+    """The hh1 document of a corpus group or group file at one prime.
+
+    The cache key needs only the file bytes and the order the manifest
+    claims, so a hit parses and enumerates nothing; a miss builds the group,
+    order check included, and computes.
+    """
+    source = read_group_source(group, manifest)
+    key = cache_key("hh1", source.raw, prime, caps_dict(allow_large), seed,
+                    extra={"method": method, "order": source.order})
     doc = cache_get(key)
     if doc is None:
+        G, _, name = resolve_group(source, allow_large=allow_large)
         doc = compute_hh1_doc(name, G, prime, method, seed, allow_large)
         cache_put(key, doc)
     return doc
@@ -304,9 +337,8 @@ def cmd_blocks(args):
 
 
 def cmd_hh1(args):
-    G, raw, name = resolve_group(args.group, allow_large=args.allow_large)
-    doc = hh1_doc_cached(name, G, raw, args.prime, args.method, args.seed,
-                         args.allow_large)
+    doc = hh1_doc_cached(args.group, None, args.allow_large, args.prime,
+                         args.method, args.seed)
     code = 0
     if doc["verdicts"]["counterexamples"]:
         _log("COUNTEREXAMPLE: block(s) with positive defect and zero HH1: "
@@ -435,10 +467,8 @@ def cmd_report(args):
     def run_one(job):
         e, p = job
         try:
-            G, raw, name = resolve_group(e["name"], manifest=manifest,
-                                         allow_large=args.allow_large)
-            doc = hh1_doc_cached(name, G, raw, p, args.method, args.seed,
-                                 args.allow_large)
+            doc = hh1_doc_cached(e["name"], manifest, args.allow_large, p,
+                                 args.method, args.seed)
             return {"group": e["name"], "prime": p, "status": "ok",
                     "document": doc}
         except HH1LabError as exc:
@@ -447,8 +477,20 @@ def cmd_report(args):
                     "status": "unavailable" if missing else "error",
                     "error": str(exc)}
 
+    # hits are answered in this thread: shared out among threads they would
+    # only pass the interpreter lock back and forth.  From the first miss
+    # on, the entries left go to the --jobs threads.
+    before = dict(CACHE_STATS)
+    results = []
+    left = iter(jobs)
+    for job in left:
+        results.append(run_one(job))
+        if CACHE_STATS["misses"] != before["misses"]:
+            break
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        results = list(pool.map(run_one, jobs))
+        results += pool.map(run_one, left)
+    hits = CACHE_STATS["hits"] - before["hits"]
+    misses = CACHE_STATS["misses"] - before["misses"]
 
     counterexamples = []
     errors = []
@@ -471,7 +513,7 @@ def cmd_report(args):
         "counterexamples": counterexamples,
         "errors": errors,
     }
-    _log(f"cache: {CACHE_STATS['hits']} hits, {CACHE_STATS['misses']} misses")
+    _log(f"cache: {hits} hits, {misses} misses")
     code = 0
     if errors:
         code = 2

@@ -375,18 +375,19 @@ def _sparse(spec, vec):
 
 
 def _inner_derivation_rows(A):
-    """Flattened ad matrices of the basis elements, as sparse rows."""
+    """ad(e_a) = [e_a, -] of each basis element as a sparse row; entry
+    (k, j) sits at j*n + k, the column-major index `_flatten` uses."""
     spec = A.field
     n = A.dim
     rows = []
     for a in range(n):
-        mat = [[spec.zero] * n for _ in range(n)]
+        row = {}
         for j in range(n):
             for k, c in A.sc[a, j]:
-                mat[k][j] = spec.add(mat[k][j], c)
+                row[j * n + k] = spec.add(row.get(j * n + k, spec.zero), c)
             for k, c in A.sc[j, a]:
-                mat[k][j] = spec.sub(mat[k][j], c)
-        rows.append(_sparse(spec, _flatten(mat, n)))
+                row[j * n + k] = spec.sub(row.get(j * n + k, spec.zero), c)
+        rows.append({u: v for u, v in row.items() if not spec.is_zero(v)})
     return rows
 
 

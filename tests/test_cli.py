@@ -429,3 +429,108 @@ def test_out_of_range_integer_flag_is_an_error(capsys, monkeypatch, argv):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+def write_corpus(directory, entries, filename="manifest.json"):
+    """A manifest over copies of packaged group files.  `entries` maps a
+    name to its manifest order; a name with no packaged file gets none."""
+    from importlib import resources
+    directory.mkdir(exist_ok=True)
+    rows = []
+    for name, order in entries.items():
+        data = resources.files("hh1lab").joinpath(f"data/groups/{name}.grp")
+        if data.is_file():
+            (directory / f"{name}.grp").write_bytes(data.read_bytes())
+        rows.append({"name": name, "file": f"{name}.grp", "order": order,
+                     "notes": "", "stretch": not data.is_file()})
+    path = directory / filename
+    path.write_text(json.dumps({"entries": rows}))
+    return str(path)
+
+
+def test_report_logs_the_cache_counts_of_its_own_call(tmp_path, capsys):
+    argv = ["report", "--corpus", write_corpus(tmp_path / "corpus", {"C2": 2}),
+            "--primes", "2,3"]
+    logged = []
+    for _ in range(2):
+        assert cli.main(argv) == 0
+        logged.append(capsys.readouterr().err.splitlines()[-1])
+    assert logged == ["cache: 0 hits, 2 misses", "cache: 2 hits, 0 misses"]
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_wrong_manifest_order_is_a_report_error(tmp_path, capsys, warm):
+    corpus = tmp_path / "corpus"
+    if warm:
+        # the same file bytes, computed under the right order claim
+        right = write_corpus(corpus, {"S3": 6}, "right.json")
+        code, doc = run_cli(capsys, ["report", "--corpus", right,
+                                     "--primes", "2"])
+        assert code == 0 and doc["entries"][0]["status"] == "ok"
+    wrong = write_corpus(corpus, {"S3": 7}, "wrong.json")
+    code, doc = run_cli(capsys, ["report", "--corpus", wrong, "--primes", "2"])
+    assert code == 2
+    (entry,) = doc["entries"]
+    assert entry["status"] == "error"
+    assert entry["error"] == "group S3 has order 6, manifest says 7"
+    assert doc["errors"] == [{"group": "S3", "prime": 2,
+                              "error": entry["error"]}]
+
+
+def test_cache_hit_does_no_group_work(tmp_path, capsys, monkeypatch):
+    from hh1lab import permgroup
+    manifest = write_corpus(tmp_path / "corpus",
+                            {"C2": 2, "S3": 6, "Ghost": 1})
+    calls = [
+        (["report", "--corpus", manifest, "--primes", "2,3", "--jobs", "2",
+          "--allow-large"], 4),
+        (["hh1", "--group", "S4", "--prime", "3"], 1),
+    ]
+    cold = []
+    for argv, _ in calls:
+        code = cli.main(argv)
+        cold.append((code, capsys.readouterr().out))
+
+    def forbidden(what):
+        def fail(*args, **kwargs):
+            raise AssertionError(f"a cache hit {what}")
+        return fail
+
+    monkeypatch.setattr(cli, "resolve_group", forbidden("built a group"))
+    monkeypatch.setattr(cli, "group_from_generators",
+                        forbidden("enumerated a group"))
+    monkeypatch.setattr(permgroup, "group_from_generators",
+                        forbidden("enumerated a group"))
+    monkeypatch.setattr(cli.ThreadPoolExecutor, "submit",
+                        forbidden("went to a thread"))
+    for (argv, entries), (cold_code, cold_out) in zip(calls, cold):
+        before = dict(cli.CACHE_STATS)
+        code = cli.main(argv)
+        out = capsys.readouterr().out
+        assert code == cold_code == 0
+        assert out == cold_out
+        assert cli.CACHE_STATS["hits"] == before["hits"] + entries
+        assert cli.CACHE_STATS["misses"] == before["misses"]
+    statuses = {(e["group"], e["prime"]): e["status"]
+                for e in json.loads(cold[0][1])["entries"]}
+    assert statuses == {("C2", 2): "ok", ("C2", 3): "ok", ("S3", 2): "ok",
+                        ("S3", 3): "ok", ("Ghost", 2): "unavailable",
+                        ("Ghost", 3): "unavailable"}
+
+
+def test_cache_counts_survive_concurrent_lookups():
+    # every lookup counts once however the report threads interleave
+    from concurrent.futures import ThreadPoolExecutor
+    lookups = 2000
+    before = dict(cli.CACHE_STATS)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            found = list(pool.map(cli.cache_get, ["0" * 64] * lookups,
+                                  timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert found == [None] * lookups
+    assert cli.CACHE_STATS["misses"] == before["misses"] + lookups
+    assert cli.CACHE_STATS["hits"] == before["hits"]

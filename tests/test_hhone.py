@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import CORPUS_NAMES
 from hh1lab import hhone
 from hh1lab.errors import (DimCapExceeded, InvalidL, NegativeResult,
                            NonDivisor, TrivialSylow)
@@ -10,7 +11,8 @@ from hh1lab.hhone import (additive_oracle, bookkeeping_subtract,
                           cyclic_formula, derivation_space, hh1_blocks,
                           klein_four_dims, kuenneth_hh1, lie_structure,
                           principal_inertial_quotient, verify_leibniz)
-from hh1lab.hhone import _derivations_general, _derivations_group_like
+from hh1lab.hhone import (_derivations_general, _derivations_group_like,
+                          _flatten, _inner_derivation_rows, _sparse)
 from hh1lab.permgroup import direct_product
 
 
@@ -69,6 +71,35 @@ def test_general_solver_equals_propagation(name, p, corpus):
     general = _derivations_general(A)
     fast = _derivations_group_like(A)
     assert [list(v) for v in general] == [list(v) for v in fast]
+
+
+def _dense_inner_derivation_rows(A):
+    """The reference: each ad(e_a) filled in as a dense n x n matrix, then
+    flattened and stripped of zeros."""
+    spec = A.field
+    n = A.dim
+    rows = []
+    for a in range(n):
+        mat = [[spec.zero] * n for _ in range(n)]
+        for j in range(n):
+            for k, c in A.sc[a, j]:
+                mat[k][j] = spec.add(mat[k][j], c)
+            for k, c in A.sc[j, a]:
+                mat[k][j] = spec.sub(mat[k][j], c)
+        rows.append(_sparse(spec, _flatten(mat, n)))
+    return rows
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_inner_derivation_rows_equal_the_dense_construction(name, p, corpus):
+    G = corpus[name]
+    A = group_algebra(G, p)
+    # block algebras have structure constants with several terms
+    algebras = [A] + [block_algebra(A, b) for b in block_decompose(A, G, p)
+                      if G.order <= 12]
+    for B in algebras:
+        assert _inner_derivation_rows(B) == _dense_inner_derivation_rows(B)
 
 
 def test_solver_cap(monkeypatch):
