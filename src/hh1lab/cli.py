@@ -19,9 +19,7 @@ import json
 import os
 import sys
 import tempfile
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
@@ -37,7 +35,6 @@ SCHEMA_VERSION = 1
 LARGE_MEMORY_CAP = 2 << 30
 
 CACHE_STATS = {"hits": 0, "misses": 0}
-_CACHE_STATS_LOCK = threading.Lock()  # report threads count concurrently
 
 
 def _log(msg):
@@ -228,8 +225,7 @@ def cache_get(key):
             doc = json.load(fh)
     except (OSError, ValueError):
         doc = None
-    with _CACHE_STATS_LOCK:
-        CACHE_STATS["misses" if doc is None else "hits"] += 1
+    CACHE_STATS["misses" if doc is None else "hits"] += 1
     return doc
 
 
@@ -459,13 +455,8 @@ def cmd_report(args):
     entries = manifest.desk_entries()
     if args.allow_large:
         entries = manifest.entries
-    jobs = []
-    for e in entries:
-        for p in primes:
-            jobs.append((e, p))
 
-    def run_one(job):
-        e, p = job
+    def run_one(e, p):
         try:
             doc = hh1_doc_cached(e["name"], manifest, args.allow_large, p,
                                  args.method, args.seed)
@@ -477,18 +468,8 @@ def cmd_report(args):
                     "status": "unavailable" if missing else "error",
                     "error": str(exc)}
 
-    # hits are answered in this thread: shared out among threads they would
-    # only pass the interpreter lock back and forth.  From the first miss
-    # on, the entries left go to the --jobs threads.
     before = dict(CACHE_STATS)
-    results = []
-    left = iter(jobs)
-    for job in left:
-        results.append(run_one(job))
-        if CACHE_STATS["misses"] != before["misses"]:
-            break
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        results += pool.map(run_one, left)
+    results = [run_one(e, p) for e in entries for p in primes]
     hits = CACHE_STATS["hits"] - before["hits"]
     misses = CACHE_STATS["misses"] - before["misses"]
 
@@ -582,7 +563,9 @@ def build_parser():
     p.add_argument("--primes", default="2,3")
     p.add_argument("--method", choices=["direct", "oracle", "both"],
                    default="both")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for existing command lines; entries run "
+                        "one after another")
     common(p)
     p.set_defaults(func=cmd_report)
     return ap

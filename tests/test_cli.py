@@ -501,8 +501,6 @@ def test_cache_hit_does_no_group_work(tmp_path, capsys, monkeypatch):
                         forbidden("enumerated a group"))
     monkeypatch.setattr(permgroup, "group_from_generators",
                         forbidden("enumerated a group"))
-    monkeypatch.setattr(cli.ThreadPoolExecutor, "submit",
-                        forbidden("went to a thread"))
     for (argv, entries), (cold_code, cold_out) in zip(calls, cold):
         before = dict(cli.CACHE_STATS)
         code = cli.main(argv)
@@ -516,21 +514,3 @@ def test_cache_hit_does_no_group_work(tmp_path, capsys, monkeypatch):
     assert statuses == {("C2", 2): "ok", ("C2", 3): "ok", ("S3", 2): "ok",
                         ("S3", 3): "ok", ("Ghost", 2): "unavailable",
                         ("Ghost", 3): "unavailable"}
-
-
-def test_cache_counts_survive_concurrent_lookups():
-    # every lookup counts once however the report threads interleave
-    from concurrent.futures import ThreadPoolExecutor
-    lookups = 2000
-    before = dict(cli.CACHE_STATS)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            found = list(pool.map(cli.cache_get, ["0" * 64] * lookups,
-                                  timeout=60))
-    finally:
-        sys.setswitchinterval(interval)
-    assert found == [None] * lookups
-    assert cli.CACHE_STATS["misses"] == before["misses"] + lookups
-    assert cli.CACHE_STATS["hits"] == before["hits"]
