@@ -61,6 +61,7 @@ class CorpusManifest:
             raise HH1LabError("duplicate corpus names")
         self.entries = entries
         self.base = base  # directory for file resolution (None: packaged)
+        self._bytes = {}  # file -> its bytes, read once per manifest
 
     @classmethod
     def packaged(cls):
@@ -91,14 +92,19 @@ class CorpusManifest:
         return [e for e in self.entries if not e.get("stretch")]
 
     def file_bytes(self, entry):
+        name = entry["file"]
+        if name not in self._bytes:
+            self._bytes[name] = self._read(name)
+        return self._bytes[name]
+
+    def _read(self, name):
         if self.base is not None:
-            path = os.path.join(self.base, entry["file"])
-            with open(path, "rb") as fh:
+            with open(os.path.join(self.base, name), "rb") as fh:
                 return fh.read()
-        ref = resources.files("hh1lab").joinpath(f"data/groups/{entry['file']}")
+        ref = resources.files("hh1lab").joinpath(f"data/groups/{name}")
         if not ref.is_file():
             raise FileNotFoundError(
-                f"group file {entry['file']} is not packaged; stretch "
+                f"group file {name} is not packaged; stretch "
                 "entries may need to be supplied (see README)")
         return ref.read_bytes()
 

@@ -12,7 +12,11 @@ larger odd extension fields multiply digit vectors as polynomials.
 The public surface is `FieldSpec` (raw arithmetic), `field_make`, the
 ``poly_*`` helpers, and elimination: `echelonize` / `rank_nullspace_raw` on
 sparse rows (dicts col -> raw), which run GF(2) through a packed-bit kernel
-and every other field through the row step `echelon_insert`.  Dense front
+and every other field through the row step `echelon_insert`.  Over fields
+of order at most ``TABLE_MAX_ORDER`` the row step reads q x q sum and
+product tables, built on first use once per (p, m); larger fields call
+`FieldSpec` per entry.  A rank-only call (``want_basis=False``) stops after
+the forward echelon, since back-reduction keeps the pivots.  Dense front
 ends of the echelon take int arrays over a prime field: `sparse_rows`
 turns array rows into sparse rows, and `np_rref_mod_p` / `np_kernel_mod_p`
 return the RREF and the canonical nullspace as int arrays.  Every rank and
@@ -34,6 +38,7 @@ from .errors import DegreeOutOfRange, DivisionByZero, NotPrime
 
 MAX_EXTENSION_DEGREE = 16
 LOG_TABLE_MAX_ORDER = 1 << 16
+TABLE_MAX_ORDER = 64
 
 
 def is_prime(n):
@@ -690,6 +695,71 @@ def poly_factor(spec, f, seed=0):
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _arith_tables(p, m):
+    """Sum, product and negation tables of GF(p^m): ``add[a][b] = a + b``,
+    ``mul[a][b] = a * b`` and ``neg[a] = -a``, all from `FieldSpec`."""
+    spec = field_make(p, m)
+    elems = range(spec.order)
+    add = [[spec.add(a, b) for b in elems] for a in elems]
+    mul = [[spec.mul(a, b) for b in elems] for a in elems]
+    neg = [spec.neg(a) for a in elems]
+    return add, mul, neg
+
+
+def _row_ops(spec):
+    """The two row operations of the echelon over ``spec``: ``reduce(row,
+    coef, prow)`` subtracts coef * prow from row in place, dropping zeros,
+    and ``monic(row, lead)`` returns row scaled to a leading one.  Fields of
+    order at most ``TABLE_MAX_ORDER`` read `_arith_tables`; larger ones call
+    `FieldSpec`."""
+    if spec.order <= TABLE_MAX_ORDER:
+        add, mul, neg = _arith_tables(spec.p, spec.m)
+
+        def reduce(row, coef, prow):
+            negc = mul[neg[coef]]
+            get = row.get
+            for c, v in prow.items():
+                nv = add[get(c, 0)][negc[v]]
+                if nv:
+                    row[c] = nv
+                else:
+                    # a zero sum needs a nonzero summand already in row
+                    del row[c]
+
+        def monic(row, lead):
+            scale = mul[spec.inv(row[lead])]
+            return {c: scale[v] for c, v in row.items()}
+
+        return reduce, monic
+
+    def reduce(row, coef, prow):
+        for c, v in prow.items():
+            nv = spec.sub(row.get(c, 0), spec.mul(coef, v))
+            if nv:
+                row[c] = nv
+            else:
+                del row[c]
+
+    def monic(row, lead):
+        inv = spec.inv(row[lead])
+        return {c: spec.mul(v, inv) for c, v in row.items()}
+
+    return reduce, monic
+
+
+def _insert(row, pivots, rowlist, ops):
+    reduce, monic = ops
+    while row:
+        lead = min(row)
+        if lead not in pivots:
+            pivots[lead] = len(rowlist)
+            rowlist.append(monic(row, lead))
+            return lead
+        reduce(row, row[lead], rowlist[pivots[lead]])
+    return None
+
+
 def echelon_insert(row, pivots, rowlist, spec):
     """Insert one sparse row into an insertion echelon, in place.
 
@@ -698,60 +768,37 @@ def echelon_insert(row, pivots, rowlist, spec):
     leading one and recorded as a new pivot row.  Returns the new pivot
     column, or None when the row reduces to zero.
     """
-    while row:
-        lead = min(row)
-        if lead in pivots:
-            coef = row[lead]
-            prow = rowlist[pivots[lead]]
-            for c, v in prow.items():
-                nv = spec.sub(row.get(c, spec.zero), spec.mul(coef, v))
-                if spec.is_zero(nv):
-                    row.pop(c, None)
-                else:
-                    row[c] = nv
-        else:
-            inv = spec.inv(row[lead])
-            pivots[lead] = len(rowlist)
-            rowlist.append({c: spec.mul(v, inv) for c, v in row.items()})
-            return lead
-    return None
+    return _insert(row, pivots, rowlist, _row_ops(spec))
 
 
-def _echelon_generic(rows_iter, ncols, spec):
+def _echelon_generic(rows_iter, spec, reduced):
     """Insertion echelon over any FieldSpec.
 
     Returns (pivots dict col->index, rowlist) where each row is a dict
-    col->raw with leading coefficient one, fully back-reduced.
+    col->raw with leading coefficient one; with ``reduced`` the rows are
+    back-reduced, so they are the unique RREF.
     """
+    ops = _row_ops(spec)
     pivots = {}
     rowlist = []
     for row in rows_iter:
-        echelon_insert({c: v for c, v in row.items() if not spec.is_zero(v)},
-                       pivots, rowlist, spec)
-    # full back-reduction so the result is the unique RREF
-    for lead in sorted(pivots, reverse=True):
-        idx = pivots[lead]
-        prow = rowlist[idx]
-        for lead2 in sorted(pivots):
-            if lead2 <= lead:
-                continue
-            idx2 = pivots[lead2]
-            coef = prow.get(lead2)
-            if coef is None or spec.is_zero(coef):
-                continue
-            for c, v in rowlist[idx2].items():
-                nv = spec.sub(prow.get(c, spec.zero), spec.mul(coef, v))
-                if spec.is_zero(nv):
-                    prow.pop(c, None)
-                else:
-                    prow[c] = nv
+        _insert({c: v for c, v in row.items() if v}, pivots, rowlist, ops)
+    if reduced:
+        reduce = ops[0]
+        # rows of larger lead are reduced first, so they hold no pivot
+        # column but their own: the pivot columns of prow are fixed up front
+        for lead in sorted(pivots, reverse=True):
+            prow = rowlist[pivots[lead]]
+            for lead2 in sorted(c for c in prow if c > lead and c in pivots):
+                reduce(prow, prow[lead2], rowlist[pivots[lead2]])
     return pivots, rowlist
 
 
-def _echelon_gf2_bits(rows_iter, ncols):
+def _echelon_gf2_bits(rows_iter, reduced):
     """Insertion echelon over GF(2) with rows packed into ints.
 
-    Bit i of a packed row is column i.  Returns (pivots, rowlist(ints)).
+    Bit i of a packed row is column i.  Returns (pivots, rowlist(ints)),
+    back-reduced with ``reduced``.
     """
     pivots = {}
     rowlist = []
@@ -768,13 +815,19 @@ def _echelon_gf2_bits(rows_iter, ncols):
                 pivots[lead] = len(rowlist)
                 rowlist.append(packed)
                 break
-    for lead in sorted(pivots, reverse=True):
-        idx = pivots[lead]
-        for lead2 in sorted(pivots):
-            if lead2 <= lead:
-                continue
-            if rowlist[idx] >> lead2 & 1:
-                rowlist[idx] ^= rowlist[pivots[lead2]]
+    if reduced:
+        mask = 0
+        for lead in pivots:
+            mask |= 1 << lead
+        # as in _echelon_generic, the pivot bits of a row beside its lead
+        # are fixed before it is reduced
+        for lead in sorted(pivots, reverse=True):
+            idx = pivots[lead]
+            above = (rowlist[idx] & mask) ^ (1 << lead)
+            while above:
+                low = above & -above
+                rowlist[idx] ^= rowlist[pivots[low.bit_length() - 1]]
+                above ^= low
     return pivots, rowlist
 
 
@@ -785,7 +838,7 @@ def echelonize(rows, ncols, spec):
     the canonical RREF of the row space, independent of input order.
     """
     if spec.p == 2 and spec.m == 1:
-        pivots, bits = _echelon_gf2_bits(rows, ncols)
+        pivots, bits = _echelon_gf2_bits(rows, True)
         rowlist = []
         for packed in bits:
             d = {}
@@ -795,7 +848,7 @@ def echelonize(rows, ncols, spec):
                 packed ^= low
             rowlist.append(d)
         return pivots, rowlist
-    return _echelon_generic(rows, ncols, spec)
+    return _echelon_generic(rows, spec, True)
 
 
 def kernel_from_echelon(pivots, rowlist, ncols, spec):
@@ -823,11 +876,13 @@ def kernel_from_echelon(pivots, rowlist, ncols, spec):
 
 def rank_nullspace_raw(rows, ncols, spec, *, want_basis=True):
     """Rank and canonical nullspace of a sparse raw system."""
-    pivots, rowlist = echelonize(rows, ncols, spec)
-    rank = len(pivots)
     if not want_basis:
-        return rank, None
-    return rank, kernel_from_echelon(pivots, rowlist, ncols, spec)
+        # the rank is the number of pivots, which back-reduction keeps
+        if spec.p == 2 and spec.m == 1:
+            return len(_echelon_gf2_bits(rows, False)[0]), None
+        return len(_echelon_generic(rows, spec, False)[0]), None
+    pivots, rowlist = echelonize(rows, ncols, spec)
+    return len(pivots), kernel_from_echelon(pivots, rowlist, ncols, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -838,11 +893,13 @@ def rank_nullspace_raw(rows, ncols, spec, *, want_basis=True):
 def sparse_rows(mat):
     """The rows of a 2-d array of raw field values as sparse dicts
     col -> raw, zeros dropped."""
-    rows = []
-    for row in mat:
-        nz = np.flatnonzero(row)
-        rows.append(dict(zip(nz.tolist(), row[nz].tolist())))
-    return rows
+    r, c = np.nonzero(mat)
+    vals = mat[r, c].tolist()
+    cols = c.tolist()
+    # np.nonzero runs row-major, so each row's columns come out ascending
+    ends = np.cumsum(np.bincount(r, minlength=len(mat))).tolist()
+    return [dict(zip(cols[a:b], vals[a:b]))
+            for a, b in zip([0] + ends, ends)]
 
 
 def np_rref_mod_p(mat, p):

@@ -223,15 +223,10 @@ def _derivations_group_like(A):
         kern = np.eye(n * r, dtype=np.int64)
 
     # reconstruct full derivation matrices and canonicalise
-    flat = np.zeros((len(kern), n * n), dtype=np.int64)
-    for b, x in enumerate(kern):
-        for w in range(n):
-            col = C[w] @ x % p
-            flat[b, w * n:(w + 1) * n] = col
+    # entry w*n + i of derivation b is row i of C[w] @ kern[b]
+    flat = (np.stack(C).reshape(n * n, n * r) @ kern.T % p).T
     rref, pivots = np_rref_mod_p(flat, p)
-    basis = [[spec.from_int(int(v)) for v in rref[i]]
-             for i in range(len(pivots))]
-    return basis
+    return rref[:len(pivots)].tolist()
 
 
 def derivation_space(A):
@@ -251,10 +246,10 @@ def derivation_space(A):
     else:
         basis_vecs = _derivations_general(A)
     der_dim = len(basis_vecs)
-    matrices = []
-    for vec in basis_vecs:
-        mat = tuple(tuple(vec[i * n + t] for i in range(n)) for t in range(n))
-        matrices.append(mat)
+    # entry (t, i) of a derivation's matrix is vec[i*n + t]
+    stack = np.array(basis_vecs, dtype=object).reshape(der_dim, n, n)
+    matrices = [tuple(map(tuple, mat))
+                for mat in stack.transpose(0, 2, 1).tolist()]
     hh1 = der_dim - (n - z)
     if hh1 < 0:
         raise InvariantViolation(

@@ -514,3 +514,22 @@ def test_cache_hit_does_no_group_work(tmp_path, capsys, monkeypatch):
     assert statuses == {("C2", 2): "ok", ("C2", 3): "ok", ("S3", 2): "ok",
                         ("S3", 3): "ok", ("Ghost", 2): "unavailable",
                         ("Ghost", 3): "unavailable"}
+
+
+def test_report_reads_each_group_file_once(tmp_path, capsys, monkeypatch):
+    manifest = write_corpus(tmp_path / "corpus", {"C2": 2, "S3": 6})
+    reads = []
+    real_open = open
+
+    def counting_open(path, *args, **kwargs):
+        if str(path).endswith(".grp"):
+            reads.append(os.path.basename(path))
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    for _ in range(2):
+        reads.clear()
+        code, doc = run_cli(capsys, ["report", "--corpus", manifest,
+                                     "--primes", "2,3,5"])
+        assert code == 0 and len(doc["entries"]) == 6
+        assert sorted(reads) == ["C2.grp", "S3.grp"]

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hh1lab import ffield
 from hh1lab.errors import DegreeOutOfRange, DivisionByZero, NotPrime
-from hh1lab.ffield import (field_make, np_kernel_mod_p, np_rref_mod_p,
-                           poly_factor, poly_monic, poly_mul, poly_trim,
-                           rank_nullspace_raw)
+from hh1lab.ffield import (echelonize, field_make, np_kernel_mod_p,
+                           np_rref_mod_p, poly_factor, poly_monic, poly_mul,
+                           poly_trim, rank_nullspace_raw, sparse_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -220,13 +221,39 @@ def test_kernel_of_2x3_gf2_example_by_enumeration():
     assert basis == [[1, 1, 1]]
 
 
-def enumerate_span(vectors, dim, p):
-    """Every F_p-combination of the given vectors of length dim."""
+def field_tables(f):
+    """Sum and product tables of f as int arrays, from `FieldSpec`."""
+    q = f.order
+    add = np.array([[f.add(a, b) for b in range(q)] for a in range(q)])
+    mul = np.array([[f.mul(a, b) for b in range(q)] for a in range(q)])
+    return add, mul
+
+
+def enumerate_span(vectors, dim, f):
+    """Every f-combination of the given vectors of length dim."""
+    add, mul = field_tables(f)
     vectors = np.asarray(vectors, dtype=np.int64).reshape(-1, dim)
     k = len(vectors)
-    coeffs = np.array(list(itertools.product(range(p), repeat=k)),
-                      dtype=np.int64).reshape(p ** k, k)
-    return {tuple(v) for v in (coeffs @ vectors % p).tolist()}
+    coeffs = np.array(list(itertools.product(range(f.order), repeat=k)),
+                      dtype=np.int64).reshape(f.order ** k, k)
+    span = np.zeros((len(coeffs), dim), dtype=np.int64)
+    for j, vec in enumerate(vectors):
+        span = add[span, mul[coeffs[:, j:j + 1], vec]]
+    return {tuple(v) for v in span.tolist()}
+
+
+def enumerate_kernel(rows, cols, f):
+    """Every vector of f^cols that each row annihilates."""
+    add, mul = field_tables(f)
+    space = np.array(list(itertools.product(range(f.order), repeat=cols)),
+                     dtype=np.int64).reshape(-1, cols)
+    keep = np.ones(len(space), dtype=bool)
+    for row in rows:
+        dot = np.zeros(len(space), dtype=np.int64)
+        for c, v in enumerate(row):
+            dot = add[dot, mul[v, space[:, c]]]
+        keep &= dot == 0
+    return {tuple(v) for v in space[keep].tolist()}
 
 
 def brute_rref(space):
@@ -247,46 +274,120 @@ def brute_rref(space):
     return basis
 
 
-@pytest.mark.parametrize("p", [2, 3])
-def test_elimination_against_enumeration(p):
-    # brute force over GF(p)^cols is the reference for the sparse path and
-    # for both dense front ends
-    f = field_make(p, 1)
-    rng = random.Random(100 + p)
+# q -> (p, m, row bound, column bound).  GF(4) and GF(9) are extension
+# fields inside the table bound, with systems small enough to enumerate.
+ENUMERATION_FIELDS = {2: (2, 1, 8, 8), 3: (3, 1, 8, 8), 4: (2, 2, 6, 6),
+                      9: (3, 2, 5, 5)}
+
+
+@pytest.mark.parametrize("q", sorted(ENUMERATION_FIELDS))
+def test_elimination_against_enumeration(q):
+    # brute force over GF(q)^cols is the reference for the sparse path and,
+    # over prime fields, for both dense front ends
+    p, m, max_rows, max_cols = ENUMERATION_FIELDS[q]
+    f = field_make(p, m)
+    rng = random.Random(100 + q)
+    # prime-field entries outside [0, p) check the reduction mod p
+    low, high = (-p, 2 * p) if m == 1 else (0, q)
     # no rows at all, and rows that are all zero
     cases = [np.zeros((0, 4), dtype=np.int64),
              np.zeros((3, 5), dtype=np.int64)]
     for _ in range(40):
-        rows, cols = rng.randrange(0, 8), rng.randrange(1, 8)
-        # entries outside [0, p) check the reduction mod p
-        cases.append(np.array([rng.randrange(-p, 2 * p)
+        rows, cols = rng.randrange(0, max_rows), rng.randrange(1, max_cols)
+        cases.append(np.array([rng.randrange(low, high)
                                for _ in range(rows * cols)],
                               dtype=np.int64).reshape(rows, cols))
     for dense in cases:
         cols = dense.shape[1]
-        reduced = dense % p
-        space = np.array(list(itertools.product(range(p), repeat=cols)),
-                         dtype=np.int64)
-        annihilated = {tuple(v) for v in space[
-            ~(reduced @ space.T % p).any(axis=0)].tolist()}
+        reduced = dense % q
+        annihilated = enumerate_kernel(reduced.tolist(), cols, f)
         expected_kernel = brute_rref(annihilated)
+        expected_rref = brute_rref(enumerate_span(reduced, cols, f))
 
         raw_rows = [{c: int(v) for c, v in enumerate(r) if v} for r in reduced]
         rank, basis = rank_nullspace_raw(raw_rows, cols, f)
-        assert len(annihilated) == p ** (cols - rank)
-        assert enumerate_span(basis, cols, p) == annihilated
+        assert len(annihilated) == q ** (cols - rank)
+        assert enumerate_span(basis, cols, f) == annihilated
         assert basis == expected_kernel
+        pivots, rowlist = echelonize(raw_rows, cols, f)
+        assert [[rowlist[pivots[c]].get(i, 0) for i in range(cols)]
+                for c in sorted(pivots)] == expected_rref
+        if m > 1:
+            continue
         kernel = np_kernel_mod_p(dense, p)
         assert kernel.shape == (cols - rank, cols)
         assert kernel.tolist() == expected_kernel
 
-        expected_rref = brute_rref(enumerate_span(reduced, cols, p))
         rref, pivots = np_rref_mod_p(dense, p)
         assert rref.shape == dense.shape
         assert len(pivots) == len(expected_rref) == rank
         assert rref[:rank].tolist() == expected_rref
         assert pivots == [row.index(1) for row in expected_rref]
         assert not rref[rank:].any()
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_sparse_rows_matches_a_row_by_row_scan(dtype):
+    rng = np.random.default_rng(7)
+    for shape in [(0, 3), (4, 0), (5, 6), (9, 2)]:
+        mat = (rng.integers(0, 5, shape) * (rng.random(shape) < 0.4)
+               ).astype(dtype)
+        expected = [{c: int(row[c]) for c in np.flatnonzero(row)}
+                    for row in mat]
+        got = sparse_rows(mat)
+        assert [list(r.items()) for r in got] == \
+            [list(r.items()) for r in expected]
+
+
+def sparse_systems(f):
+    """Hypothesis strategy: (rows, ncols), sparse rows of raw nonzeros."""
+    return st.integers(1, 12).flatmap(lambda ncols: st.tuples(
+        st.lists(st.dictionaries(st.integers(0, ncols - 1),
+                                 st.integers(1, f.order - 1),
+                                 max_size=ncols), max_size=14),
+        st.just(ncols)))
+
+
+def eliminations(rows, ncols, f):
+    """Everything the echelon returns, row dict order included."""
+    pivots, rowlist = echelonize(rows, ncols, f)
+    return (pivots, [list(row.items()) for row in rowlist],
+            rank_nullspace_raw(rows, ncols, f),
+            rank_nullspace_raw(rows, ncols, f, want_basis=False))
+
+
+TABULATED_FIELDS = {5: (5, 1), 7: (7, 1), 25: (5, 2), 49: (7, 2),
+                    64: (2, 6)}
+
+
+@pytest.mark.parametrize("q", sorted(TABULATED_FIELDS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_tabulated_elimination_matches_fieldspec_path(q, data):
+    # with the table bound at 0 every field takes the FieldSpec row step,
+    # which is the reference for the tabulated one
+    f = field_make(*TABULATED_FIELDS[q])
+    assert f.order <= ffield.TABLE_MAX_ORDER
+    rows, ncols = data.draw(sparse_systems(f))
+    tabulated = eliminations(rows, ncols, f)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ffield, "TABLE_MAX_ORDER", 0)
+        reference = eliminations(rows, ncols, f)
+    assert tabulated == reference
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (3, 4)])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rank_only_is_the_pivot_count(p, m, data):
+    # rank-only calls skip back-reduction; GF(2) runs the packed-bit kernel
+    # and GF(81) lies above the table bound
+    f = field_make(p, m)
+    rows, ncols = data.draw(sparse_systems(f))
+    rank, basis = rank_nullspace_raw(rows, ncols, f, want_basis=False)
+    assert basis is None
+    assert rank == len(echelonize(rows, ncols, f)[0])
+    assert rank == ncols - len(rank_nullspace_raw(rows, ncols, f)[1])
 
 
 # ---------------------------------------------------------------------------
