@@ -35,6 +35,7 @@ BAR_DIM_CAP = 12
 BAR_DEGREE_CAP = 4
 NERVE_CHAIN_CAP = 10 ** 6
 RADICAL_FP_DIM_CAP = 64
+FROBENIUS_TRIALS = 64
 VALIDATE_TRIPLE_CAP = 10 ** 6
 
 
@@ -239,13 +240,6 @@ def discrete_category(n):
     return FinCategory(n, morphisms, comp, list(range(n)))
 
 
-def euler_characteristic(points, p):
-    """Euler characteristic of a poset with only the equality relation:
-    the number of points; returns (chi, invertible mod p)."""
-    chi = len(points) if not isinstance(points, int) else points
-    return chi, chi % p != 0
-
-
 def category_algebra(C, spec):
     """The category algebra: morphisms as basis, composition as product
     (zero for non-composable pairs), unit the sum of identities."""
@@ -306,14 +300,14 @@ def verify_frobenius_certificate(A, cert):
     return True
 
 
-def frobenius_certificate(A, trials=64, seed=0):
+def frobenius_certificate(A, seed=0):
     """Search for a functional with nondegenerate associative form.
 
     Monomial algebras whose unit is a sum of basis idempotents (groups,
-    groupoids) get the canonical functional reading off identity-component
-    coefficients; otherwise a seeded random search runs for ``trials``
-    attempts.  Returns a verified certificate or None: a miss never proves
-    the algebra is not Frobenius.
+    groupoids) first try the canonical functional reading off
+    identity-component coefficients; then a seeded random search runs for
+    ``FROBENIUS_TRIALS`` attempts.  Returns a verified certificate or None:
+    a miss never proves the algebra is not Frobenius.
     """
     spec = A.field
     n = A.dim
@@ -321,29 +315,21 @@ def frobenius_certificate(A, trials=64, seed=0):
                    and all(c == spec.one for _, c in A.sc[i, j])
                    for i in range(n) for j in range(n))
     unit_ok = all(spec.is_zero(c) or c == spec.one for c in A.unit)
-    if monomial and unit_ok:
-        lam = tuple(A.unit)
+
+    def candidates():
+        if monomial and unit_ok:
+            yield tuple(A.unit), True
+        rng = Random(seed)
+        for _ in range(FROBENIUS_TRIALS):
+            yield tuple(rng.randrange(spec.order) for _ in range(n)), False
+
+    for lam, canonical in candidates():
         rank, gram = _gram_rank(A, lam)
         if rank == n:
             symmetric = all(gram[i][j] == gram[j][i]
                             for i in range(n) for j in range(n))
             return FrobeniusCertificate(functional=lam, symmetric=symmetric,
-                                        canonical=True)
-    rng = Random(seed)
-    elements = list(spec.elements()) if spec.order <= 4096 else None
-    for _ in range(trials):
-        if elements is not None:
-            lam = tuple(elements[rng.randrange(len(elements))]
-                        for _ in range(n))
-        else:
-            lam = tuple(spec.from_int(rng.randrange(spec.p))
-                        for _ in range(n))
-        rank, gram = _gram_rank(A, lam)
-        if rank == n:
-            symmetric = all(gram[i][j] == gram[j][i]
-                            for i in range(n) for j in range(n))
-            return FrobeniusCertificate(functional=lam, symmetric=symmetric,
-                                        canonical=False)
+                                        canonical=canonical)
     return None
 
 

@@ -120,22 +120,23 @@ class GroupSource(NamedTuple):
 def read_group_source(name_or_path, manifest=None):
     """Read a corpus group's file by name, or any group file by path.
 
-    A corpus file that is not there raises HH1LabError caused by the
-    FileNotFoundError, which `report` marks as unavailable.
+    A file that cannot be read raises HH1LabError caused by the OSError;
+    `report` marks a missing one (FileNotFoundError) as unavailable and any
+    other as an error.
     """
     manifest = manifest or CorpusManifest.packaged()
     entry = manifest.entry(name_or_path)
-    if entry is not None:
-        try:
-            raw = manifest.file_bytes(entry)
-        except FileNotFoundError as exc:
-            raise HH1LabError(str(exc)) from exc
-        return GroupSource(entry["name"], raw, entry.get("order"))
-    if not os.path.exists(name_or_path):
+    if entry is None and not os.path.exists(name_or_path):
         raise HH1LabError(
             f"{name_or_path!r} is neither a corpus name nor a file")
-    with open(name_or_path, "rb") as fh:
-        raw = fh.read()
+    try:
+        if entry is not None:
+            return GroupSource(entry["name"], manifest.file_bytes(entry),
+                               entry.get("order"))
+        with open(name_or_path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise HH1LabError(str(exc)) from exc
     return GroupSource(os.path.splitext(os.path.basename(name_or_path))[0],
                        raw, None)
 
@@ -415,9 +416,18 @@ def cmd_tensor(args):
     rep_b = hhone.hh1_blocks(Gb, p, name=name_b, seed=args.seed)
     rep_prod = hhone.hh1_blocks(GaxGb, p, name=f"{name_a}x{name_b}",
                                 seed=args.seed)
-    dims_a, dims_b, dims_prod = (sorted(r.dim for r in rep.per_block)
-                                 for rep in (rep_a, rep_b, rep_prod))
-    dims_pairwise = sorted(da * db for da in dims_a for db in dims_b)
+
+    def block_dims(rep):
+        # all None above the materialise cap, which leaves the pairwise
+        # comparison undecided
+        dims = [r.dim for r in rep.per_block]
+        return dims if None in dims else sorted(dims)
+
+    dims_a, dims_b, dims_prod = map(block_dims, (rep_a, rep_b, rep_prod))
+    dims_pairwise = (None if None in dims_a + dims_b else
+                     sorted(da * db for da in dims_a for db in dims_b))
+    # a factor over the cap puts the product over it too
+    pairwise_ok = None if None in dims_prod else dims_prod == dims_pairwise
     za = len(Ga.conjugacy_classes())
     zb = len(Gb.conjugacy_classes())
     predicted = hhone.kuenneth_hh1(rep_a.total_hh1, za, rep_b.total_hh1, zb)
@@ -431,7 +441,7 @@ def cmd_tensor(args):
             "factor_b_dims": dims_b,
             "product_dims": dims_prod,
             "pairwise_products": dims_pairwise,
-            "pairwise_matches_product": dims_prod == dims_pairwise,
+            "pairwise_matches_product": pairwise_ok,
         },
         "kuenneth": {
             "hh1_a": rep_a.total_hh1, "z_a": za,
@@ -441,7 +451,7 @@ def cmd_tensor(args):
             "matches": predicted == rep_prod.total_hh1,
         },
     }
-    ok = (dims_prod == dims_pairwise) and (predicted == rep_prod.total_hh1)
+    ok = pairwise_ok is not False and predicted == rep_prod.total_hh1
     return doc, 0 if ok else 2
 
 

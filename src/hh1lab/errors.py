@@ -57,10 +57,6 @@ class NegativeResult(HH1LabError):
     pass
 
 
-class InvalidL(HH1LabError):
-    pass
-
-
 class TrivialSylow(HH1LabError):
     pass
 

@@ -577,13 +577,6 @@ def poly_deriv(spec, a):
     return poly_trim(spec, out)
 
 
-def poly_eval(spec, a, x):
-    acc = spec.zero
-    for c in reversed(a):
-        acc = spec.add(spec.mul(acc, x), c)
-    return acc
-
-
 def _squarefree_decomposition(spec, f):
     """Yield (squarefree factor, multiplicity) pairs, char-p aware."""
     p = spec.p

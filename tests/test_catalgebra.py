@@ -2,7 +2,7 @@ import pytest
 
 from hh1lab.catalgebra import (CatFunctor, FinCategory, Morphism, bar_hh,
                                category_algebra, discrete_category,
-                               euler_characteristic, frobenius_certificate,
+                               frobenius_certificate,
                                happel_probe, load_category_file,
                                nerve_cohomology, one_object_category,
                                parse_category_file, radical_and_semisimplicity,
@@ -141,12 +141,6 @@ def test_transporter_requires_closed_points(corpus):
         transporter_category(S3, [5], action="natural")
 
 
-def test_euler_characteristic():
-    assert euler_characteristic([0, 1, 2], 2) == (3, True)
-    assert euler_characteristic([0, 1, 2], 3) == (3, False)
-    assert euler_characteristic([0], 5) == (1, True)
-
-
 # ---------------------------------------------------------------------------
 # Frobenius certificates
 # ---------------------------------------------------------------------------
@@ -168,11 +162,32 @@ def test_transporter_algebra_certified_symmetric(corpus):
     assert verify_frobenius_certificate(A, cert)
 
 
+# k{1, e} with e^2 = e is k x k: the canonical functional (1, 0) is
+# degenerate, so the certificate comes from the seeded search
+IDEMPOTENT_MONOID_FUNCTIONALS = {2: (0, 1), 3: (0, 1), 5: (0, 2)}
+
+
+@pytest.mark.parametrize("p", sorted(IDEMPOTENT_MONOID_FUNCTIONALS))
+def test_idempotent_monoid_gets_a_searched_certificate(p):
+    C = FinCategory(1, [Morphism("id", 0, 0), Morphism("e", 0, 0)],
+                    {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1}, [0])
+    A = category_algebra(C, field_make(p, 1))
+    cert = frobenius_certificate(A, seed=0)
+    assert cert.functional == IDEMPOTENT_MONOID_FUNCTIONALS[p]
+    assert not cert.canonical and cert.symmetric
+    assert verify_frobenius_certificate(A, cert)
+    verdict = happel_probe(C, p, 3, seed=0)
+    assert verdict.frobenius == cert
+    assert verdict.gldim == "0"
+    assert verdict.hh_dims == [2, 0, 0, 0]
+    assert verdict.happel_consistent
+
+
 def test_poset_algebra_has_no_frobenius_form():
     f2 = field_make(2, 1)
     A = category_algebra(poset_category(), f2)
     # the operation finds nothing
-    assert frobenius_certificate(A, trials=200) is None
+    assert frobenius_certificate(A) is None
     # oracle: every functional over GF(2) gives a singular Gram matrix
     from hh1lab.catalgebra import _gram_rank
     for v0 in (0, 1):

@@ -93,6 +93,20 @@ def test_tensor_command(capsys):
     assert doc["kuenneth"]["matches"] is True
 
 
+@pytest.mark.parametrize("p,pairwise", [(2, [576]),
+                                         (3, [36] + [54] * 4 + [81] * 4)])
+def test_tensor_over_the_materialise_cap(capsys, p, pairwise):
+    # S4 x S4 has order 576 > MATERIALIZE_DIM_CAP, so the product's block
+    # dims are unknown and only the Kuenneth check can fail the command
+    code, doc = run_cli(capsys, ["tensor", "--group", "S4", "--group-b", "S4",
+                                 "--prime", str(p)])
+    assert code == 0
+    assert doc["blocks"]["pairwise_products"] == pairwise
+    assert set(doc["blocks"]["product_dims"]) == {None}
+    assert doc["blocks"]["pairwise_matches_product"] is None
+    assert doc["kuenneth"]["matches"] is True
+
+
 def test_unknown_group_exits_nonzero(capsys):
     code = cli.main(["blocks", "--group", "NoSuchGroup", "--prime", "2"])
     assert code == 2
@@ -270,6 +284,7 @@ BAD_GROUP_FILES = {
     "not_a_number.grp": b"degree 3\n2 3 x\n",
     "bad_degree.grp": b"degree three\n2 3 1\n",
     "not_utf8.grp": b"degree 3\n\xff\xfe\n",
+    "a_directory.grp": None,
 }
 
 
@@ -278,7 +293,10 @@ BAD_GROUP_FILES = {
 def test_malformed_group_file_is_an_error(tmp_path, capsys, command,
                                           filename):
     path = tmp_path / filename
-    path.write_bytes(BAD_GROUP_FILES[filename])
+    if BAD_GROUP_FILES[filename] is None:
+        path.mkdir()
+    else:
+        path.write_bytes(BAD_GROUP_FILES[filename])
     code = cli.main([command, "--group", str(path), "--prime", "2"])
     captured = capsys.readouterr()
     assert code == 2
@@ -328,6 +346,21 @@ def test_report_survives_one_malformed_group_file(tmp_path, capsys):
                               "error": bad["error"]}]
     assert good["status"] == "ok"
     assert good["document"]["totals"]["hh1_total"] == 2
+
+
+def test_report_marks_an_unreadable_group_file_an_error(tmp_path, capsys):
+    corpus_dir = tmp_path / "corpus"
+    manifest = write_corpus(corpus_dir, {"C2": 2, "S3": 6})
+    (corpus_dir / "C2.grp").unlink()
+    (corpus_dir / "C2.grp").mkdir()
+    code, doc = run_cli(capsys, ["report", "--corpus", manifest,
+                                 "--primes", "2"])
+    assert code == 2
+    bad, good = doc["entries"]
+    assert bad["status"] == "error" and "Is a directory" in bad["error"]
+    assert doc["errors"] == [{"group": "C2", "prime": 2,
+                              "error": bad["error"]}]
+    assert good["status"] == "ok"
 
 
 def test_source_change_misses_the_cache(capsys, monkeypatch):

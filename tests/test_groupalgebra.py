@@ -5,8 +5,8 @@ from test_permindex import groups
 from hh1lab.catalgebra import radical_and_semisimplicity
 from hh1lab.errors import FieldMismatch
 from hh1lab.groupalgebra import (block_algebra, block_decompose, center,
-                                 defect_number, group_algebra,
-                                 splitting_degree, tensor_algebra)
+                                 group_algebra, splitting_degree,
+                                 tensor_algebra)
 from hh1lab.permgroup import direct_product
 
 
@@ -130,10 +130,10 @@ def test_defect_numbers(corpus):
     G = corpus["S3"]
     A = group_algebra(G, 2)
     blocks = block_decompose(A, G, 2)
-    assert [defect_number(b, G, 2) for b in blocks] == [1, 0]
+    assert [b.defect for b in blocks] == [1, 0]
     G = corpus["A4"]
     blocks = block_decompose(group_algebra(G, 2), G, 2)
-    assert defect_number(blocks[0], G, 2) == 2
+    assert blocks[0].defect == 2
 
 
 def test_coprime_order_blocks_have_defect_zero(corpus):

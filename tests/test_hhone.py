@@ -2,17 +2,17 @@ import pytest
 
 from conftest import CORPUS_NAMES
 from hh1lab import hhone
-from hh1lab.errors import (DimCapExceeded, InvalidL, NegativeResult,
-                           NonDivisor, TrivialSylow)
+from hh1lab.errors import (DimCapExceeded, NegativeResult, NonDivisor,
+                           TrivialSylow)
 from hh1lab.ffield import field_make
 from hh1lab.groupalgebra import (StructAlgebra, block_algebra,
                                  block_decompose, group_algebra)
 from hh1lab.hhone import (additive_oracle, bookkeeping_subtract,
                           cyclic_formula, derivation_space, hh1_blocks,
-                          klein_four_dims, kuenneth_hh1, lie_structure,
-                          principal_inertial_quotient, verify_leibniz)
+                          kuenneth_hh1, principal_inertial_quotient,
+                          verify_leibniz)
 from hh1lab.hhone import (_derivations_general, _derivations_group_like,
-                          _flatten, _inner_derivation_rows, _sparse)
+                          _inner_derivation_rows)
 from hh1lab.permgroup import direct_product
 
 
@@ -75,7 +75,7 @@ def test_general_solver_equals_propagation(name, p, corpus):
 
 def _dense_inner_derivation_rows(A):
     """The reference: each ad(e_a) filled in as a dense n x n matrix, then
-    flattened and stripped of zeros."""
+    flattened column-major and stripped of zeros."""
     spec = A.field
     n = A.dim
     rows = []
@@ -86,7 +86,8 @@ def _dense_inner_derivation_rows(A):
                 mat[k][j] = spec.add(mat[k][j], c)
             for k, c in A.sc[j, a]:
                 mat[k][j] = spec.sub(mat[k][j], c)
-        rows.append(_sparse(spec, _flatten(mat, n)))
+        rows.append({j * n + k: mat[k][j] for j in range(n)
+                     for k in range(n) if not spec.is_zero(mat[k][j])})
     return rows
 
 
@@ -271,116 +272,11 @@ def test_bookkeeping():
 
 
 def test_klein_four_dims(corpus):
-    assert klein_four_dims(1) == 8
-    assert klein_four_dims(3) == 2
-    with pytest.raises(InvalidL):
-        klein_four_dims(2)
-    # cross-checks: kV4 has one simple module, the principal block of kA4
-    # at 2 has three
+    # a Klein-four block has HH^1 of dim 8 with one simple module (kV4) and
+    # 2 with three (the principal block of kA4 at 2)
     assert derivation_space(group_algebra(corpus["V4"], 2)).hh1_dim == 8
     G = corpus["A4"]
     A = group_algebra(G, 2)
     b = block_decompose(A, G, 2)[0]
     B = block_algebra(A, b)
     assert derivation_space(B).hh1_dim == 2
-
-
-# ---------------------------------------------------------------------------
-# Lie structure
-# ---------------------------------------------------------------------------
-
-
-def test_lie_structure_dim_one_is_abelian_solvable(corpus):
-    A = group_algebra(corpus["S3"], 3)
-    ls = lie_structure(derivation_space(A))
-    assert ls.solvable
-    assert ls.derived_series_lengths[-1] == 0
-
-
-def test_lie_structure_kc2(corpus):
-    A = group_algebra(corpus["C2"], 2)
-    ds = derivation_space(A)
-    ls = lie_structure(ds)
-    spec = A.field
-    # two-dimensional non-abelian: [D0, D1] = D0 in the canonical basis
-    assert len(ls.hh1_basis) == 2
-    assert ls.brackets[0][1] == (spec.one, spec.zero)
-    assert ls.solvable
-    assert ls.derived_series_lengths == [1, 0]
-
-
-def test_lie_structure_kc3_at_3(corpus):
-    # three-dimensional; alternation and Jacobi are asserted inside the
-    # operation; this algebra of derivations is not solvable
-    A = group_algebra(corpus["C3"], 3)
-    ls = lie_structure(derivation_space(A))
-    assert len(ls.hh1_basis) == 3
-    assert not ls.solvable
-
-
-def test_lie_structure_v4(corpus):
-    A = group_algebra(corpus["V4"], 2)
-    ls = lie_structure(derivation_space(A))
-    assert len(ls.hh1_basis) == 8
-
-
-# Full output of lie_structure: the representatives and structure constants
-# are unique once the complement of the inner derivations is fixed, so any
-# change to them shows here.  Matrices are written row by row and bracket
-# coordinates block by block; every field here is prime, so each digit is
-# one raw value.
-LIE_PINS = {
-    ("C2", 2): (
-        ["0100",
-         "0001"],
-        ["00 10",
-         "10 00"],
-        [1, 0]),
-    ("C3", 3): (
-        ["010002000",
-         "000010002",
-         "002000010"],
-        ["000 100 020",
-         "200 000 001",
-         "010 002 000"],
-        [3]),
-    ("S3", 3): (
-        ["001010000101000020000002002000000200"],
-        ["0"],
-        [0]),
-    ("V4", 2): (
-        ["0100000000010000",
-         "0000010000000001",
-         "0001000001000000",
-         "0000000100000100",
-         "0010000100000000",
-         "0001001000000000",
-         "0000000000100001",
-         "0000000000010010"],
-        ["00000000 10000000 00000000 00100000 00000000 00001000 00000000 00000010",
-         "10000000 00000000 00100000 00000000 00000000 00000100 00000000 00000001",
-         "00000000 00100000 00000000 10000000 10000000 01000010 00100000 00011000",
-         "00100000 00000000 10000000 00000000 01000000 10000001 00010000 00100100",
-         "00000000 00000000 10000000 01000000 00000000 00000000 00001000 00000100",
-         "00001000 00000100 01000010 10000001 00000000 00000000 00000100 00001000",
-         "00000000 00000000 00100000 00010000 00001000 00000100 00000000 00000000",
-         "00000010 00000001 00011000 00100100 00000100 00001000 00000000 00000000"],
-        [8]),
-}
-
-
-@pytest.mark.parametrize("name,p", list(LIE_PINS))
-def test_lie_structure_pinned(corpus, name, p):
-    basis, brackets, lengths = LIE_PINS[name, p]
-    A = group_algebra(corpus[name], p)
-    assert A.field.m == 1
-    ls = lie_structure(derivation_space(A))
-
-    def digits(values):
-        return "".join(str(v) for v in values)
-
-    assert [digits(v for row in mat for v in row)
-            for mat in ls.hh1_basis] == basis
-    assert [" ".join(digits(br) for br in row)
-            for row in ls.brackets] == brackets
-    assert ls.derived_series_lengths == lengths

@@ -158,6 +158,29 @@ def test_group_file_roundtrip():
     assert [g.images for g in gens] == [g.images for g in G.generators]
 
 
+def test_generator_matches_the_packaged_corpus(monkeypatch):
+    # tools/gen_groups.py writes the desk groups' files and manifest
+    # entries; import its GROUPS without running it or writing bytecode
+    import importlib.util
+    import sys
+    from pathlib import Path
+    from hh1lab.cli import CorpusManifest
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parents[1] / "tools" / "gen_groups.py"
+    spec = importlib.util.spec_from_file_location("gen_groups", path)
+    gen_groups = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen_groups)
+    manifest = CorpusManifest.packaged()
+    desk = manifest.desk_entries()
+    assert [e["name"] for e in desk] == list(gen_groups.GROUPS)
+    for entry, (name, ((degree, gens), order, notes)) in zip(
+            desk, gen_groups.GROUPS.items()):
+        assert manifest.file_bytes(entry) == format_group_file(
+            degree, gens, comment=notes).encode("utf-8")
+        assert entry == {"name": name, "file": f"{name}.grp",
+                         "order": order, "notes": notes, "stretch": False}
+
+
 def test_group_file_errors():
     with pytest.raises(InvalidPermutation):
         parse_group_file("2 1 3\n")
