@@ -27,13 +27,11 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import (DimCapExceeded, InvalidCategory, InvariantViolation,
-                     NerveCapExceeded, NotAnAction)
+                     NotAnAction)
 from .ffield import echelonize, field_make, rank_nullspace_raw
 from .groupalgebra import StructAlgebra
 
-BAR_DIM_CAP = 12
-BAR_DEGREE_CAP = 4
-NERVE_CHAIN_CAP = 10 ** 6
+COCHAIN_CAP = 10 ** 6  # cochains of a string complex, all degrees together
 RADICAL_FP_DIM_CAP = 64
 FROBENIUS_TRIALS = 64
 VALIDATE_TRIPLE_CAP = 10 ** 6
@@ -341,7 +339,8 @@ def frobenius_certificate(A, seed=0):
 def _strings(C, N):
     """Strings (a_1, ..., a_q) of composable non-identity morphisms, with
     dom a_s = cod a_{s+1}, per length q = 0..N: the non-degenerate chains
-    of the nerve."""
+    of the nerve.  Every string carries at least one cochain, so their
+    running count is held under COCHAIN_CAP too."""
     identities = set(C.identities)
     nonid = [f for f in range(len(C.morphisms)) if f not in identities]
     by_cod = {}
@@ -353,9 +352,9 @@ def _strings(C, N):
         strings.append([t + (f,) for t in strings[-1] for f in (
             by_cod.get(C.morphisms[t[-1]].dom, ()) if t else nonid)])
         total += len(strings[-1])
-        if total > NERVE_CHAIN_CAP:
-            raise NerveCapExceeded(
-                f"nerve exceeds {NERVE_CHAIN_CAP} chains by degree {q}")
+        if total > COCHAIN_CAP:
+            raise DimCapExceeded(f"string complex exceeds {COCHAIN_CAP} "
+                                 f"cochains by degree {q}")
     return strings
 
 
@@ -368,17 +367,23 @@ def _string_complex(C, spec, N, values, left, right):
     right(v, b) the u with u.b = v.  The coboundary
         (delta f)(a_1 .. a_{q+1}) = a_1 f(a_2 ..)
             + sum_s (-1)^s f(.. a_s a_{s+1} ..) + (-1)^{q+1} f(.. a_q) a_{q+1}
-    drops the terms where a_s a_{s+1} is an identity.
+    drops the terms where a_s a_{s+1} is an identity.  Raises
+    DimCapExceeded once the cochains of all degrees pass COCHAIN_CAP.
     """
     identities = set(C.identities)
     ms = C.morphisms
     cochains = []
-    for strings in _strings(C, N + 1):
+    room = COCHAIN_CAP
+    for q, strings in enumerate(_strings(C, N + 1)):
         basis = []
         for t in strings:
             ends = ([(ms[t[-1]].dom, ms[t[0]].cod)] if t else
                     [(x, x) for x in range(C.n_objects)])
             basis += [(t, v) for x, y in ends for v in values(x, y)]
+            if len(basis) > room:
+                raise DimCapExceeded(f"string complex exceeds {COCHAIN_CAP} "
+                                     f"cochains by degree {q}")
+        room -= len(basis)
         cochains.append(basis)
     minus_one = spec.neg(spec.one)
 
@@ -456,10 +461,6 @@ def bar_hh(A, N):
     morphisms and a morphism m: dom a_q -> cod a_1.  Degree 0 equals dim
     Z(A); degree 1 agrees with the derivation solver.
     """
-    n = A.dim
-    if n > BAR_DIM_CAP or N > BAR_DEGREE_CAP:
-        raise DimCapExceeded(f"bar complex cap: dim {n} <= {BAR_DIM_CAP}, "
-                             f"degree {N} <= {BAR_DEGREE_CAP}")
     C = _category_basis(A)
     hom, lpre, rpre = {}, {}, {}
     for f, m in enumerate(C.morphisms):
@@ -774,9 +775,14 @@ def parse_category_file(text):
     comp = {}
     for lineno, g, f, gf in comp_lines:
         try:
-            comp[name_index[g], name_index[f]] = name_index[gf]
+            pair = name_index[g], name_index[f]
+            value = name_index[gf]
         except KeyError as exc:
             raise InvalidCategory(f"line {lineno}: unknown morphism {exc}")
+        if pair in comp:
+            raise InvalidCategory(
+                f"line {lineno}: second composite of {g} after {f}")
+        comp[pair] = value
     ident_list = [identities.get(x) for x in range(n_objects)]
     if any(i is None for i in ident_list):
         raise InvalidCategory("every object needs a flagged identity")

@@ -67,7 +67,3 @@ class InvalidCategory(HH1LabError):
 
 class NotAnAction(HH1LabError):
     pass
-
-
-class NerveCapExceeded(HH1LabError):
-    pass

@@ -32,6 +32,7 @@ from .ffield import p_adic_valuation
 
 DEFAULT_ORDER_CAP = 1 << 21
 DEFAULT_MEMORY_CAP = 32 << 20  # bytes for the enumerated element table
+MAX_DEGREE = 1 << 16  # points 0..65535 fit the uint16 image rows
 _SCATTER_ENTRIES = 1 << 20  # index entries per inverse_rows chunk
 
 
@@ -107,6 +108,10 @@ class ConjClass:
 
 
 def _np_dtype(degree):
+    if degree > MAX_DEGREE:
+        raise InvalidPermutation(
+            f"degree {degree} exceeds {MAX_DEGREE}, the most points a "
+            "uint16 image row holds")
     return np.uint8 if degree <= 255 else np.uint16
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from hh1lab import catalgebra
 from hh1lab.catalgebra import (CatFunctor, FinCategory, Morphism, bar_hh,
                                category_algebra, discrete_category,
                                frobenius_certificate,
@@ -61,6 +62,17 @@ def test_category_file_errors():
         parse_category_file("objects 1\nmorphism a 0 0\n")  # no identity
     with pytest.raises(InvalidCategory):
         parse_category_file("morphism a 0 0\n")  # missing header
+
+
+def test_second_comp_line_for_a_pair_is_rejected():
+    # f.f = e (the group C2) and f.f = f (the monoid {1, f}) are each a
+    # category; a file giving both is neither
+    head = ("objects 1\nmorphism e 0 0 identity\nmorphism f 0 0\n"
+            "comp e e e\ncomp e f f\ncomp f e f\n")
+    for ff in ("e", "f"):
+        assert parse_category_file(head + f"comp f f {ff}\n").validate()
+    with pytest.raises(InvalidCategory, match="line 8: second composite"):
+        parse_category_file(head + "comp f f e\ncomp f f f\n")
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +240,29 @@ def test_bar_hh_degree01_cross_checks(corpus):
         assert dims[1] == ds.hh1_dim
 
 
-def test_bar_hh_caps():
-    from hh1lab.groupalgebra import StructAlgebra
-    spec = field_make(2, 1)
-    A = StructAlgebra(spec, 1, ["e"], {(0, 0): ((0, 1),)}, (1,))
+def test_bar_hh_caps(corpus, monkeypatch):
+    # kC2 has two cochains on each string g..g, so degrees 0..N+1 hold
+    # 2(N + 2) cochains on N + 2 strings: at N = 3 the strings fit the cap
+    # and the cochains do not
+    monkeypatch.setattr(catalgebra, "COCHAIN_CAP", 8)
+    A = group_algebra(corpus["C2"], 2)
+    assert bar_hh(A, 2) == [2, 2, 2]
     with pytest.raises(DimCapExceeded):
-        bar_hh(A, 5)
+        bar_hh(A, 3)
+
+
+def test_nerve_and_restriction_caps(corpus, monkeypatch):
+    # the nerve of BC2 has one cochain per degree, N + 2 in degrees 0..N+1
+    monkeypatch.setattr(catalgebra, "COCHAIN_CAP", 5)
+    spec = field_make(2, 1)
+    BG = one_object_category(corpus["C2"])
+    ident = CatFunctor(BG, BG, [0], list(range(2)))
+    assert nerve_cohomology(BG, spec, 3) == [1, 1, 1, 1]
+    assert len(restriction_map(ident, spec, 3)) == 4
+    with pytest.raises(DimCapExceeded):
+        nerve_cohomology(BG, spec, 4)
+    with pytest.raises(DimCapExceeded):
+        restriction_map(ident, spec, 4)
 
 
 # ---------------------------------------------------------------------------

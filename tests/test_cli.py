@@ -84,6 +84,47 @@ def test_happel_category_file(capsys):
     assert doc["verdict"]["gldim"] == "unknown"
 
 
+def sphere_poset_file(path):
+    """The poset a, b < c, d < e, f, whose order complex is a 2-sphere, as a
+    category file: 6 identities and 12 arrows x -> y."""
+    less = ([(x, y) for x in "ab" for y in "cdef"]
+            + [(x, y) for x in "cd" for y in "ef"])
+    arrows = {(x, x): f"id{x}" for x in "abcdef"}
+    arrows.update({(x, y): f"{x}{y}" for x, y in less})
+    lines = ["objects 6"]
+    lines += [f"morphism {name} {'abcdef'.index(x)} {'abcdef'.index(y)}"
+              + (" identity" if x == y else "")
+              for (x, y), name in arrows.items()]
+    lines += [f"comp {g} {f} {arrows[x, z]}"
+              for (x, y), f in arrows.items()
+              for (y2, z), g in arrows.items() if y == y2]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_happel_sphere_poset(tmp_path, capsys, p):
+    # 18 morphisms; only the cochain count bounds the string complex
+    code, doc = run_cli(capsys, ["happel", "--category",
+                                 sphere_poset_file(tmp_path / "s2.cat"),
+                                 "--prime", str(p)])
+    assert code == 0
+    assert doc["verdict"]["hh_dims"] == [1, 0, 1, 0]
+    assert doc["verdict"]["nerve_dims"] == [1, 0, 1, 0]
+    assert doc["inputs"]["caps"]["cochain_cap"] == 10 ** 6
+
+
+def test_happel_over_the_cochain_cap_is_an_error(capsys):
+    # BA4 has 12 * 11^5 cochains on its strings of length 5
+    code = cli.main(["happel", "--group-as-category", "A4", "--prime", "2",
+                     "--degrees", "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: string complex exceeds 1000000 cochains "
+                            "by degree 5\n")
+
+
 def test_tensor_command(capsys):
     code, doc = run_cli(capsys, ["tensor", "--group", "S3", "--group-b", "S3",
                                  "--prime", "2"])
@@ -105,6 +146,29 @@ def test_tensor_over_the_materialise_cap(capsys, p, pairwise):
     assert set(doc["blocks"]["product_dims"]) == {None}
     assert doc["blocks"]["pairwise_matches_product"] is None
     assert doc["kuenneth"]["matches"] is True
+
+
+@pytest.mark.parametrize("groups,skew,totals,code", [
+    (("S4", "S4"), 0, (60, None, 60), 0),
+    (("C2", "S3"), 0, (10, 10, 10), 0),
+    (("C2", "S3"), 1, (10, 10, 11), 2),
+], ids=["S4xS4", "C2xS3", "C2xS3_oracle_off_by_one"])
+def test_tensor_compares_the_prediction_with_each_total(
+        capsys, monkeypatch, groups, skew, totals, code):
+    # totals: (predicted, solver, oracle) for the product; S4 x S4 is over
+    # the solver cap.  skew adds to the oracle of C2 x S3 (order 12) alone,
+    # so the prediction and the solver still agree
+    from hh1lab import hhone
+    oracle = hhone.additive_oracle
+    monkeypatch.setattr(hhone, "additive_oracle", lambda G, p: (
+        oracle(G, p) + skew * (G.order == 12)))
+    got, doc = run_cli(capsys, ["tensor", "--group", groups[0],
+                                "--group-b", groups[1], "--prime", "2"])
+    kuenneth = doc["kuenneth"]
+    assert (kuenneth["predicted_hh1"], kuenneth["solver_hh1"],
+            kuenneth["oracle_hh1"]) == totals
+    assert kuenneth["matches"] is (code == 0)
+    assert got == code
 
 
 def test_unknown_group_exits_nonzero(capsys):
@@ -304,6 +368,22 @@ def test_malformed_group_file_is_an_error(tmp_path, capsys, command,
     assert captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize("generators", [0, 1])
+def test_group_file_of_degree_above_65536_is_an_error(tmp_path, capsys,
+                                                      generators):
+    # image rows hold points as uint16, so degree 65537 does not fit
+    degree = 65537
+    cycle = " ".join(str(x % degree + 1) for x in range(1, degree + 1))
+    path = tmp_path / "big.grp"
+    path.write_text(f"degree {degree}\n" + f"{cycle}\n" * generators)
+    code = cli.main(["blocks", "--group", str(path), "--prime", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: degree 65537 exceeds 65536")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("content", [
     b"objects two\n",
     b"objects 1\nmorphism id0 0 zero identity\ncomp id0 id0 id0\n",
@@ -311,6 +391,8 @@ def test_malformed_group_file_is_an_error(tmp_path, capsys, command,
     b"comp id0 id0 id0\ncomp id0 a a\n",
     b"objects 1\n\xff\n",
     None,
+    b"objects 1\nmorphism e 0 0 identity\nmorphism f 0 0\ncomp e e e\n"
+    b"comp e f f\ncomp f e f\ncomp f f e\ncomp f f f\n",
 ])
 def test_malformed_or_missing_category_file_is_an_error(tmp_path, capsys,
                                                         content):

@@ -11,7 +11,7 @@ random small groups.
 import os
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hh1lab import catalgebra
 from hh1lab.catalgebra import (CatFunctor, FinCategory, Morphism, bar_hh,
@@ -21,7 +21,7 @@ from hh1lab.catalgebra import (CatFunctor, FinCategory, Morphism, bar_hh,
 from hh1lab.errors import InvalidCategory
 from hh1lab.ffield import field_make, rank_nullspace_raw
 from hh1lab.groupalgebra import StructAlgebra, group_algebra
-from hh1lab.hhone import additive_oracle
+from hh1lab.hhone import additive_oracle, derivation_space
 from test_permindex import groups
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -134,17 +134,22 @@ def transitive_closure(pairs):
 
 
 @st.composite
-def posets(draw, max_points=6, max_morphisms=12):
+def posets(draw, max_points=6):
+    """Posets on up to six points, from the discrete ones to the chain with
+    21 morphisms: the transitive closure of a random set of pairs x < y."""
     n = draw(st.integers(1, max_points))
-    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
-                                    st.integers(0, n - 1)), max_size=6))
-    less = transitive_closure((min(a, b), max(a, b))
-                              for a, b in pairs if a != b)
-    assume(n + len(less) <= max_morphisms)
-    return n, less
+    pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    return n, transitive_closure(
+        pair for pair, kept in zip(pairs, keep) if kept)
 
 
 CROWN = (4, {(0, 2), (0, 3), (1, 2), (1, 3)})
+# two minima below two middles below two maxima: the order complex is the
+# double suspension of two points, a 2-sphere, on 6 objects and 18 morphisms
+SPHERE = (6, transitive_closure({(0, 2), (0, 3), (1, 2), (1, 3),
+                                 (2, 4), (2, 5), (3, 4), (3, 5)}))
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +182,11 @@ def test_relative_complex_equals_full_bar_complex(case, corpus):
 def test_poset_hh_equals_nerve_cohomology(poset, p):
     P = poset_category(*poset)
     spec = field_make(p, 1)
-    assert bar_hh(category_algebra(P, spec), 3) == \
-        nerve_cohomology(P, spec, 3)
+    A = category_algebra(P, spec)
+    hh = bar_hh(A, 3)
+    assert hh == nerve_cohomology(P, spec, 3)
+    ds = derivation_space(A)
+    assert hh[:2] == [ds.center_dim, ds.hh1_dim]
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -189,16 +197,36 @@ def test_crown_poset_is_a_circle(p):
     assert nerve_cohomology(P, spec, 3) == [1, 1, 0, 0]
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_sphere_poset_has_hh2(p):
+    P = poset_category(*SPHERE)
+    assert len(P.morphisms) == 18
+    spec = field_make(p, 1)
+    assert bar_hh(category_algebra(P, spec), 3) == [1, 0, 1, 0]
+    assert nerve_cohomology(P, spec, 3) == [1, 0, 1, 0]
+
+
 # ---------------------------------------------------------------------------
 # groups: HH^0 is the class count, HH^1 the centralizer-sum oracle
 # ---------------------------------------------------------------------------
 
 
 @PROPERTY
-@given(G=groups(5, 12), p=st.sampled_from([2, 3, 5]))
+@given(G=groups(5, 24), p=st.sampled_from([2, 3, 5]))
 def test_group_algebra_hh0_hh1(G, p):
     assert bar_hh(group_algebra(G, p), 1) == [
         len(G.conjugacy_classes()), additive_oracle(G, p)]
+
+
+@pytest.mark.parametrize("name,p,dims", [
+    ("S4", 2, [5, 6]), ("S4", 3, [5, 1]),
+    ("C2xS3", 2, [6, 10]), ("C2xS3", 3, [6, 2])])
+def test_bg_in_degrees_0_and_1(corpus, name, p, dims):
+    # [class count, HH^1]; BS4 has 13272 cochains in degrees 0..2
+    G = corpus[name]
+    assert dims == [len(G.conjugacy_classes()), additive_oracle(G, p)]
+    assert bar_hh(category_algebra(one_object_category(G),
+                                   field_make(p, 1)), 1) == dims
 
 
 def test_non_category_basis_is_rejected():
