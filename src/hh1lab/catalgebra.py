@@ -501,22 +501,15 @@ def restriction_map(pi, spec, N):
     cochains_t, rows_t = _nerve_complex(T, spec, N)
 
     out = []
+    rank_s = rank_t = 0   # ranks of delta^{q-1} on the source and target
+    im_s = []             # the image of delta^{q-1} on the source
     for q in range(N + 1):
-        _, kern_s = rank_nullspace_raw(rows_s(q), len(cochains_s[q]), spec)
-        _, kern_t = rank_nullspace_raw(rows_t(q), len(cochains_t[q]), spec)
-        im_s = []
-        if q:
-            # the image of delta^{q-1} on the source is spanned by its
-            # columns delta(e_c), one per (q-1)-cochain c
-            cols = [{} for _ in cochains_s[q - 1]]
-            for r, row in enumerate(rows_s(q - 1)):
-                for c, v in row.items():
-                    cols[c][r] = v
-            im_s = [col for col in cols if col]
-        im_s_piv, _ = echelonize(im_s, len(cochains_s[q]), spec)
-        rank_t = (rank_nullspace_raw(rows_t(q - 1), len(cochains_t[q - 1]),
-                                     spec, want_basis=False)[0] if q else 0)
-        dim_hs = len(kern_s) - len(im_s_piv)
+        rows = rows_s(q)
+        next_rank_s, _ = rank_nullspace_raw(rows, len(cochains_s[q]), spec,
+                                            want_basis=False)
+        next_rank_t, kern_t = rank_nullspace_raw(rows_t(q),
+                                                 len(cochains_t[q]), spec)
+        dim_hs = len(cochains_s[q]) - next_rank_s - rank_s
         dim_ht = len(kern_t) - rank_t
 
         # pull back the target cocycle basis along the functor; a chain
@@ -530,7 +523,7 @@ def restriction_map(pi, spec, N):
                   for vec in kern_t]
         # rank of the induced map on cohomology
         piv_all, _ = echelonize(im_s + pulled, len(cochains_s[q]), spec)
-        rank_induced = len(piv_all) - len(im_s_piv)
+        rank_induced = len(piv_all) - rank_s
         out.append({
             "degree": q,
             "dim_source": dim_hs,
@@ -538,6 +531,15 @@ def restriction_map(pi, spec, N):
             "rank": rank_induced,
             "injective": rank_induced == dim_ht,
         })
+        if q < N:
+            # the image of delta^q is spanned by its columns delta(e_c),
+            # one per q-cochain c
+            cols = [{} for _ in cochains_s[q]]
+            for r, row in enumerate(rows):
+                for c, v in row.items():
+                    cols[c][r] = v
+            im_s = [col for col in cols if col]
+        rank_s, rank_t = next_rank_s, next_rank_t
     return out
 
 

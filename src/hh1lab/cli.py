@@ -566,7 +566,9 @@ def build_parser():
     p.add_argument("--prime", type=int, required=True)
     p.add_argument("--degrees", type=int, default=3,
                    help="top cohomology degree probed; the string "
-                        "complexes may hold 10^6 cochains in all")
+                        "complexes may hold 10^6 cochains in all (a bound "
+                        "on memory, not time); the radical check first "
+                        "refuses algebras of over 64 dimensions over F_p")
     common(p)
     p.set_defaults(func=cmd_happel)
 

@@ -86,8 +86,10 @@ class StructAlgebra:
         return tuple(v)
 
     def is_group_like(self):
-        """True when every basis product is a single basis element with
-        coefficient one and the unit is a single basis element."""
+        """True when the basis is a group under the product: every basis
+        product is a single basis element with coefficient one, the unit is
+        a single basis element, and each row of the product table is a
+        permutation, so every element has an inverse."""
         spec = self.field
         unit_support = [i for i, c in enumerate(self.unit) if not spec.is_zero(c)]
         if len(unit_support) != 1 or self.unit[unit_support[0]] != spec.one:
@@ -97,7 +99,8 @@ class StructAlgebra:
                 terms = self.sc[i, j]
                 if len(terms) != 1 or terms[0][1] != spec.one:
                     return False
-        return True
+        rows = np.sort(self.group_table(), axis=1)
+        return bool((rows == np.arange(self.dim)).all())
 
     def group_table(self):
         """dim x dim table of product indices (group-like algebras only)."""

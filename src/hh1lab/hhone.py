@@ -141,93 +141,65 @@ def _derivations_general(A):
 
 
 def _derivations_group_like(A):
-    """Derivation basis for an algebra whose basis multiplies like a group.
+    """Derivation basis for an algebra whose basis is a group.
 
-    Images of the basis elements are propagated from generator images along
-    a spanning tree of the multiplication table, which eliminates the bulk
-    of the Leibniz system up front; the residual constraints involve only
-    generator-image unknowns.  Output is identical to the general solver.
+    With D(e_s) unknown for each generator s, the Leibniz rule D(e_w e_s) =
+    D(e_w) e_s + e_w D(e_s) gives D(e_ws) as a coefficient matrix C[ws]
+    over those unknowns.  One breadth-first pass from the identity forms
+    that term once per (element, generator) pair: the first visit of ws
+    defines C[ws], every later visit is a residual constraint.  Output is
+    identical to the general solver.
     """
     spec = A.field
     p = spec.p
     n = A.dim
     table = A.group_table()
     e0 = next(i for i, c in enumerate(A.unit) if not spec.is_zero(c))
-
     inv = np.argmax(table == e0, axis=1)
 
-    # greedy generators and BFS tree from the identity
+    # greedy generators: each is the first element outside the subgroup
+    # the earlier ones generate, which grows by right multiplication
     gens = []
-    known = {e0}
+    member = np.zeros(n, dtype=bool)
+    member[e0] = True
     for idx in range(n):
-        if idx in known:
+        if member[idx]:
             continue
         gens.append(idx)
-        frontier = [e0]
-        known = {e0}
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for s in gens:
-                    ws = int(table[w, s])
-                    if ws not in known:
-                        known.add(ws)
-                        nxt.append(ws)
-            frontier = nxt
+        size = 0
+        while size != np.count_nonzero(member):
+            size = np.count_nonzero(member)
+            member[table[np.ix_(member, gens)]] = True
     r = len(gens)
     if r == 0:
         return []  # the ground field: no nonzero derivations
-    gpos = {s: a for a, s in enumerate(gens)}
 
-    # propagate coefficient matrices C_w (n x n*r) along a BFS tree
-    C = [None] * n
-    C[e0] = np.zeros((n, n * r), dtype=np.int64)
-    for s in gens:
-        a = gpos[s]
-        M = np.zeros((n, n * r), dtype=np.int64)
-        M[np.arange(n), a * n + np.arange(n)] = 1
-        C[int(table[e0, s])] = M  # e0 * s = s
-    tree_edges = {(e0, s) for s in gens}
-    frontier = [int(table[e0, s]) for s in gens]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            winv = int(inv[w])
-            ldiv = table[winv]           # t -> w^{-1} t
-            for s in gens:
-                ws = int(table[w, s])
-                if C[ws] is not None:
-                    continue
-                a = gpos[s]
-                sinv = int(inv[s])
-                rdiv = table[:, sinv]    # t -> t s^{-1}
-                M = C[w][rdiv].copy()
-                M[np.arange(n), a * n + ldiv] += 1
+    # C[w] is the n x n*r matrix taking the generator images to D(e_w); of
+    # the n*r pairs, n - 1 are tree edges and the rest residual rows
+    C = np.zeros((n, n, n * r), dtype=np.int64)
+    resid = np.zeros((n * r - n + 1, n, n * r), dtype=np.int64)
+    seen = np.zeros(n, dtype=bool)
+    seen[e0] = True
+    queue = [e0]
+    k = 0
+    for w in queue:
+        ldiv = table[inv[w]]                    # t -> w^{-1} t
+        for a, s in enumerate(gens):
+            M = C[w][table[:, inv[s]]]          # D(e_w) e_s
+            M[np.arange(n), a * n + ldiv] += 1  # e_w D(e_s)
+            ws = table[w, s]
+            if seen[ws]:
+                resid[k] = C[ws] - M
+                k += 1
+            else:
+                seen[ws] = True
                 C[ws] = M % p
-                tree_edges.add((w, s))
-                nxt.append(ws)
-        frontier = nxt
+                queue.append(ws)
+    kern = np_kernel_mod_p(resid.reshape(-1, n * r), p)
 
-    # residual Leibniz constraints for every non-tree (w, generator) pair
-    blocks = []
-    for w in range(n):
-        winv = int(inv[w])
-        ldiv = table[winv]
-        for s in gens:
-            if (w, s) in tree_edges:
-                continue
-            a = gpos[s]
-            sinv = int(inv[s])
-            rdiv = table[:, sinv]
-            M = C[w][rdiv].copy()
-            M[np.arange(n), a * n + ldiv] += 1
-            blocks.append((C[int(table[w, s])] - M) % p)
-    # n*r pairs against n - 1 tree edges: the residual is never empty
-    kern = np_kernel_mod_p(np.concatenate(blocks), p)
-
-    # reconstruct full derivation matrices and canonicalise
-    # entry w*n + i of derivation b is row i of C[w] @ kern[b]
-    flat = (np.stack(C).reshape(n * n, n * r) @ kern.T % p).T
+    # entry w*n + i of derivation b is row i of C[w] @ kern[b]; the RREF
+    # makes the basis canonical
+    flat = (C.reshape(n * n, n * r) @ kern.T % p).T
     rref, pivots = np_rref_mod_p(flat, p)
     return rref[:len(pivots)].tolist()
 

@@ -195,6 +195,23 @@ def test_idempotent_monoid_gets_a_searched_certificate(p):
     assert verdict.happel_consistent
 
 
+# the monoid {1, a, z} with a.a = z and z absorbing: every basis product is
+# one basis element, yet a and z have no inverse
+ABSORBING_MONOID_HH1 = {2: 2, 3: 1}
+
+
+@pytest.mark.parametrize("p", sorted(ABSORBING_MONOID_HH1))
+def test_monoid_algebra_is_not_group_like(p):
+    comp = {(0, x): x for x in range(3)} | {(x, 0): x for x in range(3)}
+    comp.update({(1, 1): 2, (1, 2): 2, (2, 1): 2, (2, 2): 2})
+    C = FinCategory(1, [Morphism("id", 0, 0), Morphism("a", 0, 0),
+                        Morphism("z", 0, 0)], comp, [0])
+    A = category_algebra(C, field_make(p, 1))
+    assert not A.is_group_like()
+    hh1 = derivation_space(A).hh1_dim
+    assert hh1 == bar_hh(A, 1)[1] == ABSORBING_MONOID_HH1[p]
+
+
 def test_poset_algebra_has_no_frobenius_form():
     f2 = field_make(2, 1)
     A = category_algebra(poset_category(), f2)
@@ -306,6 +323,22 @@ def test_restriction_transporter_injective(corpus):
         assert r["injective"]  # vacuous in positive degrees
         if r["degree"] > 0:
             assert r["dim_target"] == 0
+
+
+def test_restriction_of_a_natural_action_is_not_injective(corpus):
+    # the transporter of a transitive action is equivalent to the
+    # stabilizer: trivial for C3 on 3 points, C2 for S3, so over F_3 its
+    # cohomology vanishes above degree 0 while H^1..3(C3) and H^3(S3) do not
+    f3 = field_make(3, 1)
+    res = restriction_map(transporter_projection(
+        transporter_category(corpus["C3"], [0, 1, 2])), f3, 3)
+    assert [(r["dim_source"], r["dim_target"], r["rank"], r["injective"])
+            for r in res] == [(1, 1, 1, True)] + [(0, 1, 0, False)] * 3
+    res = restriction_map(transporter_projection(
+        transporter_category(corpus["S3"], [0, 1, 2])), f3, 3)
+    r = res[3]
+    assert (r["dim_source"], r["dim_target"], r["rank"], r["injective"]) == \
+        (0, 1, 0, False)
 
 
 # ---------------------------------------------------------------------------

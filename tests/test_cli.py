@@ -301,6 +301,25 @@ def test_module_entry_point():
     assert doc["kind"] == "blocks"
 
 
+@pytest.mark.parametrize("argv", [
+    ["hh1", "--group", "S4", "--prime", "2"],
+    ["happel", "--group-as-category", "S3", "--prime", "3"]])
+def test_optimized_mode_prints_the_same_document(tmp_path, argv):
+    # the invariants are checks that raise, not asserts that -O strips
+    docs = []
+    for flags in (["-O"], []):
+        cache = tmp_path / f"cache{len(docs)}"
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "hh1lab", *argv],
+            capture_output=True, text=True, cwd=os.getcwd(),
+            env=dict(os.environ, HH1LAB_CACHE=str(cache)))
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        doc.pop("timings", None)
+        docs.append(doc)
+    assert docs[0] == docs[1]
+
+
 def test_corrupt_cache_entry_is_recomputed(tmp_path, capsys):
     argv = ["hh1", "--group", "S3", "--prime", "2"]
     code, fresh = run_cli(capsys, argv)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import CORPUS_NAMES
 from hh1lab import hhone
@@ -13,7 +14,8 @@ from hh1lab.hhone import (additive_oracle, bookkeeping_subtract,
                           verify_leibniz)
 from hh1lab.hhone import (_derivations_general, _derivations_group_like,
                           _inner_derivation_rows)
-from hh1lab.permgroup import direct_product
+from hh1lab.permgroup import Perm, direct_product, group_from_generators
+from test_permindex import PROPERTY, groups
 
 
 def ground_field_algebra(p=2):
@@ -63,14 +65,33 @@ def test_inner_dimension_identity(corpus):
         assert ds.der_dim - ds.hh1_dim == A.dim - ds.center_dim
 
 
+def _assert_solvers_agree(G, p):
+    A = group_algebra(G, p)
+    general = _derivations_general(A)
+    fast = _derivations_group_like(A)
+    assert [list(v) for v in general] == [list(v) for v in fast]
+
+
 @pytest.mark.parametrize("name,p", [
     ("C2", 2), ("C3", 3), ("C3", 2), ("C4", 2), ("S3", 2), ("S3", 3),
     ("V4", 2), ("D8", 2), ("Q8", 2), ("A4", 3)])
 def test_general_solver_equals_propagation(name, p, corpus):
-    A = group_algebra(corpus[name], p)
-    general = _derivations_general(A)
-    fast = _derivations_group_like(A)
-    assert [list(v) for v in general] == [list(v) for v in fast]
+    _assert_solvers_agree(corpus[name], p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_general_solver_equals_propagation_on_c2_cubed(p):
+    # C2^3 has rank 3, so the greedy search picks three generators
+    swaps = [[1, 0, 2, 3, 4, 5], [0, 1, 3, 2, 4, 5], [0, 1, 2, 3, 5, 4]]
+    G = group_from_generators(6, [Perm(g) for g in swaps])
+    assert G.order == 8
+    _assert_solvers_agree(G, p)
+
+
+@PROPERTY
+@given(G=groups(5, 24), p=st.sampled_from([2, 3, 5]))
+def test_general_solver_equals_propagation_on_generated_groups(G, p):
+    _assert_solvers_agree(G, p)
 
 
 def _dense_inner_derivation_rows(A):
