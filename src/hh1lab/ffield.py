@@ -20,7 +20,9 @@ the forward echelon, since back-reduction keeps the pivots.  Dense front
 ends of the echelon take int arrays over a prime field: `sparse_rows`
 turns array rows into sparse rows, and `np_rref_mod_p` / `np_kernel_mod_p`
 return the RREF and the canonical nullspace as int arrays.  Every rank and
-nullspace in the package goes through this one echelon.
+nullspace in the package goes through this one echelon.  `poly_factor`
+finds roots: it factors only polynomials that split into linear factors
+over the field, as block splitting's do over a splitting field.
 Everything here is immutable after construction and safe to share between
 threads.
 """
@@ -34,7 +36,8 @@ from random import Random
 
 import numpy as np
 
-from .errors import DegreeOutOfRange, DivisionByZero, NotPrime
+from .errors import (DegreeOutOfRange, DivisionByZero, NotPrime,
+                     SplitFieldTooSmall)
 
 MAX_EXTENSION_DEGREE = 16
 LOG_TABLE_MAX_ORDER = 1 << 16
@@ -410,15 +413,6 @@ class FieldSpec:
             return self.pow(self.inv(a), -e)
         return _power(self.mul, a, e)
 
-    def frobenius(self, a):
-        return self.pow(a, self.p)
-
-    def frobenius_inv(self, a):
-        # p-th root: Frobenius applied m-1 times
-        for _ in range(self.m - 1):
-            a = self.frobenius(a)
-        return a
-
     def elements(self):
         """All raw elements in ascending order (small fields only)."""
         if self.order > 1 << 20:
@@ -467,7 +461,7 @@ def field_make(p, m, *, _allow_large_degree=False):
 
 # ---------------------------------------------------------------------------
 # Polynomials over an arbitrary FieldSpec (coefficient lists of raw values,
-# ascending powers).  Used for minimal polynomials and their factorisation.
+# ascending powers).  Used for minimal polynomials and their roots.
 # ---------------------------------------------------------------------------
 
 
@@ -577,108 +571,62 @@ def poly_deriv(spec, a):
     return poly_trim(spec, out)
 
 
-def _squarefree_decomposition(spec, f):
-    """Yield (squarefree factor, multiplicity) pairs, char-p aware."""
-    p = spec.p
-    f = poly_monic(spec, f)
-    out = []
-
-    def rec(g, mult):
-        g = poly_monic(spec, g)
-        if len(g) <= 1:
-            return
-        dg = poly_deriv(spec, g)
-        if not dg:
-            # g = h(t^p); take p-th roots of coefficients
-            h = [spec.frobenius_inv(g[i]) for i in range(0, len(g), p)]
-            rec(h, mult * p)
-            return
-        c = poly_gcd(spec, g, dg)
-        w = poly_divmod(spec, g, c)[0]  # product of squarefree part
-        i = 1
-        while len(w) > 1:
-            y = poly_gcd(spec, w, c)
-            z = poly_divmod(spec, w, y)[0]
-            if len(z) > 1:
-                out.append((z, mult * i))
-            w = y
-            c = poly_divmod(spec, c, y)[0]
-            i += 1
-        # what is left of c carries the factors of p-divisible multiplicity;
-        # the derivative-zero branch of the recursion supplies the factor p
-        if len(c) > 1:
-            rec(c, mult)
-
-    rec(f, 1)
-    return out
-
-
-def _distinct_degree(spec, f):
-    """Split a monic squarefree poly into (product, degree) components."""
-    q = spec.order
-    out = []
-    x = [spec.zero, spec.one]
-    r = x
-    d = 0
-    rest = f
-    while len(rest) - 1 > 2 * d:
-        d += 1
-        r = poly_pow_mod(spec, r, q, rest)
-        g = poly_gcd(spec, rest, poly_sub(spec, r, x))
-        if len(g) > 1:
-            out.append((g, d))
-            rest = poly_divmod(spec, rest, g)[0]
-            r = poly_mod(spec, r, rest)
-    if len(rest) > 1:
-        out.append((rest, len(rest) - 1))
-    return out
-
-
-def _random_poly(spec, degree, rng):
-    return poly_trim(spec, [rng.randrange(spec.order) for _ in range(degree)])
-
-
-def _equal_degree(spec, f, d, rng):
-    """Cantor-Zassenhaus split of a product of degree-d irreducibles."""
+def _equal_degree(spec, f, rng):
+    """Cantor-Zassenhaus split of a product of distinct monic linear
+    factors into those factors."""
     n = len(f) - 1
-    if n == d:
+    if n == 1:
         return [f]
-    q = spec.order
     while True:
-        r = _random_poly(spec, n, rng)
-        if len(r) <= 1 and (not r or d > 1):
+        r = poly_trim(spec, [rng.randrange(spec.order) for _ in range(n)])
+        if not r:
             continue
         if spec.p == 2:
-            # trace map over GF(2): sum of conjugate squarings
+            # trace map of GF(2^m) onto GF(2): the sum of m squarings
             t = poly_mod(spec, r, f)
             acc = t
-            e_bits = spec.m * d
-            for _ in range(e_bits - 1):
+            for _ in range(spec.m - 1):
                 t = poly_mod(spec, poly_mul(spec, t, t), f)
                 acc = poly_add(spec, acc, t)
             g = poly_gcd(spec, f, acc)
         else:
-            e = (q ** d - 1) // 2
-            w = poly_pow_mod(spec, r, e, f)
+            w = poly_pow_mod(spec, r, (spec.order - 1) // 2, f)
             g = poly_gcd(spec, f, poly_sub(spec, w, [spec.one]))
         if 1 < len(g) < len(f):
-            left = _equal_degree(spec, g, d, rng)
-            right = _equal_degree(spec, poly_divmod(spec, f, g)[0], d, rng)
-            return left + right
+            return (_equal_degree(spec, g, rng)
+                    + _equal_degree(spec, poly_divmod(spec, f, g)[0], rng))
 
 
 def poly_factor(spec, f, seed=0):
-    """Factor a nonzero polynomial into monic irreducibles.
+    """Factor a nonzero polynomial that splits over ``spec`` into linear
+    factors, by root finding.
 
-    Returns a list of (irreducible, multiplicity) pairs, sorted so repeated
-    runs produce identical output for identical seeds.
+    While f has positive degree, the roots of its squarefree part s = f /
+    gcd(f, f') (s = f when f' = 0) in the field are the linear factors of
+    gcd(s, t^q - t); each is divided out of f as often as it goes.  Returns
+    the (monic linear factor, multiplicity) pairs, sorted so repeated runs
+    produce identical output for identical seeds.  Raises
+    SplitFieldTooSmall when f has an irreducible factor of degree above one.
     """
     rng = Random(seed)
+    f = poly_monic(spec, f)
+    x = [spec.zero, spec.one]
     factors = []
-    for g, mult in _squarefree_decomposition(spec, f):
-        for h, d in _distinct_degree(spec, g):
-            for irr in _equal_degree(spec, h, d, rng):
-                factors.append((tuple(poly_monic(spec, irr)), mult))
+    while len(f) > 1:
+        df = poly_deriv(spec, f)
+        s = poly_divmod(spec, f, poly_gcd(spec, f, df))[0] if df else f
+        r = poly_gcd(spec, s, poly_sub(
+            spec, poly_pow_mod(spec, x, spec.order, s), x))
+        if len(r) == 1:
+            raise SplitFieldTooSmall(
+                f"polynomial has no root in GF({spec.p}^{spec.m})")
+        for lin in _equal_degree(spec, r, rng):
+            mult = 0
+            quo, rem = poly_divmod(spec, f, lin)
+            while not rem:
+                f, mult = quo, mult + 1
+                quo, rem = poly_divmod(spec, f, lin)
+            factors.append((tuple(lin), mult))
     factors.sort(key=lambda fm: (len(fm[0]), fm[0], fm[1]))
     return factors
 

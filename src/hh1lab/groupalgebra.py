@@ -318,13 +318,14 @@ def block_decompose(A, G, p, seed=0):
 
     A worklist of orthogonal central idempotents starts from the unit.  For
     an idempotent e taken off it, the minimal polynomial of z_i e on eZ is
-    factored for each class sum z_i in turn (distinct-degree plus
-    equal-degree splitting, PRNG seeded deterministically).  Two or more
-    coprime factors split e into idempotents that go back on the list and
-    resume the scan at the class that split e; when no class splits e it is
-    primitive, and the roots of its single linear factors are its central
-    character.  Blocks are ordered: principal first, then by dimension,
-    then by idempotent coordinates.
+    factored for each class sum z_i in turn.  Its roots are central-
+    character values, which lie in the splitting field, so factoring is
+    root finding (`poly_factor`, PRNG seeded deterministically).  Two or
+    more coprime factors split e into idempotents that go back on the list
+    and resume the scan at the class that split e; when no class splits e
+    it is primitive, and the roots of its single linear factors are its
+    central character.  Blocks are ordered: principal first, then by
+    dimension, then by idempotent coordinates.
     """
     spec = A.field
     if spec.p != p:
@@ -351,12 +352,8 @@ def block_decompose(A, G, p, seed=0):
                          _split_idempotent(cb, mu, factors, w, e)]
                 break
             (irr, _), = factors
-            lam.append(spec.neg(irr[0]) if len(irr) == 2 else None)
+            lam.append(spec.neg(irr[0]))
         else:
-            if None in lam:
-                raise SplitFieldTooSmall(
-                    "central character value outside the field; "
-                    "splitting degree computation is wrong")
             blocks.append(BlockData(
                 index=0, idempotent_class_coords=e,
                 dim=_block_dimension(A, G, e) if materialize else None,

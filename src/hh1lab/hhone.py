@@ -199,9 +199,22 @@ def _derivations_group_like(A):
 
     # entry w*n + i of derivation b is row i of C[w] @ kern[b]; the RREF
     # makes the basis canonical
-    flat = (C.reshape(n * n, n * r) @ kern.T % p).T
+    flat = _matmul_mod(C.reshape(n * n, n * r), kern.T, p).T
     rref, pivots = np_rref_mod_p(flat, p)
     return rref[:len(pivots)].tolist()
+
+
+def _matmul_mod(a, b, p):
+    """a @ b mod p for int arrays with entries in [0, p).  The sums stay
+    below k (p-1)^2, k the inner dimension: below 2^53 float64 is exact,
+    by einsum, as matmul's threaded BLAS spins its workers after each
+    call; above, Python ints."""
+    if a.shape[-1] * (p - 1) ** 2 < 2 ** 53:
+        prod = np.einsum("...ij,jk->...ik", a.astype(np.float64),
+                         b.astype(np.float64))
+    else:
+        prod = a.astype(object) @ b.astype(object)
+    return (prod % p).astype(np.int64)
 
 
 def derivation_space(A):
@@ -351,7 +364,7 @@ def _block_hh1(whole, b):
         # column i of R is the digit k of e_i b = sum_g b_g e_{ig}
         R = np.zeros((n, n), dtype=np.int64)
         R[table, np.arange(n)[:, None]] = (bvec // p ** k % p).astype(np.int64)
-        der += (D @ R % p).astype(object) * p ** k
+        der += _matmul_mod(D, R, p).astype(object) * p ** k
         cen += (R @ sums % p).astype(object) * p ** k
     inner = b.dim - _rank(cen.T, spec)
     return _rank(der.reshape(len(D), n * n), spec) - inner

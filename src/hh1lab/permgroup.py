@@ -487,7 +487,9 @@ def p_rank_abelianization(H, p):
     kbase, pending = [], []
     for a in H.generators:
         pending += [a.inv() * b.inv() * a * b for b in H.generators]
-        pending.append(functools.reduce(Perm.__mul__, [a] * p))
+        k = p % a.order()  # a^p = a^k, and K holds the identity already
+        if k:
+            pending.append(functools.reduce(Perm.__mul__, [a] * k))
     sub_order = 1
     while pending and sub_order < H.order:
         s = pending.pop(0)

@@ -44,6 +44,20 @@ def test_hh1_v4_both_methods_agree(capsys):
     assert doc["consistency"]["oracle_equals_solver"] is True
 
 
+@pytest.mark.parametrize("group,p", [("V4", 2147483647), ("S3", 2147483647),
+                                     ("S3", 4294967311)])
+def test_hh1_at_a_large_prime(capsys, group, p):
+    # sums of products of residues overflow int64 at these primes, and the
+    # oracle must not form a^p as p products
+    code, doc = run_cli(capsys, ["hh1", "--group", group, "--prime", str(p),
+                                 "--method", "both"])
+    assert code == 0
+    assert sum(b["hh1_dim"] for b in doc["blocks"]) == 0
+    assert doc["consistency"]["whole_algebra_hh1"] == 0
+    assert doc["consistency"]["block_sum_equals_whole"] is True
+    assert doc["totals"]["oracle_total"] == 0
+
+
 def test_hh1_s3_at_3_verdict(capsys):
     code, doc = run_cli(capsys, ["hh1", "--group", "S3", "--prime", "3"])
     assert code == 0
@@ -303,7 +317,8 @@ def test_module_entry_point():
 
 @pytest.mark.parametrize("argv", [
     ["hh1", "--group", "S4", "--prime", "2"],
-    ["happel", "--group-as-category", "S3", "--prime", "3"]])
+    ["happel", "--group-as-category", "S3", "--prime", "3"],
+    ["blocks", "--group", "S4", "--prime", "3"]])
 def test_optimized_mode_prints_the_same_document(tmp_path, argv):
     # the invariants are checks that raise, not asserts that -O strips
     docs = []

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hh1lab import ffield
-from hh1lab.errors import DegreeOutOfRange, DivisionByZero, NotPrime
+from hh1lab.errors import (DegreeOutOfRange, DivisionByZero, NotPrime,
+                           SplitFieldTooSmall)
 from hh1lab.ffield import (echelonize, field_make, np_kernel_mod_p,
                            np_rref_mod_p, poly_factor, poly_monic, poly_mul,
-                           poly_trim, rank_nullspace_raw, sparse_rows)
+                           rank_nullspace_raw, sparse_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -128,15 +129,6 @@ def test_unit_law_all_elements():
             assert f.mul(f.one, x) == x
 
 
-def test_frobenius_m_times_is_identity_on_gf4():
-    f = field_make(2, 2)
-    for x in f.elements():
-        y = x
-        for _ in range(f.m):
-            y = f.frobenius(y)
-        assert y == x
-
-
 @pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (5, 2)])
 def test_field_axioms_sampled(p, m):
     f = field_make(p, m)
@@ -149,7 +141,6 @@ def test_field_axioms_sampled(p, m):
         assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
         if not f.is_zero(a):
             assert f.mul(a, f.inv(a)) == f.one
-        assert f.frobenius(a) == f.pow(a, p)
 
 
 def test_division_by_zero():
@@ -165,23 +156,38 @@ def test_division_by_zero():
 
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)])
 def test_factor_products_reassemble(p, m):
+    # products of random linear factors, with multiplicities up to 2p so
+    # that multiples of p, which f' does not see, occur
     f = field_make(p, m)
     rng = random.Random(13)
-    els = list(f.elements())
     for _ in range(50):
-        deg = rng.randrange(1, 7)
-        coeffs = [els[rng.randrange(len(els))] for _ in range(deg)] + [f.one]
-        poly = poly_trim(f, coeffs)
-        if len(poly) <= 1:
-            continue
+        roots = rng.sample(range(f.order),
+                           rng.randrange(1, min(f.order, 4) + 1))
+        mults = [rng.randrange(1, 2 * p + 1) for _ in roots]
+        lead = rng.randrange(1, f.order)
+        poly = [lead]
+        for root, mult in zip(roots, mults):
+            for _ in range(mult):
+                poly = poly_mul(f, poly, [f.neg(root), f.one])
         factors = poly_factor(f, poly, seed=3)
+        assert factors == sorted(factors)
+        assert sorted((irr[0], mult) for irr, mult in factors) == \
+            sorted((f.neg(root), mult) for root, mult in zip(roots, mults))
         acc = [f.one]
         for irr, mult in factors:
+            assert len(irr) == 2 and irr[-1] == f.one  # monic linear
             for _ in range(mult):
                 acc = poly_mul(f, acc, list(irr))
         assert acc == poly_monic(f, poly)
-        for irr, _ in factors:
-            assert irr[-1] == f.one  # monic
+
+
+@pytest.mark.parametrize("p,poly", [(2, [1, 1, 1]), (3, [1, 0, 1]),
+                                    (3, [1, 1, 1, 1])])
+def test_factor_without_enough_roots_is_refused(p, poly):
+    # t^2+t+1 over GF(2) and t^2+1 over GF(3) are irreducible; the cubic
+    # is (t+1)(t^2+1) over GF(3): one root, then nothing left to find
+    with pytest.raises(SplitFieldTooSmall):
+        poly_factor(field_make(p, 1), poly)
 
 
 def test_factor_deterministic_under_seed():
@@ -443,8 +449,6 @@ def test_odd_extension_arithmetic_matches_reference(p, m, data):
     assert f.neg(a) == ref_int(f, [(-x) % p for x in va])
     assert f.mul(a, b) == ref_mul(f, a, b)
     assert f.pow(a, e) == ref_pow(f, a, e)
-    assert f.frobenius(a) == ref_pow(f, a, p)
-    assert ref_pow(f, f.frobenius_inv(a), p) == a
     if a:
         assert ref_mul(f, a, f.inv(a)) == 1
     assert list(f.coeffs(a)) == va

@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 from test_permindex import groups
 
 from hh1lab.catalgebra import radical_and_semisimplicity
-from hh1lab.errors import FieldMismatch
+from hh1lab.errors import FieldMismatch, SplitFieldTooSmall
 from hh1lab.groupalgebra import (block_algebra, block_decompose, center,
                                  group_algebra, splitting_degree,
                                  tensor_algebra)
@@ -273,6 +273,19 @@ def test_split_pieces_resume_at_the_splitting_class(corpus, monkeypatch,
     G = corpus[name]
     blocks = block_decompose(group_algebra(G, p), G, p)
     assert len(calls) <= len(blocks) * len(G.conjugacy_classes())
+
+
+def test_blocks_over_a_field_without_the_character_values(corpus,
+                                                         monkeypatch):
+    # over GF(2), a class sum of C3 has minimal polynomial t^3 - 1 = (t +
+    # 1)(t^2 + t + 1) on Z(kC3): its characters need GF(4)
+    from hh1lab import groupalgebra
+    monkeypatch.setattr(groupalgebra, "splitting_degree", lambda G, p: 1)
+    G = corpus["C3"]
+    A = group_algebra(G, 2)
+    assert A.field.order == 2
+    with pytest.raises(SplitFieldTooSmall):
+        block_decompose(A, G, 2)
 
 
 # (idempotent class coordinates, central character) per block.  Both come

@@ -89,7 +89,7 @@ def test_general_solver_equals_propagation_on_c2_cubed(p):
 
 
 @PROPERTY
-@given(G=groups(5, 24), p=st.sampled_from([2, 3, 5]))
+@given(G=groups(5, 24, aim=12), p=st.sampled_from([2, 3, 5]))
 def test_general_solver_equals_propagation_on_generated_groups(G, p):
     _assert_solvers_agree(G, p)
 
@@ -146,6 +146,10 @@ def test_oracle_cyclic_groups(corpus):
 def test_oracle_v4_and_d8(corpus):
     assert additive_oracle(corpus["V4"], 2) == 8
     assert additive_oracle(corpus["D8"], 2) == 9
+
+
+def test_oracle_at_a_prime_far_above_the_element_orders(corpus):
+    assert additive_oracle(corpus["S3"], 2147483647) == 0
 
 
 def test_oracle_matches_solver_smoke(corpus):
