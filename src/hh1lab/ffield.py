@@ -433,8 +433,12 @@ def _lex_least_irreducible(p, m):
     """
     if m == 1:
         return (0, 1)  # the polynomial t
-    # value - p^m runs through the tails; the digits of value are f itself
-    for value in range(p ** m, 2 * p ** m):
+    # value - p^m runs through the tails; the digits of value are f itself.
+    # The first p make t^m + c, none irreducible when a prime factor of m
+    # misses p - 1, or 4 | m and p = 3 mod 4 (Lidl-Niederreiter Thm 3.75).
+    skip = (any((p - 1) % r for r in prime_factors(m))
+            or m % 4 == 0 and p % 4 == 3)
+    for value in range(p ** m + p * skip, 2 * p ** m):
         if (_gf2p_irreducible(value) if p == 2
                 else _fpp_irreducible(_digits(value, p), p)):
             return _digits(value, p)

@@ -1,16 +1,14 @@
 """Permutation groups by explicit element enumeration.
 
-Groups are given by generators acting on {0..degree-1}; the element set is
-enumerated breadth-first (capped) and kept as a numpy array of image rows.
-Every target group fits in memory as image lists.
-
-Elements are found through one sorted index of base images, built on
-first use; a base is a set of points whose images tell all elements apart
-(Seress, *Permutation Group Algorithms*, 2003).  ``lookup(rows)`` takes
-rows that may lie outside the group and confirms each hit on the full row
-(-1 for non-members); ``locate(base_images)`` takes products of elements,
-members by construction, from their |base| columns alone.  Classes,
-centralizers, normalizers and p-ranks are vectorised on these two.
+Groups are given by generators acting on {0..degree-1}.  A stabilizer chain
+gives the order and a base, points whose images tell all elements apart
+(Seress, *Permutation Group Algorithms*, 2003); the capped breadth-first
+enumeration fills a numpy array of image rows and keys their base images
+into one sorted index.  ``lookup(rows)`` takes rows that may lie outside
+the group and confirms each hit on the full row (-1 for non-members);
+``locate(base_images)`` takes products of elements, members by
+construction, from their |base| columns alone.  Classes, centralizers,
+normalizers and p-ranks are vectorised on these two.
 
 The on-disk group format is text: a ``degree n`` line, then one generator
 per line as n whitespace-separated 1-based images.  Lines starting with
@@ -21,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,73 +112,129 @@ def _np_dtype(degree):
     return np.uint8 if degree <= 255 else np.uint16
 
 
-def _keys(rows, dtype):
-    """One bytes key per row; big-endian bytes sort like the numbers."""
-    rows = np.ascontiguousarray(rows, dtype=np.dtype(dtype).newbyteorder(">"))
-    return rows.view(f"V{rows.shape[1] * rows.itemsize}").ravel()
+def _pack(images, degree):
+    """Keys of base-image rows (the last axis) that sort like the rows."""
+    k = images.shape[-1]
+    if degree ** k >= 1 << 63:  # the images' bytes
+        return np.ascontiguousarray(images, ">u2").view(f"V{2 * k}")[..., 0]
+    return images.dot(_radix(degree, k))
+
+
+@functools.lru_cache(maxsize=None)
+def _radix(degree, k):
+    return degree ** np.arange(k - 1, -1, -1, dtype=np.int64)
+
+
+def _stabilizer_chain(degree, gen_rows, order_cap, memory_cap):
+    """(base, |G|) by Schreier-Sims over 0..degree-1 (Seress 2003, Sec. 4.2):
+    level y keeps the orbit of y under the generators fixing 0..y-1, each
+    point with an element taking it to y; non-trivial levels are the base."""
+    def mul(a, b):  # a*b: apply b first
+        return tuple(map(a.__getitem__, b))
+
+    def inv(a):
+        return tuple(sorted(range(degree), key=a.__getitem__))
+
+    def moved(g, x):  # the first point from x on that g moves, or None
+        return next((y for y in range(x, degree) if g[y] != y), None)
+
+    # generator k = (s, s^-1, lo, hi) acts on the levels lo < y <= hi;
+    # todo holds the Schreier pairs (level, point, k) still to sift
+    strong, reps, paired, todo = [], {}, set(), []
+
+    def add(s, lo):
+        strong.append((s, inv(s), lo, hi := moved(s, 0)))
+        reps.setdefault(hi, {hi: tuple(range(degree))})
+        for y, orbit in [(y, o) for y, o in reps.items() if lo < y <= hi]:
+            for beta in (queue := list(orbit)):  # grows with the orbit
+                for k, (t, t_inv, a, b) in enumerate(strong):
+                    if a < y <= b and (y, beta, k) not in paired:
+                        paired.add((y, beta, k))
+                        if t[beta] in orbit:
+                            todo.append((y, beta, k))
+                        else:  # a tree edge: its Schreier generator is 1
+                            orbit[t[beta]] = mul(orbit[beta], t_inv)
+                            queue.append(t[beta])
+        lower = math.prod(map(len, reps.values()))  # |G| is at least this
+        if (lower > order_cap
+                or 8 * degree * sum(map(len, reps.values())) > memory_cap):
+            raise OrderCapExceeded(
+                f"group of at least {lower} elements: its stabilizer chain "
+                f"is past the caps ({order_cap} elements, {memory_cap} bytes)")
+
+    for g in [g for g in gen_rows if moved(g, 0) is not None]:
+        add(g, -1)
+    while todo:  # the top level first: every level above it is complete
+        y, beta, k = todo.pop(todo.index(max(todo)))
+        orbit, s = reps[y], strong[k][0]
+        g = mul(orbit[s[beta]], s)  # times w_beta^-1, it fixes y
+        if g == orbit[beta]:
+            continue
+        g = mul(g, inv(orbit[beta]))
+        x = moved(g, y + 1)
+        while x is not None and g[x] in reps.get(x, ()):
+            g = mul(reps[x][g[x]], g)
+            x = moved(g, x + 1)
+        if x is not None:  # g is new to the levels above y
+            add(g, y)
+    order = math.prod(map(len, reps.values()))
+    if order * degree * np.dtype(_np_dtype(degree)).itemsize > memory_cap:
+        raise OrderCapExceeded(
+            f"enumeration needs more than {memory_cap} bytes ({order} "
+            f"elements of degree {degree}); raise the memory cap "
+            "(--allow-large) for stretch groups")
+    return np.array(sorted(reps) or [0], dtype=np.intp), order
 
 
 def _closure_rows(degree, gen_rows, order_cap, memory_cap):
-    """Breadth-first closure of generator image rows.
-
-    Returns the array of element rows.  Enumeration order is
-    deterministic: BFS level by level, lexicographic inside each level,
-    identity first.
-    """
+    """Breadth-first closure of generator image rows: (rows, base, keys),
+    each level sorted by key: rows first differ at a base point."""
     dtype = _np_dtype(degree)
-    width = degree * np.dtype(dtype).itemsize
-    ident = np.arange(degree, dtype=dtype)
-    gens = [np.asarray(g, dtype=dtype) for g in gen_rows]
-    seen = {ident.tobytes()}
-    levels = [ident[None]]
-    total = 1
-    while gens:
-        batch = np.concatenate([levels[-1][:, g] for g in gens])
-        keys = _keys(batch, dtype)
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        batch = batch[order[np.r_[True, keys[1:] != keys[:-1]]]]
-        buf = batch.tobytes()
-        fresh = []
-        for i in range(len(batch)):
-            key = buf[i * width:(i + 1) * width]
-            if key not in seen:
-                seen.add(key)
-                fresh.append(i)
-        if not fresh:
-            break
-        total += len(fresh)
-        if total > order_cap:
-            raise OrderCapExceeded(
-                f"enumeration exceeded the order cap {order_cap}")
-        if total * width > memory_cap:
-            raise OrderCapExceeded(
-                f"enumeration needs more than {memory_cap} bytes "
-                f"({total} elements of degree {degree}); "
-                "raise the memory cap (--allow-large) for stretch groups")
-        levels.append(batch[fresh])
-    return np.concatenate(levels)
+    if all(g == tuple(range(degree)) for g in gen_rows):  # needs no chain
+        return np.arange(degree, dtype=dtype)[None], *np.zeros((2, 1), int)
+    base, order = _stabilizer_chain(degree, gen_rows, order_cap, memory_cap)
+    rows = np.empty((order, degree), dtype=dtype)
+    rows[0] = np.arange(degree)
+    gens = np.array(gen_rows, dtype=dtype)  # h*g: base images h[g[base]]
+    keys = [_pack(base[None], degree)]
+    seen, start, end = keys[0], 0, 1  # seen: every key so far, sorted
+    while start < end:
+        level = rows[start:end]
+        batch = _pack(level.take(gens[:, base], axis=1), degree).ravel()
+        by_key = batch.argsort(kind="stable")
+        batch = batch[by_key]
+        fresh = seen.take(seen.searchsorted(batch), mode="clip") != batch
+        fresh[1:] &= batch[1:] != batch[:-1]
+        src, which = np.divmod(by_key[fresh], len(gens))
+        start, end = end, end + len(src)
+        if end > order or start == end < order:  # the chain is wrong
+            raise InvariantViolation(f"enumerated {end}, chain order {order}")
+        rows[start:end] = level[src[:, None], gens[which]]
+        keys.append(batch[fresh])
+        seen = np.sort(np.concatenate([seen, keys[-1]]), kind="stable")
+    return rows, base, np.concatenate(keys)
 
 
 class PermGroup:
     """A finite permutation group with fully enumerated elements.
 
     Immutable after construction.  Lazy invariants (the base index,
-    conjugacy classes) are computed once, each under its own lock, so
-    concurrent readers observe a single consistent result.
+    conjugacy classes) are computed on first use, without a lock.
     """
 
     def __init__(self, degree, generators, elements,
-                 order_cap=DEFAULT_ORDER_CAP, memory_cap=DEFAULT_MEMORY_CAP):
+                 order_cap=DEFAULT_ORDER_CAP, memory_cap=DEFAULT_MEMORY_CAP,
+                 base=None, keys=None):
         self.degree = degree
         self.generators = list(generators)
         self._elements = elements
         self.order = len(elements)
         self.order_cap = order_cap
         self.memory_cap = memory_cap
-        self._lock = threading.Lock()
         self._classes = None
-        self._index_lock = threading.Lock()
+        if base is None:  # rows given directly: keyed by the full rows
+            base, keys = np.arange(degree), _pack(elements, degree)
+        self._base_keys = base, keys
         self._base_index = None
 
     # -- construction -------------------------------------------------------
@@ -190,16 +243,13 @@ class PermGroup:
     def from_generators(cls, degree, generators,
                         order_cap=DEFAULT_ORDER_CAP,
                         memory_cap=DEFAULT_MEMORY_CAP):
-        gens = []
-        for g in generators:
-            perm = g if isinstance(g, Perm) else Perm(g)
-            if perm.degree != degree:
-                raise InvalidPermutation(
-                    f"generator degree {perm.degree} != {degree}")
-            gens.append(perm)
-        rows = _closure_rows(degree, [g.images for g in gens],
-                             order_cap, memory_cap)
-        return cls(degree, gens, rows, order_cap, memory_cap)
+        gens = [g if isinstance(g, Perm) else Perm(g) for g in generators]
+        bad = [g.degree for g in gens if g.degree != degree]
+        if bad:
+            raise InvalidPermutation(f"generator degree {bad[0]} != {degree}")
+        rows, base, keys = _closure_rows(degree, [g.images for g in gens],
+                                         order_cap, memory_cap)
+        return cls(degree, gens, rows, order_cap, memory_cap, base, keys)
 
     @classmethod
     def from_element_rows(cls, degree, rows, order_cap=DEFAULT_ORDER_CAP,
@@ -219,25 +269,12 @@ class PermGroup:
 
     def _index(self):
         """(base, sorted base-image keys, element index of each key)."""
-        with self._index_lock:
-            if self._base_index is None:
-                # greedy base: each point whose images split the rows further
-                E, n = self._elements, self.order
-                base, labels, parts = [], np.zeros(n, dtype=np.int64), 1
-                for x in range(self.degree):
-                    if parts == n:
-                        break
-                    _, refined = np.unique(labels * self.degree + E[:, x],
-                                           return_inverse=True)
-                    if refined.max() + 1 > parts:
-                        base.append(x)
-                        labels, parts = refined.reshape(n), refined.max() + 1
-                if parts < n:
-                    raise InvariantViolation("element rows are not distinct")
-                base = np.array(base or [0], dtype=np.intp)
-                keys = _keys(E[:, base], E.dtype)
-                order = np.argsort(keys, kind="stable")
-                self._base_index = base, keys[order], order
+        if self._base_index is None:
+            base, keys = self._base_keys
+            order = np.argsort(keys, kind="stable")
+            if np.any(keys[order[1:]] == keys[order[:-1]]):
+                raise InvariantViolation("element rows are not distinct")
+            self._base_index = base, keys[order], order
         return self._base_index
 
     @property
@@ -248,7 +285,7 @@ class PermGroup:
     def _find(self, base_images):
         # element index of each row of base images, -1 where no key matches
         _, keys, order = self._index()
-        query = _keys(base_images, self._elements.dtype)
+        query = _pack(np.asarray(base_images), self.degree)
         pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
         return np.where(keys[pos] == query, order[pos], -1)
 
@@ -323,9 +360,8 @@ class PermGroup:
     # -- conjugacy classes ---------------------------------------------------
 
     def conjugacy_classes(self):
-        with self._lock:
-            if self._classes is None:
-                self._classes = self._compute_classes()
+        if self._classes is None:
+            self._classes = self._compute_classes()
         return self._classes
 
     def _compute_classes(self):

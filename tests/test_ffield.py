@@ -62,6 +62,25 @@ def test_field_make_errors():
     assert big.m == 17
 
 
+def _scan_every_tail(p, m):
+    """The lex-least scan from the first tail on, binomials included."""
+    for value in range(p ** m, 2 * p ** m):
+        f = ffield._digits(value, p)
+        if (ffield._gf2p_irreducible(value) if p == 2
+                else ffield._fpp_irreducible(f, p)):
+            return f
+    raise AssertionError
+
+
+@pytest.mark.parametrize("p", [p for p in range(60) if ffield.is_prime(p)])
+def test_lex_least_modulus_equals_the_scan_of_every_tail(p):
+    # the binomials t^m + c are skipped only where none is irreducible;
+    # at degree 1, t itself comes first (the Rabin test needs m >= 2)
+    assert ffield._lex_least_irreducible(p, 1) == (0, 1)
+    for m in range(2, 7):
+        assert ffield._lex_least_irreducible(p, m) == _scan_every_tail(p, m)
+
+
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3),
                                  (3, 2), (5, 2)])
 def test_modulus_is_irreducible_by_brute_force(p, m):

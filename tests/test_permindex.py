@@ -1,10 +1,11 @@
 """The base-image element index of PermGroup and the code built on it.
 
-Property tests check lookups, classes, the center, centralizers,
-normalizers and p-ranks of random small groups against brute-force
-references that never touch the index.  Pin tests hold element order and
-class data to values recorded before the index replaced the bytes-keyed
-dict.
+Property tests check the enumeration, lookups, classes, the center,
+centralizers, normalizers and p-ranks of random small groups against
+brute-force references that never touch the index or the chain.  Pin
+tests hold element order and class data to values recorded before the
+index replaced the bytes-keyed dict, and before the stabilizer chain
+replaced the bytes-keyed enumeration.
 """
 
 import hashlib
@@ -15,11 +16,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st, target
 
-from hh1lab.cli import CorpusManifest, resolve_group
-from hh1lab.errors import InvariantViolation, NotAMember
+from hh1lab import permgroup
+from hh1lab.cli import CorpusManifest, main, resolve_group
+from hh1lab.errors import InvariantViolation, NotAMember, OrderCapExceeded
 from hh1lab.groupalgebra import center, group_algebra
 from hh1lab.hhone import additive_oracle
-from hh1lab.permgroup import (Perm, PermGroup, centralizer,
+from hh1lab.permgroup import (Perm, PermGroup, centralizer, direct_product,
                               group_from_generators, normalizer,
                               p_rank_abelianization)
 
@@ -205,6 +207,107 @@ def test_p_rank_matches_a_naive_closure(G, p):
     assert p_rank_abelianization(G, p) == d
 
 
+# -- the stabilizer chain and the enumeration against set-based references --
+
+
+def _reference_rows(degree, gens):
+    """Breadth-first closure deduplicated with a Python set, each level
+    sorted by full rows: identity first, then the products h*g of the last
+    level's elements h with each generator g that were not seen before."""
+    level = [tuple(range(degree))]
+    seen = set(level)
+    rows = list(level)
+    while level:
+        level = sorted({tuple(h[x] for x in g) for h in level
+                        for g in gens} - seen)
+        seen.update(level)
+        rows += level
+    return rows
+
+
+def _greedy_base(rows):
+    """Each point, in order, whose images split the rows further, until
+    they are told apart; [0] for the trivial group."""
+    base, labels = [], [()] * len(rows)
+    for x in range(len(rows[0])):
+        if len(set(labels)) == len(rows):
+            break
+        refined = [label + (r[x],) for label, r in zip(labels, rows)]
+        if len(set(refined)) > len(set(labels)):
+            base.append(x)
+            labels = refined
+    return base or [0]
+
+
+def _check_enumeration(G):
+    gens = [g.images for g in G.generators]
+    rows = _reference_rows(G.degree, gens)
+    assert G.element_rows().tolist() == [list(r) for r in rows]
+    assert permgroup._stabilizer_chain(
+        G.degree, gens, math.inf, math.inf)[1] == G.order
+    assert G.base.tolist() == _greedy_base(rows)
+
+
+@PROPERTY
+@given(groups(7, 5040))
+def test_enumeration_matches_a_set_based_closure(G):
+    _check_enumeration(G)
+
+
+@PROPERTY
+@given(groups(5, 60), groups(5, 60))
+def test_direct_products_match_a_set_based_closure(G, H):
+    # products stack the factors' bases: longer bases than one factor has
+    _check_enumeration(direct_product(G, H))
+
+
+def test_a_base_too_long_for_integer_keys():
+    # eight disjoint transpositions on 300 points: base 0, 2, ..., 14, and
+    # 300^8 > 2^63, so the keys are the base images' bytes
+    gens = [Perm([x ^ 1 if x == 2 * i or x == 2 * i + 1 else x
+                  for x in range(300)]) for i in range(8)]
+    G = group_from_generators(300, gens)
+    _check_enumeration(G)
+    assert G.base.tolist() == list(range(0, 16, 2))
+    E = G.element_rows()
+    assert np.array_equal(G.lookup(E), np.arange(256))
+    assert np.array_equal(G.locate(E[:, G.base]), np.arange(256))
+
+
+def test_order_cap_is_checked_while_the_chain_grows():
+    # S30: the orbit lengths pass the cap long before the chain is complete
+    n = 30
+    gens = [Perm([1, 0] + list(range(2, n))), Perm(list(range(1, n)) + [0])]
+    with pytest.raises(OrderCapExceeded, match=(
+            r"group of at least \d+ elements: its stabilizer chain is past "
+            r"the caps \(2097152 elements, 33554432 bytes\)")):
+        group_from_generators(n, gens)
+
+
+def test_the_chain_is_held_to_the_memory_cap():
+    # one regular orbit of 600 points keeps 600 elements of 600 entries,
+    # 2.9 MB at 8 bytes an entry, where the table would take 0.7 MB
+    n = 600
+    with pytest.raises(OrderCapExceeded, match=(
+            r"group of at least 600 elements: its stabilizer chain is past "
+            r"the caps \(2097152 elements, 1048576 bytes\)")):
+        group_from_generators(n, [Perm(list(range(1, n)) + [0])],
+                              memory_cap=1 << 20)
+
+
+@pytest.mark.parametrize("skew", [-1, 1])
+def test_an_enumeration_off_the_chain_order_raises(monkeypatch, skew):
+    chain = permgroup._stabilizer_chain
+
+    def skewed(*args):
+        base, order = chain(*args)
+        return base, order + skew
+
+    monkeypatch.setattr(permgroup, "_stabilizer_chain", skewed)
+    with pytest.raises(InvariantViolation, match="chain order"):
+        group_from_generators(4, [Perm([1, 2, 3, 0])])
+
+
 # -- errors the index raises ------------------------------------------------
 
 
@@ -278,6 +381,8 @@ def test_j1_classes_center_and_oracle_pinned():
     except FileNotFoundError:
         pytest.skip("J1 generator file not packaged")
     G, _, _ = resolve_group("J1", allow_large=True)
+    assert hashlib.sha256(G.element_rows().tobytes()).hexdigest() == (
+        "9895184280622a2177ac9a17693f000fc27422f7fb511d987a977cba863b396a")
     classes = G.conjugacy_classes()
     assert [cl.size for cl in classes] == [
         1, 25080, 5852, 17556, 5852, 15960, 9240, 29260, 17556, 1463, 9240,
@@ -290,3 +395,25 @@ def test_j1_classes_center_and_oracle_pinned():
         np.ascontiguousarray(sc_int, dtype="<i8").tobytes()).hexdigest() == (
         "5e9ec07ac6a0897d003b7e2ef944814eecc4fb82bbe9a4bcdeb05a1924728d84")
     assert additive_oracle(G, 2) == 7
+
+
+@pytest.mark.stretch
+def test_j1_over_the_memory_cap_is_refused_before_enumeration(capsys,
+                                                             monkeypatch):
+    manifest = CorpusManifest.packaged()
+    try:
+        manifest.file_bytes(manifest.entry("J1"))
+    except FileNotFoundError:
+        pytest.skip("J1 generator file not packaged")
+
+    def no_keys(*args):
+        raise AssertionError("a row was enumerated")
+
+    # the chain gives |J1| before any row is built: no key is ever packed
+    monkeypatch.setattr(permgroup, "_pack", no_keys)
+    code = main(["hh1", "--group", "J1", "--prime", "2"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: enumeration needs more than 33554432 bytes (175560 elements "
+        "of degree 266); raise the memory cap (--allow-large) for stretch "
+        "groups\n")
