@@ -869,4 +869,4 @@ def np_kernel_mod_p(mat, p):
     returned int64 array are the RREF of the nullspace."""
     a = np.asarray(mat, dtype=np.int64) % p
     _, basis = rank_nullspace_raw(sparse_rows(a), a.shape[1], field_make(p, 1))
-    return np.array(basis, dtype=np.int64).reshape(-1, a.shape[1])
+    return np.array(basis, dtype=np.int64).reshape(len(basis), a.shape[1])

@@ -85,30 +85,6 @@ class StructAlgebra:
         v[i] = spec.one
         return tuple(v)
 
-    def is_group_like(self):
-        """True when the basis is a group under the product: every basis
-        product is a single basis element with coefficient one, the unit is
-        a single basis element, and each row of the product table is a
-        permutation, so every element has an inverse."""
-        spec = self.field
-        unit_support = [i for i, c in enumerate(self.unit) if not spec.is_zero(c)]
-        if len(unit_support) != 1 or self.unit[unit_support[0]] != spec.one:
-            return False
-        for i in range(self.dim):
-            for j in range(self.dim):
-                terms = self.sc[i, j]
-                if len(terms) != 1 or terms[0][1] != spec.one:
-                    return False
-        rows = np.sort(self.group_table(), axis=1)
-        return bool((rows == np.arange(self.dim)).all())
-
-    def group_table(self):
-        """dim x dim table of product indices (group-like algebras only)."""
-        if isinstance(self.sc, GroupTableSC):
-            return self.sc.table()
-        return np.array([[self.sc[i, j][0][0] for j in range(self.dim)]
-                         for i in range(self.dim)], dtype=np.int64)
-
     def check_unit(self):
         spec = self.field
         for i in range(self.dim):
@@ -195,13 +171,6 @@ class BlockData:
     central_character: tuple
     spec: FieldSpec
     group: object = dc_field(repr=False, default=None)
-
-    def idempotent_vector(self):
-        """Coordinates of the idempotent in kG (desk scale only)."""
-        G = self.group
-        if G.order > MATERIALIZE_DIM_CAP:
-            raise DimCapExceeded("idempotent expansion exceeds cap")
-        return _class_vector(G, self.spec, self.idempotent_class_coords)
 
 
 def _class_vector(G, spec, coords):
@@ -420,7 +389,7 @@ def _block_dimension(A, G, e_class_coords):
     bvec = _class_vector(G, spec, e_class_coords)
     # e_j b = sum of b_g e_{jg}; the jg are distinct for a fixed j
     support = [(g, v) for g, v in enumerate(bvec) if not spec.is_zero(v)]
-    table = A.group_table()
+    table = A.sc.table()
     rows = [{int(table[j, g]): v for g, v in support} for j in range(n)]
     rank, _ = rank_nullspace_raw(rows, n, spec, want_basis=False)
     return rank
@@ -438,7 +407,7 @@ def block_algebra(A, b):
     n = A.dim
     if n > MATERIALIZE_DIM_CAP:
         raise DimCapExceeded("block algebra of a stretch-scale group")
-    bvec = b.idempotent_vector()
+    bvec = _class_vector(G, spec, b.idempotent_class_coords)
     raw_rows = []
     for i in range(n):
         prod = A.multiply(A.basis_vector(i), bvec)

@@ -1,11 +1,11 @@
 """First Hochschild cohomology by two independent routes.
 
-Route one solves the Leibniz linear system for derivations of a structure-
-constant algebra and subtracts the inner ones (dim A - dim Z(A)).  Route
-two never touches linear algebra: it sums p-ranks of abelianised
-centralizers over conjugacy classes.  The two are compared on every report.
-Block values come from the one whole-algebra solve: every derivation of kG
-kills the central idempotents, so Der(kG) is the sum of the Der(kGb).
+Route one is linear algebra: for kG and its blocks, the cocycles
+Z^1(G, kG) solved one conjugacy class at a time (`cocycle_space`); for
+other algebras, the Leibniz system for derivations less the inner ones
+(`derivation_space`).  Route two never touches linear algebra: it sums
+p-ranks of abelianised centralizers over conjugacy classes.  The two are
+compared on every report.
 
 Also here: the tensor-product dimension identity, the cyclic-block
 dimension formula, principal-block inertial quotients, and the subtraction
@@ -15,6 +15,7 @@ bookkeeping used to pin down a principal block from a whole-algebra total.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -24,7 +25,7 @@ from .errors import (DimCapExceeded, InvariantViolation, NegativeResult,
 # echelonize and block_algebra are not called here; the benchmark tracer
 # wraps them by name
 from .ffield import (echelonize, is_prime, np_kernel_mod_p, np_rref_mod_p,
-                     rank_nullspace_raw, sparse_rows)
+                     rank_nullspace_raw)
 from .groupalgebra import block_algebra, block_decompose, group_algebra
 from .permgroup import (centralizer, normalizer, p_rank_abelianization,
                         subgroup_centralizer, sylow_subgroup)
@@ -42,7 +43,6 @@ class DerivationSpace:
     so inner derivations contribute exactly dim A - dim Z(A).
     """
 
-    algebra: object
     der_dim: int
     center_dim: int
     hh1_dim: int
@@ -135,104 +135,19 @@ def _leibniz_rows(A):
                     yield row
 
 
-def _derivations_general(A):
-    """Kernel of the Leibniz system; returns raw basis vectors (length n^2)."""
-    return rank_nullspace_raw(_leibniz_rows(A), A.dim ** 2, A.field)[1]
-
-
-def _derivations_group_like(A):
-    """Derivation basis for an algebra whose basis is a group.
-
-    With D(e_s) unknown for each generator s, the Leibniz rule D(e_w e_s) =
-    D(e_w) e_s + e_w D(e_s) gives D(e_ws) as a coefficient matrix C[ws]
-    over those unknowns.  One breadth-first pass from the identity forms
-    that term once per (element, generator) pair: the first visit of ws
-    defines C[ws], every later visit is a residual constraint.  Output is
-    identical to the general solver.
-    """
-    spec = A.field
-    p = spec.p
-    n = A.dim
-    table = A.group_table()
-    e0 = next(i for i, c in enumerate(A.unit) if not spec.is_zero(c))
-    inv = np.argmax(table == e0, axis=1)
-
-    # greedy generators: each is the first element outside the subgroup
-    # the earlier ones generate, which grows by right multiplication
-    gens = []
-    member = np.zeros(n, dtype=bool)
-    member[e0] = True
-    for idx in range(n):
-        if member[idx]:
-            continue
-        gens.append(idx)
-        size = 0
-        while size != np.count_nonzero(member):
-            size = np.count_nonzero(member)
-            member[table[np.ix_(member, gens)]] = True
-    r = len(gens)
-    if r == 0:
-        return []  # the ground field: no nonzero derivations
-
-    # C[w] is the n x n*r matrix taking the generator images to D(e_w); of
-    # the n*r pairs, n - 1 are tree edges and the rest residual rows
-    C = np.zeros((n, n, n * r), dtype=np.int64)
-    resid = np.zeros((n * r - n + 1, n, n * r), dtype=np.int64)
-    seen = np.zeros(n, dtype=bool)
-    seen[e0] = True
-    queue = [e0]
-    k = 0
-    for w in queue:
-        ldiv = table[inv[w]]                    # t -> w^{-1} t
-        for a, s in enumerate(gens):
-            M = C[w][table[:, inv[s]]]          # D(e_w) e_s
-            M[np.arange(n), a * n + ldiv] += 1  # e_w D(e_s)
-            ws = table[w, s]
-            if seen[ws]:
-                resid[k] = C[ws] - M
-                k += 1
-            else:
-                seen[ws] = True
-                C[ws] = M % p
-                queue.append(ws)
-    kern = np_kernel_mod_p(resid.reshape(-1, n * r), p)
-
-    # entry w*n + i of derivation b is row i of C[w] @ kern[b]; the RREF
-    # makes the basis canonical
-    flat = _matmul_mod(C.reshape(n * n, n * r), kern.T, p).T
-    rref, pivots = np_rref_mod_p(flat, p)
-    return rref[:len(pivots)].tolist()
-
-
-def _matmul_mod(a, b, p):
-    """a @ b mod p for int arrays with entries in [0, p).  The sums stay
-    below k (p-1)^2, k the inner dimension: below 2^53 float64 is exact,
-    by einsum, as matmul's threaded BLAS spins its workers after each
-    call; above, Python ints."""
-    if a.shape[-1] * (p - 1) ** 2 < 2 ** 53:
-        prod = np.einsum("...ij,jk->...ik", a.astype(np.float64),
-                         b.astype(np.float64))
-    else:
-        prod = a.astype(object) @ b.astype(object)
-    return (prod % p).astype(np.int64)
-
-
 def derivation_space(A):
     """Solve for Der(A) and report dim HH^1(A).
 
     The Leibniz system has n^2 unknowns (the matrix of the derivation) and
-    n^3 sparse constraint rows; algebras with a group-like basis take a
-    propagation shortcut with identical output.
+    n^3 sparse constraint rows.  Group algebras take `cocycle_space`
+    instead; this general path is their reference in the tests.
     """
     n = A.dim
     if n > SPARSE_DIM_CAP:
         raise DimCapExceeded(
             f"dim {n} exceeds the solver cap {SPARSE_DIM_CAP}")
     z = _center_dimension(A)
-    if A.is_group_like():
-        basis_vecs = _derivations_group_like(A)
-    else:
-        basis_vecs = _derivations_general(A)
+    basis_vecs = rank_nullspace_raw(_leibniz_rows(A), n * n, A.field)[1]
     der_dim = len(basis_vecs)
     # entry (t, i) of a derivation's matrix is vec[i*n + t]
     stack = np.array(basis_vecs, dtype=object).reshape(der_dim, n, n)
@@ -242,8 +157,8 @@ def derivation_space(A):
     if hh1 < 0:
         raise InvariantViolation(
             "negative HH1 dimension: solver inconsistency")
-    return DerivationSpace(algebra=A, der_dim=der_dim, center_dim=z,
-                           hh1_dim=hh1, basis=matrices)
+    return DerivationSpace(der_dim=der_dim, center_dim=z, hh1_dim=hh1,
+                           basis=matrices)
 
 
 def verify_leibniz(A, matrix):
@@ -265,6 +180,114 @@ def verify_leibniz(A, matrix):
             if tuple(lhs) != tuple(rhs):
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# group algebras: cocycles one conjugacy class at a time
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class CocycleSpace:
+    """Z^1(G, kG) and B^1(G, kG) over F_p, G acting on kG by conjugation.
+
+    D -> f_D, f_D(g) = D(g) g^-1, takes Der(kG) onto Z^1 and Inn(kG) onto
+    B^1.  Rows are values on the r generators: entry a*n + t is the
+    e_t-coordinate of f(s_a).  ``coboundaries`` is a basis of B^1 in RREF.
+    ``class_terms`` holds dim H^1(G, k[x]) for each class x, in class order.
+    """
+
+    class_terms: list
+    table: np.ndarray = dc_field(repr=False)
+    cocycles: np.ndarray = dc_field(repr=False)
+    coboundaries: np.ndarray = dc_field(repr=False)
+
+
+def cocycle_space(A):
+    """Z^1(G, kG) of a group algebra, solved one class at a time.
+
+    Conjugation keeps the span k[x] of each class x.  On k[x], the rule
+    f(ws) = f(w) + w.f(s) gives f(w) as a matrix C[w] over the |x| r
+    unknowns f(s): in one breadth-first pass from the identity over
+    (element, generator) pairs, the first visit of ws defines C[ws] and
+    every later visit is a residual constraint.  The coboundaries on k[x]
+    have dimension |x| - 1, so H^1(G, k[x]) = dim Z^1(G, k[x]) - |x| + 1.
+    """
+    n = A.dim
+    if n > SPARSE_DIM_CAP:
+        raise DimCapExceeded(
+            f"dim {n} exceeds the solver cap {SPARSE_DIM_CAP}")
+    G, p = A.group, A.field.p
+    table = A.sc.table()
+    inv = np.argmax(table == 0, axis=1)  # element 0 is the identity
+
+    # greedy generators: each is the first element outside the subgroup
+    # the earlier ones generate, which grows by right multiplication
+    gens, member = [], np.arange(n) == 0
+    while not member.all():
+        gens.append(int(np.argmin(member)))
+        size = 0
+        while size != np.count_nonzero(member):
+            size = np.count_nonzero(member)
+            member[table[np.ix_(member, gens)]] = True
+    r = len(gens)
+
+    # edges (w, a, ws): n - 1 tree edges and n r - n + 1 residual ones
+    queue, seen, tree, resid = [0], {0}, [], []
+    for w in queue:
+        for a, s in enumerate(gens):
+            ws = int(table[w, s])
+            if ws in seen:
+                resid.append((w, a, ws))
+            else:
+                seen.add(ws)
+                queue.append(ws)
+                tree.append((w, a, ws))
+    rw, ra, rws = np.array(resid, dtype=np.int64).reshape(-1, 3).T
+
+    terms, cocycles = [], []
+    for cl in G.conjugacy_classes():
+        m, cols = cl.size, np.arange(cl.size)
+        pos = np.zeros(n, dtype=np.int64)
+        pos[cl.indices] = cols
+        # w x_i w^-1 is x_conj[w, i]: w moves coordinate i of f(s) there
+        conj = pos[table[table[:, cl.indices], inv[:, None]]]
+        C = np.zeros((n, m, m * r), dtype=np.int64)
+        for w, a, ws in tree:
+            C[ws] = C[w]
+            C[ws, conj[w], a * m + cols] += 1
+        R = C[rws] - C[rw]
+        R[np.arange(len(rw))[:, None], conj[rw], (ra * m)[:, None] + cols] -= 1
+        kern = np_kernel_mod_p(R.reshape(len(R) * m, m * r), p)
+        terms.append(len(kern) - m + 1)
+        Z = np.zeros((len(kern), r, n), dtype=np.int64)
+        Z[:, :, cl.indices] = kern.reshape(len(kern), r, m)
+        cocycles.append(Z.reshape(len(kern), r * n))
+
+    # f(s) = s u s^-1 - u for each u; the class sums are the invariants
+    B = np.zeros((n, r, n), dtype=np.int64)
+    for a, s in enumerate(gens):
+        B[np.arange(n), a, table[table[s], inv[s]]] += 1
+        B[np.arange(n), a, np.arange(n)] -= 1
+    B, pivots = np_rref_mod_p(B.reshape(n, r * n), p)
+    if len(pivots) != n - len(terms):
+        raise InvariantViolation(
+            f"coboundaries of rank {len(pivots)} != {n - len(terms)}")
+    return CocycleSpace(terms, table, np.concatenate(cocycles),
+                        B[:len(pivots)])
+
+
+def _matmul_mod(a, b, p):
+    """a @ b mod p for int arrays with entries in [0, p).  The sums stay
+    below k (p-1)^2, k the inner dimension: below 2^53 float64 is exact,
+    by einsum, as matmul's threaded BLAS spins its workers after each
+    call; above, Python ints."""
+    if a.shape[-1] * (p - 1) ** 2 < 2 ** 53:
+        prod = np.einsum("...ij,jk->...ik", a.astype(np.float64),
+                         b.astype(np.float64))
+    else:
+        prod = a.astype(object) @ b.astype(object)
+    return (prod % p).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -338,50 +361,40 @@ def principal_inertial_quotient(G, p):
 # ---------------------------------------------------------------------------
 
 
-def _block_hh1(whole, b):
-    """dim HH^1(kGb) read off the derivations of the whole group algebra.
+def _block_hh1(cocycles, b):
+    """dim HH^1(kGb) from the action of b on the cocycles.
 
-    A derivation D kills the central idempotent b, since D(b) = D(b^2) =
-    2bD(b) forces D(b) = 0.  So D R_b, with R_b right multiplication by b,
-    is D on kGb and 0 on kG(1 - b), and the D_i R_b span Der(kGb).  The
-    inner derivations of kGb are ad(kGb), whose kernel is Z(kG)b, hence
-    HH^1(kGb) = rank{D_i R_b} - (dim kGb - dim Z(kG)b).  The whole solve's
-    basis has entries in F_p, so D_i R_b and the z b (z a class sum) are
-    formed one base-p digit of b's raw values at a time.
+    A central b maps a cocycle f to bf, and HH^1(kGb) = b HH^1(kG).
+    Frobenius on coordinates permutes the blocks and keeps dimensions, so
+    the sum e_O of b's orbit O lies over F_p, and HH^1(kGb) has dimension
+    (rank(e_O Z + B) - rank B) / |O|.
     """
-    A = whole.algebra
-    G = A.group
-    spec = A.field
-    p, n = spec.p, A.dim
-    table = A.group_table()
-    D = np.array(whole.basis, dtype=np.int64).reshape(-1, n, n)
-    sums = np.eye(len(G.conjugacy_classes()),
-                  dtype=np.int64)[G.class_of_array()]
-    bvec = np.array(b.idempotent_vector(), dtype=object)
-    der = np.zeros(D.shape, dtype=object)
-    cen = np.zeros(sums.shape, dtype=object)
-    for k in range(spec.m):
-        # column i of R is the digit k of e_i b = sum_g b_g e_{ig}
-        R = np.zeros((n, n), dtype=np.int64)
-        R[table, np.arange(n)[:, None]] = (bvec // p ** k % p).astype(np.int64)
-        der += _matmul_mod(D, R, p).astype(object) * p ** k
-        cen += (R @ sums % p).astype(object) * p ** k
-    inner = b.dim - _rank(cen.T, spec)
-    return _rank(der.reshape(len(D), n * n), spec) - inner
-
-
-def _rank(mat, spec):
-    """Rank of a 2-d array of raw field values."""
-    return rank_nullspace_raw(sparse_rows(mat), mat.shape[1], spec,
-                              want_basis=False)[0]
+    spec, p = b.spec, b.spec.p
+    orbit = [b.idempotent_class_coords]
+    while (image := tuple(spec.pow(v, p) for v in orbit[-1])) != orbit[0]:
+        orbit.append(image)
+    e = [reduce(spec.add, values) for values in zip(*orbit)]
+    if any(v >= p for v in e):
+        raise InvariantViolation(
+            f"orbit sum of block {b.index} is not over F_p")
+    n = b.group.order
+    # left multiplication by e_O: entry (gu, u) is e_g
+    L = np.array(e)[b.group.class_of_array()][np.argsort(cocycles.table, 0)]
+    Z, B = cocycles.cocycles, cocycles.coboundaries
+    eZ = _matmul_mod(Z.reshape(-1, n), L.T, p).reshape(Z.shape)
+    rank = len(np_rref_mod_p(np.vstack([eZ, B]), p)[1]) - len(B)
+    if rank % len(orbit):
+        raise InvariantViolation(
+            f"orbit of {len(orbit)} blocks does not divide HH1 {rank}")
+    return rank // len(orbit)
 
 
 def hh1_blocks(G, p, *, name=None, seed=0, allow_large=False,
                run_oracle=True):
     """Per-block HH^1 dimensions with consistency checks.
 
-    Decomposes kG, solves for Der(kG) once and reads each block's HH^1 off
-    that solve (`_block_hh1`).  The block sum is checked against the
+    Decomposes kG, solves for its cocycles once and reads each block's
+    HH^1 off that solve (`_block_hh1`).  The block sum is checked against the
     whole-algebra value, and the total against the centralizer oracle.
     When kG is over the solver cap, every block row carries the cap error
     and the oracle fills the total.
@@ -391,17 +404,17 @@ def hh1_blocks(G, p, *, name=None, seed=0, allow_large=False,
     blocks = block_decompose(A, G, p, seed=seed)
     consistency = {}
     try:
-        whole = derivation_space(A)
+        cocycles = cocycle_space(A)
     except DimCapExceeded as exc:
         per_block = [BlockHH1Row(b.index, b.dim, b.defect, None, "solver",
                                  error=str(exc)) for b in blocks]
         total = None
     else:
         per_block = [BlockHH1Row(b.index, b.dim, b.defect,
-                                 _block_hh1(whole, b), "solver")
+                                 _block_hh1(cocycles, b), "solver")
                      for b in blocks]
         block_sum = sum(row.hh1_dim for row in per_block)
-        total = whole.hh1_dim
+        total = sum(cocycles.class_terms)
         consistency["whole_algebra_hh1"] = total
         consistency["block_sum_equals_whole"] = (block_sum == total)
         if block_sum != total:

@@ -1,10 +1,12 @@
-"""Per-block HH^1 read off the one whole-algebra solve.
+"""Per-block HH^1 read off the one cocycle solve of kG.
 
-`hh1_blocks` projects the derivations of kG onto each block.  The
-reference here is the independent route: build the block algebra kGb on
-its own basis and solve its Leibniz system.  Both must give the same value
-on every block, for the corpus and for generated groups, and the
-whole-algebra solve must equal the centralizer-sum oracle.
+`hh1_blocks` solves for the cocycles of kG once and lets each block's
+Galois-orbit sum act on them.  The reference here is the independent
+route: build the block algebra kGb on its own basis and solve its Leibniz
+system.  Both must give the same value on every block, for the corpus, for
+cyclic groups whose blocks come in Galois orbits of more than one block,
+and for generated groups, and the whole-algebra total must equal the
+general Leibniz solve and the centralizer-sum oracle.
 """
 
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import given, strategies as st
 from conftest import CORPUS_NAMES
 from hh1lab.groupalgebra import block_algebra, block_decompose, group_algebra
 from hh1lab.hhone import additive_oracle, derivation_space, hh1_blocks
+from hh1lab.permgroup import Perm, group_from_generators
 from test_permindex import PROPERTY, groups
 
 PRIMES = (2, 3, 5)
@@ -31,6 +34,17 @@ def test_projection_equals_block_solve_on_the_corpus(corpus, name, p):
     G = corpus[name]
     rep = hh1_blocks(G, p, name=name, run_oracle=False)
     assert [r.hh1_dim for r in rep.per_block] == _block_route(G, p)
+
+
+@pytest.mark.parametrize("k,p,field_degree,values", [
+    (6, 2, 2, [2, 2, 2]), (15, 5, 2, [5, 5, 5])])
+def test_blocks_in_galois_orbits(k, p, field_degree, values):
+    # kC6 at 2 and kC15 at 5 split over GF(p^2), where two of the three
+    # blocks are Frobenius conjugates
+    G = group_from_generators(k, [Perm([(i + 1) % k for i in range(k)])])
+    assert group_algebra(G, p).field.m == field_degree
+    rep = hh1_blocks(G, p, run_oracle=False)
+    assert [r.hh1_dim for r in rep.per_block] == values == _block_route(G, p)
 
 
 @PROPERTY

@@ -533,7 +533,7 @@ def test_undecided_positive_defect_block_leaves_the_verdict_open(
     def over_cap(A, *args, **kwargs):
         raise DimCapExceeded("the whole algebra is over the cap here")
 
-    monkeypatch.setattr(hhone, "derivation_space", over_cap)
+    monkeypatch.setattr(hhone, "cocycle_space", over_cap)
     code, doc = run_cli(capsys, ["hh1", "--group", "S3", "--prime", "2"])
     assert code == 0
     assert [(b["defect"], b["hh1_dim"]) for b in doc["blocks"]] == \

@@ -196,7 +196,7 @@ def test_tensor_c2_c2_matches_v4(corpus):
     C2 = corpus["C2"]
     A = group_algebra(C2, 2)
     T = tensor_algebra(A, A)
-    assert T.dim == 4 and T.is_group_like()
+    assert T.dim == 4
     P = direct_product(C2, C2)
     mapping = {}
     for i in range(2):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import CORPUS_NAMES
 from hh1lab import hhone
@@ -9,12 +9,12 @@ from hh1lab.ffield import field_make
 from hh1lab.groupalgebra import (StructAlgebra, block_algebra,
                                  block_decompose, group_algebra)
 from hh1lab.hhone import (additive_oracle, bookkeeping_subtract,
-                          cyclic_formula, derivation_space, hh1_blocks,
-                          kuenneth_hh1, principal_inertial_quotient,
-                          verify_leibniz)
-from hh1lab.hhone import (_derivations_general, _derivations_group_like,
-                          _inner_derivation_rows)
-from hh1lab.permgroup import Perm, direct_product, group_from_generators
+                          cocycle_space, cyclic_formula, derivation_space,
+                          hh1_blocks, kuenneth_hh1,
+                          principal_inertial_quotient, verify_leibniz)
+from hh1lab.hhone import _inner_derivation_rows
+from hh1lab.permgroup import (Perm, centralizer, direct_product,
+                              group_from_generators, p_rank_abelianization)
 from test_permindex import PROPERTY, groups
 
 
@@ -66,10 +66,14 @@ def test_inner_dimension_identity(corpus):
 
 
 def _assert_solvers_agree(G, p):
+    # the class-by-class cocycle solve against the general Leibniz solve:
+    # D -> D(g) g^-1 matches derivations with cocycles, and the class
+    # terms sum to HH^1
     A = group_algebra(G, p)
-    general = _derivations_general(A)
-    fast = _derivations_group_like(A)
-    assert [list(v) for v in general] == [list(v) for v in fast]
+    general = derivation_space(A)
+    cocycles = cocycle_space(A)
+    assert len(cocycles.cocycles) == general.der_dim
+    assert sum(cocycles.class_terms) == general.hh1_dim
 
 
 @pytest.mark.parametrize("name,p", [
@@ -92,6 +96,16 @@ def test_general_solver_equals_propagation_on_c2_cubed(p):
 @given(G=groups(5, 24, aim=12), p=st.sampled_from([2, 3, 5]))
 def test_general_solver_equals_propagation_on_generated_groups(G, p):
     _assert_solvers_agree(G, p)
+
+
+@PROPERTY
+@given(G=groups(6, 120), p=st.sampled_from([2, 3, 5]))
+def test_class_terms_are_the_centralizer_p_ranks(G, p):
+    # Shapiro: H^1(G, k[x]) = Hom(C_G(x), k), the oracle's term for x
+    terms = cocycle_space(group_algebra(G, p)).class_terms
+    for cl, term in zip(G.conjugacy_classes(), terms, strict=True):
+        rank = p_rank_abelianization(centralizer(G, cl.representative), p)
+        assert term == rank, cl.representative
 
 
 def _dense_inner_derivation_rows(A):
@@ -124,13 +138,18 @@ def test_inner_derivation_rows_equal_the_dense_construction(name, p, corpus):
         assert _inner_derivation_rows(B) == _dense_inner_derivation_rows(B)
 
 
-def test_solver_cap(monkeypatch):
+def test_solver_cap(monkeypatch, corpus):
     monkeypatch.setattr(hhone, "SPARSE_DIM_CAP", 5)
     spec = field_make(2, 1)
     with pytest.raises(DimCapExceeded):
         dummy = StructAlgebra(spec, 10, [str(i) for i in range(10)],
                               {}, tuple([spec.zero] * 10))
         derivation_space(dummy)
+    A = group_algebra(corpus["S3"], 2)
+    with pytest.raises(DimCapExceeded, match="^dim 6 exceeds the solver "
+                                             "cap 5$"):
+        cocycle_space(A)
+    assert A.sc._table is None  # refused before the product table
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +281,18 @@ def test_kuenneth_matches_solver_on_tensor_algebra(a, b, p, corpus):
                              db.hh1_dim, db.center_dim)
     T = tensor_algebra(A, B)
     assert derivation_space(T).hh1_dim == predicted
+
+
+@settings(PROPERTY, max_examples=20)
+@given(G=groups(5, 60), H=groups(5, 60), p=st.sampled_from([2, 3]))
+def test_kuenneth_on_products_of_generated_groups(G, H, p):
+    # HH^1(kG (x) kH) = HH^1(kG) Z(kH) + Z(kG) HH^1(kH) in dimensions, and
+    # dim Z(kG) is the class count
+    assume(G.order * H.order <= 256)
+    hh1 = [hh1_blocks(X, p, run_oracle=False).total_hh1
+           for X in (G, H, direct_product(G, H))]
+    k = [len(X.conjugacy_classes()) for X in (G, H)]
+    assert hh1[2] == kuenneth_hh1(hh1[0], k[0], hh1[1], k[1])
 
 
 def test_cyclic_formula():
