@@ -9,6 +9,7 @@ against pairwise products.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
@@ -114,7 +115,8 @@ class CenterBasis:
 
     ``sc_int`` holds integer structure constants: class_sum_i * class_sum_j
     = sum_k sc_int[i,j,k] * class_sum_k.  They are field-independent counts;
-    reduce mod p on use.
+    ``product`` reduces them mod p once, on its first call, and keeps the
+    non-zero terms of each pair (i, j).
     """
 
     group: object
@@ -122,24 +124,33 @@ class CenterBasis:
     class_count: int
     sc_int: np.ndarray = dc_field(repr=False)
 
+    @functools.cached_property
+    def _terms(self):
+        # terms[i][j]: the (k, sc_int[i, j, k] mod p) with a non-zero
+        # constant, k ascending, the constant as a field element
+        spec = self.spec
+        c = self.class_count
+        reduced = self.sc_int % spec.p
+        terms = [[[] for _ in range(c)] for _ in range(c)]
+        nonzero = np.nonzero(reduced)
+        for (i, j, k), a in zip(np.transpose(nonzero).tolist(),
+                                reduced[nonzero].tolist()):
+            terms[i][j].append((k, spec.from_int(a)))
+        return terms
+
     def product(self, u, v):
         """Product of two center elements in class-sum coordinates."""
         spec = self.spec
-        c = self.class_count
-        out = [spec.zero] * c
-        for i in range(c):
-            if spec.is_zero(u[i]):
+        out = [spec.zero] * self.class_count
+        for ui, row in zip(u, self._terms):
+            if spec.is_zero(ui):
                 continue
-            for j in range(c):
-                if spec.is_zero(v[j]):
+            for vj, terms in zip(v, row):
+                if not terms or spec.is_zero(vj):
                     continue
-                coef = spec.mul(u[i], v[j])
-                row = self.sc_int[i, j]
-                for k in range(c):
-                    a = int(row[k]) % spec.p
-                    if a:
-                        out[k] = spec.add(out[k],
-                                          spec.mul(coef, spec.from_int(a)))
+                coef = spec.mul(ui, vj)
+                for k, a in terms:
+                    out[k] = spec.add(out[k], spec.mul(coef, a))
         return tuple(out)
 
     def unit_vector(self):
@@ -229,18 +240,22 @@ def center(A, G):
 
     Structure constants are integer counts: for classes C_i, C_j and a
     fixed representative g_k of C_k, the count of pairs (x, y) with
-    x in C_i, y in C_j and xy = g_k; binned by iterating one class.
+    x in C_i, y in C_j and xy = g_k; binned by iterating one class.  The
+    class of y = x^{-1} g_k = (g_k^{-1} x)^{-1} is read off g_k^{-1} x, a
+    gather of the base images through one row, and a class-inverse map,
+    so no table of inverse rows is built.
     """
     classes = G.conjugacy_classes()
     c = len(classes)
     class_of = G.class_of_array()
-    inv_rows = G.inverse_rows()
     base = G.base
+    on_base = G.element_rows()[:, base]
+    reps_inv = np.array([cl.representative.inv().images for cl in classes],
+                        dtype=on_base.dtype)
+    inv_class = class_of[G.locate(reps_inv[:, base])]
     sc_int = np.zeros((c, c, c), dtype=np.int64)
     for k, cl in enumerate(classes):
-        gk = np.asarray(cl.representative.images)
-        # classes of x^{-1} g_k for every x at once, from its base images
-        j_arr = class_of[G.locate(inv_rows[:, gk[base]])]
+        j_arr = inv_class[class_of[G.locate(reps_inv[k][on_base])]]
         sc_int[:, :, k] = np.bincount(class_of * c + j_arr,
                                       minlength=c * c).reshape(c, c)
     return CenterBasis(G, A.field, c, sc_int)

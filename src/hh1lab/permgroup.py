@@ -209,7 +209,12 @@ def _closure_rows(degree, gen_rows, order_cap, memory_cap):
         start, end = end, end + len(src)
         if end > order or start == end < order:  # the chain is wrong
             raise InvariantViolation(f"enumerated {end}, chain order {order}")
-        rows[start:end] = level[src[:, None], gens[which]]
+        # new rows generator by generator: two takes each, where one fancy
+        # index would cast an (n x degree) index array
+        new = rows[start:end]
+        for g, gen in enumerate(gens):
+            mine = which == g
+            new[mine] = level.take(src[mine], 0).take(gen, 1)
         keys.append(batch[fresh])
         seen = np.sort(np.concatenate([seen, keys[-1]]), kind="stable")
     return rows, base, np.concatenate(keys)
@@ -536,9 +541,10 @@ def p_rank_abelianization(H, p):
         kbase.append(np.asarray(s.images)[base])
         frontier, steps = np.flatnonzero(in_k), kbase[-1:]
         while len(frontier):
-            found = np.unique(np.concatenate(
-                [H.locate(E[frontier[:, None], b]) for b in steps]))
-            frontier = found[~in_k[found]]
+            hit = np.zeros(H.order, dtype=bool)
+            for b in steps:
+                hit[H.locate(E[frontier[:, None], b])] = True
+            frontier = np.flatnonzero(hit & ~in_k)
             in_k[frontier] = True
             steps = kbase
         sub_order = int(np.count_nonzero(in_k))

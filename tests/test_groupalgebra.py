@@ -1,5 +1,6 @@
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from test_permindex import groups
 
 from hh1lab.catalgebra import radical_and_semisimplicity
@@ -7,7 +8,7 @@ from hh1lab.errors import FieldMismatch, SplitFieldTooSmall
 from hh1lab.groupalgebra import (block_algebra, block_decompose, center,
                                  group_algebra, splitting_degree,
                                  tensor_algebra)
-from hh1lab.permgroup import direct_product
+from hh1lab.permgroup import Perm, direct_product, group_from_generators
 
 
 def test_splitting_degrees(corpus):
@@ -384,3 +385,43 @@ def test_blocks_of_generated_groups(G, p):
     # the splitting seed does not change the output
     assert ([_block_record(b) for b in block_decompose(A, G, p, seed=1)]
             == [_block_record(b) for b in blocks])
+
+
+def _triple_loop_product(cb, u, v):
+    """Class-sum product over every (i, j, k), each constant reduced mod p
+    where it is read."""
+    spec = cb.spec
+    c = cb.class_count
+    out = [spec.zero] * c
+    for i in range(c):
+        if spec.is_zero(u[i]):
+            continue
+        for j in range(c):
+            if spec.is_zero(v[j]):
+                continue
+            coef = spec.mul(u[i], v[j])
+            for k in range(c):
+                a = int(cb.sc_int[i, j, k]) % spec.p
+                if a:
+                    out[k] = spec.add(out[k], spec.mul(coef, spec.from_int(a)))
+    return tuple(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(G=groups(5, 120), p=st.sampled_from([2, 3, 5]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(G=group_from_generators(5, [Perm([1, 2, 3, 4, 0])]), p=2, seed=0)
+def test_center_product_equals_the_triple_loop(G, p, seed):
+    # the explicit example, C5 at p = 2, is split over GF(16)
+    A = group_algebra(G, p)
+    spec = A.field
+    cb = center(A, G)
+    c = cb.class_count
+    rng = np.random.default_rng(seed)
+    for _ in range(4):  # field elements, about 30% of them zero
+        u, v = (tuple((rng.integers(0, spec.order, c)
+                       * (rng.random(c) < 0.7)).tolist()) for _ in range(2))
+        assert cb.product(u, v) == _triple_loop_product(cb, u, v)
+    for b in block_decompose(A, G, p):
+        e = b.idempotent_class_coords
+        assert cb.product(e, e) == _triple_loop_product(cb, e, e)

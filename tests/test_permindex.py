@@ -11,6 +11,7 @@ replaced the bytes-keyed enumeration.
 import hashlib
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -108,6 +109,22 @@ def _closure(rows):
     return found
 
 
+def _triple_count(G):
+    """sc_int by brute force: for each class k and each x, the y with
+    x y = g_k, binned by the classes of x and y."""
+    E = _rows(G)
+    classes = G.conjugacy_classes()
+    class_of = G.class_of_array()
+    c = len(classes)
+    counts = np.zeros((c, c, c), dtype=np.int64)
+    for k, cl in enumerate(classes):
+        gk = np.array(cl.representative.images)
+        for x in range(G.order):
+            ys = np.flatnonzero(np.all(E[x][E] == gk, axis=1))
+            np.add.at(counts, (class_of[x], class_of[ys], k), 1)
+    return counts
+
+
 # -- properties --------------------------------------------------------------
 
 
@@ -137,18 +154,19 @@ def test_classes_are_the_conjugation_orbits(G):
 @PROPERTY
 @given(groups(5, 120))
 def test_center_counts_match_a_triple_count(G):
-    E = _rows(G)
-    classes = G.conjugacy_classes()
-    class_of = G.class_of_array()
-    c = len(classes)
-    expected = np.zeros((c, c, c), dtype=np.int64)
-    for k, cl in enumerate(classes):
-        gk = np.array(cl.representative.images)
-        for x in range(G.order):
-            ys = np.flatnonzero(np.all(E[x][E] == gk, axis=1))
-            np.add.at(expected, (class_of[x], class_of[ys], k), 1)
     A = group_algebra(G, 2)
-    assert np.array_equal(center(A, G).sc_int, expected)
+    assert np.array_equal(center(A, G).sc_int, _triple_count(G))
+
+
+@PROPERTY
+@given(groups(5, 120))
+def test_center_builds_no_inverse_table(G):
+    def refuse(self):
+        raise AssertionError("center built the table of inverse rows")
+
+    with mock.patch.object(PermGroup, "inverse_rows", refuse):
+        sc_int = center(group_algebra(G, 2), G).sc_int
+    assert np.array_equal(sc_int, _triple_count(G))
 
 
 @PROPERTY
