@@ -326,6 +326,22 @@ class FieldSpec:
         return v
 
     @cached_property
+    def _tail(self):
+        # exponents of the modulus below t^m: t^m = sum of t^e over them
+        return tuple(e for e in range(self.m) if self.modulus[e])
+
+    def _reduce2(self, a):
+        """A packed GF(2)[t] polynomial modulo the gf2 modulus: fold the
+        part at t^m and above back onto the tail until none is left."""
+        m, tail = self.m, self._tail
+        mask = (1 << m) - 1
+        while hi := a >> m:
+            a &= mask
+            for e in tail:
+                a ^= hi << e
+        return a
+
+    @cached_property
     def _tables(self):
         return _log_tables(self.p, self.m)
 
@@ -380,7 +396,7 @@ class FieldSpec:
         if k == "prime":
             return a * b % self.p
         if k == "gf2":
-            return _gf2p_mod(_gf2p_mul(a, b), self._modint)
+            return self._reduce2(_gf2p_mul(a, b))
         if not a or not b:
             return 0
         if k == "log":
@@ -402,7 +418,7 @@ class FieldSpec:
                 q, r = _gf2p_divmod(r0, r1)
                 r0, r1 = r1, r
                 s0, s1 = s1, s0 ^ _gf2p_mul(q, s1)
-            return _gf2p_mod(s0, self._modint)
+            return self._reduce2(s0)
         if k == "log":
             exp, log, _, _ = self._tables
             return exp[-log[a]]

@@ -1,11 +1,14 @@
 """Permutation groups by explicit element enumeration.
 
 Groups are given by generators acting on {0..degree-1}.  A stabilizer chain
-gives the order and a base, points whose images tell all elements apart
-(Seress, *Permutation Group Algorithms*, 2003); the capped breadth-first
-enumeration fills a numpy array of image rows and keys their base images
-into one sorted index.  ``lookup(rows)`` takes rows that may lie outside
-the group and confirms each hit on the full row (-1 for non-members);
+(Seress, *Permutation Group Algorithms*, 2003) gives the order, a base
+(points whose images tell all elements apart) and the element index:
+sifting an element's base images through the chain's transversals reads
+off its chain index, a mixed-radix number in [0, |G|), and one array maps
+chain indices to element indices.  The capped breadth-first enumeration
+fills a numpy array of image rows and drops each level's repeats by chain
+index.  ``lookup(rows)`` takes rows that may lie outside the group and
+confirms each hit on the full row (-1 for non-members);
 ``locate(base_images)`` takes products of elements, members by
 construction, from their |base| columns alone.  Classes, centralizers,
 normalizers and p-ranks are vectorised on these two.
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,88 +129,182 @@ def _radix(degree, k):
     return degree ** np.arange(k - 1, -1, -1, dtype=np.int64)
 
 
-def _stabilizer_chain(degree, gen_rows, order_cap, memory_cap):
-    """(base, |G|) by Schreier-Sims over 0..degree-1 (Seress 2003, Sec. 4.2):
-    level y keeps the orbit of y under the generators fixing 0..y-1, each
-    point with an element taking it to y; non-trivial levels are the base."""
-    def mul(a, b):  # a*b: apply b first
-        return tuple(map(a.__getitem__, b))
+def _mul(a, b):  # image tuples, a*b: apply b first
+    return tuple(map(a.__getitem__, b))
 
-    def inv(a):
-        return tuple(sorted(range(degree), key=a.__getitem__))
 
-    def moved(g, x):  # the first point from x on that g moves, or None
-        return next((y for y in range(x, degree) if g[y] != y), None)
+def _inv(a):
+    return tuple(sorted(range(len(a)), key=a.__getitem__))
 
-    # generator k = (s, s^-1, lo, hi) acts on the levels lo < y <= hi;
-    # todo holds the Schreier pairs (level, point, k) still to sift
-    strong, reps, paired, todo = [], {}, set(), []
 
-    def add(s, lo):
-        strong.append((s, inv(s), lo, hi := moved(s, 0)))
-        reps.setdefault(hi, {hi: tuple(range(degree))})
+def _moved(g, x):  # the first point from x on that g moves, or None
+    return next((y for y in range(x, len(g)) if g[y] != y), None)
+
+
+class _Chain:
+    """A stabilizer chain over 0..degree-1 by Schreier-Sims (Seress 2003,
+    Sec. 4.2), grown one generator at a time.
+
+    Level y keeps the orbit of y under the generators fixing 0..y-1, each
+    point with an element taking it to y; non-trivial levels are the base.
+    `sifter` gives the levels in numpy form.
+    """
+
+    def __init__(self, degree, order_cap, memory_cap):
+        self.degree = degree
+        _np_dtype(degree)  # refuses degrees past the uint16 rows
+        self.caps = order_cap, memory_cap
+        self.order = 1
+        # generator k = (s, s^-1, lo, hi) acts on the levels lo < y <= hi;
+        # todo holds the Schreier pairs (level, point, k) still to sift
+        self._strong, self._reps, self._paired, self._todo = [], {}, set(), []
+        self._sifter = None
+
+    def _add(self, s, lo):
+        strong, reps, paired = self._strong, self._reps, self._paired
+        strong.append((s, _inv(s), lo, hi := _moved(s, 0)))
+        reps.setdefault(hi, {hi: tuple(range(self.degree))})
         for y, orbit in [(y, o) for y, o in reps.items() if lo < y <= hi]:
             for beta in (queue := list(orbit)):  # grows with the orbit
                 for k, (t, t_inv, a, b) in enumerate(strong):
                     if a < y <= b and (y, beta, k) not in paired:
                         paired.add((y, beta, k))
                         if t[beta] in orbit:
-                            todo.append((y, beta, k))
+                            self._todo.append((y, beta, k))
                         else:  # a tree edge: its Schreier generator is 1
-                            orbit[t[beta]] = mul(orbit[beta], t_inv)
+                            orbit[t[beta]] = _mul(orbit[beta], t_inv)
                             queue.append(t[beta])
         lower = math.prod(map(len, reps.values()))  # |G| is at least this
-        if (lower > order_cap
-                or 8 * degree * sum(map(len, reps.values())) > memory_cap):
+        order_cap, memory_cap = self.caps
+        if (lower > order_cap or 8 * self.degree
+                * sum(map(len, reps.values())) > memory_cap):
             raise OrderCapExceeded(
                 f"group of at least {lower} elements: its stabilizer chain "
                 f"is past the caps ({order_cap} elements, {memory_cap} bytes)")
 
-    for g in [g for g in gen_rows if moved(g, 0) is not None]:
-        add(g, -1)
-    while todo:  # the top level first: every level above it is complete
-        y, beta, k = todo.pop(todo.index(max(todo)))
-        orbit, s = reps[y], strong[k][0]
-        g = mul(orbit[s[beta]], s)  # times w_beta^-1, it fixes y
-        if g == orbit[beta]:
-            continue
-        g = mul(g, inv(orbit[beta]))
-        x = moved(g, y + 1)
-        while x is not None and g[x] in reps.get(x, ()):
-            g = mul(reps[x][g[x]], g)
-            x = moved(g, x + 1)
-        if x is not None:  # g is new to the levels above y
-            add(g, y)
-    order = math.prod(map(len, reps.values()))
+    def extend(self, g):
+        """Add the generator g, an image tuple, and complete the chain."""
+        if _moved(g, 0) is None:
+            return
+        self._add(g, -1)
+        reps, todo = self._reps, self._todo
+        while todo:  # the top level first: every level above it is complete
+            y, beta, k = todo.pop(todo.index(max(todo)))
+            orbit, s = reps[y], self._strong[k][0]
+            g = _mul(orbit[s[beta]], s)  # times w_beta^-1, it fixes y
+            if g == orbit[beta]:
+                continue
+            g = _mul(g, _inv(orbit[beta]))
+            x = _moved(g, y + 1)
+            while x is not None and g[x] in reps.get(x, ()):
+                g = _mul(reps[x][g[x]], g)
+                x = _moved(g, x + 1)
+            if x is not None:  # g is new to the levels above y
+                self._add(g, y)
+        self.order = math.prod(map(len, reps.values()))
+        self._sifter = None
+
+    def sifter(self):
+        if self._sifter is None:
+            self._sifter = _Sifter(self.degree, sorted(self._reps.items()),
+                                   self.order)
+        return self._sifter
+
+
+class _Sifter:
+    """A stabilizer chain as numpy tables, indexing the group's elements.
+
+    An element's chain index is read off its base images level by level:
+    the image of the level's point gives a digit, its position in the
+    orbit, and the orbit's element that takes it back, which is applied to
+    the other images.  Read as a mixed-radix number, the digits number the
+    elements 0..|G|-1.  Per level, for every point x, ``offset[x]`` is the
+    start of x's orbit element in ``flat``, the orbit elements' images one
+    after another, and ``term[x]`` is x's digit times the level's stride.
+    An off-orbit point selects an identity row, and its term, the order,
+    puts the index past every element.
+    """
+
+    def __init__(self, degree, levels, order):
+        ident = tuple(range(degree))
+        levels = levels or [(0, {0: ident})]  # the trivial group: base [0]
+        self.degree, self.order = degree, order
+        self.base = np.array([y for y, _ in levels])
+        self.tables = []
+        stride = math.prod(len(orbit) for _, orbit in levels)
+        for _, orbit in levels:
+            stride //= len(orbit)
+            digit = dict(zip(orbit, range(len(orbit))))
+            self.tables.append((
+                np.array([digit.get(x, len(orbit)) * degree
+                          for x in range(degree)], dtype=np.int32),
+                np.array([digit[x] * stride if x in digit else order
+                          for x in range(degree)], dtype=np.intp),
+                np.array([*orbit.values(), ident], dtype=np.int32).ravel()))
+
+    def sift(self, images):
+        """Chain index of each row of base images; the order where a digit
+        is off its orbit.  Each level drops the column it has read."""
+        *upper, (_, term, _) = self.tables
+        index = np.zeros(len(images), dtype=np.intp)
+        for offset, up_term, flat in upper:
+            x = images[:, 0]
+            index += up_term.take(x)
+            images = flat.take(images[:, 1:] + offset.take(x)[:, None])
+        index += term.take(images[:, 0])
+        return np.minimum(index, self.order, out=index)
+
+    def contains(self, rows):
+        """Which full image rows lie in the group: sifted through every
+        level, a member leaves the identity, and a row with a digit off
+        its orbit keeps that point off its base point."""
+        for y, (offset, _, flat) in zip(self.base, self.tables):
+            rows = flat.take(rows + offset.take(rows[:, y])[:, None])
+        return np.all(rows == np.arange(self.degree), axis=1)
+
+
+def _stabilizer_chain(degree, gen_rows, order_cap, memory_cap):
+    """The sifter of the generated group's chain, held to the caps, the
+    element table's bytes included."""
+    chain = _Chain(degree, order_cap, memory_cap)
+    for g in gen_rows:
+        chain.extend(g)
+    order = chain.order
     if order * degree * np.dtype(_np_dtype(degree)).itemsize > memory_cap:
         raise OrderCapExceeded(
             f"enumeration needs more than {memory_cap} bytes ({order} "
             f"elements of degree {degree}); raise the memory cap "
             "(--allow-large) for stretch groups")
-    return np.array(sorted(reps) or [0], dtype=np.intp), order
+    return chain.sifter()
 
 
-def _closure_rows(degree, gen_rows, order_cap, memory_cap):
-    """Breadth-first closure of generator image rows: (rows, base, keys),
-    each level sorted by key: rows first differ at a base point."""
+def _closure_rows(sifter, gen_rows):
+    """Breadth-first closure of generator image rows: (rows, element index
+    of each chain index).  Each level's new products are ordered by their
+    packed base images, so rows first differ at a base point."""
+    degree, base, order = sifter.degree, sifter.base, sifter.order
     dtype = _np_dtype(degree)
-    if all(g == tuple(range(degree)) for g in gen_rows):  # needs no chain
-        return np.arange(degree, dtype=dtype)[None], *np.zeros((2, 1), int)
-    base, order = _stabilizer_chain(degree, gen_rows, order_cap, memory_cap)
     rows = np.empty((order, degree), dtype=dtype)
     rows[0] = np.arange(degree)
-    gens = np.array(gen_rows, dtype=dtype)  # h*g: base images h[g[base]]
-    keys = [_pack(base[None], degree)]
-    seen, start, end = keys[0], 0, 1  # seen: every key so far, sorted
+    gens = np.array(gen_rows, dtype=dtype).reshape(-1, degree)
+    elem_of = np.full(order + 1, -1, dtype=np.intp)  # the last: off chain
+    elem_of[sifter.sift(rows[:1, base])] = 0
+    gens_base = gens[:, base]
+    start, end = 0, 1
     while start < end:
         level = rows[start:end]
-        batch = _pack(level.take(gens[:, base], axis=1), degree).ravel()
-        by_key = batch.argsort(kind="stable")
-        batch = batch[by_key]
-        fresh = seen.take(seen.searchsorted(batch), mode="clip") != batch
-        fresh[1:] &= batch[1:] != batch[:-1]
-        src, which = np.divmod(by_key[fresh], len(gens))
-        start, end = end, end + len(src)
+        images = level.take(gens_base, axis=1).reshape(-1, len(base))
+        index = sifter.sift(images)  # products h*g: base images h[g[base]]
+        if len(index) and index.max() >= order:
+            raise InvariantViolation(
+                f"a product sifts off the chain (chain order {order})")
+        fresh = np.flatnonzero(elem_of.take(index) < 0)
+        fresh = fresh[_pack(images[fresh], degree).argsort(kind="stable")]
+        keep = np.ones(len(fresh), dtype=bool)  # the first of equal keys
+        keep[1:] = index[fresh[1:]] != index[fresh[:-1]]
+        fresh = fresh[keep]
+        src, which = np.divmod(fresh, len(gens))
+        start, end = end, end + len(fresh)
         if end > order or start == end < order:  # the chain is wrong
             raise InvariantViolation(f"enumerated {end}, chain order {order}")
         # new rows generator by generator: two takes each, where one fancy
@@ -215,21 +313,21 @@ def _closure_rows(degree, gen_rows, order_cap, memory_cap):
         for g, gen in enumerate(gens):
             mine = which == g
             new[mine] = level.take(src[mine], 0).take(gen, 1)
-        keys.append(batch[fresh])
-        seen = np.sort(np.concatenate([seen, keys[-1]]), kind="stable")
-    return rows, base, np.concatenate(keys)
+        elem_of[index[fresh]] = np.arange(start, end)
+    return rows, elem_of
 
 
 class PermGroup:
     """A finite permutation group with fully enumerated elements.
 
-    Immutable after construction.  Lazy invariants (the base index,
-    conjugacy classes) are computed on first use, without a lock.
+    Immutable after construction.  Lazy invariants (the element index,
+    conjugacy classes) are computed on first use; the classes under a lock,
+    so threads asking at once share one list.
     """
 
     def __init__(self, degree, generators, elements,
                  order_cap=DEFAULT_ORDER_CAP, memory_cap=DEFAULT_MEMORY_CAP,
-                 base=None, keys=None):
+                 sifter=None, elem_of=None):
         self.degree = degree
         self.generators = list(generators)
         self._elements = elements
@@ -237,10 +335,14 @@ class PermGroup:
         self.order_cap = order_cap
         self.memory_cap = memory_cap
         self._classes = None
-        if base is None:  # rows given directly: keyed by the full rows
-            base, keys = np.arange(degree), _pack(elements, degree)
-        self._base_keys = base, keys
-        self._base_index = None
+        self._classes_lock = threading.Lock()
+        if sifter is None:  # rows given directly: indexed on first use
+            chain = _Chain(degree, order_cap, memory_cap)
+            for g in self.generators:
+                chain.extend(g.images)
+            sifter = chain.sifter()
+        self._sifter = sifter
+        self._elem_of = elem_of
 
     # -- construction -------------------------------------------------------
 
@@ -252,47 +354,51 @@ class PermGroup:
         bad = [g.degree for g in gens if g.degree != degree]
         if bad:
             raise InvalidPermutation(f"generator degree {bad[0]} != {degree}")
-        rows, base, keys = _closure_rows(degree, [g.images for g in gens],
-                                         order_cap, memory_cap)
-        return cls(degree, gens, rows, order_cap, memory_cap, base, keys)
+        gen_rows = [g.images for g in gens]
+        sifter = _stabilizer_chain(degree, gen_rows, order_cap, memory_cap)
+        rows, elem_of = _closure_rows(sifter, gen_rows)
+        return cls(degree, gens, rows, order_cap, memory_cap, sifter, elem_of)
 
     @classmethod
     def from_element_rows(cls, degree, rows, order_cap=DEFAULT_ORDER_CAP,
                           memory_cap=DEFAULT_MEMORY_CAP):
         """Subgroup from an explicit element array; each generator is the
-        first row outside the subgroup generated so far (deterministic)."""
-        gens = []
-        H = cls.from_generators(degree, gens, order_cap, memory_cap)
-        while True:
-            outside = np.flatnonzero(H.lookup(rows) < 0)
-            if not len(outside):
-                return H
-            gens.append(Perm(rows[outside[0]]))
-            H = cls.from_generators(degree, gens, order_cap, memory_cap)
+        first row outside the subgroup generated so far (deterministic).
+        One chain grows by each generator and sifts the rows still outside
+        it; only the final subgroup is enumerated."""
+        chain = _Chain(degree, order_cap, memory_cap)
+        gens, outside = [], np.asarray(rows)
+        while len(outside := outside[~chain.sifter().contains(outside)]):
+            gens.append(Perm(outside[0]))
+            chain.extend(gens[-1].images)
+        sifter = chain.sifter()
+        rows, elem_of = _closure_rows(sifter, [g.images for g in gens])
+        return cls(degree, gens, rows, order_cap, memory_cap, sifter, elem_of)
 
-    # -- the base index ------------------------------------------------------
+    # -- the element index ---------------------------------------------------
 
     def _index(self):
-        """(base, sorted base-image keys, element index of each key)."""
-        if self._base_index is None:
-            base, keys = self._base_keys
-            order = np.argsort(keys, kind="stable")
-            if np.any(keys[order[1:]] == keys[order[:-1]]):
+        """(sifter, element index of each chain index, -1 at the order)."""
+        if self._elem_of is None:
+            order = self._sifter.order
+            index = self._sifter.sift(self._elements[:, self.base])
+            elem_of = np.full(order + 1, -1, dtype=np.intp)
+            if len(index) == order > index.max():
+                elem_of[index] = np.arange(self.order)
+            if np.any(elem_of[:-1] < 0):
                 raise InvariantViolation("element rows are not distinct")
-            self._base_index = base, keys[order], order
-        return self._base_index
+            self._elem_of = elem_of
+        return self._sifter, self._elem_of
 
     @property
     def base(self):
         """Points whose images determine an element of the group."""
-        return self._index()[0]
+        return self._sifter.base
 
     def _find(self, base_images):
-        # element index of each row of base images, -1 where no key matches
-        _, keys, order = self._index()
-        query = _pack(np.asarray(base_images), self.degree)
-        pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
-        return np.where(keys[pos] == query, order[pos], -1)
+        # element index of each row of base images, -1 off the chain
+        sifter, elem_of = self._index()
+        return elem_of.take(sifter.sift(np.asarray(base_images)))
 
     def locate(self, base_images):
         """Element indices of group elements given by their base images.
@@ -302,7 +408,8 @@ class PermGroup:
         """
         idx = self._find(base_images)
         if np.any(idx < 0):
-            raise InvariantViolation("base images of a non-member")
+            raise InvariantViolation(
+                "base images of a non-member: a digit is off its orbit")
         return idx
 
     def lookup(self, rows):
@@ -339,13 +446,10 @@ class PermGroup:
         return int(self.locate(E[i][E[j][self.base]][None])[0])
 
     def multiplication_table(self):
-        """Table of product_index over all pairs, one locate per column."""
-        E = self._elements
-        base = self.base
-        table = np.empty((self.order, self.order), dtype=np.int64)
-        for j in range(self.order):
-            table[:, j] = self.locate(E[:, E[j, base]])
-        return table
+        """Table of product_index over all pairs, from one locate."""
+        E, base = self._elements, self.base
+        return self.locate(E[:, E[:, base]].reshape(-1, len(base))).reshape(
+            self.order, self.order)
 
     def inverse_rows(self):
         """Image rows of the inverses, scattered in chunks of rows."""
@@ -365,8 +469,9 @@ class PermGroup:
     # -- conjugacy classes ---------------------------------------------------
 
     def conjugacy_classes(self):
-        if self._classes is None:
-            self._classes = self._compute_classes()
+        with self._classes_lock:
+            if self._classes is None:
+                self._classes = self._compute_classes()
         return self._classes
 
     def _compute_classes(self):
@@ -523,32 +628,43 @@ def p_rank_abelianization(H, p):
     """
     E = H.element_rows()
     base = H.base
+    gens = np.array([g.images for g in H.generators],
+                    dtype=np.intp).reshape(-1, H.degree)
+    ginv = np.argsort(gens, axis=1)
+    each = np.arange(len(gens))
+    # base images of the commutators a^-1 b^-1 a b, at [a, b], and of the
+    # powers a^p = a^k
+    ab = gens[:, gens[:, base]]
+    comm = ginv[each[:, None, None], ginv[each[None, :, None], ab]]
+    seeds = []
+    for a, g, c in zip(H.generators, gens, comm):
+        seeds += list(c)
+        k = p % a.order()  # K holds a^0, the identity, already
+        if k:
+            seeds.append(functools.reduce(lambda x, _: g[x], range(k), base))
+    pending = list(H.locate(np.array(seeds))) if seeds else []
     in_k = np.zeros(H.order, dtype=bool)
     in_k[0] = True
-    kbase, pending = [], []
-    for a in H.generators:
-        pending += [a.inv() * b.inv() * a * b for b in H.generators]
-        k = p % a.order()  # a^p = a^k, and K holds the identity already
-        if k:
-            pending.append(functools.reduce(Perm.__mul__, [a] * k))
+    kbase = []
     sub_order = 1
     while pending and sub_order < H.order:
         s = pending.pop(0)
-        if in_k[H.locate(np.asarray(s.images)[base][None])[0]]:
+        if in_k[s]:
             continue
         # <K, s>: right multiples of K by s, then of each new element by
-        # every generator of K
-        kbase.append(np.asarray(s.images)[base])
-        frontier, steps = np.flatnonzero(in_k), kbase[-1:]
+        # every generator of K, all generators in one locate
+        kbase.append(E[s, base])
+        frontier, steps = np.flatnonzero(in_k), np.array(kbase[-1:])
         while len(frontier):
             hit = np.zeros(H.order, dtype=bool)
-            for b in steps:
-                hit[H.locate(E[frontier[:, None], b])] = True
+            hit[H.locate(E[frontier[:, None, None], steps].reshape(
+                -1, len(base)))] = True
             frontier = np.flatnonzero(hit & ~in_k)
             in_k[frontier] = True
-            steps = kbase
+            steps = np.array(kbase)
         sub_order = int(np.count_nonzero(in_k))
-        pending += [h * s * h.inv() for h in H.generators]
+        # the conjugates h s h^-1 by the generators, on the base
+        pending += list(H.locate(gens[each[:, None], E[s][ginv[:, base]]]))
     index, rem = divmod(H.order, sub_order)
     if rem:
         raise InvariantViolation("commutator closure is not a subgroup")

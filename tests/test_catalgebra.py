@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hh1lab import catalgebra
 from hh1lab.catalgebra import (CatFunctor, FinCategory, Morphism, bar_hh,
@@ -14,6 +15,7 @@ from hh1lab.errors import DimCapExceeded, InvalidCategory, NotAnAction
 from hh1lab.ffield import field_make
 from hh1lab.groupalgebra import group_algebra
 from hh1lab.hhone import derivation_space
+from hh1lab.permgroup import Perm, group_from_generators
 
 POSET_FILE = "src/hh1lab/data/categories/poset_a_to_b.cat"
 
@@ -258,6 +260,38 @@ def test_bar_hh_degree01_cross_checks(corpus):
         ds = derivation_space(A)
         assert dims[0] == ds.center_dim
         assert dims[1] == ds.hh1_dim
+
+
+def transporters(max_order=12):
+    """Transporter categories of random groups of degree at most 4 and
+    order at most ``max_order``: the trivial action on 1-3 points, or the
+    natural action on the orbit of point 0.  None is a poset, and the
+    trivial ones are not connected."""
+    def build(args):
+        gens, trivial, n = args
+        G = group_from_generators(len(gens[0]), [Perm(g) for g in gens])
+        if G.order > max_order:
+            return None
+        if trivial:
+            return transporter_category(G, range(n), action="trivial")
+        orbit = sorted(set(G.element_rows()[:, 0].tolist()))
+        return transporter_category(G, orbit)
+
+    gens = st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.permutations(range(n)), min_size=1,
+                           max_size=2))
+    return st.tuples(gens, st.booleans(), st.integers(1, 3)).map(
+        build).filter(lambda C: C is not None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(transporters(), st.sampled_from([2, 3]))
+def test_bar_hh1_equals_the_solver_on_transporter_categories(C, p):
+    A = category_algebra(C, field_make(p, 1))
+    dims = bar_hh(A, 1)
+    ds = derivation_space(A)
+    assert dims[0] == ds.center_dim
+    assert dims[1] == ds.hh1_dim
 
 
 def test_bar_hh_caps(corpus, monkeypatch):

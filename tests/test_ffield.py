@@ -474,6 +474,22 @@ def test_odd_extension_arithmetic_matches_reference(p, m, data):
     assert ref_int(f, f.coeffs(a)) == a
 
 
+@pytest.mark.parametrize("m", [2, 8, 61, 180])
+@FIELD_PROPERTY
+@given(data=st.data())
+def test_gf2_folded_reduction_matches_the_bitwise_one(m, data):
+    # mul and inv fold the modulus tail; _gf2p_mod clears one bit a step
+    f = field_make(2, m, _allow_large_degree=True)
+    mod = ffield._gf2p_mod
+    f_int = sum(1 << i for i, c in enumerate(f.modulus) if c)
+    a, b = (data.draw(st.integers(0, f.order - 1)) for _ in range(2))
+    assert f.mul(a, b) == mod(ffield._gf2p_mul(a, b), f_int)
+    if a:
+        inv = f.inv(a)
+        assert inv < f.order
+        assert mod(ffield._gf2p_mul(a, inv), f_int) == 1
+
+
 @pytest.mark.parametrize("p,m", ODD_EXTENSIONS)
 def test_elements_are_the_ints_below_q(p, m):
     f = field_make(p, m)

@@ -11,6 +11,7 @@ replaced the bytes-keyed enumeration.
 import hashlib
 import itertools
 import math
+import random
 from unittest import mock
 
 import numpy as np
@@ -262,7 +263,7 @@ def _check_enumeration(G):
     rows = _reference_rows(G.degree, gens)
     assert G.element_rows().tolist() == [list(r) for r in rows]
     assert permgroup._stabilizer_chain(
-        G.degree, gens, math.inf, math.inf)[1] == G.order
+        G.degree, gens, math.inf, math.inf).order == G.order
     assert G.base.tolist() == _greedy_base(rows)
 
 
@@ -279,12 +280,16 @@ def test_direct_products_match_a_set_based_closure(G, H):
     _check_enumeration(direct_product(G, H))
 
 
-def test_a_base_too_long_for_integer_keys():
+def _three_hundred_points():
     # eight disjoint transpositions on 300 points: base 0, 2, ..., 14, and
     # 300^8 > 2^63, so the keys are the base images' bytes
     gens = [Perm([x ^ 1 if x == 2 * i or x == 2 * i + 1 else x
                   for x in range(300)]) for i in range(8)]
-    G = group_from_generators(300, gens)
+    return group_from_generators(300, gens)
+
+
+def test_a_base_too_long_for_integer_keys():
+    G = _three_hundred_points()
     _check_enumeration(G)
     assert G.base.tolist() == list(range(0, 16, 2))
     E = G.element_rows()
@@ -318,12 +323,89 @@ def test_an_enumeration_off_the_chain_order_raises(monkeypatch, skew):
     chain = permgroup._stabilizer_chain
 
     def skewed(*args):
-        base, order = chain(*args)
-        return base, order + skew
+        sifter = chain(*args)
+        sifter.order += skew
+        return sifter
 
     monkeypatch.setattr(permgroup, "_stabilizer_chain", skewed)
     with pytest.raises(InvariantViolation, match="chain order"):
         group_from_generators(4, [Perm([1, 2, 3, 0])])
+
+
+# -- the sift against dict references ---------------------------------------
+
+
+def _check_locate(G, rng):
+    """locate on the base images of random products, in a shuffled order
+    with repeats, against a dict of full rows."""
+    E = _rows(G)
+    index = _row_index(G)
+    i, j = (np.array([rng.randrange(G.order) for _ in range(2 * G.order)])
+            for _ in range(2))
+    products = _compose(E[i], E[j])
+    want = [index[tuple(r)] for r in products.tolist()]
+    assert G.locate(products[:, G.base]).tolist() == want
+
+
+def _check_lookup(G, rng):
+    """lookup gives -1 for random rows outside the group, among them rows
+    with a member's base images, and the index for the members among
+    them."""
+    E = _rows(G)
+    index = _row_index(G)
+    rows = [rng.sample(range(G.degree), G.degree) for _ in range(20)]
+    # a member composed with a permutation t of the points off the base
+    # has the member's base images; it is a member only when t is 1
+    off_base = sorted(set(range(G.degree)) - set(G.base.tolist()))
+    for _ in range(20):
+        t = np.arange(G.degree)
+        t[off_base] = rng.sample(off_base, len(off_base))
+        rows.append(E[rng.randrange(G.order)][t].tolist())
+    want = [index.get(tuple(r), -1) for r in rows]
+    assert G.lookup(np.array(rows)).tolist() == want
+
+
+@PROPERTY
+@given(groups(7, 5040), st.randoms(use_true_random=False))
+def test_locate_and_lookup_match_a_row_dict(G, rng):
+    _check_locate(G, rng)
+    _check_lookup(G, rng)
+
+
+@PROPERTY
+@given(groups(5, 60), groups(5, 60), st.randoms(use_true_random=False))
+def test_locate_and_lookup_match_a_row_dict_on_products(G, H, rng):
+    P = direct_product(G, H)
+    _check_locate(P, rng)
+    _check_lookup(P, rng)
+
+
+def test_locate_and_lookup_match_a_row_dict_past_integer_keys():
+    rng = random.Random(3)
+    G = _three_hundred_points()
+    _check_locate(G, rng)
+    _check_lookup(G, rng)
+
+
+@PROPERTY
+@given(groups(6, 720), st.randoms(use_true_random=False))
+def test_from_element_rows_picks_the_greedy_generators(G, rng):
+    # rows of G in a random order, some of them: each generator is the
+    # first row outside the set closure of the generators before it
+    E = _rows(G)
+    picks = rng.sample(range(G.order), rng.randrange(1, G.order + 1))
+    rows = E[picks]
+    gens, span = [], {tuple(range(G.degree))}
+    for r in map(tuple, rows.tolist()):
+        if r not in span:
+            gens.append(r)
+            span = _closure(gens)
+    H = PermGroup.from_element_rows(G.degree, rows)
+    assert [g.images for g in H.generators] == gens
+    assert _element_set(H) == span
+    K = group_from_generators(G.degree, [Perm(g) for g in gens])
+    assert np.array_equal(H.element_rows(), K.element_rows())
+    assert np.array_equal(H.base, K.base)
 
 
 # -- errors the index raises ------------------------------------------------
@@ -424,11 +506,12 @@ def test_j1_over_the_memory_cap_is_refused_before_enumeration(capsys,
     except FileNotFoundError:
         pytest.skip("J1 generator file not packaged")
 
-    def no_keys(*args):
+    def no_rows(*args):
         raise AssertionError("a row was enumerated")
 
-    # the chain gives |J1| before any row is built: no key is ever packed
-    monkeypatch.setattr(permgroup, "_pack", no_keys)
+    # the chain gives |J1| before any row is built: the enumeration, which
+    # allocates and fills the rows, is never entered
+    monkeypatch.setattr(permgroup, "_closure_rows", no_rows)
     code = main(["hh1", "--group", "J1", "--prime", "2"])
     assert code == 2
     assert capsys.readouterr().err == (
