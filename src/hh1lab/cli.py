@@ -7,7 +7,9 @@ that cached hh1 documents keep the timing of the run that first produced
 them.  The cache lives under $HH1LAB_CACHE (default .hh1lab-cache/), one
 JSON file per hash of those inputs, the order the corpus manifest claims
 and the package source, written via temp-file-then-rename so concurrent
-writers are safe.  A hit reads only the group file's bytes.
+writers are safe.  A hit reads only the group file's bytes, and its
+document keeps the text of its cache file, which rendering embeds,
+re-indented to its depth, instead of encoding the document again.
 """
 
 from __future__ import annotations
@@ -187,8 +189,108 @@ def caps_dict(allow_large):
     }
 
 
+class CachedDocument(dict):
+    """A document as its cache entry holds it: a read-only dict of the
+    decoded value whose `text` is the JSON text it was decoded from, the
+    value rendered at depth 0 without the final newline."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, value, text):
+        super().__init__(value)
+        self.text = text
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a cached document is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+def _float_text(x):
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_text(key):
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError("keys must be str, int, float, bool or None, "
+                    f"not {type(key).__name__}")
+
+
+def _render(value, newline, out):
+    """Append value's JSON text to out; `newline` is a line break followed
+    by the indentation of value's depth."""
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_float_text(value))
+    elif isinstance(value, CachedDocument):
+        # string literals hold no raw line break, so indenting every line
+        # break re-indents the whole text
+        out.append(value.text.replace("\n", newline))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _render(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                key = _key_text(key)
+            out.append(sep + _encode_str(key) + ": ")
+            _render(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} "
+                        "is not JSON serializable")
+
+
 def render_document(doc):
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """doc as json.dumps(doc, sort_keys=True, indent=2) + "\\n" renders it;
+    each CachedDocument in it contributes its text, re-indented."""
+    out = []
+    _render(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def cache_dir():
@@ -222,30 +324,40 @@ def cache_key(kind, group_bytes, prime, caps, seed, extra=""):
 
 
 def cache_get(key):
-    """The cached document for key, or None on a miss.  An entry that cannot
-    be read or decoded counts as a miss, so the recompute rewrites it."""
+    """The cached document for key as a CachedDocument, or None on a miss.
+    An entry that cannot be read or decoded, or that is not a JSON object
+    with this schema_version and kind "hh1", counts as a miss, so the
+    recompute rewrites it."""
     path = os.path.join(cache_dir(), f"{key}.json")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            text = fh.read()
+        value = json.loads(text)
     except (OSError, ValueError):
-        doc = None
-    CACHE_STATS["misses" if doc is None else "hits"] += 1
-    return doc
+        value = None
+    hit = (isinstance(value, dict)
+           and value.get("schema_version") == SCHEMA_VERSION
+           and value.get("kind") == "hh1")
+    CACHE_STATS["hits" if hit else "misses"] += 1
+    return CachedDocument(value, text.strip()) if hit else None
 
 
 def cache_put(key, doc):
+    """Write doc as the entry for key; returns it as a CachedDocument of
+    the text written."""
+    text = render_document(doc)
     d = cache_dir()
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(render_document(doc))
+            fh.write(text)
         os.replace(tmp, os.path.join(d, f"{key}.json"))
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    return CachedDocument(doc, text[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +425,8 @@ def hh1_doc_cached(group, manifest, allow_large, prime, method, seed):
 
     The cache key needs only the file bytes and the order the manifest
     claims, so a hit parses and enumerates nothing; a miss builds the group,
-    order check included, and computes.
+    order check included, and computes.  Either way the document is a
+    CachedDocument holding the text of its cache file.
     """
     source = read_group_source(group, manifest)
     key = cache_key("hh1", source.raw, prime, caps_dict(allow_large), seed,
@@ -321,8 +434,8 @@ def hh1_doc_cached(group, manifest, allow_large, prime, method, seed):
     doc = cache_get(key)
     if doc is None:
         G, _, name = resolve_group(source, allow_large=allow_large)
-        doc = compute_hh1_doc(name, G, prime, method, seed, allow_large)
-        cache_put(key, doc)
+        doc = cache_put(key, compute_hh1_doc(name, G, prime, method, seed,
+                                             allow_large))
     return doc
 
 

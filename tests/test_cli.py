@@ -351,6 +351,38 @@ def test_corrupt_cache_entry_is_recomputed(tmp_path, capsys):
     assert rewritten == fresh
 
 
+@pytest.mark.parametrize("content", ["[1]\n", "{}\n", '"x"\n'])
+@pytest.mark.parametrize("command", ["hh1", "report"])
+def test_entry_that_is_not_an_hh1_document_is_recomputed(
+        tmp_path, capsys, command, content):
+    # an entry that parses to anything but an hh1 document of this schema
+    # is a miss and is rewritten, not served
+    if command == "hh1":
+        argv = ["hh1", "--group", "S3", "--prime", "2"]
+    else:
+        manifest = write_corpus(tmp_path / "corpus", {"S3": 6})
+        argv = ["report", "--corpus", manifest, "--primes", "2"]
+    code, fresh = run_cli(capsys, argv)
+    assert code == 0
+    (entry,) = (tmp_path / "cache").glob("*.json")
+    written = entry.read_text()
+    entry.write_text(content)
+    before = dict(cli.CACHE_STATS)
+    code, again = run_cli(capsys, argv)
+    assert code == 0
+    assert cli.CACHE_STATS["misses"] == before["misses"] + 1
+    assert cli.CACHE_STATS["hits"] == before["hits"]
+    written, rewritten = json.loads(written), json.loads(entry.read_text())
+    if command == "report":
+        (entry_fresh,), (entry_again,) = fresh["entries"], again["entries"]
+        assert entry_again["status"] == "ok"
+        fresh, again = entry_fresh["document"], entry_again["document"]
+    assert rewritten == again
+    for doc in (fresh, again, written):
+        doc.pop("timings")
+    assert again == fresh == written
+
+
 def test_invariant_violation_is_a_report_error(tmp_path, capsys, monkeypatch):
     from importlib import resources
     from hh1lab import hhone

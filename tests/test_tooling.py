@@ -65,3 +65,41 @@ def test_benchmark_tracer_tags_each_compute_with_its_prime(
                    if s["name"] == "cli.compute")
     assert items == ["S3@2", "S3@3"]
     assert sum(s["name"] == "cli.resolve" for s in tracer.spans) == misses
+
+
+def test_benchmark_tracer_times_the_cache_and_the_render(
+        tmp_path, monkeypatch, capsys):
+    # perfbench/spans.py wraps cache_get, cache_put and render_document by
+    # name, and counts cli.cache_bytes_written from the file named by
+    # cache_put's first argument, the key
+    import json
+    from importlib import resources
+    from hh1lab import cli
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    import spans
+    data = resources.files("hh1lab").joinpath("data/groups/S3.grp")
+    (tmp_path / "S3.grp").write_bytes(data.read_bytes())
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"entries": [
+        {"name": "S3", "file": "S3.grp", "order": 6}]}))
+    argv = ["report", "--corpus", str(manifest), "--primes", "2,3"]
+    tracer = spans.Tracer()
+    outputs = []
+    try:
+        tracer.install()
+        for _ in range(2):  # cold, then warm
+            assert cli.main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+    finally:
+        tracer.restore()
+    assert outputs[0] == outputs[1]
+    names = [s["name"] for s in tracer.spans]
+    assert names.count("cli.cache_get") == 4
+    assert names.count("cli.cache_put") == 2
+    # one render per cache entry written and one per report
+    assert names.count("cli.render") == 4
+    written = sorted((tmp_path / "cache").glob("*.json"))
+    assert len(written) == 2
+    assert tracer.counts["cli.cache_bytes_written"] == sum(
+        path.stat().st_size for path in written)
