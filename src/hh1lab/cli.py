@@ -326,7 +326,8 @@ def cache_key(kind, group_bytes, prime, caps, seed, extra=""):
 def cache_get(key):
     """The cached document for key as a CachedDocument, or None on a miss.
     An entry that cannot be read or decoded, or that is not a JSON object
-    with this schema_version and kind "hh1", counts as a miss, so the
+    with this schema_version, kind "hh1" and the verdicts.counterexamples,
+    consistency and totals the commands read, counts as a miss, so the
     recompute rewrites it."""
     path = os.path.join(cache_dir(), f"{key}.json")
     try:
@@ -337,7 +338,11 @@ def cache_get(key):
         value = None
     hit = (isinstance(value, dict)
            and value.get("schema_version") == SCHEMA_VERSION
-           and value.get("kind") == "hh1")
+           and value.get("kind") == "hh1"
+           and isinstance(value.get("verdicts"), dict)
+           and isinstance(value["verdicts"].get("counterexamples"), list)
+           and isinstance(value.get("consistency"), dict)
+           and "totals" in value)
     CACHE_STATS["hits" if hit else "misses"] += 1
     return CachedDocument(value, text.strip()) if hit else None
 

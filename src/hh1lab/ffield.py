@@ -591,6 +591,25 @@ def poly_deriv(spec, a):
     return poly_trim(spec, out)
 
 
+def _frobenius_mod(spec, a, f):
+    """a^p mod the monic f, for a reduced mod f: each coefficient c goes to
+    c^p at p times its exponent, then one reduction by f, with no inverse.
+    Primes above 4 log2 p, where that costs more, square and multiply."""
+    p, n, kind = spec.p, len(f) - 1, spec._kind
+    if p > 4 * p.bit_length():  # p n^2 steps here, ~4 n^2 log p by pow
+        return poly_pow_mod(spec, a, p, f)
+    out = [0] * (p * len(a) - p + 1)
+    for i, c in enumerate(a):
+        out[p * i] = (c if kind == "prime" else spec._reduce2(_gf2p_sq(c))
+                      if kind == "gf2" else spec.pow(c, p))
+    for top in range(len(out) - 1, n - 1, -1):
+        if lead := out[top]:
+            for j in range(n):
+                k = top - n + j
+                out[k] = spec.sub(out[k], spec.mul(lead, f[j]))
+    return poly_trim(spec, out[:n])
+
+
 def _equal_degree(spec, f, rng):
     """Cantor-Zassenhaus split of a product of distinct monic linear
     factors into those factors."""
@@ -606,7 +625,7 @@ def _equal_degree(spec, f, rng):
             t = poly_mod(spec, r, f)
             acc = t
             for _ in range(spec.m - 1):
-                t = poly_mod(spec, poly_mul(spec, t, t), f)
+                t = _frobenius_mod(spec, t, f)
                 acc = poly_add(spec, acc, t)
             g = poly_gcd(spec, f, acc)
         else:
@@ -623,20 +642,26 @@ def poly_factor(spec, f, seed=0):
 
     While f has positive degree, the roots of its squarefree part s = f /
     gcd(f, f') (s = f when f' = 0) in the field are the linear factors of
-    gcd(s, t^q - t); each is divided out of f as often as it goes.  Returns
+    gcd(s, t^q - t); each is divided out of f as often as it goes.  t^q
+    mod s and the p = 2 trace map take m `_frobenius_mod` steps (von zur
+    Gathen & Shoup 1992); a monic linear f is its own factor.  Returns
     the (monic linear factor, multiplicity) pairs, sorted so repeated runs
     produce identical output for identical seeds.  Raises
     SplitFieldTooSmall when f has an irreducible factor of degree above one.
     """
     rng = Random(seed)
     f = poly_monic(spec, f)
+    if len(f) == 2:
+        return [(tuple(f), 1)]
     x = [spec.zero, spec.one]
     factors = []
     while len(f) > 1:
         df = poly_deriv(spec, f)
         s = poly_divmod(spec, f, poly_gcd(spec, f, df))[0] if df else f
-        r = poly_gcd(spec, s, poly_sub(
-            spec, poly_pow_mod(spec, x, spec.order, s), x))
+        xq = poly_mod(spec, x, s)
+        for _ in range(spec.m):
+            xq = _frobenius_mod(spec, xq, s)
+        r = poly_gcd(spec, s, poly_sub(spec, xq, x))
         if len(r) == 1:
             raise SplitFieldTooSmall(
                 f"polynomial has no root in GF({spec.p}^{spec.m})")

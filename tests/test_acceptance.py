@@ -10,6 +10,7 @@ otherwise.
 import time
 
 import pytest
+from test_groupalgebra import block_digest
 
 from hh1lab import cli
 from hh1lab.catalgebra import (bar_hh, happel_probe, nerve_cohomology,
@@ -208,6 +209,10 @@ def test_criterion_8_nonvanishing_harness(sweep, corpus):
           f"nonvanishing; harness exit code flags counterexamples")
 
 
+J1_BLOCKS_AT_2_DIGEST = (
+    "74b52181119afa3d7e1e1d60ff7b4ecf787736d9ac242e532d362ef7825d19bc")
+
+
 @pytest.mark.stretch
 def test_criterion_9_stretch_j1_block_defects():
     manifest = CorpusManifest.packaged()
@@ -225,6 +230,9 @@ def test_criterion_9_stretch_j1_block_defects():
     others = [b for b in blocks if not b.is_principal]
     assert len(principal) == 1 and principal[0].defect == 3
     assert all(b.defect in (0, 1) for b in others)
+    # idempotents and central characters of the seven blocks over GF(2^180)
+    assert len(blocks) == 7
+    assert block_digest(blocks) == J1_BLOCKS_AT_2_DIGEST
     elapsed = time.monotonic() - t0
     assert elapsed < 900
     print(f"\nPASS criterion 9 (J1): principal 2-block defect 3, all others "

@@ -351,12 +351,39 @@ def test_corrupt_cache_entry_is_recomputed(tmp_path, capsys):
     assert rewritten == fresh
 
 
-@pytest.mark.parametrize("content", ["[1]\n", "{}\n", '"x"\n'])
+@pytest.mark.parametrize("content", [
+    "[1]\n", "{}\n", '"x"\n', '{"schema_version": 1, "kind": "hh1"}\n'])
 @pytest.mark.parametrize("command", ["hh1", "report"])
 def test_entry_that_is_not_an_hh1_document_is_recomputed(
         tmp_path, capsys, command, content):
     # an entry that parses to anything but an hh1 document of this schema
     # is a miss and is rewritten, not served
+    _check_entry_is_recomputed(tmp_path, capsys, command, lambda _: content)
+
+
+@pytest.mark.parametrize("path", ["verdicts.counterexamples", "verdicts",
+                                  "consistency", "totals"])
+@pytest.mark.parametrize("command", ["hh1", "report"])
+def test_entry_without_a_field_the_commands_read_is_recomputed(
+        tmp_path, capsys, command, path):
+    # hh1 and report read verdicts.counterexamples, consistency and
+    # totals; an entry that lacks one is a miss, not a KeyError
+    def drop(text):
+        doc = json.loads(text)
+        *outer, last = path.split(".")
+        parent = doc
+        for key in outer:
+            parent = parent[key]
+        del parent[last]
+        return json.dumps(doc)
+
+    _check_entry_is_recomputed(tmp_path, capsys, command, drop)
+
+
+def _check_entry_is_recomputed(tmp_path, capsys, command, corrupt):
+    """Compute once, replace the cache entry's text by corrupt(text), and
+    check that the next call misses, rewrites the entry and prints the
+    same document."""
     if command == "hh1":
         argv = ["hh1", "--group", "S3", "--prime", "2"]
     else:
@@ -366,7 +393,7 @@ def test_entry_that_is_not_an_hh1_document_is_recomputed(
     assert code == 0
     (entry,) = (tmp_path / "cache").glob("*.json")
     written = entry.read_text()
-    entry.write_text(content)
+    entry.write_text(corrupt(written))
     before = dict(cli.CACHE_STATS)
     code, again = run_cli(capsys, argv)
     assert code == 0

@@ -9,7 +9,9 @@ from hh1lab import ffield
 from hh1lab.errors import (DegreeOutOfRange, DivisionByZero, NotPrime,
                            SplitFieldTooSmall)
 from hh1lab.ffield import (echelonize, field_make, np_kernel_mod_p,
-                           np_rref_mod_p, poly_factor, poly_monic, poly_mul,
+                           np_rref_mod_p, poly_add, poly_deriv, poly_divmod,
+                           poly_factor, poly_gcd, poly_mod, poly_monic,
+                           poly_mul, poly_pow_mod, poly_sub, poly_trim,
                            rank_nullspace_raw, sparse_rows)
 
 
@@ -207,6 +209,107 @@ def test_factor_without_enough_roots_is_refused(p, poly):
     # is (t+1)(t^2+1) over GF(3): one root, then nothing left to find
     with pytest.raises(SplitFieldTooSmall):
         poly_factor(field_make(p, 1), poly)
+
+
+def _reference_equal_degree(spec, f, rng):
+    # Cantor-Zassenhaus whose trace map squares by poly_mul and whose
+    # odd-p power is poly_pow_mod
+    if len(f) == 2:
+        return [f]
+    while True:
+        r = poly_trim(spec, [rng.randrange(spec.order) for _ in f[1:]])
+        if not r:
+            continue
+        if spec.p == 2:
+            t = acc = poly_mod(spec, r, f)
+            for _ in range(spec.m - 1):
+                t = poly_mod(spec, poly_mul(spec, t, t), f)
+                acc = poly_add(spec, acc, t)
+            g = poly_gcd(spec, f, acc)
+        else:
+            w = poly_pow_mod(spec, r, (spec.order - 1) // 2, f)
+            g = poly_gcd(spec, f, poly_sub(spec, w, [spec.one]))
+        if 1 < len(g) < len(f):
+            return (_reference_equal_degree(spec, g, rng)
+                    + _reference_equal_degree(
+                        spec, poly_divmod(spec, f, g)[0], rng))
+
+
+def _reference_factor(spec, f, seed):
+    """Root finding as poly_factor does it, with x^q mod s formed by
+    poly_pow_mod instead of Frobenius steps."""
+    rng = random.Random(seed)
+    f = poly_monic(spec, f)
+    x = [spec.zero, spec.one]
+    factors = []
+    while len(f) > 1:
+        df = poly_deriv(spec, f)
+        s = poly_divmod(spec, f, poly_gcd(spec, f, df))[0] if df else f
+        r = poly_gcd(spec, s, poly_sub(
+            spec, poly_pow_mod(spec, x, spec.order, s), x))
+        if len(r) == 1:
+            raise SplitFieldTooSmall("no root")
+        for lin in _reference_equal_degree(spec, r, rng):
+            mult = 0
+            quo, rem = poly_divmod(spec, f, lin)
+            while not rem:
+                f, mult = quo, mult + 1
+                quo, rem = poly_divmod(spec, f, lin)
+            factors.append((tuple(lin), mult))
+    return sorted(factors, key=lambda fm: (len(fm[0]), fm[0], fm[1]))
+
+
+LARGE_FIELDS = [(2, 61), (2, 180), (3, 11)]  # gf2, gf2, poly kind
+
+
+@pytest.mark.parametrize("p,m", LARGE_FIELDS)
+def test_factor_over_large_fields_matches_the_reference(p, m):
+    # random roots with multiplicities up to 2p over fields whose
+    # elements have no table; equal to the poly_pow_mod reference
+    f = field_make(p, m, _allow_large_degree=True)
+    rng = random.Random(17)
+    for _ in range(8):
+        roots = {rng.randrange(f.order) for _ in range(rng.randrange(1, 5))}
+        mults = {root: rng.randrange(1, 2 * p + 1) for root in roots}
+        poly = [rng.randrange(1, f.order)]
+        for root, mult in mults.items():
+            for _ in range(mult):
+                poly = poly_mul(f, poly, [f.neg(root), f.one])
+        seed = rng.randrange(100)
+        factors = poly_factor(f, poly, seed=seed)
+        assert factors == _reference_factor(f, poly, seed)
+        assert sorted((irr[0], mult) for irr, mult in factors) == \
+            sorted((f.neg(root), mult) for root, mult in mults.items())
+
+
+def _irreducible_quadratic(f, rng):
+    """t^2 + t + a with Tr(a) = 1 over GF(2^m), t^2 - n with n a
+    non-square over odd GF(q): both have no root in f."""
+    while True:
+        a = rng.randrange(1, f.order)
+        if f.p == 2:
+            trace, x = 0, a
+            for _ in range(f.m):
+                trace, x = f.add(trace, x), f.mul(x, x)
+            if trace == f.one:
+                return [a, f.one, f.one]
+        elif f.pow(a, (f.order - 1) // 2) != f.one:
+            return [f.neg(a), f.zero, f.one]
+
+
+@pytest.mark.parametrize("p,m", [(2, 180), (3, 11)])
+@pytest.mark.parametrize("linear_factors", [0, 2])
+def test_factor_over_large_fields_refuses_a_quadratic_without_roots(
+        p, m, linear_factors):
+    f = field_make(p, m, _allow_large_degree=True)
+    rng = random.Random(5)
+    poly = _irreducible_quadratic(f, rng)
+    for _ in range(linear_factors):
+        poly = poly_mul(f, poly, [rng.randrange(f.order), f.one])
+    with pytest.raises(SplitFieldTooSmall):
+        poly_factor(f, poly)
+    with pytest.raises(SplitFieldTooSmall):
+        _reference_factor(f, poly, 0)
 
 
 def test_factor_deterministic_under_seed():

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -337,6 +340,30 @@ def test_block_idempotents_and_characters_pinned(corpus, name, p, q):
 
     assert [(enc(b.idempotent_class_coords), enc(b.central_character))
             for b in block_decompose(A, G, p)] == BLOCK_PINS[name, p]
+
+
+def block_digest(blocks):
+    """sha256 of the blocks' idempotent class coordinates and central
+    characters, raw field elements in block order, as JSON."""
+    data = [[[int(v) for v in b.idempotent_class_coords],
+             [int(v) for v in b.central_character]] for b in blocks]
+    return hashlib.sha256(json.dumps(data).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n,p,digest", [
+    (11, 2, "69a9d6aaea07033822cc7c0a8c561015a22220d861c0120deac620173ad6f07e"),
+    (19, 2, "a33aa83338ead72f4928a82d7c5cdad904bea1f2247ed3ebc5af5a00473acd01"),
+    (13, 5, "fdc98b13ee11da7bc1e6cb32fd68a3f102004df784d6ba719804f95d0bc4c7bb"),
+], ids=["C11@2", "C19@2", "C13@5"])
+def test_cyclic_block_idempotents_pinned_over_large_fields(n, p, digest):
+    # C11 and C19 split over GF(2^10) and GF(2^18), C13 over GF(5^4):
+    # fields without product tables, where poly_factor's Frobenius
+    # steps carry the whole split
+    G = group_from_generators(n, [Perm([(i + 1) % n for i in range(n)])])
+    A = group_algebra(G, p, allow_large=True)
+    blocks = block_decompose(A, G, p)
+    assert len(blocks) == n
+    assert block_digest(blocks) == digest
 
 
 def _block_record(b):

@@ -97,7 +97,9 @@ def test_cached_document_is_read_only():
 
 def test_cache_round_trip_keeps_the_text():
     doc = {"schema_version": cli.SCHEMA_VERSION, "kind": "hh1",
-           "blocks": [{"dim": 2, "hh1_dim": None}], "name": "xé"}
+           "blocks": [{"dim": 2, "hh1_dim": None}], "name": "xé",
+           "verdicts": {"counterexamples": []}, "consistency": {},
+           "totals": {"hh1_total": 0}}
     put = cli.cache_put("k", doc)
     got = cli.cache_get("k")
     assert put == got == doc
