@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import (DimCapExceeded, InvalidCategory, InvariantViolation,
                      NotAnAction)
-from .ffield import echelonize, field_make, rank_nullspace_raw
+from .ffield import echelonize, field_make, rank_nullspace_raw, transpose
 from .groupalgebra import StructAlgebra
 
 COCHAIN_CAP = 10 ** 6  # cochains of a string complex, all degrees together
@@ -385,30 +385,27 @@ def _string_complex(C, spec, N, values, left, right):
                                      f"cochains by degree {q}")
         room -= len(basis)
         cochains.append(basis)
-    minus_one = spec.neg(spec.one)
+    p = spec.p
 
     def delta_rows(q):
         """Rows of delta^q, one per (q+1)-cochain (empty rows included),
-        with its faces among the q-cochains as columns."""
+        with its faces among the q-cochains as columns.  The signs add up
+        as ints, reduced mod p once per row: raw n mod p is n in any field
+        of characteristic p."""
         col_index = {key: i for i, key in enumerate(cochains[q])}
         rows = []
         for t, v in cochains[q + 1]:
+            faces = ([((t[1:], u), 1) for u in left(t[0], v)]
+                     + [((t[:s - 1] + (g,) + t[s + 1:], v), (-1) ** s)
+                        for s in range(1, q + 1)
+                        if (g := C.comp[t[s - 1], t[s]]) not in identities]
+                     + [((t[:-1], u), (-1) ** (q + 1))
+                        for u in right(v, t[-1])])
             row = {}
-
-            def add(key, s):
+            for key, x in faces:
                 c = col_index[key]
-                row[c] = spec.add(row.get(c, spec.zero),
-                                  minus_one if s % 2 else spec.one)
-
-            for u in left(t[0], v):
-                add((t[1:], u), 0)
-            for s in range(1, q + 1):
-                composed = C.comp[t[s - 1], t[s]]
-                if composed not in identities:
-                    add((t[:s - 1] + (composed,) + t[s + 1:], v), s)
-            for u in right(v, t[-1]):
-                add((t[:-1], u), q + 1)
-            rows.append({c: x for c, x in row.items() if not spec.is_zero(x)})
+                row[c] = row.get(c, 0) + x
+            rows.append({c: x % p for c, x in row.items() if x % p})
         return rows
 
     return cochains, delta_rows
@@ -534,11 +531,7 @@ def restriction_map(pi, spec, N):
         if q < N:
             # the image of delta^q is spanned by its columns delta(e_c),
             # one per q-cochain c
-            cols = [{} for _ in cochains_s[q]]
-            for r, row in enumerate(rows):
-                for c, v in row.items():
-                    cols[c][r] = v
-            im_s = [col for col in cols if col]
+            im_s = [col for col in transpose(rows, len(cochains_s[q])) if col]
         rank_s, rank_t = next_rank_s, next_rank_t
     return out
 

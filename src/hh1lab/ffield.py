@@ -11,20 +11,18 @@ larger odd extension fields multiply digit vectors as polynomials.
 
 The public surface is `FieldSpec` (raw arithmetic), `field_make`, the
 ``poly_*`` helpers, and elimination: `echelonize` / `rank_nullspace_raw` on
-sparse rows (dicts col -> raw), which run GF(2) through a packed-bit kernel
-and every other field through the row step `echelon_insert`.  Over fields
-of order at most ``TABLE_MAX_ORDER`` the row step reads q x q sum and
-product tables, built on first use once per (p, m); larger fields call
-`FieldSpec` per entry.  A rank-only call (``want_basis=False``) stops after
-the forward echelon, since back-reduction keeps the pivots.  Dense front
-ends of the echelon take int arrays over a prime field: `sparse_rows`
-turns array rows into sparse rows, and `np_rref_mod_p` / `np_kernel_mod_p`
-return the RREF and the canonical nullspace as int arrays.  Every rank and
-nullspace in the package goes through this one echelon.  `poly_factor`
-finds roots: it factors only polynomials that split into linear factors
-over the field, as block splitting's do over a splitting field.
-Everything here is immutable after construction and safe to share between
-threads.
+sparse rows (dicts col -> raw) run every prime field through one insertion
+echelon on rows packed into ints, a few bits per column (Boothby-Bradshaw
+2009), and GF(p^m), m > 1, through the dict row step `echelon_insert`,
+which reads q x q tables up to order ``TABLE_MAX_ORDER``.  A rank-only call
+(``want_basis=False``) eliminates the short side, the transpose when the
+rows outnumber the columns, and skips back-reduction.  `np_rref_mod_p` /
+`np_kernel_mod_p` are dense front ends over a prime field, by way of
+`sparse_rows`.  Every rank and nullspace in the package goes through this
+one echelon.  `poly_factor` finds roots: it factors only polynomials that
+split into linear factors over the field, as block splitting's do over a
+splitting field.  Everything here is immutable after construction and
+safe to share between threads.
 """
 
 from __future__ import annotations
@@ -780,41 +778,72 @@ def _echelon_generic(rows_iter, spec, reduced):
     return pivots, rowlist
 
 
-def _echelon_gf2_bits(rows_iter, reduced):
-    """Insertion echelon over GF(2) with rows packed into ints.
-
-    Bit i of a packed row is column i.  Returns (pivots, rowlist(ints)),
-    back-reduced with ``reduced``.
+def _echelon_packed(rows_iter, p, reduced):
+    """Insertion echelon over F_p on rows packed into ints, column c in bits
+    [w c, w c + w).  Over GF(2), w = 1 and a row operation is XOR.  Over odd
+    p, w = bitlen(p - 1) + 1: a sum of two rows has each field below 2p <=
+    2^w, so nothing carries, and bit w-1 of field + 2^(w-1) - p marks where
+    p comes off.  Pivot rows are monic; the multiple k * row that a row
+    operation needs is made by doubling and not kept, so memory holds the
+    pivot rows alone.  Returns (pivots, packed rows), or with ``reduced``
+    (pivots, RREF rows as dicts col->raw, columns ascending), as
+    `_echelon_generic` does.
     """
+    w = 1 if p == 2 else (p - 1).bit_length() + 1
+    fmask = (1 << w) - 1
     pivots = {}
     rowlist = []
+    ones = bias = span = 0  # 1 and 2^(w-1) - p in each field below bit span
+
+    def add(a, b):
+        if p == 2:
+            return a ^ b
+        s = a + b
+        return s - (((s + bias) >> (w - 1)) & ones) * p
+
+    def times(b, k):  # k * b for 0 < k < p, by doubling
+        if k == 1:
+            return b
+        half = times(add(b, b), k >> 1)
+        return add(half, b) if k & 1 else half
+
+    def fields(x):  # the nonzero (column, value) of x, columns ascending
+        while x:
+            c = ((x & -x).bit_length() - 1) // w
+            v = (x >> (w * c)) & fmask
+            x ^= v << (w * c)
+            yield c, v
+
     for row in rows_iter:
         packed = 0
         for c, v in row.items():
-            if v & 1:
-                packed |= 1 << c
+            packed |= v << (w * c)
+        if packed >> span:
+            span = -(-packed.bit_length() // w) * w
+            ones = ((1 << span) - 1) // fmask
+            bias = ((1 << (w - 1)) - p) * ones
         while packed:
-            lead = (packed & -packed).bit_length() - 1
-            if lead in pivots:
-                packed ^= rowlist[pivots[lead]]
-            else:
+            lead = ((packed & -packed).bit_length() - 1) // w
+            v = (packed >> (w * lead)) & fmask
+            if lead not in pivots:
                 pivots[lead] = len(rowlist)
-                rowlist.append(packed)
+                rowlist.append(times(packed, pow(v, p - 2, p)))
                 break
-    if reduced:
-        mask = 0
-        for lead in pivots:
-            mask |= 1 << lead
-        # as in _echelon_generic, the pivot bits of a row beside its lead
-        # are fixed before it is reduced
-        for lead in sorted(pivots, reverse=True):
-            idx = pivots[lead]
-            above = (rowlist[idx] & mask) ^ (1 << lead)
-            while above:
-                low = above & -above
-                rowlist[idx] ^= rowlist[pivots[low.bit_length() - 1]]
-                above ^= low
-    return pivots, rowlist
+            packed = add(packed, times(rowlist[pivots[lead]], p - v))
+    if not reduced:
+        return pivots, rowlist
+    mask = 0
+    for lead in pivots:
+        mask |= fmask << (w * lead)
+    # as in _echelon_generic, the pivot fields of a row beside its lead are
+    # fixed before it is reduced
+    for lead in sorted(pivots, reverse=True):
+        idx = pivots[lead]
+        row = rowlist[idx]
+        for c, v in fields((row & mask) ^ (1 << (w * lead))):
+            row = add(row, times(rowlist[pivots[c]], p - v))
+        rowlist[idx] = row
+    return pivots, [dict(fields(row)) for row in rowlist]
 
 
 def echelonize(rows, ncols, spec):
@@ -823,17 +852,8 @@ def echelonize(rows, ncols, spec):
     Returns (pivots dict col->rowindex, rows list-of-dicts).  The result is
     the canonical RREF of the row space, independent of input order.
     """
-    if spec.p == 2 and spec.m == 1:
-        pivots, bits = _echelon_gf2_bits(rows, True)
-        rowlist = []
-        for packed in bits:
-            d = {}
-            while packed:
-                low = packed & -packed
-                d[low.bit_length() - 1] = 1
-                packed ^= low
-            rowlist.append(d)
-        return pivots, rowlist
+    if spec.m == 1:
+        return _echelon_packed(rows, spec.p, True)
     return _echelon_generic(rows, spec, True)
 
 
@@ -843,15 +863,11 @@ def kernel_from_echelon(pivots, rowlist, ncols, spec):
     The free-column kernel vectors are re-echelonised, so the result is the
     unique reduced echelon basis of the nullspace itself.
     """
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    raw_rows = []
-    for fc in free_cols:
-        vec = {fc: spec.one}
-        for pc, idx in pivots.items():
-            coef = rowlist[idx].get(fc)
-            if coef is not None and not spec.is_zero(coef):
-                vec[pc] = spec.neg(coef)
-        raw_rows.append(vec)
+    lead_of = list(pivots)  # pivots lists its leads by row index
+    raw_rows = [{fc: spec.one, **{lead_of[i]: spec.neg(v)
+                                  for i, v in col.items()}}
+                for fc, col in enumerate(transpose(rowlist, ncols))
+                if fc not in pivots]
     kpiv, krows = echelonize(raw_rows, ncols, spec)
     basis = []
     for lead in sorted(kpiv):
@@ -860,12 +876,25 @@ def kernel_from_echelon(pivots, rowlist, ncols, spec):
     return basis
 
 
+def transpose(rows, ncols):
+    """The columns of a sparse raw system as sparse rows (dicts row->raw)."""
+    cols = [{} for _ in range(ncols)]
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            cols[c][r] = v
+    return cols
+
+
 def rank_nullspace_raw(rows, ncols, spec, *, want_basis=True):
-    """Rank and canonical nullspace of a sparse raw system."""
+    """Rank and canonical nullspace of a sparse raw system.  A rank-only
+    call eliminates the short side, as rank M = rank M^T, and skips
+    back-reduction, which keeps the pivots."""
     if not want_basis:
-        # the rank is the number of pivots, which back-reduction keeps
-        if spec.p == 2 and spec.m == 1:
-            return len(_echelon_gf2_bits(rows, False)[0]), None
+        rows = list(rows)
+        if len(rows) > ncols:
+            rows = transpose(rows, ncols)
+        if spec.m == 1:
+            return len(_echelon_packed(rows, spec.p, False)[0]), None
         return len(_echelon_generic(rows, spec, False)[0]), None
     pivots, rowlist = echelonize(rows, ncols, spec)
     return len(pivots), kernel_from_echelon(pivots, rowlist, ncols, spec)

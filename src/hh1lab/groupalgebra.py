@@ -54,16 +54,23 @@ class StructAlgebra:
     ``sc`` maps a pair (i, j) of basis indices to a tuple of (k, raw
     coefficient) terms of e_i e_j.  It may be a plain dict or a lazy view
     (group algebras at large order).  ``unit`` is the coordinate vector of
-    the identity as a tuple of raw field values.
+    the identity as a tuple of raw field values.  ``labels`` names the
+    basis; None names it g0, g1, ... as group algebras do, on first read.
     """
 
     def __init__(self, spec, dim, labels, sc, unit, group=None):
         self.field = spec
         self.dim = dim
-        self.labels = list(labels)
+        self._labels = labels
         self.sc = sc
         self.unit = tuple(unit)
         self.group = group  # the source PermGroup for group algebras
+
+    @functools.cached_property
+    def labels(self):
+        if self._labels is None:
+            return [f"g{i}" for i in range(self.dim)]
+        return list(self._labels)
 
     def multiply(self, u, v):
         """Product of two coordinate vectors (raw values)."""
@@ -230,8 +237,7 @@ def group_algebra(G, p, *, allow_large=False):
     spec = field_make(p, m, _allow_large_degree=allow_large)
     unit = [spec.zero] * G.order
     unit[0] = spec.one  # element 0 is the identity (BFS enumeration)
-    labels = [f"g{i}" for i in range(G.order)]
-    return StructAlgebra(spec, G.order, labels, GroupTableSC(G, spec),
+    return StructAlgebra(spec, G.order, None, GroupTableSC(G, spec),
                          unit, group=G)
 
 

@@ -518,6 +518,61 @@ def test_rank_only_is_the_pivot_count(p, m, data):
     assert rank == ncols - len(rank_nullspace_raw(rows, ncols, f)[1])
 
 
+# the large primes guard against tables of all p - 1 multiples of a row
+PACKED_PRIMES = [2, 3, 5, 7, 251, 2 ** 31 - 1, 2 ** 61 - 1]
+
+
+@st.composite
+def dependent_systems(draw, p):
+    """(rows, ncols): tall or wide sparse systems over F_p whose later rows
+    mix earlier ones, so that ranks fall short at every p."""
+    ncols = draw(st.integers(1, 10))
+    tall = draw(st.booleans())
+    nrows = draw(st.integers(ncols + 1, 2 * ncols + 4) if tall
+                 else st.integers(0, ncols))
+    values = st.integers(1, p - 1)
+    rows = []
+    for _ in range(nrows):
+        if rows and draw(st.booleans()):
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            x, y = draw(values), draw(st.integers(0, p - 1))
+            mixed = {c: (x * a.get(c, 0) + y * b.get(c, 0)) % p
+                     for c in a.keys() | b.keys()}
+            rows.append({c: v for c, v in sorted(mixed.items()) if v})
+        else:
+            rows.append(draw(st.dictionaries(st.integers(0, ncols - 1),
+                                             values, max_size=ncols)))
+    return rows, ncols
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_packed_elimination_matches_the_dict_kernel(p, data):
+    # field_make's trial division would take minutes to certify 2^61 - 1
+    f = ffield.FieldSpec(p, 1, (0, 1))
+    rows, ncols = data.draw(dependent_systems(p))
+    reference = ffield._echelon_generic(rows, f, True)
+    pivots, rowlist = ffield._echelon_packed(rows, p, True)
+    assert list(pivots.items()) == list(reference[0].items())
+    assert rowlist == reference[1]
+    assert all(list(row) == sorted(row) for row in rowlist)
+    assert (list(ffield._echelon_packed(rows, p, False)[0].items())
+            == list(ffield._echelon_generic(rows, f, False)[0].items()))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ffield, "echelonize",
+                   lambda rows, ncols, f: ffield._echelon_generic(rows, f,
+                                                                  True))
+        kernel = ffield.kernel_from_echelon(*reference, ncols, f)
+    rank, basis = rank_nullspace_raw(rows, ncols, f)
+    assert (rank, basis) == (len(pivots), kernel)
+    assert rank_nullspace_raw(iter(rows), ncols, f,
+                              want_basis=False) == (rank, None)
+    assert len(basis) == ncols - rank
+    assert all(sum(v * vec[c] for c, v in row.items()) % p == 0
+               for row in rows for vec in basis)
+
+
 # ---------------------------------------------------------------------------
 # odd extension fields against coefficient-vector arithmetic
 # ---------------------------------------------------------------------------

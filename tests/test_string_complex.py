@@ -19,7 +19,7 @@ from hh1lab.catalgebra import (CatFunctor, FinCategory, Morphism, bar_hh,
                                nerve_cohomology, one_object_category,
                                restriction_map)
 from hh1lab.errors import InvalidCategory
-from hh1lab.ffield import field_make, rank_nullspace_raw
+from hh1lab.ffield import echelonize, field_make, rank_nullspace_raw
 from hh1lab.groupalgebra import StructAlgebra, group_algebra
 from hh1lab.hhone import additive_oracle, derivation_space
 from test_permindex import groups
@@ -227,6 +227,29 @@ def test_bg_in_degrees_0_and_1(corpus, name, p, dims):
     assert dims == [len(G.conjugacy_classes()), additive_oracle(G, p)]
     assert bar_hh(category_algebra(one_object_category(G),
                                    field_make(p, 1)), 1) == dims
+
+
+def test_bs3_coboundary_ranks_at_3(corpus, monkeypatch):
+    # delta^3 is 3750 x 750, so its rank-only call ranks the transpose
+    complexes = []
+    dims = catalgebra._cohomology_dims
+
+    def keep(cochains, delta_rows, spec, N):
+        complexes.append((cochains, delta_rows))
+        return dims(cochains, delta_rows, spec, N)
+
+    monkeypatch.setattr(catalgebra, "_cohomology_dims", keep)
+    spec = field_make(3, 1)
+    A = category_algebra(one_object_category(corpus["S3"]), spec)
+    assert bar_hh(A, 3) == [3, 1, 1, 2]
+    cochains, delta_rows = complexes[0]
+    assert [len(c) for c in cochains] == [6, 30, 150, 750, 3750]
+    short_side = [rank_nullspace_raw(iter(delta_rows(q)), len(cochains[q]),
+                                     spec, want_basis=False)[0]
+                  for q in range(4)]
+    pivots = [len(echelonize(delta_rows(q), len(cochains[q]), spec)[0])
+              for q in range(4)]
+    assert short_side == pivots == [3, 26, 123, 625]
 
 
 def test_non_category_basis_is_rejected():
