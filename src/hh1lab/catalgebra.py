@@ -189,12 +189,10 @@ def transporter_category(G, points, action="natural"):
             for x in points:
                 if g.images[x] not in pt_index:
                     raise NotAnAction("point set is not closed under G")
-
-        def act(gi, x):
-            return int(G.element_rows()[gi][x])
+        # the image of each point under each element, built once
+        targets = G.images(None, np.array(points, np.intp))
     elif action == "trivial":
-        def act(gi, x):
-            return x
+        targets = np.broadcast_to(points, (G.order, len(points)))
     else:
         raise NotAnAction(f"unknown action kind {action!r}")
 
@@ -202,7 +200,7 @@ def transporter_category(G, points, action="natural"):
     mor_index = {}
     for gi in range(G.order):
         for xi, x in enumerate(points):
-            y = act(gi, x)
+            y = int(targets[gi, xi])
             mor_index[gi, xi] = len(morphisms)
             morphisms.append(Morphism(f"g{gi}@{x}", xi, pt_index[y]))
     table = G.multiplication_table()

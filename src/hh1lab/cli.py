@@ -149,9 +149,9 @@ def resolve_group(name_or_path, *, allow_large=False, manifest=None):
     document is computed from the bytes its key hashes.
 
     Returns (PermGroup, canonical file bytes, display name).  Stretch runs
-    need allow_large, which raises the enumeration memory cap and prints an
-    estimate of the element table first.  A group whose order is not the
-    one its manifest claims is an error.
+    need allow_large, which raises the enumeration memory cap and first
+    prints the order and what the cap counts for it.  A group whose order
+    is not the one its manifest claims is an error.
     """
     source = (name_or_path if isinstance(name_or_path, GroupSource)
               else read_group_source(name_or_path, manifest))
@@ -166,8 +166,8 @@ def resolve_group(name_or_path, *, allow_large=False, manifest=None):
     if allow_large and order is not None:
         itemsize = 1 if degree <= 255 else 2
         est = order * degree * itemsize
-        _log(f"estimated element table for {name}: "
-             f"{est / (1 << 20):.0f} MiB ({order} x {degree})")
+        _log(f"{name}: {order} elements of degree {degree}, "
+             f"{est / (1 << 20):.0f} MiB against the memory cap")
     G = group_from_generators(degree, gens, DEFAULT_ORDER_CAP, memory_cap)
     if order is not None and G.order != order:
         raise HH1LabError(
@@ -425,20 +425,23 @@ def compute_hh1_doc(name, G, prime, method, seed, allow_large):
     return doc
 
 
-def hh1_doc_cached(group, manifest, allow_large, prime, method, seed):
+def hh1_doc_cached(group, manifest, allow_large, prime, method, seed,
+                   build=None):
     """The hh1 document of a corpus group or group file at one prime.
 
     The cache key needs only the file bytes and the order the manifest
-    claims, so a hit parses and enumerates nothing; a miss builds the group,
-    order check included, and computes.  Either way the document is a
-    CachedDocument holding the text of its cache file.
+    claims, so a hit parses and enumerates nothing; a miss builds the group
+    with ``build`` (`resolve_group` by default), order check included,
+    and computes.  Either way the document is a CachedDocument holding the
+    text of its cache file.
     """
     source = read_group_source(group, manifest)
     key = cache_key("hh1", source.raw, prime, caps_dict(allow_large), seed,
                     extra={"method": method, "order": source.order})
     doc = cache_get(key)
     if doc is None:
-        G, _, name = resolve_group(source, allow_large=allow_large)
+        G, _, name = (build or resolve_group)(source,
+                                              allow_large=allow_large)
         doc = cache_put(key, compute_hh1_doc(name, G, prime, method, seed,
                                              allow_large))
     return doc
@@ -593,10 +596,10 @@ def cmd_report(args):
     if args.allow_large:
         entries = manifest.entries
 
-    def run_one(e, p):
+    def run_one(e, p, build):
         try:
             doc = hh1_doc_cached(e["name"], manifest, args.allow_large, p,
-                                 args.method, args.seed)
+                                 args.method, args.seed, build)
             return {"group": e["name"], "prime": p, "status": "ok",
                     "document": doc}
         except HH1LabError as exc:
@@ -606,7 +609,10 @@ def cmd_report(args):
                     "error": str(exc)}
 
     before = dict(CACHE_STATS)
-    results = [run_one(e, p) for e in entries for p in primes]
+    results = []
+    for e in entries:  # one group build serves every prime that misses
+        build = functools.cache(resolve_group)
+        results += [run_one(e, p, build) for p in primes]
     hits = CACHE_STATS["hits"] - before["hits"]
     misses = CACHE_STATS["misses"] - before["misses"]
 

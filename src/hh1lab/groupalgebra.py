@@ -255,7 +255,7 @@ def center(A, G):
     c = len(classes)
     class_of = G.class_of_array()
     base = G.base
-    on_base = G.element_rows()[:, base]
+    on_base = G.base_images
     reps_inv = np.array([cl.representative.inv().images for cl in classes],
                         dtype=on_base.dtype)
     inv_class = class_of[G.locate(reps_inv[:, base])]

@@ -349,7 +349,8 @@ def principal_inertial_quotient(G, p):
         raise TrivialSylow(f"{p} does not divide the group order")
     N = normalizer(G, P)
     C = subgroup_centralizer(G, P)
-    pc_inter = int(np.count_nonzero(C.lookup(P.element_rows()) >= 0))
+    in_c = C.lookup(P.rows(None)) >= 0
+    pc_inter = int(np.count_nonzero(in_c))
     pc_order = P.order * C.order // pc_inter
     if N.order % pc_order:
         raise InvariantViolation("|P C_G(P)| does not divide |N_G(P)|")

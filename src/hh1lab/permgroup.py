@@ -1,17 +1,21 @@
-"""Permutation groups by explicit element enumeration.
+"""Permutation groups held by their stabilizer chain.
 
 Groups are given by generators acting on {0..degree-1}.  A stabilizer chain
 (Seress, *Permutation Group Algorithms*, 2003) gives the order, a base
 (points whose images tell all elements apart) and the element index:
 sifting an element's base images through the chain's transversals reads
 off its chain index, a mixed-radix number in [0, |G|), and one array maps
-chain indices to element indices.  The capped breadth-first enumeration
-fills a numpy array of image rows and drops each level's repeats by chain
-index.  ``lookup(rows)`` takes rows that may lie outside the group and
-confirms each hit on the full row (-1 for non-members);
-``locate(base_images)`` takes products of elements, members by
-construction, from their |base| columns alone.  Classes, centralizers,
-normalizers and p-ranks are vectorised on these two.
+chain indices to element indices.  The chain holds the elements too: the
+digits of a chain index pick one transversal element per level, whose
+product is the element, so the image of a point is k gathers through the
+transversal tables.  The capped breadth-first enumeration runs on chain
+indices and keeps, per element, its chain index and its base images;
+``images(elems, points)`` computes any other images on demand, and no
+table of full rows is kept.  ``lookup(rows)`` takes rows that may lie
+outside the group and confirms each hit by sifting the full row (-1 for
+non-members); ``locate(base_images)`` takes products of elements, members
+by construction, from their |base| columns alone.  Classes, centralizers,
+normalizers and p-ranks are vectorised on these.
 
 The on-disk group format is text: a ``degree n`` line, then one generator
 per line as n whitespace-separated 1-based images.  Lines starting with
@@ -32,9 +36,8 @@ from .errors import (InvalidPermutation, InvariantViolation, NotAMember,
 from .ffield import p_adic_valuation
 
 DEFAULT_ORDER_CAP = 1 << 21
-DEFAULT_MEMORY_CAP = 32 << 20  # bytes for the enumerated element table
+DEFAULT_MEMORY_CAP = 32 << 20  # bytes of the element table, were it built
 MAX_DEGREE = 1 << 16  # points 0..65535 fit the uint16 image rows
-_SCATTER_ENTRIES = 1 << 20  # index entries per inverse_rows chunk
 
 
 class Perm:
@@ -223,24 +226,57 @@ class _Sifter:
     after another, and ``term[x]`` is x's digit times the level's stride.
     An off-orbit point selects an identity row, and its term, the order,
     puts the index past every element.
+
+    The element with digits d_0, d_1, ..., d_k is w_0 w_1 ... w_k, where
+    w_i takes level i's point to the orbit point of digit d_i: the inverse
+    of that point's row in ``flat``, kept per level in ``transversals``.
+    ``radix`` holds each level's (stride, orbit length).
     """
 
     def __init__(self, degree, levels, order):
-        ident = tuple(range(degree))
+        ident, points = tuple(range(degree)), np.arange(degree)
         levels = levels or [(0, {0: ident})]  # the trivial group: base [0]
         self.degree, self.order = degree, order
         self.base = np.array([y for y, _ in levels])
-        self.tables = []
+        self.tables, self.transversals, self.radix = [], [], []
         stride = math.prod(len(orbit) for _, orbit in levels)
         for _, orbit in levels:
             stride //= len(orbit)
             digit = dict(zip(orbit, range(len(orbit))))
+            back = np.array([*orbit.values(), ident], dtype=np.int32)
+            forth = np.empty((len(orbit), degree), dtype=_np_dtype(degree))
+            forth[np.arange(len(orbit))[:, None], back[:-1]] = points
             self.tables.append((
                 np.array([digit.get(x, len(orbit)) * degree
                           for x in range(degree)], dtype=np.int32),
                 np.array([digit[x] * stride if x in digit else order
                           for x in range(degree)], dtype=np.intp),
-                np.array([*orbit.values(), ident], dtype=np.int32).ravel()))
+                back.ravel()))
+            self.transversals.append(forth)
+            self.radix.append((stride, len(orbit)))
+
+    def images(self, chain, points, inverse=False):
+        """Images of the points, one list for all or one row per element,
+        under the elements of the given chain indices, or under their
+        inverses: k gathers, from the last level up for w_0 ... w_k (the
+        first point moved is the last w's), from the first level down
+        through ``flat`` for the inverse."""
+        levels = zip(self.radix, self.tables, self.transversals)
+        out = points
+        for (stride, length), (_, _, back), forth in (
+                levels if inverse else reversed(list(levels))):
+            offset = chain // stride % length * self.degree
+            out = (back if inverse else forth).take(offset[:, None] + out)
+        return out
+
+    def images_of_all(self, points):
+        """Images of the points under every element, in chain-index order:
+        from the last level up, each level's transversals gathered at the
+        images so far, so no digit is read."""
+        out = points
+        for forth in reversed(self.transversals):
+            out = forth.take(out, axis=1)
+        return out.reshape(math.prod(out.shape[:-1]), -1)
 
     def sift(self, images):
         """Chain index of each row of base images; the order where a digit
@@ -265,7 +301,7 @@ class _Sifter:
 
 def _stabilizer_chain(degree, gen_rows, order_cap, memory_cap):
     """The sifter of the generated group's chain, held to the caps, the
-    element table's bytes included."""
+    bytes of a table of its element rows included."""
     chain = _Chain(degree, order_cap, memory_cap)
     for g in gen_rows:
         chain.extend(g)
@@ -279,22 +315,26 @@ def _stabilizer_chain(degree, gen_rows, order_cap, memory_cap):
 
 
 def _closure_rows(sifter, gen_rows):
-    """Breadth-first closure of generator image rows: (rows, element index
-    of each chain index).  Each level's new products are ordered by their
-    packed base images, so rows first differ at a base point."""
+    """Breadth-first closure of generator image rows in chain-index space:
+    (chain index of each element, element index of each chain index, base
+    images of each element).  A product h*g has base images h[g[base]],
+    h's images of the points g[base], read off h's chain index.  Each
+    level's new products are ordered by their packed base images, so
+    elements first differ at a base point."""
     degree, base, order = sifter.degree, sifter.base, sifter.order
-    dtype = _np_dtype(degree)
-    rows = np.empty((order, degree), dtype=dtype)
-    rows[0] = np.arange(degree)
-    gens = np.array(gen_rows, dtype=dtype).reshape(-1, degree)
+    points = np.array(gen_rows, dtype=np.intp).reshape(-1, degree)[:, base]
+    chain_of = np.empty(order, dtype=np.intp)
+    # by columns, as the sift reads them
+    base_images = np.empty((order, len(base)), _np_dtype(degree), order="F")
+    base_images[0] = base
+    chain_of[:1] = sifter.sift(base[None])
     elem_of = np.full(order + 1, -1, dtype=np.intp)  # the last: off chain
-    elem_of[sifter.sift(rows[:1, base])] = 0
-    gens_base = gens[:, base]
+    elem_of[chain_of[0]] = 0
     start, end = 0, 1
     while start < end:
-        level = rows[start:end]
-        images = level.take(gens_base, axis=1).reshape(-1, len(base))
-        index = sifter.sift(images)  # products h*g: base images h[g[base]]
+        images = sifter.images(chain_of[start:end], points.ravel()).reshape(
+            -1, len(base))
+        index = sifter.sift(images)
         if len(index) and index.max() >= order:
             raise InvariantViolation(
                 f"a product sifts off the chain (chain order {order})")
@@ -303,46 +343,48 @@ def _closure_rows(sifter, gen_rows):
         keep = np.ones(len(fresh), dtype=bool)  # the first of equal keys
         keep[1:] = index[fresh[1:]] != index[fresh[:-1]]
         fresh = fresh[keep]
-        src, which = np.divmod(fresh, len(gens))
         start, end = end, end + len(fresh)
         if end > order or start == end < order:  # the chain is wrong
             raise InvariantViolation(f"enumerated {end}, chain order {order}")
-        # new rows generator by generator: two takes each, where one fancy
-        # index would cast an (n x degree) index array
-        new = rows[start:end]
-        for g, gen in enumerate(gens):
-            mine = which == g
-            new[mine] = level.take(src[mine], 0).take(gen, 1)
-        elem_of[index[fresh]] = np.arange(start, end)
-    return rows, elem_of
+        chain_of[start:end] = index[fresh]
+        base_images[start:end] = images[fresh]
+        elem_of[chain_of[start:end]] = np.arange(start, end)
+    return chain_of, elem_of, base_images
 
 
 class PermGroup:
-    """A finite permutation group with fully enumerated elements.
+    """A finite permutation group held by its stabilizer chain.
 
-    Immutable after construction.  Lazy invariants (the element index,
-    conjugacy classes) are computed on first use; the classes under a lock,
-    so threads asking at once share one list.
+    Elements are numbered in breadth-first order from the identity.  The
+    group keeps each element's chain index and base images; other images
+    are computed on demand by `images`.  Immutable after construction.
+    Lazy invariants (the index of rows given directly, conjugacy classes,
+    centralizers) are computed on first use; the classes under a lock, so
+    threads asking at once share one list.
     """
 
-    def __init__(self, degree, generators, elements,
+    def __init__(self, degree, generators, elements=None,
                  order_cap=DEFAULT_ORDER_CAP, memory_cap=DEFAULT_MEMORY_CAP,
-                 sifter=None, elem_of=None):
+                 closure=None):
+        """``elements`` are image rows in element order, indexed and
+        checked on first use; ``closure`` is (sifter, chain_of, elem_of,
+        base_images) of an enumeration instead."""
         self.degree = degree
         self.generators = list(generators)
-        self._elements = elements
-        self.order = len(elements)
         self.order_cap = order_cap
         self.memory_cap = memory_cap
         self._classes = None
         self._classes_lock = threading.Lock()
-        if sifter is None:  # rows given directly: indexed on first use
+        self._centralizers = {}  # element index -> its centralizer
+        if closure is None:  # rows given directly: indexed on first use
             chain = _Chain(degree, order_cap, memory_cap)
             for g in self.generators:
                 chain.extend(g.images)
-            sifter = chain.sifter()
-        self._sifter = sifter
-        self._elem_of = elem_of
+            closure = chain.sifter(), None, None, None
+        self._rows = elements
+        self._sifter, self._chain_of, self._elem_of, self._base_images = (
+            closure)
+        self.order = len(self._chain_of if elements is None else elements)
 
     # -- construction -------------------------------------------------------
 
@@ -356,8 +398,8 @@ class PermGroup:
             raise InvalidPermutation(f"generator degree {bad[0]} != {degree}")
         gen_rows = [g.images for g in gens]
         sifter = _stabilizer_chain(degree, gen_rows, order_cap, memory_cap)
-        rows, elem_of = _closure_rows(sifter, gen_rows)
-        return cls(degree, gens, rows, order_cap, memory_cap, sifter, elem_of)
+        return cls(degree, gens, None, order_cap, memory_cap,
+                   (sifter, *_closure_rows(sifter, gen_rows)))
 
     @classmethod
     def from_element_rows(cls, degree, rows, order_cap=DEFAULT_ORDER_CAP,
@@ -372,28 +414,57 @@ class PermGroup:
             gens.append(Perm(outside[0]))
             chain.extend(gens[-1].images)
         sifter = chain.sifter()
-        rows, elem_of = _closure_rows(sifter, [g.images for g in gens])
-        return cls(degree, gens, rows, order_cap, memory_cap, sifter, elem_of)
+        return cls(degree, gens, None, order_cap, memory_cap,
+                   (sifter, *_closure_rows(sifter, [g.images for g in gens])))
 
     # -- the element index ---------------------------------------------------
 
     def _index(self):
         """(sifter, element index of each chain index, -1 at the order)."""
         if self._elem_of is None:
-            order = self._sifter.order
-            index = self._sifter.sift(self._elements[:, self.base])
-            elem_of = np.full(order + 1, -1, dtype=np.intp)
-            if len(index) == order > index.max():
-                elem_of[index] = np.arange(self.order)
+            sifter, rows = self._sifter, self._rows
+            chain = sifter.sift(rows[:, self.base])
+            elem_of = np.full(sifter.order + 1, -1, dtype=np.intp)
+            if (len(chain) == sifter.order > chain.max()
+                    and sifter.contains(rows).all()):
+                elem_of[chain] = np.arange(self.order)
             if np.any(elem_of[:-1] < 0):
-                raise InvariantViolation("element rows are not distinct")
-            self._elem_of = elem_of
+                raise InvariantViolation(
+                    "element rows are not the group's distinct elements")
+            self._chain_of, self._base_images = chain, rows[:, self.base]
+            self._elem_of, self._rows = elem_of, None
         return self._sifter, self._elem_of
 
     @property
     def base(self):
         """Points whose images determine an element of the group."""
         return self._sifter.base
+
+    @property
+    def base_images(self):
+        """The base images of every element, one row each."""
+        self._index()
+        return self._base_images
+
+    def images(self, elems, points, inverse=False):
+        """Images of the points under the elements of the given indices
+        (None for every element), or under their inverses, as rows of the
+        image dtype: ``points`` is one list for every element or one row
+        per element."""
+        sifter, _ = self._index()
+        points, chain = np.asarray(points, dtype=np.intp), self._chain_of
+        if elems is None and not inverse and points.ndim == 1:
+            # by columns, as the base images are kept
+            out = sifter.images_of_all(points).T.take(chain, axis=1).T
+        else:
+            out = sifter.images(chain if elems is None else chain.take(elems),
+                                points, inverse)
+        return out.astype(_np_dtype(self.degree), copy=False)
+
+    def rows(self, elems):
+        """Full image rows of the elements of the given indices (None for
+        every element)."""
+        return self.images(elems, np.arange(self.degree))
 
     def _find(self, base_images):
         # element index of each row of base images, -1 off the chain
@@ -415,23 +486,33 @@ class PermGroup:
     def lookup(self, rows):
         """Element indices of image rows, -1 for rows outside the group.
 
-        Each hit on the base images is confirmed against the full row.
+        Each hit on the base images is confirmed by sifting the full row.
         """
         rows = np.asarray(rows)
         if rows.ndim != 2 or rows.shape[1] != self.degree:
             return np.full(len(rows), -1, dtype=np.intp)
         idx = self._find(rows[:, self.base])
         hit = np.flatnonzero(idx >= 0)
-        idx[hit[np.any(self._elements[idx[hit]] != rows[hit], axis=1)]] = -1
+        idx[hit[~self._sifter.contains(rows[hit])]] = -1
         return idx
 
     # -- basic queries -------------------------------------------------------
 
     def element(self, i):
-        return Perm(self._elements[i])
+        return Perm(self.rows([i])[0])
 
-    def element_rows(self):
-        return self._elements
+    def element_rows(self, inverse=False):
+        """The table of every element's image row, or its inverse's, built
+        on each call a column at a time, so no (order x degree) index
+        array is made."""
+        out = np.empty((self.order, self.degree),
+                       dtype=_np_dtype(self.degree))
+        for x in range(self.degree):
+            out[:, x] = self.images(None, [x], inverse)[:, 0]
+        return out
+
+    def inverse_rows(self):
+        return self.element_rows(inverse=True)
 
     def index_of(self, perm):
         if perm.degree == self.degree:
@@ -442,29 +523,20 @@ class PermGroup:
 
     def product_index(self, i, j):
         """Index of element i composed with element j (apply j first)."""
-        E = self._elements
-        return int(self.locate(E[i][E[j][self.base]][None])[0])
+        return int(self.locate(self.images([i], self.base_images[[j]]))[0])
 
     def multiplication_table(self):
         """Table of product_index over all pairs, from one locate."""
-        E, base = self._elements, self.base
-        return self.locate(E[:, E[:, base]].reshape(-1, len(base))).reshape(
-            self.order, self.order)
-
-    def inverse_rows(self):
-        """Image rows of the inverses, scattered in chunks of rows."""
-        E = self._elements
-        out = np.empty_like(E)
-        points = np.arange(self.degree, dtype=E.dtype)[None, :]
-        step = max(1, _SCATTER_ENTRIES // self.degree)
-        for start in range(0, self.order, step):
-            np.put_along_axis(out[start:start + step],
-                              E[start:start + step], points, axis=1)
-        return out
+        n = self.order
+        products = self.images(np.repeat(np.arange(n), n),
+                               np.tile(self.base_images, (n, 1)))
+        return self.locate(products).reshape(n, n)
 
     def is_subgroup_of(self, other):
+        gens = np.array([g.images for g in self.generators],
+                        dtype=np.intp).reshape(-1, self.degree)
         return (self.degree == other.degree
-                and bool(np.all(other.lookup(self._elements) >= 0)))
+                and bool(np.all(other._sifter.contains(gens))))
 
     # -- conjugacy classes ---------------------------------------------------
 
@@ -475,14 +547,13 @@ class PermGroup:
         return self._classes
 
     def _compute_classes(self):
-        E = self._elements
         base = self.base
         # index of g x g^-1 for every x, one array per generator g
         moves = []
         for g in self.generators:
-            garr = np.asarray(g.images, dtype=E.dtype)
-            ginv = np.asarray(g.inv().images, dtype=E.dtype)
-            moves.append(self.locate(garr[E[:, ginv[base]]]))
+            garr = np.asarray(g.images, dtype=np.intp)
+            ginv = np.asarray(g.inv().images)
+            moves.append(self.locate(garr[self.images(None, ginv[base])]))
         # label every element with the smallest index in its orbit
         labels = np.arange(self.order)
         while True:
@@ -536,49 +607,53 @@ def conjugacy_classes(G):
 
 def _commuting_mask(G, perms):
     # x*h and h*x both lie in G, so they are equal iff they agree on the base
-    E = G.element_rows()
-    base = G.base
+    base, on_base = G.base, G.base_images
     mask = np.ones(G.order, dtype=bool)
     for h in perms:
-        harr = np.asarray(h.images, dtype=E.dtype)
-        mask &= np.all(E[:, harr[base]] == harr[E[:, base]], axis=1)
+        harr = np.asarray(h.images, dtype=np.intp)
+        mask &= np.all(G.images(None, harr[base]) == harr[on_base], axis=1)
     return mask
 
 
+def _subgroup(G, mask):
+    # the subgroup of the elements where mask holds, from their rows
+    return PermGroup.from_element_rows(
+        G.degree, G.rows(np.flatnonzero(mask)), G.order_cap, G.memory_cap)
+
+
 def centralizer(G, g):
-    """Subgroup of all elements commuting with g (g must lie in G)."""
+    """Subgroup of all elements commuting with g (g must lie in G),
+    kept on G by g's element index."""
     gidx = G.index_of(g)  # raises NotAMember
     if gidx == 0:
         return G
-    return PermGroup.from_element_rows(
-        G.degree, G.element_rows()[_commuting_mask(G, [g])],
-        G.order_cap, G.memory_cap)
+    C = G._centralizers.get(gidx)
+    if C is None:
+        C = G._centralizers.setdefault(gidx,
+                                       _subgroup(G, _commuting_mask(G, [g])))
+    return C
 
 
 def subgroup_centralizer(G, H):
     """Elements of G commuting with every element of H (H inside G)."""
     if not H.is_subgroup_of(G):
         raise NotASubgroup("H is not a subgroup of G")
-    return PermGroup.from_element_rows(
-        G.degree, G.element_rows()[_commuting_mask(G, H.generators)],
-        G.order_cap, G.memory_cap)
+    return _subgroup(G, _commuting_mask(G, H.generators))
 
 
 def normalizer(G, H):
     """Normalizer of a subgroup H in G."""
     if not H.is_subgroup_of(G):
         raise NotASubgroup("H is not a subgroup of G")
-    E = G.element_rows()
     in_h = np.zeros(G.order, dtype=bool)
-    in_h[G.lookup(H.element_rows())] = True
-    inv_base = G.inverse_rows()[:, G.base]
+    in_h[G.locate(H.images(None, G.base))] = True
+    inv_base = G.images(None, G.base, inverse=True)
     mask = np.ones(G.order, dtype=bool)
     for h in H.generators:
-        harr = np.asarray(h.images, dtype=E.dtype)
+        harr = np.asarray(h.images, dtype=np.intp)
         # n h n^-1 on the base points, for every n
-        mask &= in_h[G.locate(np.take_along_axis(E, harr[inv_base], axis=1))]
-    return PermGroup.from_element_rows(G.degree, E[mask],
-                                       G.order_cap, G.memory_cap)
+        mask &= in_h[G.locate(G.images(None, harr[inv_base]))]
+    return _subgroup(G, mask)
 
 
 def sylow_subgroup(G, p):
@@ -604,7 +679,7 @@ def sylow_subgroup(G, p):
     while Q.order < target:
         N = normalizer(G, Q)
         grown = False
-        for i in np.flatnonzero(Q.lookup(N.element_rows()) < 0):
+        for i in np.flatnonzero(Q.lookup(N.rows(None)) < 0):
             cand = N.element(i)
             o = cand.order()
             if o != 1 and o == p ** p_adic_valuation(o, p):
@@ -626,8 +701,7 @@ def p_rank_abelianization(H, p):
     closure on element indices and queues its conjugates by the generators
     of H, and the search stops once K is all of H.
     """
-    E = H.element_rows()
-    base = H.base
+    base, on_base = H.base, H.base_images
     gens = np.array([g.images for g in H.generators],
                     dtype=np.intp).reshape(-1, H.degree)
     ginv = np.argsort(gens, axis=1)
@@ -653,18 +727,20 @@ def p_rank_abelianization(H, p):
             continue
         # <K, s>: right multiples of K by s, then of each new element by
         # every generator of K, all generators in one locate
-        kbase.append(E[s, base])
+        kbase.append(on_base[s])
         frontier, steps = np.flatnonzero(in_k), np.array(kbase[-1:])
         while len(frontier):
             hit = np.zeros(H.order, dtype=bool)
-            hit[H.locate(E[frontier[:, None, None], steps].reshape(
+            hit[H.locate(H.images(frontier, steps.ravel()).reshape(
                 -1, len(base)))] = True
             frontier = np.flatnonzero(hit & ~in_k)
             in_k[frontier] = True
             steps = np.array(kbase)
         sub_order = int(np.count_nonzero(in_k))
         # the conjugates h s h^-1 by the generators, on the base
-        pending += list(H.locate(gens[each[:, None], E[s][ginv[:, base]]]))
+        conj = H.images([s], ginv[:, base].ravel()).reshape(len(gens),
+                                                              len(base))
+        pending += list(H.locate(gens[each[:, None], conj]))
     index, rem = divmod(H.order, sub_order)
     if rem:
         raise InvariantViolation("commutator closure is not a subgroup")

@@ -12,6 +12,7 @@ import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -21,7 +22,7 @@ from hypothesis import given, settings, strategies as st, target
 from hh1lab import permgroup
 from hh1lab.cli import CorpusManifest, main, resolve_group
 from hh1lab.errors import InvariantViolation, NotAMember, OrderCapExceeded
-from hh1lab.groupalgebra import center, group_algebra
+from hh1lab.groupalgebra import block_decompose, center, group_algebra
 from hh1lab.hhone import additive_oracle
 from hh1lab.permgroup import (Perm, PermGroup, centralizer, direct_product,
                               group_from_generators, normalizer,
@@ -380,6 +381,37 @@ def test_locate_and_lookup_match_a_row_dict_on_products(G, H, rng):
     _check_lookup(P, rng)
 
 
+@PROPERTY
+@given(groups(7, 5040), st.randoms(use_true_random=False))
+def test_images_read_off_the_chain_match_the_row_table(G, rng):
+    # images of random points under random elements and their inverses,
+    # one point list for all or one row per element, against the table
+    # element_rows builds; then lookup and locate against a row dict
+    E = _rows(G)
+    inv = _inverses(E)
+    elems = [rng.randrange(G.order) for _ in range(2 * G.order)]
+    points = [rng.randrange(G.degree) for _ in range(rng.randrange(4))]
+    per_element = np.array([[rng.randrange(G.degree) for _ in range(3)]
+                            for _ in elems])
+    assert G.images(elems, points).tolist() == E[elems][:, points].tolist()
+    assert G.images(elems, points, inverse=True).tolist() == (
+        inv[elems][:, points].tolist())
+    assert G.images(elems, per_element).tolist() == _compose(
+        E[elems], per_element).tolist()
+    assert G.images(elems, per_element, inverse=True).tolist() == _compose(
+        inv[elems], per_element).tolist()
+    assert G.images(None, points).tolist() == E[:, points].tolist()
+    assert G.images(None, points, inverse=True).tolist() == (
+        inv[:, points].tolist())
+    assert G.inverse_rows().tolist() == inv.tolist()
+    assert np.array_equal(G.base_images, E[:, G.base])
+    assert [G.element(i).images for i in elems] == [
+        tuple(E[i].tolist()) for i in elems]
+    assert np.array_equal(G.lookup(E), np.arange(G.order))
+    _check_lookup(G, rng)
+    _check_locate(G, rng)
+
+
 def test_locate_and_lookup_match_a_row_dict_past_integer_keys():
     rng = random.Random(3)
     G = _three_hundred_points()
@@ -495,6 +527,26 @@ def test_j1_classes_center_and_oracle_pinned():
         np.ascontiguousarray(sc_int, dtype="<i8").tobytes()).hexdigest() == (
         "5e9ec07ac6a0897d003b7e2ef944814eecc4fb82bbe9a4bcdeb05a1924728d84")
     assert additive_oracle(G, 2) == 7
+
+
+@pytest.mark.stretch
+def test_j1_blocks_and_oracle_stay_below_64_mib():
+    # a table of J1's element rows alone would take 89 MiB
+    manifest = CorpusManifest.packaged()
+    try:
+        manifest.file_bytes(manifest.entry("J1"))
+    except FileNotFoundError:
+        pytest.skip("J1 generator file not packaged")
+    tracemalloc.start()
+    try:
+        G, _, _ = resolve_group("J1", allow_large=True)
+        blocks = block_decompose(group_algebra(G, 2, allow_large=True), G, 2)
+        total = additive_oracle(G, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(blocks), total) == (7, 7)
+    assert peak < 64 << 20
 
 
 @pytest.mark.stretch

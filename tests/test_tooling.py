@@ -64,7 +64,8 @@ def test_benchmark_tracer_tags_each_compute_with_its_prime(
     items = sorted(s["item"] for s in tracer.spans
                    if s["name"] == "cli.compute")
     assert items == ["S3@2", "S3@3"]
-    assert sum(s["name"] == "cli.resolve" for s in tracer.spans) == misses
+    # one group build serves both primes that miss
+    assert sum(s["name"] == "cli.resolve" for s in tracer.spans) == 1
 
 
 def test_benchmark_tracer_times_the_cache_and_the_render(
