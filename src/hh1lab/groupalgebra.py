@@ -247,22 +247,21 @@ def center(A, G):
     Structure constants are integer counts: for classes C_i, C_j and a
     fixed representative g_k of C_k, the count of pairs (x, y) with
     x in C_i, y in C_j and xy = g_k; binned by iterating one class.  The
-    class of y = x^{-1} g_k = (g_k^{-1} x)^{-1} is read off g_k^{-1} x, a
-    gather of the base images through one row, and a class-inverse map,
-    so no table of inverse rows is built.
+    class of y = x^{-1} g_k = (g_k^{-1} x)^{-1} is read off g_k^{-1} x,
+    for every x one sweep of `left_products` along the enumeration's
+    Cayley tree, and a map from each element to the class of its inverse,
+    so no element is sifted past the c representatives' inverses.
     """
     classes = G.conjugacy_classes()
     c = len(classes)
     class_of = G.class_of_array()
-    base = G.base
-    on_base = G.base_images
-    reps_inv = np.array([cl.representative.inv().images for cl in classes],
-                        dtype=on_base.dtype)
-    inv_class = class_of[G.locate(reps_inv[:, base])]
+    inv_reps = [G.index_of(cl.representative.inv()) for cl in classes]
+    inv_class = class_of[inv_reps][class_of]  # the class of x^-1, per x
+    bins = class_of * c
     sc_int = np.zeros((c, c, c), dtype=np.int64)
-    for k, cl in enumerate(classes):
-        j_arr = inv_class[class_of[G.locate(reps_inv[k][on_base])]]
-        sc_int[:, :, k] = np.bincount(class_of * c + j_arr,
+    for k, i in enumerate(inv_reps):
+        j_arr = inv_class.take(G.left_products(i))
+        sc_int[:, :, k] = np.bincount(bins + j_arr,
                                       minlength=c * c).reshape(c, c)
     return CenterBasis(G, A.field, c, sc_int)
 

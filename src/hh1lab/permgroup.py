@@ -9,13 +9,16 @@ chain indices to element indices.  The chain holds the elements too: the
 digits of a chain index pick one transversal element per level, whose
 product is the element, so the image of a point is k gathers through the
 transversal tables.  The capped breadth-first enumeration runs on chain
-indices and keeps, per element, its chain index and its base images;
-``images(elems, points)`` computes any other images on demand, and no
-table of full rows is kept.  ``lookup(rows)`` takes rows that may lie
-outside the group and confirms each hit by sifting the full row (-1 for
-non-members); ``locate(base_images)`` takes products of elements, members
-by construction, from their |base| columns alone.  Classes, centralizers,
-normalizers and p-ranks are vectorised on these.
+indices and keeps each element's chain index; ``images(elems, points)``
+computes images on demand, and no table of full rows is kept.
+``lookup(rows)`` takes rows that may lie outside the group and confirms
+each hit by sifting the full row (-1 for non-members);
+``locate(base_images)`` takes products of elements, members by
+construction, from their |base| columns alone.  The enumeration's Cayley
+tree is kept too, int32 throughout: the index of x*g for every element x
+and generator g, and each element's parent and generator, (ngens + 2) * 4
+bytes an element.  ``left_products(i)`` reads g_i x and ``conjugates(i)``
+x^-1 g_i x for every x off it, one gather per level and no sift.
 
 The on-disk group format is text: a ``degree n`` line, then one generator
 per line as n whitespace-separated 1-based images.  Lines starting with
@@ -316,23 +319,25 @@ def _stabilizer_chain(degree, gen_rows, order_cap, memory_cap):
 
 def _closure_rows(sifter, gen_rows):
     """Breadth-first closure of generator image rows in chain-index space:
-    (chain index of each element, element index of each chain index, base
-    images of each element).  A product h*g has base images h[g[base]],
-    h's images of the points g[base], read off h's chain index.  Each
-    level's new products are ordered by their packed base images, so
-    elements first differ at a base point."""
+    (chain index of each element, element index of each chain index,
+    Cayley tree).  A product h*g has base images h[g[base]], h's images of
+    the points g[base], read off h's chain index.  Each level's new
+    products are ordered by their packed base images, so elements first
+    differ at a base point.  The tree is (right, parent, step, bounds):
+    right[t, x] is the index of x*g_t, as sifted; x was first reached as
+    parent[x]*g_step[x]; level i is bounds[i]:bounds[i + 1]."""
     degree, base, order = sifter.degree, sifter.base, sifter.order
     points = np.array(gen_rows, dtype=np.intp).reshape(-1, degree)[:, base]
     chain_of = np.empty(order, dtype=np.intp)
-    # by columns, as the sift reads them
-    base_images = np.empty((order, len(base)), _np_dtype(degree), order="F")
-    base_images[0] = base
     chain_of[:1] = sifter.sift(base[None])
     elem_of = np.full(order + 1, -1, dtype=np.intp)  # the last: off chain
     elem_of[chain_of[0]] = 0
-    start, end = 0, 1
-    while start < end:
-        images = sifter.images(chain_of[start:end], points.ravel()).reshape(
+    right = np.empty((len(points), order), dtype=np.int32)
+    parent, step = np.zeros((2, order), dtype=np.int32)
+    bounds = [0, 1]
+    while bounds[-2] < bounds[-1]:
+        lo, start = bounds[-2:]
+        images = sifter.images(chain_of[lo:start], points.ravel()).reshape(
             -1, len(base))
         index = sifter.sift(images)
         if len(index) and index.max() >= order:
@@ -343,32 +348,36 @@ def _closure_rows(sifter, gen_rows):
         keep = np.ones(len(fresh), dtype=bool)  # the first of equal keys
         keep[1:] = index[fresh[1:]] != index[fresh[:-1]]
         fresh = fresh[keep]
-        start, end = end, end + len(fresh)
+        bounds.append(end := start + len(fresh))
         if end > order or start == end < order:  # the chain is wrong
             raise InvariantViolation(f"enumerated {end}, chain order {order}")
         chain_of[start:end] = index[fresh]
-        base_images[start:end] = images[fresh]
         elem_of[chain_of[start:end]] = np.arange(start, end)
-    return chain_of, elem_of, base_images
+        right[:, lo:start] = elem_of.take(index).reshape(start - lo, -1).T
+        parent[start:end], step[start:end] = np.divmod(
+            fresh + lo * len(points), len(points))
+    return chain_of, elem_of, (right, parent, step, bounds[:-1])
 
 
 class PermGroup:
     """A finite permutation group held by its stabilizer chain.
 
     Elements are numbered in breadth-first order from the identity.  The
-    group keeps each element's chain index and base images; other images
-    are computed on demand by `images`.  Immutable after construction.
-    Lazy invariants (the index of rows given directly, conjugacy classes,
-    centralizers) are computed on first use; the classes under a lock, so
+    group keeps each element's chain index, and computes images (the base
+    images too) on demand by `images`.  It keeps the enumeration's Cayley
+    tree: the element index of every product x*g with a generator g, and
+    each element's parent and generator in the tree, all int32, (ngens +
+    2) * 4 bytes an element (2.8 MB for J1), from which `left_products`
+    reads g x for every x without a sift; `conjugates` adds the
+    conjugations t^-1 x t by each generator t, ngens * 4 bytes an element,
+    on first use.  Immutable after construction.  Conjugacy classes and
+    centralizers are computed on first use; the classes under a lock, so
     threads asking at once share one list.
     """
 
-    def __init__(self, degree, generators, elements=None,
-                 order_cap=DEFAULT_ORDER_CAP, memory_cap=DEFAULT_MEMORY_CAP,
-                 closure=None):
-        """``elements`` are image rows in element order, indexed and
-        checked on first use; ``closure`` is (sifter, chain_of, elem_of,
-        base_images) of an enumeration instead."""
+    def __init__(self, degree, generators, sifter,
+                 order_cap=DEFAULT_ORDER_CAP, memory_cap=DEFAULT_MEMORY_CAP):
+        """Enumerate the group of the generators, whose chain is sifter's."""
         self.degree = degree
         self.generators = list(generators)
         self.order_cap = order_cap
@@ -376,15 +385,9 @@ class PermGroup:
         self._classes = None
         self._classes_lock = threading.Lock()
         self._centralizers = {}  # element index -> its centralizer
-        if closure is None:  # rows given directly: indexed on first use
-            chain = _Chain(degree, order_cap, memory_cap)
-            for g in self.generators:
-                chain.extend(g.images)
-            closure = chain.sifter(), None, None, None
-        self._rows = elements
-        self._sifter, self._chain_of, self._elem_of, self._base_images = (
-            closure)
-        self.order = len(self._chain_of if elements is None else elements)
+        self._sifter, self.order = sifter, sifter.order
+        self._chain_of, self._elem_of, self._tree = _closure_rows(
+            sifter, [g.images for g in self.generators])
 
     # -- construction -------------------------------------------------------
 
@@ -396,10 +399,9 @@ class PermGroup:
         bad = [g.degree for g in gens if g.degree != degree]
         if bad:
             raise InvalidPermutation(f"generator degree {bad[0]} != {degree}")
-        gen_rows = [g.images for g in gens]
-        sifter = _stabilizer_chain(degree, gen_rows, order_cap, memory_cap)
-        return cls(degree, gens, None, order_cap, memory_cap,
-                   (sifter, *_closure_rows(sifter, gen_rows)))
+        sifter = _stabilizer_chain(degree, [g.images for g in gens],
+                                   order_cap, memory_cap)
+        return cls(degree, gens, sifter, order_cap, memory_cap)
 
     @classmethod
     def from_element_rows(cls, degree, rows, order_cap=DEFAULT_ORDER_CAP,
@@ -413,27 +415,9 @@ class PermGroup:
         while len(outside := outside[~chain.sifter().contains(outside)]):
             gens.append(Perm(outside[0]))
             chain.extend(gens[-1].images)
-        sifter = chain.sifter()
-        return cls(degree, gens, None, order_cap, memory_cap,
-                   (sifter, *_closure_rows(sifter, [g.images for g in gens])))
+        return cls(degree, gens, chain.sifter(), order_cap, memory_cap)
 
     # -- the element index ---------------------------------------------------
-
-    def _index(self):
-        """(sifter, element index of each chain index, -1 at the order)."""
-        if self._elem_of is None:
-            sifter, rows = self._sifter, self._rows
-            chain = sifter.sift(rows[:, self.base])
-            elem_of = np.full(sifter.order + 1, -1, dtype=np.intp)
-            if (len(chain) == sifter.order > chain.max()
-                    and sifter.contains(rows).all()):
-                elem_of[chain] = np.arange(self.order)
-            if np.any(elem_of[:-1] < 0):
-                raise InvariantViolation(
-                    "element rows are not the group's distinct elements")
-            self._chain_of, self._base_images = chain, rows[:, self.base]
-            self._elem_of, self._rows = elem_of, None
-        return self._sifter, self._elem_of
 
     @property
     def base(self):
@@ -442,19 +426,18 @@ class PermGroup:
 
     @property
     def base_images(self):
-        """The base images of every element, one row each."""
-        self._index()
-        return self._base_images
+        """The base images of every element, one row each, by columns."""
+        return self.images(None, self.base)
 
     def images(self, elems, points, inverse=False):
         """Images of the points under the elements of the given indices
         (None for every element), or under their inverses, as rows of the
         image dtype: ``points`` is one list for every element or one row
         per element."""
-        sifter, _ = self._index()
-        points, chain = np.asarray(points, dtype=np.intp), self._chain_of
+        sifter, chain = self._sifter, self._chain_of
+        points = np.asarray(points, dtype=np.intp)
         if elems is None and not inverse and points.ndim == 1:
-            # by columns, as the base images are kept
+            # by columns, as the sift reads them
             out = sifter.images_of_all(points).T.take(chain, axis=1).T
         else:
             out = sifter.images(chain if elems is None else chain.take(elems),
@@ -466,22 +449,47 @@ class PermGroup:
         every element)."""
         return self.images(elems, np.arange(self.degree))
 
-    def _find(self, base_images):
-        # element index of each row of base images, -1 off the chain
-        sifter, elem_of = self._index()
-        return elem_of.take(sifter.sift(np.asarray(base_images)))
-
     def locate(self, base_images):
         """Element indices of group elements given by their base images.
 
         Only for rows known to lie in the group (products of its
         elements): just the base columns are read.
         """
-        idx = self._find(base_images)
+        idx = self._elem_of.take(self._sifter.sift(np.asarray(base_images)))
         if np.any(idx < 0):
             raise InvariantViolation(
                 "base images of a non-member: a digit is off its orbit")
         return idx
+
+    def _sweep(self, table, i):
+        """out[0] = i, then out[x] = table[t, out[y]] for x = y t in the
+        Cayley tree: one gather per level, from the identity down."""
+        _, parent, step, bounds = self._tree
+        out = np.empty(self.order, dtype=np.int32)
+        out[0] = i
+        for lo, hi in zip(bounds[1:], bounds[2:]):
+            at = step[lo:hi] * np.intp(self.order)  # into table, flattened
+            at += out.take(parent[lo:hi])
+            out[lo:hi] = table.take(at)
+        return out
+
+    def left_products(self, i):
+        """Element index of g x for every element x, g the element of index
+        i, with no sift: x = y t gives g x = (g y) t."""
+        return self._sweep(self._tree[0], i)
+
+    def conjugates(self, i):
+        """Element index of x^-1 g x for every element x, g the element of
+        index i, with no sift: x = y t gives x^-1 g x = t^-1 (y^-1 g y) t."""
+        return self._sweep(self._inner, i)
+
+    @functools.cached_property
+    def _inner(self):
+        # t^-1 x t for every x, a row per generator t: (t^-1 x)*t by the tree
+        out = np.empty_like(self._tree[0])
+        for t, (g, right) in enumerate(zip(self.generators, self._tree[0])):
+            out[t] = right.take(self.left_products(self.index_of(g.inv())))
+        return out
 
     def lookup(self, rows):
         """Element indices of image rows, -1 for rows outside the group.
@@ -491,7 +499,7 @@ class PermGroup:
         rows = np.asarray(rows)
         if rows.ndim != 2 or rows.shape[1] != self.degree:
             return np.full(len(rows), -1, dtype=np.intp)
-        idx = self._find(rows[:, self.base])
+        idx = self._elem_of.take(self._sifter.sift(rows[:, self.base]))
         hit = np.flatnonzero(idx >= 0)
         idx[hit[~self._sifter.contains(rows[hit])]] = -1
         return idx
@@ -523,7 +531,8 @@ class PermGroup:
 
     def product_index(self, i, j):
         """Index of element i composed with element j (apply j first)."""
-        return int(self.locate(self.images([i], self.base_images[[j]]))[0])
+        on_base = self.images([j], self.base)
+        return int(self.locate(self.images([i], on_base))[0])
 
     def multiplication_table(self):
         """Table of product_index over all pairs, from one locate."""
@@ -547,18 +556,12 @@ class PermGroup:
         return self._classes
 
     def _compute_classes(self):
-        base = self.base
-        # index of g x g^-1 for every x, one array per generator g
-        moves = []
-        for g in self.generators:
-            garr = np.asarray(g.images, dtype=np.intp)
-            ginv = np.asarray(g.inv().images)
-            moves.append(self.locate(garr[self.images(None, ginv[base])]))
-        # label every element with the smallest index in its orbit
+        # label every element with the smallest index in its orbit under
+        # conjugation by the generators, x -> t^-1 x t
         labels = np.arange(self.order)
         while True:
             before = labels
-            for move in moves:
+            for move in self._inner:
                 labels = np.minimum(labels, labels[move])
             labels = labels[labels]
             if np.array_equal(labels, before):
@@ -605,13 +608,11 @@ def conjugacy_classes(G):
     return G.conjugacy_classes()
 
 
-def _commuting_mask(G, perms):
-    # x*h and h*x both lie in G, so they are equal iff they agree on the base
-    base, on_base = G.base, G.base_images
+def _commuting_mask(G, elems):
+    # x commutes with h iff x^-1 h x = h, for the elements h of the indices
     mask = np.ones(G.order, dtype=bool)
-    for h in perms:
-        harr = np.asarray(h.images, dtype=np.intp)
-        mask &= np.all(G.images(None, harr[base]) == harr[on_base], axis=1)
+    for i in elems:
+        mask &= G.conjugates(i) == i
     return mask
 
 
@@ -629,8 +630,8 @@ def centralizer(G, g):
         return G
     C = G._centralizers.get(gidx)
     if C is None:
-        C = G._centralizers.setdefault(gidx,
-                                       _subgroup(G, _commuting_mask(G, [g])))
+        C = _subgroup(G, _commuting_mask(G, [gidx]))
+        C = G._centralizers.setdefault(gidx, C)
     return C
 
 
@@ -638,7 +639,7 @@ def subgroup_centralizer(G, H):
     """Elements of G commuting with every element of H (H inside G)."""
     if not H.is_subgroup_of(G):
         raise NotASubgroup("H is not a subgroup of G")
-    return _subgroup(G, _commuting_mask(G, H.generators))
+    return _subgroup(G, _commuting_mask(G, map(G.index_of, H.generators)))
 
 
 def normalizer(G, H):
@@ -647,12 +648,10 @@ def normalizer(G, H):
         raise NotASubgroup("H is not a subgroup of G")
     in_h = np.zeros(G.order, dtype=bool)
     in_h[G.locate(H.images(None, G.base))] = True
-    inv_base = G.images(None, G.base, inverse=True)
+    # n^-1 H n = H for the n of N_G(H), a group, so for their inverses too
     mask = np.ones(G.order, dtype=bool)
     for h in H.generators:
-        harr = np.asarray(h.images, dtype=np.intp)
-        # n h n^-1 on the base points, for every n
-        mask &= in_h[G.locate(G.images(None, harr[inv_base]))]
+        mask &= in_h[G.conjugates(G.index_of(h))]
     return _subgroup(G, mask)
 
 
@@ -697,11 +696,13 @@ def p_rank_abelianization(H, p):
 
     Computed as the index of K, the normal closure of generator
     commutators and generator p-th powers.  K is a membership mask over
-    H's elements: each new generator of K extends it by a breadth-first
-    closure on element indices and queues its conjugates by the generators
-    of H, and the search stops once K is all of H.
+    H's elements: each new generator s of K extends it by a breadth-first
+    closure under left multiplication, through one `left_products` table
+    per generator of K (<K, s> is the same subgroup on either side), and
+    queues its conjugates by the generators of H; the search stops once K
+    is all of H.
     """
-    base, on_base = H.base, H.base_images
+    base = H.base
     gens = np.array([g.images for g in H.generators],
                     dtype=np.intp).reshape(-1, H.degree)
     ginv = np.argsort(gens, axis=1)
@@ -719,23 +720,23 @@ def p_rank_abelianization(H, p):
     pending = list(H.locate(np.array(seeds))) if seeds else []
     in_k = np.zeros(H.order, dtype=bool)
     in_k[0] = True
-    kbase = []
+    tables = []  # s x for every x, one per generator s of K
     sub_order = 1
     while pending and sub_order < H.order:
         s = pending.pop(0)
         if in_k[s]:
             continue
-        # <K, s>: right multiples of K by s, then of each new element by
-        # every generator of K, all generators in one locate
-        kbase.append(on_base[s])
-        frontier, steps = np.flatnonzero(in_k), np.array(kbase[-1:])
+        # <K, s>: K times s on the left, then each new element times every
+        # generator of K
+        tables.append(H.left_products(s))
+        frontier, steps = np.flatnonzero(in_k), tables[-1:]
         while len(frontier):
             hit = np.zeros(H.order, dtype=bool)
-            hit[H.locate(H.images(frontier, steps.ravel()).reshape(
-                -1, len(base)))] = True
+            for table in steps:
+                hit[table[frontier]] = True
             frontier = np.flatnonzero(hit & ~in_k)
             in_k[frontier] = True
-            steps = np.array(kbase)
+            steps = tables
         sub_order = int(np.count_nonzero(in_k))
         # the conjugates h s h^-1 by the generators, on the base
         conj = H.images([s], ginv[:, base].ravel()).reshape(len(gens),

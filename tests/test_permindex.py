@@ -2,10 +2,11 @@
 
 Property tests check the enumeration, lookups, classes, the center,
 centralizers, normalizers and p-ranks of random small groups against
-brute-force references that never touch the index or the chain.  Pin
-tests hold element order and class data to values recorded before the
-index replaced the bytes-keyed dict, and before the stabilizer chain
-replaced the bytes-keyed enumeration.
+brute-force references that never touch the index or the chain; the
+sweeps along the enumeration's Cayley tree are checked against the
+sifted products they replace.  Pin tests hold element order and class
+data to values recorded before the index replaced the bytes-keyed dict,
+and before the stabilizer chain replaced the bytes-keyed enumeration.
 """
 
 import hashlib
@@ -17,7 +18,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st, target
+from hypothesis import (example, given, settings, strategies as st,
+                        target)
 
 from hh1lab import permgroup
 from hh1lab.cli import CorpusManifest, main, resolve_group
@@ -225,6 +227,93 @@ def test_p_rank_matches_a_naive_closure(G, p):
         d += 1
     assert index == 1
     assert p_rank_abelianization(G, p) == d
+
+
+# -- sweeps along the Cayley tree against sifted products -------------------
+
+
+def _sifted_center(G):
+    """sc_int with the class of g_k^-1 x read off by sifting its base
+    images, for every x, one locate per class."""
+    classes = G.conjugacy_classes()
+    c = len(classes)
+    class_of = G.class_of_array()
+    reps_inv = np.array([cl.representative.inv().images for cl in classes])
+    inv_class = class_of[G.locate(reps_inv[:, G.base])]
+    counts = np.zeros((c, c, c), dtype=np.int64)
+    for k in range(c):
+        j = inv_class[class_of[G.locate(reps_inv[k][G.base_images])]]
+        counts[:, :, k] = np.bincount(class_of * c + j,
+                                      minlength=c * c).reshape(c, c)
+    return counts
+
+
+def _sifted_p_rank(H, p):
+    """The p-rank with K closed under right multiplication, each step's
+    products sifted, and the same seeds and conjugates as the library."""
+    base = H.base
+    gens = [np.asarray(g.images) for g in H.generators]
+    pending = []
+    for a in gens:
+        for b in gens:  # the commutator a^-1 b^-1 a b
+            pending.append(np.argsort(a)[np.argsort(b)[a[b]]][base])
+        power = np.arange(H.degree)
+        for _ in range(p):
+            power = a[power]
+        pending.append(power[base])
+    pending = list(H.locate(np.array(pending))) if pending else []
+    in_k = np.zeros(H.order, dtype=bool)
+    in_k[0] = True
+    kbase = []
+    while pending and in_k.sum() < H.order:
+        s = pending.pop(0)
+        if in_k[s]:
+            continue
+        kbase.append(H.base_images[s])
+        frontier = np.flatnonzero(in_k)
+        while len(frontier):
+            prods = [H.locate(H.images(frontier, np.tile(b, (len(frontier),
+                                                              1))))
+                     for b in kbase]
+            frontier = np.setdiff1d(np.concatenate(prods),
+                                    np.flatnonzero(in_k))
+            in_k[frontier] = True
+        srow = H.rows([s])[0]
+        pending += [int(H.locate(g[srow[np.argsort(g)[base]]][None])[0])
+                    for g in gens]
+    index = H.order // int(in_k.sum())
+    d = 0
+    while index % p == 0:
+        index //= p
+        d += 1
+    assert index == 1
+    return d
+
+
+def _check_tree_sweeps(G):
+    n, base = G.order, G.base
+    for i in range(n):
+        products = G.images(np.full(n, i), G.base_images)  # g x
+        assert np.array_equal(G.left_products(i), G.locate(products))
+        conj = G.images(None, products, inverse=True)  # x^-1 g x
+        assert np.array_equal(G.conjugates(i), G.locate(conj))
+    for g, move in zip(G.generators, G._inner):  # x -> g^-1 x g
+        garr, ginv = np.asarray(g.images), np.asarray(g.inv().images)
+        assert np.array_equal(move,
+                              G.locate(ginv[G.images(None, garr[base])]))
+    assert np.array_equal(center(group_algebra(G, 2), G).sc_int,
+                          _sifted_center(G))
+    for cl in G.conjugacy_classes():
+        C = centralizer(G, cl.representative)
+        for p in (2, 3, 5):
+            assert p_rank_abelianization(C, p) == _sifted_p_rank(C, p)
+
+
+@PROPERTY
+@example(group_from_generators(3, []))  # the trivial group, no generators
+@given(groups(5, 120))
+def test_tree_sweeps_match_sifted_products(G):
+    _check_tree_sweeps(G)
 
 
 # -- the stabilizer chain and the enumeration against set-based references --
@@ -453,13 +542,6 @@ def test_index_of_a_non_member_raises():
         G.index_of(Perm([1, 2, 0]))
 
 
-def test_rows_that_are_not_distinct_raise():
-    rows = np.array([[0, 1, 2], [1, 0, 2], [1, 0, 2]], dtype=np.uint8)
-    G = PermGroup(3, [Perm([1, 0, 2])], rows)
-    with pytest.raises(InvariantViolation):
-        G.lookup(rows)
-
-
 def test_locating_a_non_member_raises():
     G = group_from_generators(4, [Perm([1, 2, 0, 3])])
     with pytest.raises(InvariantViolation):
@@ -527,6 +609,23 @@ def test_j1_classes_center_and_oracle_pinned():
         np.ascontiguousarray(sc_int, dtype="<i8").tobytes()).hexdigest() == (
         "5e9ec07ac6a0897d003b7e2ef944814eecc4fb82bbe9a4bcdeb05a1924728d84")
     assert additive_oracle(G, 2) == 7
+
+
+@pytest.mark.stretch
+def test_j1_centralizer_p_ranks_pinned():
+    # recorded by the sifted right-multiplication closure, class by class
+    manifest = CorpusManifest.packaged()
+    try:
+        manifest.file_bytes(manifest.entry("J1"))
+    except FileNotFoundError:
+        pytest.skip("J1 generator file not packaged")
+    G, _, _ = resolve_group("J1", allow_large=True)
+    cents = [centralizer(G, cl.representative)
+             for cl in G.conjugacy_classes()]
+    ranks = {p: [p_rank_abelianization(C, p) for C in cents] for p in (2, 3)}
+    assert ranks == {2: [0, 0, 1, 1, 1, 0, 0, 1, 1, 1, 0, 0, 1, 0, 0],
+                     3: [0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 1, 1]}
+    assert (sum(ranks[2]), sum(ranks[3])) == (7, 4)
 
 
 @pytest.mark.stretch
