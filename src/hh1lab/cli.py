@@ -165,7 +165,7 @@ def resolve_group(name_or_path, *, allow_large=False, manifest=None):
     memory_cap = LARGE_MEMORY_CAP if allow_large else DEFAULT_MEMORY_CAP
     if allow_large and order is not None:
         itemsize = 1 if degree <= 255 else 2
-        est = order * degree * itemsize
+        est = order * (degree * itemsize + 4 * (len(gens) + 2))
         _log(f"{name}: {order} elements of degree {degree}, "
              f"{est / (1 << 20):.0f} MiB against the memory cap")
     G = group_from_generators(degree, gens, DEFAULT_ORDER_CAP, memory_cap)

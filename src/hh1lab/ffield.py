@@ -187,42 +187,6 @@ def _fpp_mod(a, f, p):
         a.pop()
     return _fpp_trim(a)
 
-def _fpp_gcd(a, b, p):
-    while b:
-        binv = pow(b[-1], p - 2, p)
-        bm = tuple(x * binv % p for x in b)
-        a, b = b, _fpp_mod(a, bm, p)
-    return a
-
-
-def _fpp_powmod(base, e, f, p):
-    result = (1,)
-    base = _fpp_mod(base, f, p)
-    while e:
-        if e & 1:
-            result = _fpp_mod(_fpp_mul(result, base, p), f, p)
-        base = _fpp_mod(_fpp_mul(base, base, p), f, p)
-        e >>= 1
-    return result
-
-
-def _fpp_irreducible(f, p):
-    """Rabin test for a monic coefficient-tuple poly over F_p, p odd."""
-    m = len(f) - 1
-    if m < 1:
-        return False
-    checkpoints = {m // q for q in prime_factors(m)}
-    x = (0, 1)
-    r = x
-    for j in range(1, m + 1):
-        r = _fpp_powmod(r, p, f, p)
-        if j in checkpoints:
-            diff = _fpp_trim([(r[i] if i < len(r) else 0) - (x[i] if i < len(x) else 0) for i in range(max(len(r), 2))])
-            diff = tuple(v % p for v in diff)
-            if len(_fpp_gcd(f, diff, p)) - 1 != 0:
-                return False
-    return r == x
-
 
 # ---------------------------------------------------------------------------
 # Field construction
@@ -454,9 +418,25 @@ def _lex_least_irreducible(p, m):
             or m % 4 == 0 and p % 4 == 3)
     for value in range(p ** m + p * skip, 2 * p ** m):
         if (_gf2p_irreducible(value) if p == 2
-                else _fpp_irreducible(_digits(value, p), p)):
+                else _irreducible(_digits(value, p), p)):
             return _digits(value, p)
     raise DegreeOutOfRange(f"no irreducible of degree {m} over F_{p}")  # pragma: no cover
+
+
+def _irreducible(f, p):
+    """Rabin's test for a monic coefficient tuple f of degree m >= 2 over
+    F_p, p odd, by `_frobenius_mod` and ``poly_gcd`` on the prime field:
+    x^(p^m) = x mod f, and x^(p^(m/r)) - x is prime to f for each prime
+    r | m."""
+    spec, m, x = field_make(p, 1), len(f) - 1, [0, 1]
+    checkpoints = {m // r for r in prime_factors(m)}
+    power = x
+    for j in range(1, m + 1):
+        power = _frobenius_mod(spec, power, f)
+        if j in checkpoints and len(
+                poly_gcd(spec, f, poly_sub(spec, power, x))) > 1:
+            return False
+    return power == x
 
 
 def field_make(p, m, *, _allow_large_degree=False):

@@ -2,9 +2,11 @@
 
 Builds kG with a field large enough to split the center, decomposes it
 into blocks by refining central idempotents, and derives per-block data:
-dimension, defect number, central character, principal flag.  Also supplies
-the tensor construction used to check the block decomposition of k(G x H)
-against pairwise products.
+dimension, defect number, central character, principal flag.  Dimensions
+are ranks over F_p, by the sum of each block's Galois orbit, which the
+cocycle solve reuses: on the way to blocks and HH^1, the Krylov rows of
+minimal polynomials are the only elimination over the splitting field.
+No tensor construction: kG (x) kH is k[G x H].
 """
 
 from __future__ import annotations
@@ -20,16 +22,16 @@ from .errors import (DimCapExceeded, FieldMismatch, InvariantViolation,
                      NotPrime, SplitFieldTooSmall)
 from .ffield import (FieldSpec, echelon_insert, field_make, is_prime,
                      p_adic_valuation, poly_divmod, poly_ext_gcd,
-                     poly_factor, poly_mod, poly_monic, poly_mul)
+                     poly_factor, poly_mod, poly_monic, poly_mul, sparse_rows)
 
 # caps for materialising dense data; stretch-scale groups stay lazy
 MATERIALIZE_DIM_CAP = 512
-TENSOR_DIM_CAP = 4096
 
 
 class GroupTableSC:
     """Lazy structure constants of a group algebra: e_i * e_j = e_{ij}, from
-    the multiplication table up to MATERIALIZE_DIM_CAP elements."""
+    the multiplication table, built on first use; nothing reads them above
+    MATERIALIZE_DIM_CAP elements."""
 
     def __init__(self, group, spec):
         self._group = group
@@ -43,9 +45,7 @@ class GroupTableSC:
 
     def __getitem__(self, key):
         i, j = key
-        if self._group.order <= MATERIALIZE_DIM_CAP:
-            return ((int(self.table()[i, j]), self._one),)
-        return ((self._group.product_index(i, j), self._one),)
+        return ((int(self.table()[i, j]), self._one),)
 
 
 class StructAlgebra:
@@ -191,16 +191,6 @@ class BlockData:
     group: object = dc_field(repr=False, default=None)
 
 
-def _class_vector(G, spec, coords):
-    """Coordinates in kG of a center element given in the class-sum basis."""
-    out = [spec.zero] * G.order
-    for coef, cl in zip(coords, G.conjugacy_classes()):
-        if not spec.is_zero(coef):
-            for i in cl.indices:
-                out[int(i)] = coef
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
@@ -313,8 +303,10 @@ def block_decompose(A, G, p, seed=0):
     more coprime factors split e into idempotents that go back on the list
     and resume the scan at the class that split e; when no class splits e
     it is primitive, and the roots of its single linear factors are its
-    central character.  Blocks are ordered: principal first, then by
-    dimension, then by idempotent coordinates.
+    central character.  A block's dimension is rank(e_O kG) / |O| over
+    F_p, e_O the sum of its Galois orbit O (`orbit_sum_action`), up to
+    MATERIALIZE_DIM_CAP elements, and None above.  Blocks are ordered:
+    principal first, then by dimension, then by idempotent coordinates.
     """
     spec = A.field
     if spec.p != p:
@@ -401,18 +393,35 @@ def _defect(classes, spec, coords, p):
                for cl, v in zip(classes, coords) if not spec.is_zero(v))
 
 
+def orbit_sum_action(G, table, spec, coords):
+    """(rows, |O|): row u is e_O u over F_p, at gu the coefficient of g
+    (``table[g, u]`` the index of gu), for O the Galois orbit of a block
+    idempotent b in class-sum coordinates.  Frobenius permutes the blocks
+    and keeps their dimensions, so e_O lies over F_p and e_O kG is the sum
+    of |O| blocks of b's dimension."""
+    p, n = spec.p, G.order
+    orbit = [coords]
+    while (image := tuple(spec.pow(v, p) for v in orbit[-1])) != orbit[0]:
+        orbit.append(image)
+    e = [functools.reduce(spec.add, values) for values in zip(*orbit)]
+    if any(v >= p for v in e):
+        raise InvariantViolation(
+            "orbit sum of a block idempotent is not over F_p")
+    rows = np.zeros((n, n), dtype=np.int64)
+    rows[np.arange(n)[:, None], table.T] = np.array(e)[G.class_of_array()]
+    return rows, len(orbit)
+
+
 def _block_dimension(A, G, e_class_coords):
-    """dim kGb as the rank of right multiplication by the idempotent."""
+    """dim kGb = rank(e_O kG) / |O| over F_p, by a rank-only elimination."""
     from .ffield import rank_nullspace_raw
-    spec = A.field
-    n = G.order
-    bvec = _class_vector(G, spec, e_class_coords)
-    # e_j b = sum of b_g e_{jg}; the jg are distinct for a fixed j
-    support = [(g, v) for g, v in enumerate(bvec) if not spec.is_zero(v)]
-    table = A.sc.table()
-    rows = [{int(table[j, g]): v for g, v in support} for j in range(n)]
-    rank, _ = rank_nullspace_raw(rows, n, spec, want_basis=False)
-    return rank
+    rows, size = orbit_sum_action(G, A.sc.table(), A.field, e_class_coords)
+    rank, _ = rank_nullspace_raw(sparse_rows(rows), G.order,
+                                 field_make(A.field.p, 1), want_basis=False)
+    if rank % size:
+        raise InvariantViolation(
+            f"orbit of {size} blocks does not divide its rank {rank}")
+    return rank // size
 
 
 def block_algebra(A, b):
@@ -427,7 +436,8 @@ def block_algebra(A, b):
     n = A.dim
     if n > MATERIALIZE_DIM_CAP:
         raise DimCapExceeded("block algebra of a stretch-scale group")
-    bvec = _class_vector(G, spec, b.idempotent_class_coords)
+    bvec = tuple(map(b.idempotent_class_coords.__getitem__,
+                     G.class_of_array().tolist()))
     raw_rows = []
     for i in range(n):
         prod = A.multiply(A.basis_vector(i), bvec)
@@ -468,38 +478,3 @@ def block_algebra(A, b):
     unit = express(bvec)
     labels = [f"b{b.index}_{i}" for i in range(d)]
     return StructAlgebra(spec, d, labels, sc, unit)
-
-
-def tensor_algebra(A, B):
-    """Tensor product algebra on the pair basis."""
-    if A.field != B.field:
-        raise FieldMismatch("tensor factors over different fields")
-    spec = A.field
-    n, m = A.dim, B.dim
-    if n * m > TENSOR_DIM_CAP:
-        raise DimCapExceeded(f"tensor dimension {n * m} exceeds cap")
-
-    def pair(i, ip):
-        return i * m + ip
-
-    sc = {}
-    for i in range(n):
-        for j in range(n):
-            terms_a = A.sc[i, j]
-            for ip in range(m):
-                for jp in range(m):
-                    terms_b = B.sc[ip, jp]
-                    entries = []
-                    for k, ck in terms_a:
-                        for kp, ckp in terms_b:
-                            entries.append((pair(k, kp), spec.mul(ck, ckp)))
-                    sc[pair(i, ip), pair(j, jp)] = tuple(entries)
-    unit = [spec.zero] * (n * m)
-    for i, ci in enumerate(A.unit):
-        if spec.is_zero(ci):
-            continue
-        for ip, cip in enumerate(B.unit):
-            if not spec.is_zero(cip):
-                unit[pair(i, ip)] = spec.mul(ci, cip)
-    labels = [f"{la}*{lb}" for la in A.labels for lb in B.labels]
-    return StructAlgebra(spec, n * m, labels, sc, tuple(unit))

@@ -1,11 +1,12 @@
 """First Hochschild cohomology by two independent routes.
 
 Route one is linear algebra: for kG and its blocks, the cocycles
-Z^1(G, kG) solved one conjugacy class at a time (`cocycle_space`); for
-other algebras, the Leibniz system for derivations less the inner ones
-(`derivation_space`).  Route two never touches linear algebra: it sums
-p-ranks of abelianised centralizers over conjugacy classes.  The two are
-compared on every report.
+Z^1(G, kG) solved one conjugacy class at a time along the Cayley tree the
+group's enumeration keeps (`cocycle_space`), each block's share read off
+by its Galois orbit sum; for other algebras, the Leibniz system for
+derivations less the inner ones (`derivation_space`).  Route two never
+touches linear algebra: it sums p-ranks of abelianised centralizers over
+conjugacy classes.  The two are compared on every report.
 
 Also here: the tensor-product dimension identity, the cyclic-block
 dimension formula, principal-block inertial quotients, and the subtraction
@@ -15,7 +16,6 @@ bookkeeping used to pin down a principal block from a whole-algebra total.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -26,7 +26,8 @@ from .errors import (DimCapExceeded, InvariantViolation, NegativeResult,
 # wraps them by name
 from .ffield import (echelonize, is_prime, np_kernel_mod_p, np_rref_mod_p,
                      rank_nullspace_raw)
-from .groupalgebra import block_algebra, block_decompose, group_algebra
+from .groupalgebra import (block_algebra, block_decompose, group_algebra,
+                           orbit_sum_action)
 from .permgroup import (centralizer, normalizer, p_rank_abelianization,
                         subgroup_centralizer, sylow_subgroup)
 
@@ -208,9 +209,11 @@ def cocycle_space(A):
 
     Conjugation keeps the span k[x] of each class x.  On k[x], the rule
     f(ws) = f(w) + w.f(s) gives f(w) as a matrix C[w] over the |x| r
-    unknowns f(s): in one breadth-first pass from the identity over
-    (element, generator) pairs, the first visit of ws defines C[ws] and
-    every later visit is a residual constraint.  The coboundaries on k[x]
+    unknowns f(s), s one of the group's r generators.  The Cayley tree of
+    the group's enumeration (``cayley_tree``) gives every element
+    x = parent[x] s_step[x] its matrix from its parent's, a level at a
+    time, and every other edge (w, s) of the Cayley graph, ending at
+    right[s, w] = ws, is a residual constraint.  The coboundaries on k[x]
     have dimension |x| - 1, so H^1(G, k[x]) = dim Z^1(G, k[x]) - |x| + 1.
     """
     n = A.dim
@@ -220,30 +223,13 @@ def cocycle_space(A):
     G, p = A.group, A.field.p
     table = A.sc.table()
     inv = np.argmax(table == 0, axis=1)  # element 0 is the identity
-
-    # greedy generators: each is the first element outside the subgroup
-    # the earlier ones generate, which grows by right multiplication
-    gens, member = [], np.arange(n) == 0
-    while not member.all():
-        gens.append(int(np.argmin(member)))
-        size = 0
-        while size != np.count_nonzero(member):
-            size = np.count_nonzero(member)
-            member[table[np.ix_(member, gens)]] = True
-    r = len(gens)
-
-    # edges (w, a, ws): n - 1 tree edges and n r - n + 1 residual ones
-    queue, seen, tree, resid = [0], {0}, [], []
-    for w in queue:
-        for a, s in enumerate(gens):
-            ws = int(table[w, s])
-            if ws in seen:
-                resid.append((w, a, ws))
-            else:
-                seen.add(ws)
-                queue.append(ws)
-                tree.append((w, a, ws))
-    rw, ra, rws = np.array(resid, dtype=np.int64).reshape(-1, 3).T
+    right, parent, step, bounds = G.cayley_tree
+    r = len(right)
+    # the n r - n + 1 edges (w, s_a) off the tree
+    off_tree = np.ones((r, n), dtype=bool)
+    off_tree[step[1:], parent[1:]] = False
+    ra, rw = np.nonzero(off_tree)
+    rws = right[ra, rw]
 
     terms, cocycles = [], []
     for cl in G.conjugacy_classes():
@@ -253,9 +239,11 @@ def cocycle_space(A):
         # w x_i w^-1 is x_conj[w, i]: w moves coordinate i of f(s) there
         conj = pos[table[table[:, cl.indices], inv[:, None]]]
         C = np.zeros((n, m, m * r), dtype=np.int64)
-        for w, a, ws in tree:
-            C[ws] = C[w]
-            C[ws, conj[w], a * m + cols] += 1
+        for lo, hi in zip(bounds[1:], bounds[2:]):
+            w = parent[lo:hi]
+            C[lo:hi] = C[w]
+            C[np.arange(lo, hi)[:, None], conj[w],
+              (step[lo:hi] * m)[:, None] + cols] += 1
         R = C[rws] - C[rw]
         R[np.arange(len(rw))[:, None], conj[rw], (ra * m)[:, None] + cols] -= 1
         kern = np_kernel_mod_p(R.reshape(len(R) * m, m * r), p)
@@ -266,7 +254,7 @@ def cocycle_space(A):
 
     # f(s) = s u s^-1 - u for each u; the class sums are the invariants
     B = np.zeros((n, r, n), dtype=np.int64)
-    for a, s in enumerate(gens):
+    for a, s in enumerate(right[:, 0].tolist()):  # 1 s_a = s_a
         B[np.arange(n), a, table[table[s], inv[s]]] += 1
         B[np.arange(n), a, np.arange(n)] -= 1
     B, pivots = np_rref_mod_p(B.reshape(n, r * n), p)
@@ -365,29 +353,20 @@ def principal_inertial_quotient(G, p):
 def _block_hh1(cocycles, b):
     """dim HH^1(kGb) from the action of b on the cocycles.
 
-    A central b maps a cocycle f to bf, and HH^1(kGb) = b HH^1(kG).
-    Frobenius on coordinates permutes the blocks and keeps dimensions, so
-    the sum e_O of b's orbit O lies over F_p, and HH^1(kGb) has dimension
-    (rank(e_O Z + B) - rank B) / |O|.
+    A central b maps a cocycle f to bf, and HH^1(kGb) = b HH^1(kG), of
+    dimension (rank(e_O Z + B) - rank B) / |O| for the F_p orbit sum e_O
+    of b (`orbit_sum_action`).
     """
-    spec, p = b.spec, b.spec.p
-    orbit = [b.idempotent_class_coords]
-    while (image := tuple(spec.pow(v, p) for v in orbit[-1])) != orbit[0]:
-        orbit.append(image)
-    e = [reduce(spec.add, values) for values in zip(*orbit)]
-    if any(v >= p for v in e):
-        raise InvariantViolation(
-            f"orbit sum of block {b.index} is not over F_p")
-    n = b.group.order
-    # left multiplication by e_O: entry (gu, u) is e_g
-    L = np.array(e)[b.group.class_of_array()][np.argsort(cocycles.table, 0)]
+    rows, size = orbit_sum_action(b.group, cocycles.table, b.spec,
+                                  b.idempotent_class_coords)
+    n, p = b.group.order, b.spec.p
     Z, B = cocycles.cocycles, cocycles.coboundaries
-    eZ = _matmul_mod(Z.reshape(-1, n), L.T, p).reshape(Z.shape)
+    eZ = _matmul_mod(Z.reshape(-1, n), rows, p).reshape(Z.shape)
     rank = len(np_rref_mod_p(np.vstack([eZ, B]), p)[1]) - len(B)
-    if rank % len(orbit):
+    if rank % size:
         raise InvariantViolation(
-            f"orbit of {len(orbit)} blocks does not divide HH1 {rank}")
-    return rank // len(orbit)
+            f"orbit of {size} blocks does not divide HH1 {rank}")
+    return rank // size
 
 
 def hh1_blocks(G, p, *, name=None, seed=0, allow_large=False,

@@ -1,12 +1,14 @@
 """Permutation groups held by their stabilizer chain.
 
-Groups are given by generators acting on {0..degree-1}.  A stabilizer chain
-(Seress, *Permutation Group Algorithms*, 2003) gives the order, a base
-(points whose images tell all elements apart) and the element index:
-sifting an element's base images through the chain's transversals reads
-off its chain index, a mixed-radix number in [0, |G|), and one array maps
-chain indices to element indices.  The chain holds the elements too: the
-digits of a chain index pick one transversal element per level, whose
+Groups are given by generators acting on {0..degree-1}.  A group keeps a
+given generator only when it lies outside the group of those kept before
+it, so each kept one at least doubles the order: at most log2 |G| of them.
+A stabilizer chain (Seress, *Permutation Group Algorithms*, 2003) gives the
+order, a base (points whose images tell all elements apart) and the element
+index: sifting an element's base images through the chain's transversals
+reads off its chain index, a mixed-radix number in [0, |G|), and one array
+maps chain indices to element indices.  The chain holds the elements too:
+the digits of a chain index pick one transversal element per level, whose
 product is the element, so the image of a point is k gathers through the
 transversal tables.  The capped breadth-first enumeration runs on chain
 indices and keeps each element's chain index; ``images(elems, points)``
@@ -17,8 +19,9 @@ each hit by sifting the full row (-1 for non-members);
 construction, from their |base| columns alone.  The enumeration's Cayley
 tree is kept too, int32 throughout: the index of x*g for every element x
 and generator g, and each element's parent and generator, (ngens + 2) * 4
-bytes an element.  ``left_products(i)`` reads g_i x and ``conjugates(i)``
-x^-1 g_i x for every x off it, one gather per level and no sift.
+bytes an element, held to the memory cap with the rows' table.
+``left_products(i)`` reads g_i x and ``conjugates(i)`` x^-1 g_i x for every
+x off it, one gather per level and no sift.
 
 The on-disk group format is text: a ``degree n`` line, then one generator
 per line as n whitespace-separated 1-based images.  Lines starting with
@@ -302,19 +305,25 @@ class _Sifter:
         return np.all(rows == np.arange(self.degree), axis=1)
 
 
-def _stabilizer_chain(degree, gen_rows, order_cap, memory_cap):
-    """The sifter of the generated group's chain, held to the caps, the
-    bytes of a table of its element rows included."""
+def _stabilizer_chain(degree, rows, order_cap, memory_cap):
+    """(kept, sifter): the indices of the rows kept as generators, each the
+    first row outside the group of those before it, and their chain's
+    sifter, held to the caps: the chain as it grows, then a table of the
+    element rows and the Cayley tree, 4 (len(kept) + 2) bytes an element."""
     chain = _Chain(degree, order_cap, memory_cap)
-    for g in gen_rows:
-        chain.extend(g)
+    rows = np.asarray(rows, dtype=np.intp).reshape(-1, degree)
+    kept, outside = [], np.arange(len(rows))
+    while len(outside := outside[~chain.sifter().contains(rows[outside])]):
+        kept.append(int(outside[0]))
+        chain.extend(tuple(rows[kept[-1]].tolist()))
     order = chain.order
-    if order * degree * np.dtype(_np_dtype(degree)).itemsize > memory_cap:
+    itemsize = np.dtype(_np_dtype(degree)).itemsize
+    if order * (degree * itemsize + 4 * (len(kept) + 2)) > memory_cap:
         raise OrderCapExceeded(
             f"enumeration needs more than {memory_cap} bytes ({order} "
             f"elements of degree {degree}); raise the memory cap "
             "(--allow-large) for stretch groups")
-    return chain.sifter()
+    return kept, chain.sifter()
 
 
 def _closure_rows(sifter, gen_rows):
@@ -365,14 +374,15 @@ class PermGroup:
     Elements are numbered in breadth-first order from the identity.  The
     group keeps each element's chain index, and computes images (the base
     images too) on demand by `images`.  It keeps the enumeration's Cayley
-    tree: the element index of every product x*g with a generator g, and
-    each element's parent and generator in the tree, all int32, (ngens +
-    2) * 4 bytes an element (2.8 MB for J1), from which `left_products`
-    reads g x for every x without a sift; `conjugates` adds the
-    conjugations t^-1 x t by each generator t, ngens * 4 bytes an element,
-    on first use.  Immutable after construction.  Conjugacy classes and
-    centralizers are computed on first use; the classes under a lock, so
-    threads asking at once share one list.
+    tree, ``cayley_tree`` as `_closure_rows` returns it: the element index
+    of every product x*g with a generator g, and each element's parent and
+    generator in the tree, all int32, (ngens + 2) * 4 bytes an element
+    (2.8 MB for J1), from which `left_products` reads g x for every x
+    without a sift; `conjugates` adds the conjugations t^-1 x t by each
+    generator t, ngens * 4 bytes an element, on first use.  Immutable after
+    construction.  Conjugacy classes and centralizers are computed on first
+    use; the classes under a lock, so threads asking at once share one
+    list.
     """
 
     def __init__(self, degree, generators, sifter,
@@ -386,7 +396,7 @@ class PermGroup:
         self._classes_lock = threading.Lock()
         self._centralizers = {}  # element index -> its centralizer
         self._sifter, self.order = sifter, sifter.order
-        self._chain_of, self._elem_of, self._tree = _closure_rows(
+        self._chain_of, self._elem_of, self.cayley_tree = _closure_rows(
             sifter, [g.images for g in self.generators])
 
     # -- construction -------------------------------------------------------
@@ -395,27 +405,26 @@ class PermGroup:
     def from_generators(cls, degree, generators,
                         order_cap=DEFAULT_ORDER_CAP,
                         memory_cap=DEFAULT_MEMORY_CAP):
+        """The group of the generators; it keeps each one outside the group
+        of those kept before it, so a redundant one is dropped."""
         gens = [g if isinstance(g, Perm) else Perm(g) for g in generators]
         bad = [g.degree for g in gens if g.degree != degree]
         if bad:
             raise InvalidPermutation(f"generator degree {bad[0]} != {degree}")
-        sifter = _stabilizer_chain(degree, [g.images for g in gens],
-                                   order_cap, memory_cap)
-        return cls(degree, gens, sifter, order_cap, memory_cap)
+        kept, sifter = _stabilizer_chain(degree, [g.images for g in gens],
+                                         order_cap, memory_cap)
+        return cls(degree, [gens[i] for i in kept], sifter, order_cap,
+                   memory_cap)
 
     @classmethod
     def from_element_rows(cls, degree, rows, order_cap=DEFAULT_ORDER_CAP,
                           memory_cap=DEFAULT_MEMORY_CAP):
-        """Subgroup from an explicit element array; each generator is the
-        first row outside the subgroup generated so far (deterministic).
-        One chain grows by each generator and sifts the rows still outside
-        it; only the final subgroup is enumerated."""
-        chain = _Chain(degree, order_cap, memory_cap)
-        gens, outside = [], np.asarray(rows)
-        while len(outside := outside[~chain.sifter().contains(outside)]):
-            gens.append(Perm(outside[0]))
-            chain.extend(gens[-1].images)
-        return cls(degree, gens, chain.sifter(), order_cap, memory_cap)
+        """Subgroup from an explicit element array, by the rule of
+        `from_generators`: each generator is the first row outside the
+        subgroup generated so far (deterministic)."""
+        kept, sifter = _stabilizer_chain(degree, rows, order_cap, memory_cap)
+        return cls(degree, [Perm(rows[i]) for i in kept], sifter, order_cap,
+                   memory_cap)
 
     # -- the element index ---------------------------------------------------
 
@@ -464,7 +473,7 @@ class PermGroup:
     def _sweep(self, table, i):
         """out[0] = i, then out[x] = table[t, out[y]] for x = y t in the
         Cayley tree: one gather per level, from the identity down."""
-        _, parent, step, bounds = self._tree
+        _, parent, step, bounds = self.cayley_tree
         out = np.empty(self.order, dtype=np.int32)
         out[0] = i
         for lo, hi in zip(bounds[1:], bounds[2:]):
@@ -476,7 +485,7 @@ class PermGroup:
     def left_products(self, i):
         """Element index of g x for every element x, g the element of index
         i, with no sift: x = y t gives g x = (g y) t."""
-        return self._sweep(self._tree[0], i)
+        return self._sweep(self.cayley_tree[0], i)
 
     def conjugates(self, i):
         """Element index of x^-1 g x for every element x, g the element of
@@ -486,8 +495,9 @@ class PermGroup:
     @functools.cached_property
     def _inner(self):
         # t^-1 x t for every x, a row per generator t: (t^-1 x)*t by the tree
-        out = np.empty_like(self._tree[0])
-        for t, (g, right) in enumerate(zip(self.generators, self._tree[0])):
+        rights = self.cayley_tree[0]
+        out = np.empty_like(rights)
+        for t, (g, right) in enumerate(zip(self.generators, rights)):
             out[t] = right.take(self.left_products(self.index_of(g.inv())))
         return out
 
@@ -529,13 +539,9 @@ class PermGroup:
                 return idx
         raise NotAMember(f"{perm!r} is not in the group")
 
-    def product_index(self, i, j):
-        """Index of element i composed with element j (apply j first)."""
-        on_base = self.images([j], self.base)
-        return int(self.locate(self.images([i], on_base))[0])
-
     def multiplication_table(self):
-        """Table of product_index over all pairs, from one locate."""
+        """The index of element i composed with element j (apply j first)
+        at [i, j], over all pairs, from one locate."""
         n = self.order
         products = self.images(np.repeat(np.arange(n), n),
                                np.tile(self.base_images, (n, 1)))

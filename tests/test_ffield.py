@@ -69,7 +69,7 @@ def _scan_every_tail(p, m):
     for value in range(p ** m, 2 * p ** m):
         f = ffield._digits(value, p)
         if (ffield._gf2p_irreducible(value) if p == 2
-                else ffield._fpp_irreducible(f, p)):
+                else ffield._irreducible(f, p)):
             return f
     raise AssertionError
 

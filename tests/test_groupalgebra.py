@@ -6,11 +6,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from test_permindex import groups
 
+from hh1lab import ffield
 from hh1lab.catalgebra import radical_and_semisimplicity
-from hh1lab.errors import FieldMismatch, SplitFieldTooSmall
+from hh1lab.errors import SplitFieldTooSmall
 from hh1lab.groupalgebra import (block_algebra, block_decompose, center,
-                                 group_algebra, splitting_degree,
-                                 tensor_algebra)
+                                 group_algebra, splitting_degree)
+from hh1lab.ffield import rank_nullspace_raw
+from hh1lab.hhone import hh1_blocks
 from hh1lab.permgroup import Perm, direct_product, group_from_generators
 
 
@@ -178,47 +180,6 @@ def test_defect_zero_blocks_semisimple(corpus):
             assert ss
 
 
-def test_tensor_unit_law(corpus):
-    # A (x) k == A: tensor with the algebra of the trivial group
-    from hh1lab.permgroup import group_from_generators
-    triv = group_from_generators(1, [])
-    G = corpus["S3"]
-    A = group_algebra(G, 3)  # both factors over GF(3)
-    K = group_algebra(triv, 3)
-    T = tensor_algebra(A, K)
-    assert T.dim == A.dim
-    for i in range(A.dim):
-        for j in range(A.dim):
-            assert T.sc[i, j] == A.sc[i, j]
-    assert T.unit == tuple(A.unit)
-
-
-def test_tensor_c2_c2_matches_v4(corpus):
-    # kC2 (x) kC2 has the structure constants of a Klein-four group algebra
-    # once the pair basis is matched to the product group's elements
-    from hh1lab.permgroup import Perm
-    C2 = corpus["C2"]
-    A = group_algebra(C2, 2)
-    T = tensor_algebra(A, A)
-    assert T.dim == 4
-    P = direct_product(C2, C2)
-    mapping = {}
-    for i in range(2):
-        for j in range(2):
-            gi = C2.element(i).images
-            gj = C2.element(j).images
-            combined = list(gi) + [2 + x for x in gj]
-            mapping[i * 2 + j] = P.index_of(Perm(combined))
-    for a in range(4):
-        for b in range(4):
-            (k, coeff), = T.sc[a, b]
-            assert coeff == T.field.one
-            assert mapping[k] == P.product_index(mapping[a], mapping[b])
-    # and the product group is a Klein four group
-    assert P.order == 4
-    assert all(P.element(i).order() <= 2 for i in range(4))
-
-
 def test_tensor_s3_s3_blocks_pairwise(corpus):
     # the product group algebra decomposes into pairwise tensor blocks
     G = corpus["S3xS3"]
@@ -239,13 +200,6 @@ def test_block_count_multiplicative(corpus):
         nb = len(block_decompose(group_algebra(Gb, p), Gb, p))
         np_ = len(block_decompose(group_algebra(P, p), P, p))
         assert np_ == na * nb
-
-
-def test_tensor_field_mismatch(corpus):
-    A = group_algebra(corpus["C2"], 2)
-    B = group_algebra(corpus["C3"], 2)  # GF(4), not GF(2)
-    with pytest.raises(FieldMismatch):
-        tensor_algebra(A, B)
 
 
 def test_block_ordering_deterministic(corpus):
@@ -452,3 +406,70 @@ def test_center_product_equals_the_triple_loop(G, p, seed):
     for b in block_decompose(A, G, p):
         e = b.idempotent_class_coords
         assert cb.product(e, e) == _triple_loop_product(cb, e, e)
+
+
+# -- block dimensions over F_p, by the Galois orbit sum ---------------------
+
+
+def _right_multiplication_rank(A, G, b):
+    """dim kGb as the rank over the splitting field of right multiplication
+    by b: row j is e_j b = sum_g b_g e_{jg}."""
+    spec, table = A.field, A.sc.table()
+    coef = [spec.zero] * G.order
+    for v, cl in zip(b.idempotent_class_coords, G.conjugacy_classes()):
+        for g in cl.indices.tolist():
+            coef[g] = v
+    rows = [{int(table[j, g]): v for g, v in enumerate(coef) if v}
+            for j in range(G.order)]
+    return rank_nullspace_raw(rows, G.order, spec, want_basis=False)[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(G=groups(6, 120), p=st.sampled_from([2, 3, 5]))
+def test_block_dimensions_equal_the_splitting_field_rank(G, p):
+    A = group_algebra(G, p)
+    blocks = block_decompose(A, G, p)
+    assert [b.dim for b in blocks] == [
+        _right_multiplication_rank(A, G, b) for b in blocks]
+    assert sum(b.dim for b in blocks) == G.order
+
+
+def _cycles(n, *cycles):
+    images = list(range(n))
+    for c in cycles:
+        for a, b in zip(c, c[1:] + c[:1]):
+            images[a] = b
+    return Perm(images)
+
+
+@pytest.mark.parametrize("name,p,dims", [
+    ("A6", 3, [279, 81]), ("A6", 5, [210, 25, 25, 100]),
+    ("S5", 3, [42, 36, 42]), ("S5", 5, [70, 25, 25])])
+def test_block_dimensions_of_a6_and_s5_pinned(name, p, dims):
+    # A6 = <(0 1 2), (1 2 3 4 5)>, S5 = <(0 1), (0 1 2 3 4)>; over GF(q)
+    # these dimensions took seconds, as ranks of 360 x 360 systems
+    G = (group_from_generators(6, [_cycles(6, (0, 1, 2)),
+                                   _cycles(6, (1, 2, 3, 4, 5))])
+         if name == "A6" else
+         group_from_generators(5, [_cycles(5, (0, 1)),
+                                   _cycles(5, (0, 1, 2, 3, 4))]))
+    assert [b.dim for b in block_decompose(group_algebra(G, p), G, p)] == dims
+
+
+def test_no_elimination_over_the_splitting_field(corpus, monkeypatch):
+    # the blocks and their HH^1 are ranks over F_p; the splitting field's
+    # only elimination is the insertion of Krylov rows for minimal
+    # polynomials, which is not this kernel
+    def refuse(*args):
+        raise AssertionError("an elimination over GF(q), q > p")
+
+    monkeypatch.setattr(ffield, "_echelon_generic", refuse)
+    S4 = corpus["S4"]
+    assert group_algebra(S4, 3).field.order == 9
+    report = hh1_blocks(S4, 3)
+    assert [row.dim for row in report.per_block] == [6, 9, 9]
+    S5 = group_from_generators(5, [_cycles(5, (0, 1)),
+                                   _cycles(5, (0, 1, 2, 3, 4))])
+    A = group_algebra(S5, 3)
+    assert A.field.order == 81
+    assert [b.dim for b in block_decompose(A, S5, 3)] == [42, 36, 42]

@@ -25,7 +25,7 @@ from hh1lab import permgroup
 from hh1lab.cli import CorpusManifest, main, resolve_group
 from hh1lab.errors import InvariantViolation, NotAMember, OrderCapExceeded
 from hh1lab.groupalgebra import block_decompose, center, group_algebra
-from hh1lab.hhone import additive_oracle
+from hh1lab.hhone import additive_oracle, cocycle_space, hh1_blocks
 from hh1lab.permgroup import (Perm, PermGroup, centralizer, direct_product,
                               group_from_generators, normalizer,
                               p_rank_abelianization)
@@ -353,7 +353,7 @@ def _check_enumeration(G):
     rows = _reference_rows(G.degree, gens)
     assert G.element_rows().tolist() == [list(r) for r in rows]
     assert permgroup._stabilizer_chain(
-        G.degree, gens, math.inf, math.inf).order == G.order
+        G.degree, gens, math.inf, math.inf)[1].order == G.order
     assert G.base.tolist() == _greedy_base(rows)
 
 
@@ -408,14 +408,45 @@ def test_the_chain_is_held_to_the_memory_cap():
                               memory_cap=1 << 20)
 
 
+def test_the_cayley_tree_is_held_to_the_memory_cap():
+    # C2^12: 4096 rows of 24 bytes take 98,304 B, under 128 KiB, but the
+    # tree adds 4 (12 + 2) bytes an element, 327,680 B in all
+    gens = [Perm([x ^ 1 if x // 2 == i else x for x in range(24)])
+            for i in range(12)]
+    with pytest.raises(OrderCapExceeded, match=(
+            r"enumeration needs more than 131072 bytes \(4096 elements of "
+            r"degree 24\)")):
+        group_from_generators(24, gens, memory_cap=128 << 10)
+    assert group_from_generators(24, gens, memory_cap=320 << 10).order == 4096
+
+
+def test_redundant_generators_are_dropped():
+    # S4 from (0 1), (0 1 2 3), the identity, (0 1) again and their
+    # product: the last three lie in the group of the first two
+    t, c = Perm([1, 0, 2, 3]), Perm([1, 2, 3, 0])
+    G = group_from_generators(4, [t, c, Perm([0, 1, 2, 3]), t, t * c])
+    K = group_from_generators(4, [t, c])
+    assert G.generators == [t, c]
+    assert len(G.generators) <= math.log2(G.order)
+    assert np.array_equal(G.element_rows(), K.element_rows())
+    assert [(cl.representative, cl.size, cl.indices.tolist())
+            for cl in G.conjugacy_classes()] == [
+        (cl.representative, cl.size, cl.indices.tolist())
+        for cl in K.conjugacy_classes()]
+    for p in (2, 3):
+        assert hh1_blocks(G, p) == hh1_blocks(K, p)
+    # the cocycle solve takes one unknown per generator and class member
+    assert cocycle_space(group_algebra(G, 3)).cocycles.shape[1] == 2 * 24
+
+
 @pytest.mark.parametrize("skew", [-1, 1])
 def test_an_enumeration_off_the_chain_order_raises(monkeypatch, skew):
     chain = permgroup._stabilizer_chain
 
     def skewed(*args):
-        sifter = chain(*args)
+        kept, sifter = chain(*args)
         sifter.order += skew
-        return sifter
+        return kept, sifter
 
     monkeypatch.setattr(permgroup, "_stabilizer_chain", skewed)
     with pytest.raises(InvariantViolation, match="chain order"):
@@ -524,6 +555,10 @@ def test_from_element_rows_picks_the_greedy_generators(G, rng):
     H = PermGroup.from_element_rows(G.degree, rows)
     assert [g.images for g in H.generators] == gens
     assert _element_set(H) == span
+    # the same rule keeps the same rows as given generators
+    F = PermGroup.from_generators(G.degree, [Perm(r) for r in rows.tolist()])
+    assert [g.images for g in F.generators] == gens
+    assert len(gens) <= math.log2(H.order)
     K = group_from_generators(G.degree, [Perm(g) for g in gens])
     assert np.array_equal(H.element_rows(), K.element_rows())
     assert np.array_equal(H.base, K.base)
