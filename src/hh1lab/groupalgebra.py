@@ -22,7 +22,7 @@ from .errors import (DimCapExceeded, FieldMismatch, InvariantViolation,
                      NotPrime, SplitFieldTooSmall)
 from .ffield import (FieldSpec, echelon_insert, field_make, is_prime,
                      p_adic_valuation, poly_divmod, poly_ext_gcd,
-                     poly_factor, poly_mod, poly_monic, poly_mul, sparse_rows)
+                     poly_factor, poly_mod, poly_monic, poly_mul)
 
 # caps for materialising dense data; stretch-scale groups stay lazy
 MATERIALIZE_DIM_CAP = 512
@@ -247,7 +247,7 @@ def center(A, G):
     class_of = G.class_of_array()
     inv_reps = [G.index_of(cl.representative.inv()) for cl in classes]
     inv_class = class_of[inv_reps][class_of]  # the class of x^-1, per x
-    bins = class_of * c
+    bins = class_of * np.intp(c)  # c * c may pass the int32 class numbers
     sc_int = np.zeros((c, c, c), dtype=np.int64)
     for k, i in enumerate(inv_reps):
         j_arr = inv_class.take(G.left_products(i))
@@ -304,7 +304,7 @@ def block_decompose(A, G, p, seed=0):
     and resume the scan at the class that split e; when no class splits e
     it is primitive, and the roots of its single linear factors are its
     central character.  A block's dimension is rank(e_O kG) / |O| over
-    F_p, e_O the sum of its Galois orbit O (`orbit_sum_action`), up to
+    F_p, e_O the sum of its Galois orbit O (`orbit_sum`), up to
     MATERIALIZE_DIM_CAP elements, and None above.  Blocks are ordered:
     principal first, then by dimension, then by idempotent coordinates.
     """
@@ -393,31 +393,34 @@ def _defect(classes, spec, coords, p):
                for cl, v in zip(classes, coords) if not spec.is_zero(v))
 
 
-def orbit_sum_action(G, table, spec, coords):
-    """(rows, |O|): row u is e_O u over F_p, at gu the coefficient of g
-    (``table[g, u]`` the index of gu), for O the Galois orbit of a block
-    idempotent b in class-sum coordinates.  Frobenius permutes the blocks
-    and keeps their dimensions, so e_O lies over F_p and e_O kG is the sum
-    of |O| blocks of b's dimension."""
-    p, n = spec.p, G.order
+def orbit_sum(G, spec, coords):
+    """(coefficients, |O|): the coefficient over F_p of every element in
+    e_O, the sum of the Galois orbit O of a block idempotent given in
+    class-sum coordinates.  Frobenius permutes the blocks and keeps their
+    dimensions, so e_O lies over F_p and e_O kG is the sum of |O| blocks of
+    the block's dimension."""
     orbit = [coords]
-    while (image := tuple(spec.pow(v, p) for v in orbit[-1])) != orbit[0]:
+    while (image := tuple(spec.pow(v, spec.p) for v in orbit[-1])) != coords:
         orbit.append(image)
-    e = [functools.reduce(spec.add, values) for values in zip(*orbit)]
-    if any(v >= p for v in e):
+    e = np.array([functools.reduce(spec.add, vs) for vs in zip(*orbit)])
+    if np.any(e >= spec.p):
         raise InvariantViolation(
             "orbit sum of a block idempotent is not over F_p")
-    rows = np.zeros((n, n), dtype=np.int64)
-    rows[np.arange(n)[:, None], table.T] = np.array(e)[G.class_of_array()]
-    return rows, len(orbit)
+    return e[G.class_of_array()], len(orbit)
 
 
 def _block_dimension(A, G, e_class_coords):
-    """dim kGb = rank(e_O kG) / |O| over F_p, by a rank-only elimination."""
+    """dim kGb = rank(e_O kG) / |O| over F_p (`orbit_sum`), by a rank-only
+    elimination of the rows e_O u, read off the support of e_O: row u
+    holds the coefficient of g at gu."""
     from .ffield import rank_nullspace_raw
-    rows, size = orbit_sum_action(G, A.sc.table(), A.field, e_class_coords)
-    rank, _ = rank_nullspace_raw(sparse_rows(rows), G.order,
-                                 field_make(A.field.p, 1), want_basis=False)
+    coef, size = orbit_sum(G, A.field, e_class_coords)
+    support = np.flatnonzero(coef)
+    values = coef[support].tolist()
+    rows = [dict(zip(cols, values))
+            for cols in A.sc.table()[support].T.tolist()]
+    rank, _ = rank_nullspace_raw(rows, G.order, field_make(A.field.p, 1),
+                                 want_basis=False)
     if rank % size:
         raise InvariantViolation(
             f"orbit of {size} blocks does not divide its rank {rank}")

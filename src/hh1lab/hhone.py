@@ -27,7 +27,7 @@ from .errors import (DimCapExceeded, InvariantViolation, NegativeResult,
 from .ffield import (echelonize, is_prime, np_kernel_mod_p, np_rref_mod_p,
                      rank_nullspace_raw)
 from .groupalgebra import (block_algebra, block_decompose, group_algebra,
-                           orbit_sum_action)
+                           orbit_sum)
 from .permgroup import (centralizer, normalizer, p_rank_abelianization,
                         subgroup_centralizer, sylow_subgroup)
 
@@ -355,11 +355,12 @@ def _block_hh1(cocycles, b):
 
     A central b maps a cocycle f to bf, and HH^1(kGb) = b HH^1(kG), of
     dimension (rank(e_O Z + B) - rank B) / |O| for the F_p orbit sum e_O
-    of b (`orbit_sum_action`).
+    of b (`orbit_sum`).
     """
-    rows, size = orbit_sum_action(b.group, cocycles.table, b.spec,
-                                  b.idempotent_class_coords)
+    coef, size = orbit_sum(b.group, b.spec, b.idempotent_class_coords)
     n, p = b.group.order, b.spec.p
+    rows = np.zeros((n, n), dtype=np.int64)  # row u is e_O u: g at gu
+    rows[np.arange(n)[:, None], cocycles.table.T] = coef
     Z, B = cocycles.cocycles, cocycles.coboundaries
     eZ = _matmul_mod(Z.reshape(-1, n), rows, p).reshape(Z.shape)
     rank = len(np_rref_mod_p(np.vstack([eZ, B]), p)[1]) - len(B)

@@ -3,25 +3,26 @@
 Groups are given by generators acting on {0..degree-1}.  A group keeps a
 given generator only when it lies outside the group of those kept before
 it, so each kept one at least doubles the order: at most log2 |G| of them.
-A stabilizer chain (Seress, *Permutation Group Algorithms*, 2003) gives the
-order, a base (points whose images tell all elements apart) and the element
-index: sifting an element's base images through the chain's transversals
-reads off its chain index, a mixed-radix number in [0, |G|), and one array
-maps chain indices to element indices.  The chain holds the elements too:
-the digits of a chain index pick one transversal element per level, whose
-product is the element, so the image of a point is k gathers through the
-transversal tables.  The capped breadth-first enumeration runs on chain
-indices and keeps each element's chain index; ``images(elems, points)``
-computes images on demand, and no table of full rows is kept.
-``lookup(rows)`` takes rows that may lie outside the group and confirms
-each hit by sifting the full row (-1 for non-members);
-``locate(base_images)`` takes products of elements, members by
-construction, from their |base| columns alone.  The enumeration's Cayley
-tree is kept too, int32 throughout: the index of x*g for every element x
-and generator g, and each element's parent and generator, (ngens + 2) * 4
-bytes an element, held to the memory cap with the rows' table.
-``left_products(i)`` reads g_i x and ``conjugates(i)`` x^-1 g_i x for every
-x off it, one gather per level and no sift.
+A stabilizer chain (Seress, *Permutation Group Algorithms*, 2003), built
+by Schreier-Sims on numpy rows, gives the order, a base (points whose
+images tell all elements apart) and the element index: sifting an
+element's base images through the chain's transversals reads off its
+chain index, a mixed-radix number in [0, |G|), and one array maps chain
+indices to element indices.  The digits of a chain index pick one
+transversal element per level, whose product is the element, so the
+image of a point is k gathers through the transversal tables.  The capped
+breadth-first enumeration runs on chain indices and keeps each element's
+chain index; ``images(elems, points)`` computes images on demand, and no
+table of full rows is kept.  ``lookup(rows)`` takes rows that may lie
+outside the group and confirms each hit by sifting the full row (-1 for
+non-members); ``locate(base_images)`` takes products of elements, members
+by construction, from their |base| columns alone.  The enumeration's
+Cayley tree is kept too, int32 throughout: the index of x*g for every
+element x and generator g, and each element's parent and generator,
+(ngens + 2) * 4 bytes an element, held to the memory cap with the rows'
+table.  ``left_products(i)`` reads g_i x and ``conjugates(i)`` x^-1 g_i x
+for every x off it, one gather per level and no sift.  The classes are
+the orbits of those conjugations, and each element's class number is kept.
 
 The on-disk group format is text: a ``degree n`` line, then one generator
 per line as n whitespace-separated 1-based images.  Lines starting with
@@ -31,6 +32,8 @@ per line as n whitespace-separated 1-based images.  Lines starting with
 from __future__ import annotations
 
 import functools
+import heapq
+import itertools
 import math
 import threading
 from dataclasses import dataclass, field
@@ -138,25 +141,14 @@ def _radix(degree, k):
     return degree ** np.arange(k - 1, -1, -1, dtype=np.int64)
 
 
-def _mul(a, b):  # image tuples, a*b: apply b first
-    return tuple(map(a.__getitem__, b))
-
-
-def _inv(a):
-    return tuple(sorted(range(len(a)), key=a.__getitem__))
-
-
-def _moved(g, x):  # the first point from x on that g moves, or None
-    return next((y for y in range(x, len(g)) if g[y] != y), None)
-
-
 class _Chain:
     """A stabilizer chain over 0..degree-1 by Schreier-Sims (Seress 2003,
-    Sec. 4.2), grown one generator at a time.
+    Sec. 4.2), grown one generator at a time, on intp rows: a product is a
+    `take`, an inverse a scatter, a list copy serves scalar lookups.
 
     Level y keeps the orbit of y under the generators fixing 0..y-1, each
-    point with an element taking it to y; non-trivial levels are the base.
-    `sifter` gives the levels in numpy form.
+    point with an element taking it to y and its inverse; non-trivial
+    levels are the base.  `sifter` gives the levels as numpy tables.
     """
 
     def __init__(self, degree, order_cap, memory_cap):
@@ -164,24 +156,33 @@ class _Chain:
         _np_dtype(degree)  # refuses degrees past the uint16 rows
         self.caps = order_cap, memory_cap
         self.order = 1
-        # generator k = (s, s^-1, lo, hi) acts on the levels lo < y <= hi;
-        # todo holds the Schreier pairs (level, point, k) still to sift
+        self._ident = np.arange(degree)
+        # generator k = (s as a list, s, s^-1, lo, hi) acts on the levels
+        # lo < y <= hi; todo is a heap of the negated Schreier pairs
+        # (level, point, k) still to sift: the largest pops first
         self._strong, self._reps, self._paired, self._todo = [], {}, set(), []
         self._sifter = None
 
+    def _first_moved(self, g):  # the first point g moves, or None
+        x = int((moved := g != self._ident).argmax())
+        return x if moved[x] else None
+
     def _add(self, s, lo):
         strong, reps, paired = self._strong, self._reps, self._paired
-        strong.append((s, _inv(s), lo, hi := _moved(s, 0)))
-        reps.setdefault(hi, {hi: tuple(range(self.degree))})
+        s_inv = np.empty_like(s)
+        s_inv[s] = self._ident
+        strong.append((s.tolist(), s, s_inv, lo, hi := self._first_moved(s)))
+        reps.setdefault(hi, {hi: (self._ident, self._ident)})
         for y, orbit in [(y, o) for y, o in reps.items() if lo < y <= hi]:
             for beta in (queue := list(orbit)):  # grows with the orbit
-                for k, (t, t_inv, a, b) in enumerate(strong):
+                for k, (t, t_row, t_inv, a, b) in enumerate(strong):
                     if a < y <= b and (y, beta, k) not in paired:
                         paired.add((y, beta, k))
                         if t[beta] in orbit:
-                            self._todo.append((y, beta, k))
+                            heapq.heappush(self._todo, (-y, -beta, -k))
                         else:  # a tree edge: its Schreier generator is 1
-                            orbit[t[beta]] = _mul(orbit[beta], t_inv)
+                            u, u_inv = orbit[beta]
+                            orbit[t[beta]] = u.take(t_inv), t_row.take(u_inv)
                             queue.append(t[beta])
         lower = math.prod(map(len, reps.values()))  # |G| is at least this
         order_cap, memory_cap = self.caps
@@ -192,22 +193,20 @@ class _Chain:
                 f"is past the caps ({order_cap} elements, {memory_cap} bytes)")
 
     def extend(self, g):
-        """Add the generator g, an image tuple, and complete the chain."""
-        if _moved(g, 0) is None:
+        """Add the generator g, an intp row, and complete the chain."""
+        if self._first_moved(g) is None:
             return
         self._add(g, -1)
         reps, todo = self._reps, self._todo
         while todo:  # the top level first: every level above it is complete
-            y, beta, k = todo.pop(todo.index(max(todo)))
-            orbit, s = reps[y], self._strong[k][0]
-            g = _mul(orbit[s[beta]], s)  # times w_beta^-1, it fixes y
-            if g == orbit[beta]:
-                continue
-            g = _mul(g, _inv(orbit[beta]))
-            x = _moved(g, y + 1)
-            while x is not None and g[x] in reps.get(x, ()):
-                g = _mul(reps[x][g[x]], g)
-                x = _moved(g, x + 1)
+            y, beta, k = (-v for v in heapq.heappop(todo))
+            orbit, (s, s_row, *_) = reps[y], self._strong[k]
+            # u_{s beta} s u_beta^-1 fixes 0..y; 1 when the pair is an edge
+            g = orbit[s[beta]][0].take(s_row).take(orbit[beta][1])
+            x = self._first_moved(g)
+            while x is not None and (u := reps.get(x, {}).get(int(g[x]))):
+                g = u[0].take(g)  # fixes 0..x now
+                x = self._first_moved(g)
             if x is not None:  # g is new to the levels above y
                 self._add(g, y)
         self.order = math.prod(map(len, reps.values()))
@@ -227,11 +226,11 @@ class _Sifter:
     the image of the level's point gives a digit, its position in the
     orbit, and the orbit's element that takes it back, which is applied to
     the other images.  Read as a mixed-radix number, the digits number the
-    elements 0..|G|-1.  Per level, for every point x, ``offset[x]`` is the
-    start of x's orbit element in ``flat``, the orbit elements' images one
-    after another, and ``term[x]`` is x's digit times the level's stride.
-    An off-orbit point selects an identity row, and its term, the order,
-    puts the index past every element.
+    elements 0..|G|-1.  Per level, scattered from the orbit's points, for
+    every point x ``offset[x]`` is the start of x's orbit element in
+    ``flat``, the orbit elements' images one after another, and ``term[x]``
+    is x's digit times the level's stride.  An off-orbit point selects an
+    identity row, and its term, the order, puts the index past every element.
 
     The element with digits d_0, d_1, ..., d_k is w_0 w_1 ... w_k, where
     w_i takes level i's point to the orbit point of digit d_i: the inverse
@@ -240,25 +239,22 @@ class _Sifter:
     """
 
     def __init__(self, degree, levels, order):
-        ident, points = tuple(range(degree)), np.arange(degree)
-        levels = levels or [(0, {0: ident})]  # the trivial group: base [0]
+        ident = np.arange(degree)
+        levels = levels or [(0, {0: (ident, ident)})]  # the trivial group
         self.degree, self.order = degree, order
         self.base = np.array([y for y, _ in levels])
         self.tables, self.transversals, self.radix = [], [], []
         stride = math.prod(len(orbit) for _, orbit in levels)
         for _, orbit in levels:
             stride //= len(orbit)
-            digit = dict(zip(orbit, range(len(orbit))))
-            back = np.array([*orbit.values(), ident], dtype=np.int32)
-            forth = np.empty((len(orbit), degree), dtype=_np_dtype(degree))
-            forth[np.arange(len(orbit))[:, None], back[:-1]] = points
-            self.tables.append((
-                np.array([digit.get(x, len(orbit)) * degree
-                          for x in range(degree)], dtype=np.int32),
-                np.array([digit[x] * stride if x in digit else order
-                          for x in range(degree)], dtype=np.intp),
-                back.ravel()))
-            self.transversals.append(forth)
+            points, digit = np.fromiter(orbit, np.intp), np.arange(len(orbit))
+            offset = np.full(degree, len(orbit) * degree, dtype=np.int32)
+            term = np.full(degree, order, dtype=np.intp)
+            offset[points], term[points] = digit * degree, digit * stride
+            back, forth = zip(*orbit.values())
+            self.tables.append((offset, term, np.array(
+                [*back, ident], dtype=np.int32).ravel()))
+            self.transversals.append(np.array(forth, _np_dtype(degree)))
             self.radix.append((stride, len(orbit)))
 
     def images(self, chain, points, inverse=False):
@@ -315,7 +311,7 @@ def _stabilizer_chain(degree, rows, order_cap, memory_cap):
     kept, outside = [], np.arange(len(rows))
     while len(outside := outside[~chain.sifter().contains(rows[outside])]):
         kept.append(int(outside[0]))
-        chain.extend(tuple(rows[kept[-1]].tolist()))
+        chain.extend(rows[kept[-1]])
     order = chain.order
     itemsize = np.dtype(_np_dtype(degree)).itemsize
     if order * (degree * itemsize + 4 * (len(kept) + 2)) > memory_cap:
@@ -331,16 +327,17 @@ def _closure_rows(sifter, gen_rows):
     (chain index of each element, element index of each chain index,
     Cayley tree).  A product h*g has base images h[g[base]], h's images of
     the points g[base], read off h's chain index.  Each level's new
-    products are ordered by their packed base images, so elements first
-    differ at a base point.  The tree is (right, parent, step, bounds):
-    right[t, x] is the index of x*g_t, as sifted; x was first reached as
-    parent[x]*g_step[x]; level i is bounds[i]:bounds[i + 1]."""
+    elements, each by its first product, are ordered by their packed base
+    images.  The tree is (right, parent, step, bounds): right[t, x] is the
+    index of x*g_t, as sifted; x was first reached as parent[x]*g_step[x];
+    level i is bounds[i]:bounds[i + 1]."""
     degree, base, order = sifter.degree, sifter.base, sifter.order
     points = np.array(gen_rows, dtype=np.intp).reshape(-1, degree)[:, base]
     chain_of = np.empty(order, dtype=np.intp)
     chain_of[:1] = sifter.sift(base[None])
     elem_of = np.full(order + 1, -1, dtype=np.intp)  # the last: off chain
     elem_of[chain_of[0]] = 0
+    first = np.full(order + 1, np.iinfo(np.intp).max)
     right = np.empty((len(points), order), dtype=np.int32)
     parent, step = np.zeros((2, order), dtype=np.int32)
     bounds = [0, 1]
@@ -353,10 +350,9 @@ def _closure_rows(sifter, gen_rows):
             raise InvariantViolation(
                 f"a product sifts off the chain (chain order {order})")
         fresh = np.flatnonzero(elem_of.take(index) < 0)
-        fresh = fresh[_pack(images[fresh], degree).argsort(kind="stable")]
-        keep = np.ones(len(fresh), dtype=bool)  # the first of equal keys
-        keep[1:] = index[fresh[1:]] != index[fresh[:-1]]
-        fresh = fresh[keep]
+        np.minimum.at(first, index[fresh], fresh)  # new at one level only
+        fresh = fresh[first.take(index[fresh]) == fresh]
+        fresh = fresh[_pack(images[fresh], degree).argsort()]  # distinct
         bounds.append(end := start + len(fresh))
         if end > order or start == end < order:  # the chain is wrong
             raise InvariantViolation(f"enumerated {end}, chain order {order}")
@@ -563,30 +559,30 @@ class PermGroup:
 
     def _compute_classes(self):
         # label every element with the smallest index in its orbit under
-        # conjugation by the generators, x -> t^-1 x t
-        labels = np.arange(self.order)
+        # conjugation by the generators, x -> t^-1 x t; number the labels
+        labels = np.arange(self.order, dtype=np.int32)
         while True:
             before = labels
             for move in self._inner:
-                labels = np.minimum(labels, labels[move])
-            labels = labels[labels]
+                labels = np.minimum(labels, labels.take(move))
+            labels = labels.take(labels)
             if np.array_equal(labels, before):
                 break
-        members = np.argsort(labels, kind="stable")
-        reps, starts = np.unique(labels[members], return_index=True)
-        classes = []
-        for rep, idxs in zip(reps, np.split(members, starts[1:])):
-            size = len(idxs)
-            classes.append(ConjClass(self.element(rep), size,
-                                     self.order // size, idxs))
-        return classes
+        number = (labels == np.arange(self.order)).cumsum(dtype=np.int32) - 1
+        self._class_of = number.take(labels)
+        self._class_of.flags.writeable = False
+        # stable (radix up to 16 bits); each class's first member is its label
+        members = np.argsort(self._class_of.astype(
+            np.min_scalar_type(number[-1])), kind="stable")
+        sizes = np.bincount(self._class_of).tolist()
+        return [ConjClass(self.element(members[end - size]), size,
+                          self.order // size, members[end - size:end])
+                for size, end in zip(sizes, itertools.accumulate(sizes))]
 
     def class_of_array(self):
-        """Array mapping element index -> conjugacy class index."""
-        out = np.zeros(self.order, dtype=np.int64)
-        for ci, cl in enumerate(self.conjugacy_classes()):
-            out[cl.indices] = ci
-        return out
+        """Element -> class index (int32) made with the classes; read-only."""
+        self.conjugacy_classes()
+        return self._class_of
 
     def exponent(self):
         e = 1

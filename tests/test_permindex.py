@@ -453,6 +453,219 @@ def test_an_enumeration_off_the_chain_order_raises(monkeypatch, skew):
         group_from_generators(4, [Perm([1, 2, 3, 0])])
 
 
+# -- the numpy chain against the tuple chain it replaced --------------------
+#
+# The stabilizer chain, the sifter's tables, the enumeration and the class
+# labelling as they were when the chain ran on image tuples, kept as
+# references (without the caps): the numpy rows must give the same
+# generators, orbits, transversals, element order, Cayley tree and classes.
+
+
+def _mul(a, b):  # image tuples, a*b: apply b first
+    return tuple(map(a.__getitem__, b))
+
+
+def _inv(a):
+    return tuple(sorted(range(len(a)), key=a.__getitem__))
+
+
+def _moved(g, x):  # the first point from x on that g moves, or None
+    return next((y for y in range(x, len(g)) if g[y] != y), None)
+
+
+class _TupleChain:
+    """A stabilizer chain over 0..degree-1 by Schreier-Sims (Seress 2003,
+    Sec. 4.2), grown one generator at a time.
+
+    Level y keeps the orbit of y under the generators fixing 0..y-1, each
+    point with an element taking it to y; non-trivial levels are the base.
+    """
+
+    def __init__(self, degree):
+        self.degree = degree
+        self.order = 1
+        # generator k = (s, s^-1, lo, hi) acts on the levels lo < y <= hi;
+        # todo holds the Schreier pairs (level, point, k) still to sift
+        self._strong, self._reps, self._paired, self._todo = [], {}, set(), []
+
+    def _add(self, s, lo):
+        strong, reps, paired = self._strong, self._reps, self._paired
+        strong.append((s, _inv(s), lo, hi := _moved(s, 0)))
+        reps.setdefault(hi, {hi: tuple(range(self.degree))})
+        for y, orbit in [(y, o) for y, o in reps.items() if lo < y <= hi]:
+            for beta in (queue := list(orbit)):  # grows with the orbit
+                for k, (t, t_inv, a, b) in enumerate(strong):
+                    if a < y <= b and (y, beta, k) not in paired:
+                        paired.add((y, beta, k))
+                        if t[beta] in orbit:
+                            self._todo.append((y, beta, k))
+                        else:  # a tree edge: its Schreier generator is 1
+                            orbit[t[beta]] = _mul(orbit[beta], t_inv)
+                            queue.append(t[beta])
+
+    def extend(self, g):
+        """Add the generator g, an image tuple, and complete the chain."""
+        if _moved(g, 0) is None:
+            return
+        self._add(g, -1)
+        reps, todo = self._reps, self._todo
+        while todo:  # the top level first: every level above it is complete
+            y, beta, k = todo.pop(todo.index(max(todo)))
+            orbit, s = reps[y], self._strong[k][0]
+            g = _mul(orbit[s[beta]], s)  # times w_beta^-1, it fixes y
+            if g == orbit[beta]:
+                continue
+            g = _mul(g, _inv(orbit[beta]))
+            x = _moved(g, y + 1)
+            while x is not None and g[x] in reps.get(x, ()):
+                g = _mul(reps[x][g[x]], g)
+                x = _moved(g, x + 1)
+            if x is not None:  # g is new to the levels above y
+                self._add(g, y)
+        self.order = math.prod(map(len, reps.values()))
+
+    def contains(self, g):
+        x = _moved(g, 0)
+        while x is not None and g[x] in self._reps.get(x, ()):
+            g = _mul(self._reps[x][g[x]], g)
+            x = _moved(g, x + 1)
+        return x is None
+
+    def tables(self):
+        """(base, tables, transversals, radix) as the sifter held them."""
+        degree, order = self.degree, self.order
+        ident, points = tuple(range(degree)), np.arange(degree)
+        levels = sorted(self._reps.items()) or [(0, {0: ident})]
+        base = [y for y, _ in levels]
+        tables, transversals, radix = [], [], []
+        stride = math.prod(len(orbit) for _, orbit in levels)
+        for _, orbit in levels:
+            stride //= len(orbit)
+            digit = dict(zip(orbit, range(len(orbit))))
+            back = np.array([*orbit.values(), ident], dtype=np.int32)
+            forth = np.empty((len(orbit), degree),
+                             dtype=permgroup._np_dtype(degree))
+            forth[np.arange(len(orbit))[:, None], back[:-1]] = points
+            tables.append((
+                np.array([digit.get(x, len(orbit)) * degree
+                          for x in range(degree)], dtype=np.int32),
+                np.array([digit[x] * stride if x in digit else order
+                          for x in range(degree)], dtype=np.intp),
+                back.ravel()))
+            transversals.append(forth)
+            radix.append((stride, len(orbit)))
+        return base, tables, transversals, radix
+
+
+def _tuple_closure(sifter, gen_rows):
+    """The enumeration with a stable sort of every new product's key and
+    the first of equal keys kept."""
+    degree, base, order = sifter.degree, sifter.base, sifter.order
+    points = np.array(gen_rows, dtype=np.intp).reshape(-1, degree)[:, base]
+    chain_of = np.empty(order, dtype=np.intp)
+    chain_of[:1] = sifter.sift(base[None])
+    elem_of = np.full(order + 1, -1, dtype=np.intp)  # the last: off chain
+    elem_of[chain_of[0]] = 0
+    right = np.empty((len(points), order), dtype=np.int32)
+    parent, step = np.zeros((2, order), dtype=np.int32)
+    bounds = [0, 1]
+    while bounds[-2] < bounds[-1]:
+        lo, start = bounds[-2:]
+        images = sifter.images(chain_of[lo:start], points.ravel()).reshape(
+            -1, len(base))
+        index = sifter.sift(images)
+        fresh = np.flatnonzero(elem_of.take(index) < 0)
+        fresh = fresh[permgroup._pack(images[fresh], degree).argsort(
+            kind="stable")]
+        keep = np.ones(len(fresh), dtype=bool)  # the first of equal keys
+        keep[1:] = index[fresh[1:]] != index[fresh[:-1]]
+        fresh = fresh[keep]
+        bounds.append(end := start + len(fresh))
+        chain_of[start:end] = index[fresh]
+        elem_of[chain_of[start:end]] = np.arange(start, end)
+        right[:, lo:start] = elem_of.take(index).reshape(start - lo, -1).T
+        parent[start:end], step[start:end] = np.divmod(
+            fresh + lo * len(points), len(points))
+    return chain_of, elem_of, (right, parent, step, bounds[:-1])
+
+
+def _tuple_classes(G):
+    """Class members by a stable sort of the int64 labels."""
+    labels = np.arange(G.order)
+    while True:
+        before = labels
+        for move in G._inner:
+            labels = np.minimum(labels, labels[move])
+        labels = labels[labels]
+        if np.array_equal(labels, before):
+            break
+    members = np.argsort(labels, kind="stable")
+    _, starts = np.unique(labels[members], return_index=True)
+    return [idxs.tolist() for idxs in np.split(members, starts[1:])]
+
+
+def _check_against_tuples(degree, rows):
+    """The generators kept from the rows, the chain, the enumeration and
+    the classes against the tuple references."""
+    ref, ref_kept = _TupleChain(degree), []
+    for i, row in enumerate(map(tuple, rows.tolist())):
+        if not ref.contains(row):
+            ref_kept.append(i)
+            ref.extend(row)
+    kept, sifter = permgroup._stabilizer_chain(degree, rows, math.inf,
+                                               math.inf)
+    assert kept == ref_kept
+    base, tables, transversals, radix = ref.tables()
+    assert sifter.base.tolist() == base and sifter.radix == radix
+    assert sifter.order == ref.order
+    for (offset, term, flat), want in zip(sifter.tables, tables):
+        assert [a.dtype for a in (offset, term, flat)] == [
+            a.dtype for a in want]
+        assert all(np.array_equal(a, b)
+                   for a, b in zip((offset, term, flat), want))
+    assert [(t.dtype, t.tolist()) for t in sifter.transversals] == [
+        (t.dtype, t.tolist()) for t in transversals]
+    gens = [rows[i] for i in kept]
+    chain_of, elem_of, tree = permgroup._closure_rows(sifter, gens)
+    want_chain_of, want_elem_of, want_tree = _tuple_closure(sifter, gens)
+    assert np.array_equal(chain_of, want_chain_of)
+    assert np.array_equal(elem_of, want_elem_of)
+    assert tree[3] == want_tree[3]
+    assert all(np.array_equal(a, b) for a, b in zip(tree[:3], want_tree[:3]))
+    G = PermGroup(degree, [Perm(g) for g in gens], sifter)
+    classes = G.conjugacy_classes()
+    assert [cl.indices.tolist() for cl in classes] == _tuple_classes(G)
+    class_of = G.class_of_array()
+    assert not class_of.flags.writeable
+    assert [class_of[cl.indices].tolist() for cl in classes] == [
+        [k] * cl.size for k, cl in enumerate(classes)]
+
+
+def _redundant_rows(G):
+    # a product of the generators ahead of them, then the identity: the
+    # product is kept and a later generator may be dropped
+    gens = [g.images for g in G.generators]
+    head = [_mul(gens[0], gens[-1])] if gens else []
+    return np.array(head + gens + [tuple(range(G.degree))])
+
+
+@PROPERTY
+@example(group_from_generators(3, []))
+@given(groups(8, 720))
+def test_the_chain_matches_the_tuple_chain(G):
+    _check_against_tuples(G.degree, _redundant_rows(G))
+
+
+def test_the_chain_matches_the_tuple_chain_on_byte_keys_and_products():
+    # the 300-point group sorts its keys as bytes; the product's base
+    # stacks the factors'
+    _check_against_tuples(300, _redundant_rows(_three_hundred_points()))
+    S4 = group_from_generators(4, [Perm([1, 0, 2, 3]), Perm([1, 2, 3, 0])])
+    D10 = group_from_generators(5, [Perm([1, 2, 3, 4, 0]),
+                                    Perm([0, 4, 3, 2, 1])])
+    _check_against_tuples(9, _redundant_rows(direct_product(S4, D10)))
+
+
 # -- the sift against dict references ---------------------------------------
 
 
@@ -644,6 +857,27 @@ def test_j1_classes_center_and_oracle_pinned():
         np.ascontiguousarray(sc_int, dtype="<i8").tobytes()).hexdigest() == (
         "5e9ec07ac6a0897d003b7e2ef944814eecc4fb82bbe9a4bcdeb05a1924728d84")
     assert additive_oracle(G, 2) == 7
+
+
+@pytest.mark.stretch
+def test_j1_chain_and_cayley_tree_pinned():
+    # recorded when the chain ran on image tuples and the enumeration
+    # sorted every new product's key stably
+    manifest = CorpusManifest.packaged()
+    try:
+        manifest.file_bytes(manifest.entry("J1"))
+    except FileNotFoundError:
+        pytest.skip("J1 generator file not packaged")
+    G, _, _ = resolve_group("J1", allow_large=True)
+    assert G.base.tolist() == [0, 1, 2]
+    assert [length for _, length in G._sifter.radix] == [266, 132, 5]
+    _, parent, step, _ = G.cayley_tree
+    assert [hashlib.sha256(np.ascontiguousarray(a, dtype).tobytes())
+            .hexdigest() for a, dtype in ((G._chain_of, "<i8"),
+                                          (parent, "<i4"), (step, "<i4"))] == [
+        "3c761332da87fa13976ce8565ee7a59ac0b6e4e88a398059f0cf132669f5c82b",
+        "9b8c911c5d68adb34b3c261e4dcda7caae82a1a915da025fc2c3ddc1cc1c08bf",
+        "1178ea5a213833df803050f4ce1b8dac574780b591f0c7eefd4ef44d98dd8d0f"]
 
 
 @pytest.mark.stretch
