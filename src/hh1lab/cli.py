@@ -208,32 +208,6 @@ class CachedDocument(dict):
 
 
 _encode_str = json.encoder.encode_basestring_ascii
-_INF = float("inf")
-
-
-def _float_text(x):
-    if x != x:
-        return "NaN"
-    if x == _INF:
-        return "Infinity"
-    if x == -_INF:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _key_text(key):
-    if isinstance(key, float):
-        return _float_text(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError("keys must be str, int, float, bool or None, "
-                    f"not {type(key).__name__}")
 
 
 def _render(value, newline, out):
@@ -249,8 +223,6 @@ def _render(value, newline, out):
         out.append("false")
     elif isinstance(value, int):
         out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        out.append(_float_text(value))
     elif isinstance(value, CachedDocument):
         # string literals hold no raw line break, so indenting every line
         # break re-indents the whole text
@@ -273,9 +245,7 @@ def _render(value, newline, out):
         inner = newline + "  "
         sep = "{" + inner
         for key, item in sorted(value.items()):
-            if not isinstance(key, str):
-                key = _key_text(key)
-            out.append(sep + _encode_str(key) + ": ")
+            out.append(sep + _encode_str(key) + ": ")  # TypeError unless str
             _render(item, inner, out)
             sep = "," + inner
         out.append(newline + "}")
@@ -286,7 +256,9 @@ def _render(value, newline, out):
 
 def render_document(doc):
     """doc as json.dumps(doc, sort_keys=True, indent=2) + "\\n" renders it;
-    each CachedDocument in it contributes its text, re-indented."""
+    each CachedDocument in it contributes its text, re-indented.  Documents
+    hold str, int, bool and None in lists, tuples and str-keyed dicts;
+    anything else, a float or an int key included, is a TypeError."""
     out = []
     _render(doc, "\n", out)
     out.append("\n")
@@ -531,10 +503,11 @@ def cmd_tensor(args):
     from .permgroup import direct_product
     p = args.prime
     GaxGb = direct_product(Ga, Gb)
-    rep_a = hhone.hh1_blocks(Ga, p, name=name_a, seed=args.seed)
-    rep_b = hhone.hh1_blocks(Gb, p, name=name_b, seed=args.seed)
-    rep_prod = hhone.hh1_blocks(GaxGb, p, name=f"{name_a}x{name_b}",
-                                seed=args.seed)
+    rep_a, rep_b, rep_prod = (
+        hhone.hh1_blocks(G, p, name=name, seed=args.seed,
+                         allow_large=args.allow_large)
+        for G, name in ((Ga, name_a), (Gb, name_b),
+                        (GaxGb, f"{name_a}x{name_b}")))
 
     def block_dims(rep):
         # all None above the materialise cap, which leaves the pairwise

@@ -13,8 +13,8 @@ The public surface is `FieldSpec` (raw arithmetic), `field_make`, the
 ``poly_*`` helpers, and elimination: `echelonize` / `rank_nullspace_raw` on
 sparse rows (dicts col -> raw) run every prime field through one insertion
 echelon on rows packed into ints, a few bits per column (Boothby-Bradshaw
-2009), and GF(p^m), m > 1, through the dict row step `echelon_insert`,
-which reads q x q tables up to order ``TABLE_MAX_ORDER``.  A rank-only call
+2009), and GF(p^m), m > 1, through the same insertion on dict rows,
+`echelon_insert`, whose one row operation calls `FieldSpec`.  A rank-only call
 (``want_basis=False``) eliminates the short side, the transpose when the
 rows outnumber the columns, and skips back-reduction.  `np_rref_mod_p` /
 `np_kernel_mod_p` are dense front ends over a prime field, by way of
@@ -39,7 +39,6 @@ from .errors import (DegreeOutOfRange, DivisionByZero, NotPrime,
 
 MAX_EXTENSION_DEGREE = 16
 LOG_TABLE_MAX_ORDER = 1 << 16
-TABLE_MAX_ORDER = 64
 
 
 def is_prime(n):
@@ -659,69 +658,15 @@ def poly_factor(spec, f, seed=0):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _arith_tables(p, m):
-    """Sum, product and negation tables of GF(p^m): ``add[a][b] = a + b``,
-    ``mul[a][b] = a * b`` and ``neg[a] = -a``, all from `FieldSpec`."""
-    spec = field_make(p, m)
-    elems = range(spec.order)
-    add = [[spec.add(a, b) for b in elems] for a in elems]
-    mul = [[spec.mul(a, b) for b in elems] for a in elems]
-    neg = [spec.neg(a) for a in elems]
-    return add, mul, neg
-
-
-def _row_ops(spec):
-    """The two row operations of the echelon over ``spec``: ``reduce(row,
-    coef, prow)`` subtracts coef * prow from row in place, dropping zeros,
-    and ``monic(row, lead)`` returns row scaled to a leading one.  Fields of
-    order at most ``TABLE_MAX_ORDER`` read `_arith_tables`; larger ones call
-    `FieldSpec`."""
-    if spec.order <= TABLE_MAX_ORDER:
-        add, mul, neg = _arith_tables(spec.p, spec.m)
-
-        def reduce(row, coef, prow):
-            negc = mul[neg[coef]]
-            get = row.get
-            for c, v in prow.items():
-                nv = add[get(c, 0)][negc[v]]
-                if nv:
-                    row[c] = nv
-                else:
-                    # a zero sum needs a nonzero summand already in row
-                    del row[c]
-
-        def monic(row, lead):
-            scale = mul[spec.inv(row[lead])]
-            return {c: scale[v] for c, v in row.items()}
-
-        return reduce, monic
-
-    def reduce(row, coef, prow):
-        for c, v in prow.items():
-            nv = spec.sub(row.get(c, 0), spec.mul(coef, v))
-            if nv:
-                row[c] = nv
-            else:
-                del row[c]
-
-    def monic(row, lead):
-        inv = spec.inv(row[lead])
-        return {c: spec.mul(v, inv) for c, v in row.items()}
-
-    return reduce, monic
-
-
-def _insert(row, pivots, rowlist, ops):
-    reduce, monic = ops
-    while row:
-        lead = min(row)
-        if lead not in pivots:
-            pivots[lead] = len(rowlist)
-            rowlist.append(monic(row, lead))
-            return lead
-        reduce(row, row[lead], rowlist[pivots[lead]])
-    return None
+def _subtract(row, coef, prow, spec):
+    """row -= coef * prow in place over ``spec``, dropping zeros; a zero
+    sum needs a nonzero summand already in row."""
+    negc, add, mul, get = spec.neg(coef), spec.add, spec.mul, row.get
+    for c, v in prow.items():
+        if nv := add(get(c, 0), mul(negc, v)):
+            row[c] = nv
+        else:
+            del row[c]
 
 
 def echelon_insert(row, pivots, rowlist, spec):
@@ -732,29 +677,36 @@ def echelon_insert(row, pivots, rowlist, spec):
     leading one and recorded as a new pivot row.  Returns the new pivot
     column, or None when the row reduces to zero.
     """
-    return _insert(row, pivots, rowlist, _row_ops(spec))
+    while row:
+        lead = min(row)
+        if lead not in pivots:
+            inv, mul = spec.inv(row[lead]), spec.mul
+            pivots[lead] = len(rowlist)
+            rowlist.append({c: mul(v, inv) for c, v in row.items()})
+            return lead
+        _subtract(row, row[lead], rowlist[pivots[lead]], spec)
+    return None
 
 
 def _echelon_generic(rows_iter, spec, reduced):
-    """Insertion echelon over any FieldSpec.
+    """Insertion echelon over any FieldSpec, by `echelon_insert`.
 
     Returns (pivots dict col->index, rowlist) where each row is a dict
     col->raw with leading coefficient one; with ``reduced`` the rows are
     back-reduced, so they are the unique RREF.
     """
-    ops = _row_ops(spec)
     pivots = {}
     rowlist = []
     for row in rows_iter:
-        _insert({c: v for c, v in row.items() if v}, pivots, rowlist, ops)
+        echelon_insert({c: v for c, v in row.items() if v}, pivots, rowlist,
+                       spec)
     if reduced:
-        reduce = ops[0]
         # rows of larger lead are reduced first, so they hold no pivot
         # column but their own: the pivot columns of prow are fixed up front
         for lead in sorted(pivots, reverse=True):
             prow = rowlist[pivots[lead]]
             for lead2 in sorted(c for c in prow if c > lead and c in pivots):
-                reduce(prow, prow[lead2], rowlist[pivots[lead2]])
+                _subtract(prow, prow[lead2], rowlist[pivots[lead2]], spec)
     return pivots, rowlist
 
 
@@ -826,15 +778,21 @@ def _echelon_packed(rows_iter, p, reduced):
     return pivots, [dict(fields(row)) for row in rowlist]
 
 
+def _echelon(rows, spec, reduced):
+    """The one choice of row shape: packed ints over a prime field
+    (`_echelon_packed`), dicts over GF(p^m), m > 1 (`_echelon_generic`)."""
+    if spec.m == 1:
+        return _echelon_packed(rows, spec.p, reduced)
+    return _echelon_generic(rows, spec, reduced)
+
+
 def echelonize(rows, ncols, spec):
     """Reduced echelon form of a list of sparse raw rows (dicts col->raw).
 
     Returns (pivots dict col->rowindex, rows list-of-dicts).  The result is
     the canonical RREF of the row space, independent of input order.
     """
-    if spec.m == 1:
-        return _echelon_packed(rows, spec.p, True)
-    return _echelon_generic(rows, spec, True)
+    return _echelon(rows, spec, True)
 
 
 def kernel_from_echelon(pivots, rowlist, ncols, spec):
@@ -873,9 +831,7 @@ def rank_nullspace_raw(rows, ncols, spec, *, want_basis=True):
         rows = list(rows)
         if len(rows) > ncols:
             rows = transpose(rows, ncols)
-        if spec.m == 1:
-            return len(_echelon_packed(rows, spec.p, False)[0]), None
-        return len(_echelon_generic(rows, spec, False)[0]), None
+        return len(_echelon(rows, spec, False)[0]), None
     pivots, rowlist = echelonize(rows, ncols, spec)
     return len(pivots), kernel_from_echelon(pivots, rowlist, ncols, spec)
 

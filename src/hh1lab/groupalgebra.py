@@ -126,7 +126,6 @@ class CenterBasis:
     non-zero terms of each pair (i, j).
     """
 
-    group: object
     spec: FieldSpec
     class_count: int
     sc_int: np.ndarray = dc_field(repr=False)
@@ -161,15 +160,8 @@ class CenterBasis:
         return tuple(out)
 
     def unit_vector(self):
-        """Coordinates of 1 (the class of the identity is a singleton)."""
-        spec = self.spec
-        G = self.group
-        out = [spec.zero] * self.class_count
-        for ci, cl in enumerate(G.conjugacy_classes()):
-            if cl.size == 1 and cl.representative.order() == 1:
-                out[ci] = spec.one
-                return tuple(out)
-        raise InvariantViolation("identity class not found")  # pragma: no cover
+        """Coordinates of 1: class 0 is the identity's, {0}."""
+        return (self.spec.one,) + (self.spec.zero,) * (self.class_count - 1)
 
 
 @dataclass
@@ -240,10 +232,16 @@ def center(A, G):
     class of y = x^{-1} g_k = (g_k^{-1} x)^{-1} is read off g_k^{-1} x,
     for every x one sweep of `left_products` along the enumeration's
     Cayley tree, and a map from each element to the class of its inverse,
-    so no element is sifted past the c representatives' inverses.
+    so no element is sifted past the c representatives' inverses.  Raises
+    DimCapExceeded when the c^3 int64 counts would pass the group's memory
+    cap.
     """
     classes = G.conjugacy_classes()
     c = len(classes)
+    if 8 * c ** 3 > G.memory_cap:
+        raise DimCapExceeded(
+            f"center structure constants of {c} classes need {8 * c ** 3} "
+            f"bytes, past the memory cap ({G.memory_cap} bytes)")
     class_of = G.class_of_array()
     inv_reps = [G.index_of(cl.representative.inv()) for cl in classes]
     inv_class = class_of[inv_reps][class_of]  # the class of x^-1, per x
@@ -253,7 +251,7 @@ def center(A, G):
         j_arr = inv_class.take(G.left_products(i))
         sc_int[:, :, k] = np.bincount(bins + j_arr,
                                       minlength=c * c).reshape(c, c)
-    return CenterBasis(G, A.field, c, sc_int)
+    return CenterBasis(A.field, c, sc_int)
 
 
 def _min_poly_in_subalgebra(cb, w, unit):

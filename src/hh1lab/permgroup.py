@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import functools
 import heapq
-import itertools
 import math
 import threading
 from dataclasses import dataclass, field
@@ -574,10 +573,13 @@ class PermGroup:
         # stable (radix up to 16 bits); each class's first member is its label
         members = np.argsort(self._class_of.astype(
             np.min_scalar_type(number[-1])), kind="stable")
-        sizes = np.bincount(self._class_of).tolist()
-        return [ConjClass(self.element(members[end - size]), size,
-                          self.order // size, members[end - size:end])
-                for size, end in zip(sizes, itertools.accumulate(sizes))]
+        sizes = np.bincount(self._class_of)
+        starts = np.cumsum(sizes) - sizes
+        reps = self.rows(members[starts]).tolist()
+        return [ConjClass(Perm(rep), size, self.order // size,
+                          members[start:start + size])
+                for rep, size, start in zip(reps, sizes.tolist(),
+                                            starts.tolist())]
 
     def class_of_array(self):
         """Element -> class index (int32) made with the classes; read-only."""

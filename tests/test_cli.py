@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -148,6 +149,18 @@ def test_tensor_command(capsys):
     assert doc["kuenneth"]["matches"] is True
 
 
+def test_tensor_allow_large_lifts_the_field_degree_cap(capsys, monkeypatch):
+    # S3 at p = 2 splits over GF(4), past a cap of degree 1
+    from hh1lab import ffield
+    monkeypatch.setattr(ffield, "MAX_EXTENSION_DEGREE", 1)
+    argv = ["tensor", "--group", "S3", "--group-b", "C2", "--prime", "2"]
+    assert cli.main(argv) == 2
+    assert "extension degree 2 exceeds 1" in capsys.readouterr().err
+    code, doc = run_cli(capsys, argv + ["--allow-large"])
+    assert code == 0
+    assert doc["kuenneth"]["matches"] is True
+
+
 @pytest.mark.parametrize("p,pairwise", [(2, [576]),
                                          (3, [36] + [54] * 4 + [81] * 4)])
 def test_tensor_over_the_materialise_cap(capsys, p, pairwise):
@@ -249,6 +262,17 @@ def test_report_small_corpus_caches(tmp_path, capsys, monkeypatch):
     assert cli.CACHE_STATS["hits"] == 6
     assert cli.CACHE_STATS["misses"] == misses_first  # no recompute
     assert cli.render_document(doc1) == cli.render_document(doc2)
+
+
+def test_cold_report_is_pinned(capsys):
+    # the packaged corpus at 2, 3 and 5 on an empty cache, with the
+    # per-entry timings taken out, rendered byte for byte
+    code, doc = run_cli(capsys, ["report", "--primes", "2,3,5"])
+    assert code == 0
+    for entry in doc["entries"]:
+        del entry["document"]["timings"]
+    assert hashlib.sha256(cli.render_document(doc).encode()).hexdigest() == (
+        "e24b1b0deb2eead0942623f7e25a64948858c3bd78105ac62e80fd68ba311e6a")
 
 
 def test_report_jobs_deterministic(tmp_path, capsys):

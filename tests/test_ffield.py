@@ -403,7 +403,7 @@ def brute_rref(space):
 
 
 # q -> (p, m, row bound, column bound).  GF(4) and GF(9) are extension
-# fields inside the table bound, with systems small enough to enumerate.
+# fields, which take the dict rows, with systems small enough to enumerate.
 ENUMERATION_FIELDS = {2: (2, 1, 8, 8), 3: (3, 1, 8, 8), 4: (2, 2, 6, 6),
                       9: (3, 2, 5, 5)}
 
@@ -476,40 +476,12 @@ def sparse_systems(f):
         st.just(ncols)))
 
 
-def eliminations(rows, ncols, f):
-    """Everything the echelon returns, row dict order included."""
-    pivots, rowlist = echelonize(rows, ncols, f)
-    return (pivots, [list(row.items()) for row in rowlist],
-            rank_nullspace_raw(rows, ncols, f),
-            rank_nullspace_raw(rows, ncols, f, want_basis=False))
-
-
-TABULATED_FIELDS = {5: (5, 1), 7: (7, 1), 25: (5, 2), 49: (7, 2),
-                    64: (2, 6)}
-
-
-@pytest.mark.parametrize("q", sorted(TABULATED_FIELDS))
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_tabulated_elimination_matches_fieldspec_path(q, data):
-    # with the table bound at 0 every field takes the FieldSpec row step,
-    # which is the reference for the tabulated one
-    f = field_make(*TABULATED_FIELDS[q])
-    assert f.order <= ffield.TABLE_MAX_ORDER
-    rows, ncols = data.draw(sparse_systems(f))
-    tabulated = eliminations(rows, ncols, f)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ffield, "TABLE_MAX_ORDER", 0)
-        reference = eliminations(rows, ncols, f)
-    assert tabulated == reference
-
-
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (3, 4)])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_rank_only_is_the_pivot_count(p, m, data):
-    # rank-only calls skip back-reduction; GF(2) runs the packed-bit kernel
-    # and GF(81) lies above the table bound
+    # rank-only calls skip back-reduction; the prime fields run the packed
+    # kernel, GF(4) and GF(81) the dict rows
     f = field_make(p, m)
     rows, ncols = data.draw(sparse_systems(f))
     rank, basis = rank_nullspace_raw(rows, ncols, f, want_basis=False)

@@ -8,7 +8,7 @@ from test_permindex import groups
 
 from hh1lab import ffield
 from hh1lab.catalgebra import radical_and_semisimplicity
-from hh1lab.errors import SplitFieldTooSmall
+from hh1lab.errors import DimCapExceeded, SplitFieldTooSmall
 from hh1lab.groupalgebra import (block_algebra, block_decompose, center,
                                  group_algebra, splitting_degree)
 from hh1lab.ffield import rank_nullspace_raw
@@ -454,6 +454,16 @@ def test_block_dimensions_of_a6_and_s5_pinned(name, p, dims):
          group_from_generators(5, [_cycles(5, (0, 1)),
                                    _cycles(5, (0, 1, 2, 3, 4))]))
     assert [b.dim for b in block_decompose(group_algebra(G, p), G, p)] == dims
+
+
+def test_center_refuses_more_classes_than_the_memory_cap_holds():
+    # the 64 classes of C64 need 64^3 int64 counts, 2 MiB
+    C64 = group_from_generators(64, [Perm(list(range(1, 64)) + [0])],
+                                memory_cap=1 << 20)
+    with pytest.raises(DimCapExceeded, match="64 classes"):
+        center(group_algebra(C64, 2), C64)
+    with pytest.raises(DimCapExceeded):
+        hh1_blocks(C64, 2)
 
 
 def test_no_elimination_over_the_splitting_field(corpus, monkeypatch):

@@ -150,6 +150,7 @@ def test_lookup_finds_members_and_rejects_the_rest(G):
 def test_classes_are_the_conjugation_orbits(G):
     classes = G.conjugacy_classes()
     assert [list(cl.indices) for cl in classes] == _brute_classes(G)
+    assert classes[0].indices.tolist() == [0]  # the identity's class
     for cl in classes:
         assert cl.representative == G.element(int(cl.indices[0]))
         assert cl.size * cl.centralizer_order == G.order

@@ -16,27 +16,15 @@ def reference(value):
 chars = st.one_of(st.characters(),
                   st.sampled_from('"\\/\n\r\t\b\f\x00\x1f\x7f\u2028é€😀\ud800'))
 strings = st.text(chars, max_size=8)
-floats = st.one_of(st.floats(),
-                   st.sampled_from([0.0, -0.0, float("nan"), float("inf"),
-                                    float("-inf"), 1e300, 5e-324]))
+# what documents hold: no floats, and str keys only
 scalars = st.one_of(st.none(), st.booleans(),
-                    st.integers(-2 ** 200, 2 ** 200), floats, strings)
-# sort_keys needs the keys of an object to be of one ordered type
-key_types = (strings, st.integers(-2 ** 70, 2 ** 70), floats, st.booleans(),
-             st.none())
-
-
-def objects(children):
-    return st.one_of(*(st.dictionaries(keys, children, max_size=4)
-                       for keys in key_types))
-
-
+                    st.integers(-2 ** 200, 2 ** 200), strings)
 trees = st.recursive(
     scalars,
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
-        objects(children)),
+        st.dictionaries(strings, children, max_size=4)),
     max_leaves=25)
 
 
@@ -79,9 +67,12 @@ def test_what_json_dumps_rejects_is_a_type_error(value):
         cli.render_document(value)
 
 
-def test_numpy_float_renders_as_a_float():
-    value = {"x": np.float64(0.1), "y": [np.float64(-0.0)]}
-    assert cli.render_document(value) == reference(value)
+@pytest.mark.parametrize("value", [
+    {"x": [0.5]}, {"a": {1: "b"}}])
+def test_floats_and_int_keys_are_a_type_error(value):
+    # json.dumps renders both; no document holds either
+    with pytest.raises(TypeError):
+        cli.render_document(value)
 
 
 def test_cached_document_is_read_only():
