@@ -756,6 +756,9 @@ def parse_category_file(text):
             if len(parts) == 5:
                 if parts[4] != "identity":
                     raise InvalidCategory(f"line {lineno}: bad flag")
+                if dom in identities:
+                    raise InvalidCategory(
+                        f"line {lineno}: second identity for object {dom}")
                 identities[dom] = name_index[name]
         elif parts[0] == "comp":
             if len(parts) != 4:

@@ -611,12 +611,7 @@ def cmd_report(args):
         "errors": errors,
     }
     _log(f"cache: {hits} hits, {misses} misses")
-    code = 0
-    if errors:
-        code = 2
-    if counterexamples:
-        code = 1
-    return doc, code
+    return doc, 2 if errors else 1 if counterexamples else 0
 
 
 # ---------------------------------------------------------------------------

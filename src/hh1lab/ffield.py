@@ -4,10 +4,13 @@ Every field element is an int in ``[0, q)`` whose base-p digits are its
 coefficients over the prime field, constant term first: ``a_0 + a_1 p +
 ... + a_{m-1} p^{m-1}`` stands for ``a_0 + a_1 t + ... + a_{m-1} t^{m-1}``
 modulo the field's irreducible ``t``-polynomial.  For p = 2 the digits are
-the bits.  Arithmetic follows the field: prime fields reduce mod p; GF(2^m)
+the bits.  A `FieldSpec` chooses its arithmetic once, when it is built,
+and binds it as plain callables: prime fields reduce mod p; GF(2^m)
 multiplies carry-less on the bits; odd extension fields of order at most
-``LOG_TABLE_MAX_ORDER`` read exp/log/Zech tables built once per (p, m);
-larger odd extension fields multiply digit vectors as polynomials.
+``LOG_TABLE_MAX_ORDER`` read exp/log/Zech tables built once per modulus;
+larger odd extension fields multiply digit vectors as polynomials.  Each
+kind also binds ``frobenius``, a -> a^p: the identity on a prime field,
+one squaring in GF(2^m), one table lookup on a log-table field.
 
 The public surface is `FieldSpec` (raw arithmetic), `field_make`, the
 ``poly_*`` helpers, and elimination: `echelonize` / `rank_nullspace_raw` on
@@ -27,8 +30,9 @@ safe to share between threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import zip_longest
 from random import Random
 
@@ -224,24 +228,69 @@ def _power(mul, a, e):
     return result
 
 
-@lru_cache(maxsize=None)
-def _log_tables(p, m):
-    """Tables of GF(p^m) for p odd, from its least primitive element g:
-    ``exp[i] = g^i`` for 0 <= i < 2(q-1), ``log`` the inverse map on nonzero
-    elements, ``zech[n] = log(1 + g^n)`` (None where 1 + g^n = 0), and
-    ``neg[a] = -a``.  Indices into zech may be negative, modulo q-1."""
-    modulus = _lex_least_irreducible(p, m)
-    q = p ** m
+def _nonzero(inv):
+    """inv, raising DivisionByZero at zero."""
+    def checked(a):
+        if not a:
+            raise DivisionByZero("inverse of zero")
+        return inv(a)
+    return checked
 
-    def mul(a, b):
+
+def _prime_ops(p):
+    """add, neg, mul, inv, frobenius of F_p; Frobenius is the identity."""
+    return (lambda a, b: (a + b) % p, lambda a: -a % p,
+            lambda a, b: a * b % p,
+            _nonzero(lambda a: pow(a, p - 2, p)), lambda a: a)
+
+
+def _gf2_ops(m, modulus):
+    """The operations of GF(2^m) on bits: carry-less products folded back
+    by the modulus tail, inverses by extended Euclid in GF(2)[t], and a^2
+    by spreading the bits."""
+    tail = [e for e in range(m) if modulus[e]]  # t^m = sum of t^e over them
+    mask = (1 << m) - 1
+    modint = mask + 1 + sum(1 << e for e in tail)
+
+    def reduce(a):
+        # fold the part at t^m and above onto the tail until none is left
+        while hi := a >> m:
+            a &= mask
+            for e in tail:
+                a ^= hi << e
+        return a
+
+    def inv(a):
+        r0, r1, s0, s1 = modint, a, 0, 1
+        while r1:
+            quo, r = _gf2p_divmod(r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, s0 ^ _gf2p_mul(quo, s1)
+        return reduce(s0)
+
+    return (operator.xor, lambda a: a,
+            lambda a, b: reduce(_gf2p_mul(a, b)), _nonzero(inv),
+            lambda a: reduce(_gf2p_sq(a)))
+
+
+@lru_cache(maxsize=None)
+def _log_ops(p, modulus):
+    """The operations of F_p[t]/(modulus), p odd, by tables built once from
+    its least primitive element g: ``exp[i] = g^i`` for 0 <= i < 2(q-1),
+    ``log`` the inverse map on nonzero elements, ``zech[n] = log(1 + g^n)``
+    (None where 1 + g^n = 0) and ``neg[a] = -a``.  Indices into zech may be
+    negative, modulo q-1."""
+    q = p ** (len(modulus) - 1)
+
+    def slow_mul(a, b):
         return _fpp_mul_int(a, b, p, modulus)
 
     g = next(g for g in range(p, q)
-             if all(_power(mul, g, (q - 1) // r) != 1
+             if all(_power(slow_mul, g, (q - 1) // r) != 1
                     for r in prime_factors(q - 1)))
     exp = [1]
     for _ in range(q - 2):
-        exp.append(mul(exp[-1], g))
+        exp.append(slow_mul(exp[-1], g))
     log = [None] * q
     for i, x in enumerate(exp):
         log[x] = i
@@ -249,7 +298,35 @@ def _log_tables(p, m):
     zech = [log[x - x % p + (x + 1) % p] for x in exp]
     exp += exp
     neg = [0] + [exp[log[x] + (q - 1) // 2] for x in range(1, q)]
-    return exp, log, zech, neg
+
+    def add(a, b):
+        if not a:
+            return b
+        if not b:
+            return a
+        z = zech[log[b] - log[a]]
+        return 0 if z is None else exp[log[a] + z]
+
+    return (add, neg.__getitem__,
+            lambda a, b: exp[log[a] + log[b]] if a and b else 0,
+            _nonzero(lambda a: exp[-log[a]]),
+            lambda a: exp[log[a] * p % (q - 1)] if a else 0)
+
+
+def _poly_ops(p, modulus):
+    """The operations of an odd GF(q) on base-p digit vectors."""
+    q = p ** (len(modulus) - 1)
+
+    def mul(a, b):
+        return _fpp_mul_int(a, b, p, modulus) if a and b else 0
+
+    def add(a, b):
+        return _undigits([(x + y) % p for x, y in zip_longest(
+            _digits(a, p), _digits(b, p), fillvalue=0)], p)
+
+    return (add, lambda a: _undigits([-x % p for x in _digits(a, p)], p),
+            mul, _nonzero(lambda a: _power(mul, a, q - 2)),
+            lambda a: _power(mul, a, p))
 
 
 @dataclass(frozen=True)
@@ -257,54 +334,35 @@ class FieldSpec:
     """A finite field GF(p^m) with a fixed irreducible modulus.
 
     ``modulus`` is the monic degree-m polynomial as a coefficient tuple,
-    constant term first.  Construction goes through `field_make`, which
-    always picks the same modulus for the same (p, m).
+    constant term first.  `field_make` always picks the same modulus for
+    the same (p, m); a FieldSpec built directly uses the one it is given.
+
+    Construction chooses the arithmetic once, by the field's kind: prime,
+    GF(2^m), odd of order at most ``LOG_TABLE_MAX_ORDER`` (log tables),
+    larger odd (digit vectors).  It binds ``add``, ``neg``, ``mul``,
+    ``inv`` and ``frobenius`` (a -> a^p) as instance attributes, so a call
+    reads no kind.  ``inv(0)`` raises DivisionByZero in every kind.
     """
 
     p: int
     m: int
     modulus: tuple
 
+    def __post_init__(self):
+        if self.m == 1:
+            ops = _prime_ops(self.p)
+        elif self.p == 2:
+            ops = _gf2_ops(self.m, self.modulus)
+        elif self.order <= LOG_TABLE_MAX_ORDER:
+            ops = _log_ops(self.p, self.modulus)
+        else:
+            ops = _poly_ops(self.p, self.modulus)
+        for name, op in zip(("add", "neg", "mul", "inv", "frobenius"), ops):
+            object.__setattr__(self, name, op)
+
     @property
     def order(self):
         return self.p ** self.m
-
-    @cached_property
-    def _kind(self):
-        if self.m == 1:
-            return "prime"
-        if self.p == 2:
-            return "gf2"
-        return "log" if self.order <= LOG_TABLE_MAX_ORDER else "poly"
-
-    @cached_property
-    def _modint(self):
-        # packed modulus for the gf2 representation
-        v = 0
-        for i, c in enumerate(self.modulus):
-            if c:
-                v |= 1 << i
-        return v
-
-    @cached_property
-    def _tail(self):
-        # exponents of the modulus below t^m: t^m = sum of t^e over them
-        return tuple(e for e in range(self.m) if self.modulus[e])
-
-    def _reduce2(self, a):
-        """A packed GF(2)[t] polynomial modulo the gf2 modulus: fold the
-        part at t^m and above back onto the tail until none is left."""
-        m, tail = self.m, self._tail
-        mask = (1 << m) - 1
-        while hi := a >> m:
-            a &= mask
-            for e in tail:
-                a ^= hi << e
-        return a
-
-    @cached_property
-    def _tables(self):
-        return _log_tables(self.p, self.m)
 
     # -- raw constants ------------------------------------------------------
 
@@ -318,72 +376,10 @@ class FieldSpec:
     def is_zero(self, a):
         return a == 0
 
-    # -- raw arithmetic -----------------------------------------------------
-
-    def add(self, a, b):
-        k = self._kind
-        if k == "prime":
-            return (a + b) % self.p
-        if k == "gf2":
-            return a ^ b
-        if k == "log":
-            if not a:
-                return b
-            if not b:
-                return a
-            exp, log, zech, _ = self._tables
-            z = zech[log[b] - log[a]]
-            return 0 if z is None else exp[log[a] + z]
-        p = self.p
-        return _undigits([(x + y) % p for x, y in zip_longest(
-            _digits(a, p), _digits(b, p), fillvalue=0)], p)
-
-    def neg(self, a):
-        k = self._kind
-        if k == "prime":
-            return (-a) % self.p
-        if k == "gf2" or not a:
-            return a
-        if k == "log":
-            return self._tables[3][a]
-        p = self.p
-        return _undigits([(-x) % p for x in _digits(a, p)], p)
+    # -- raw arithmetic beyond the bound operations -------------------------
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
-
-    def mul(self, a, b):
-        k = self._kind
-        if k == "prime":
-            return a * b % self.p
-        if k == "gf2":
-            return self._reduce2(_gf2p_mul(a, b))
-        if not a or not b:
-            return 0
-        if k == "log":
-            exp, log, _, _ = self._tables
-            return exp[log[a] + log[b]]
-        return _fpp_mul_int(a, b, self.p, self.modulus)
-
-    def inv(self, a):
-        if not a:
-            raise DivisionByZero("inverse of zero")
-        k = self._kind
-        if k == "prime":
-            return pow(a, self.p - 2, self.p)
-        if k == "gf2":
-            # extended Euclid in GF(2)[t]
-            r0, r1 = self._modint, a
-            s0, s1 = 0, 1
-            while r1:
-                q, r = _gf2p_divmod(r0, r1)
-                r0, r1 = r1, r
-                s0, s1 = s1, s0 ^ _gf2p_mul(q, s1)
-            return self._reduce2(s0)
-        if k == "log":
-            exp, log, _, _ = self._tables
-            return exp[-log[a]]
-        return self.pow(a, self.order - 2)
 
     def pow(self, a, e):
         if e < 0:
@@ -452,7 +448,7 @@ def field_make(p, m, *, _allow_large_degree=False):
     if m > MAX_EXTENSION_DEGREE and not _allow_large_degree:
         raise DegreeOutOfRange(
             f"extension degree {m} exceeds {MAX_EXTENSION_DEGREE}; "
-            "pass allow_large=True on the calling operation to override")
+            "pass --allow-large to override")
     return FieldSpec(p, m, _lex_least_irreducible(p, m))
 
 
@@ -572,13 +568,11 @@ def _frobenius_mod(spec, a, f):
     """a^p mod the monic f, for a reduced mod f: each coefficient c goes to
     c^p at p times its exponent, then one reduction by f, with no inverse.
     Primes above 4 log2 p, where that costs more, square and multiply."""
-    p, n, kind = spec.p, len(f) - 1, spec._kind
+    p, n = spec.p, len(f) - 1
     if p > 4 * p.bit_length():  # p n^2 steps here, ~4 n^2 log p by pow
         return poly_pow_mod(spec, a, p, f)
     out = [0] * (p * len(a) - p + 1)
-    for i, c in enumerate(a):
-        out[p * i] = (c if kind == "prime" else spec._reduce2(_gf2p_sq(c))
-                      if kind == "gf2" else spec.pow(c, p))
+    out[::p] = map(spec.frobenius, a)
     for top in range(len(out) - 1, n - 1, -1):
         if lead := out[top]:
             for j in range(n):

@@ -398,7 +398,7 @@ def orbit_sum(G, spec, coords):
     dimensions, so e_O lies over F_p and e_O kG is the sum of |O| blocks of
     the block's dimension."""
     orbit = [coords]
-    while (image := tuple(spec.pow(v, spec.p) for v in orbit[-1])) != coords:
+    while (image := tuple(map(spec.frobenius, orbit[-1]))) != coords:
         orbit.append(image)
     e = np.array([functools.reduce(spec.add, vs) for vs in zip(*orbit)])
     if np.any(e >= spec.p):

@@ -77,6 +77,18 @@ def test_second_comp_line_for_a_pair_is_rejected():
         parse_category_file(head + "comp f f e\ncomp f f f\n")
 
 
+def test_second_identity_for_an_object_is_rejected():
+    # these comps make f the identity and e an idempotent; a file that
+    # flags both as identities of object 0 names no one category
+    comps = "comp e e e\ncomp e f e\ncomp f e e\ncomp f f f\n"
+    one = "objects 1\nmorphism e 0 0\nmorphism f 0 0 identity\n"
+    assert parse_category_file(one + comps).validate()
+    both = "objects 1\nmorphism e 0 0 identity\nmorphism f 0 0 identity\n"
+    with pytest.raises(InvalidCategory,
+                       match="line 3: second identity for object 0"):
+        parse_category_file(both + comps)
+
+
 # ---------------------------------------------------------------------------
 # category algebras
 # ---------------------------------------------------------------------------

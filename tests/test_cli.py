@@ -149,6 +149,17 @@ def test_tensor_command(capsys):
     assert doc["kuenneth"]["matches"] is True
 
 
+def test_field_degree_refusal_names_the_cli_flag(capsys, monkeypatch):
+    from hh1lab import ffield
+    monkeypatch.setattr(ffield, "MAX_EXTENSION_DEGREE", 1)
+    argv = ["blocks", "--group", "S3", "--prime", "2"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: extension degree 2 exceeds 1; pass --allow-large to "
+        "override\n")
+    assert cli.main(argv + ["--allow-large"]) == 0
+
+
 def test_tensor_allow_large_lifts_the_field_degree_cap(capsys, monkeypatch):
     # S3 at p = 2 splits over GF(4), past a cap of degree 1
     from hh1lab import ffield
@@ -318,6 +329,18 @@ def test_report_counterexample_exit_code(tmp_path, capsys, monkeypatch):
     code, doc = run_cli(capsys, ["report", "--primes", "2"])
     assert code == 1
     assert doc["counterexamples"]
+
+    # an error entry beside the counterexamples: errors exit 2
+    def one_error(name, *args, **kwargs):
+        if name == "S3":
+            raise cli.HH1LabError("forged failure")
+        return fake_doc
+    monkeypatch.setattr(cli, "hh1_doc_cached", one_error)
+    code, doc = run_cli(capsys, ["report", "--primes", "2"])
+    assert code == 2
+    assert doc["counterexamples"]
+    assert doc["errors"] == [{"group": "S3", "prime": 2,
+                              "error": "forged failure"}]
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

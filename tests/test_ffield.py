@@ -160,14 +160,18 @@ def test_field_axioms_sampled(p, m):
         assert f.mul(f.add(a, b), c) == f.add(f.mul(a, c), f.mul(b, c))
         assert f.mul(a, b) == f.mul(b, a)
         assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
+        assert f.frobenius(a) == f.pow(a, p)
         if not f.is_zero(a):
             assert f.mul(a, f.inv(a)) == f.one
 
 
-def test_division_by_zero():
-    f4 = field_make(2, 2)
+# one field of each kind: prime, GF(2^m), log tables, digit vectors
+@pytest.mark.parametrize("p,m", [(2, 1), (5, 1), (2, 2), (2, 180), (5, 2),
+                                 (3, 11)])
+def test_division_by_zero(p, m):
+    f = field_make(p, m, _allow_large_degree=True)
     with pytest.raises(DivisionByZero):
-        f4.inv(f4.zero)
+        f.inv(f.zero)
 
 
 # ---------------------------------------------------------------------------
@@ -598,10 +602,21 @@ def test_odd_extension_arithmetic_matches_reference(p, m, data):
     assert f.neg(a) == ref_int(f, [(-x) % p for x in va])
     assert f.mul(a, b) == ref_mul(f, a, b)
     assert f.pow(a, e) == ref_pow(f, a, e)
+    assert f.frobenius(a) == ref_pow(f, a, p)
     if a:
         assert ref_mul(f, a, f.inv(a)) == 1
     assert list(f.coeffs(a)) == va
     assert ref_int(f, f.coeffs(a)) == a
+
+
+def test_a_field_built_directly_uses_its_own_modulus():
+    # t^2 + t + 2 is irreducible over F_3, and not field_make's t^2 + 1
+    f = ffield.FieldSpec(3, 2, (2, 1, 1))
+    assert f.modulus != field_make(3, 2).modulus
+    for a in f.elements():
+        assert f.frobenius(a) == ref_pow(f, a, 3)
+        for b in f.elements():
+            assert f.mul(a, b) == ref_mul(f, a, b)
 
 
 @pytest.mark.parametrize("m", [2, 8, 61, 180])
@@ -614,6 +629,7 @@ def test_gf2_folded_reduction_matches_the_bitwise_one(m, data):
     f_int = sum(1 << i for i, c in enumerate(f.modulus) if c)
     a, b = (data.draw(st.integers(0, f.order - 1)) for _ in range(2))
     assert f.mul(a, b) == mod(ffield._gf2p_mul(a, b), f_int)
+    assert f.frobenius(a) == f.pow(a, 2)
     if a:
         inv = f.inv(a)
         assert inv < f.order
