@@ -31,7 +31,8 @@ from .errors import HH1LabError, NotPrime
 from .ffield import field_make, is_prime
 from .groupalgebra import block_decompose, group_algebra
 from .permgroup import (DEFAULT_MEMORY_CAP, DEFAULT_ORDER_CAP,
-                        group_from_generators, parse_group_file)
+                        enumeration_bytes, group_from_generators,
+                        parse_group_file)
 
 SCHEMA_VERSION = 1
 LARGE_MEMORY_CAP = 2 << 30
@@ -54,10 +55,14 @@ class CorpusManifest:
 
     def __init__(self, entries, base=None):
         if not isinstance(entries, list) or not all(
-                isinstance(e, dict) and "name" in e and "file" in e
+                isinstance(e, dict) and isinstance(e.get("name"), str)
+                and isinstance(e.get("file"), str)
+                and type(e.get("order", 1)) is int and e.get("order", 1) >= 1
+                and isinstance(e.get("stretch", False), bool)
                 for e in entries):
             raise HH1LabError("corpus entries must be a list of objects "
-                              "with a name and a file")
+                              "with a string name and file, an order of at "
+                              "least 1 and a true or false stretch")
         names = [e["name"] for e in entries]
         if len(set(names)) != len(names):
             raise HH1LabError("duplicate corpus names")
@@ -164,8 +169,7 @@ def resolve_group(name_or_path, *, allow_large=False, manifest=None):
     degree, gens = parse_group_file(text)
     memory_cap = LARGE_MEMORY_CAP if allow_large else DEFAULT_MEMORY_CAP
     if allow_large and order is not None:
-        itemsize = 1 if degree <= 255 else 2
-        est = order * (degree * itemsize + 4 * (len(gens) + 2))
+        est = enumeration_bytes(order, degree, len(gens))
         _log(f"{name}: {order} elements of degree {degree}, "
              f"{est / (1 << 20):.0f} MiB against the memory cap")
     G = group_from_generators(degree, gens, DEFAULT_ORDER_CAP, memory_cap)
@@ -321,19 +325,22 @@ def cache_get(key):
 
 def cache_put(key, doc):
     """Write doc as the entry for key; returns it as a CachedDocument of
-    the text written."""
+    the text written.  A cache that cannot be written raises HH1LabError
+    caused by the OSError."""
     text = render_document(doc)
     d = cache_dir()
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    tmp = None
     try:
+        os.makedirs(d, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, os.path.join(d, f"{key}.json"))
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise HH1LabError(f"cannot write the cache {d}: {exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
     return CachedDocument(doc, text[:-1])
 
 
@@ -696,8 +703,11 @@ def main(argv=None):
     text = render_document(doc)
     sys.stdout.write(text)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            _log(f"error: cannot write {args.out}: {exc}")
+            return 2
     return code
 
 

@@ -191,10 +191,20 @@ class _Chain:
                 f"group of at least {lower} elements: its stabilizer chain "
                 f"is past the caps ({order_cap} elements, {memory_cap} bytes)")
 
+    def _sift(self, g):
+        """(residue, x): g sifted down the levels and the first point x the
+        residue moves, None when the levels hold g."""
+        x = self._first_moved(g)
+        while x is not None and (u := self._reps.get(x, {}).get(int(g[x]))):
+            g = u[0].take(g)  # fixes 0..x now
+            x = self._first_moved(g)
+        return g, x
+
     def extend(self, g):
-        """Add the generator g, an intp row, and complete the chain."""
-        if self._first_moved(g) is None:
-            return
+        """Add the generator g, an intp row, unless the chain holds it, and
+        complete the chain; True when the chain grew."""
+        if self._sift(g)[1] is None:
+            return False
         self._add(g, -1)
         reps, todo = self._reps, self._todo
         while todo:  # the top level first: every level above it is complete
@@ -202,14 +212,12 @@ class _Chain:
             orbit, (s, s_row, *_) = reps[y], self._strong[k]
             # u_{s beta} s u_beta^-1 fixes 0..y; 1 when the pair is an edge
             g = orbit[s[beta]][0].take(s_row).take(orbit[beta][1])
-            x = self._first_moved(g)
-            while x is not None and (u := reps.get(x, {}).get(int(g[x]))):
-                g = u[0].take(g)  # fixes 0..x now
-                x = self._first_moved(g)
+            g, x = self._sift(g)
             if x is not None:  # g is new to the levels above y
                 self._add(g, y)
         self.order = math.prod(map(len, reps.values()))
         self._sifter = None
+        return True
 
     def sifter(self):
         if self._sifter is None:
@@ -300,11 +308,18 @@ class _Sifter:
         return np.all(rows == np.arange(self.degree), axis=1)
 
 
+def enumeration_bytes(order, degree, ngens):
+    """Bytes the memory cap counts for enumerating a group: a table of the
+    element rows and the Cayley tree, 4 (ngens + 2) bytes an element."""
+    itemsize = np.dtype(_np_dtype(degree)).itemsize
+    return order * (degree * itemsize + 4 * (ngens + 2))
+
+
 def _stabilizer_chain(degree, rows, order_cap, memory_cap):
     """(kept, sifter): the indices of the rows kept as generators, each the
     first row outside the group of those before it, and their chain's
-    sifter, held to the caps: the chain as it grows, then a table of the
-    element rows and the Cayley tree, 4 (len(kept) + 2) bytes an element."""
+    sifter, held to the caps: the chain as it grows, then the enumeration's
+    bytes."""
     chain = _Chain(degree, order_cap, memory_cap)
     rows = np.asarray(rows, dtype=np.intp).reshape(-1, degree)
     kept, outside = [], np.arange(len(rows))
@@ -312,8 +327,7 @@ def _stabilizer_chain(degree, rows, order_cap, memory_cap):
         kept.append(int(outside[0]))
         chain.extend(rows[kept[-1]])
     order = chain.order
-    itemsize = np.dtype(_np_dtype(degree)).itemsize
-    if order * (degree * itemsize + 4 * (len(kept) + 2)) > memory_cap:
+    if enumeration_bytes(order, degree, len(kept)) > memory_cap:
         raise OrderCapExceeded(
             f"enumeration needs more than {memory_cap} bytes ({order} "
             f"elements of degree {degree}); raise the memory cap "
@@ -699,54 +713,26 @@ def p_rank_abelianization(H, p):
     """Rank d with H/[H,H]H^p elementary abelian of order p^d.
 
     Computed as the index of K, the normal closure of generator
-    commutators and generator p-th powers.  K is a membership mask over
-    H's elements: each new generator s of K extends it by a breadth-first
-    closure under left multiplication, through one `left_products` table
-    per generator of K (<K, s> is the same subgroup on either side), and
-    queues its conjugates by the generators of H; the search stops once K
-    is all of H.
+    commutators and generator p-th powers, grown on a stabilizer chain of
+    its own from H's generators alone: each queued image row that K does
+    not yet contain extends the chain, and its conjugates by H's
+    generators join the queue; the search stops once K is all of H.
     """
-    base = H.base
     gens = np.array([g.images for g in H.generators],
                     dtype=np.intp).reshape(-1, H.degree)
     ginv = np.argsort(gens, axis=1)
-    each = np.arange(len(gens))
-    # base images of the commutators a^-1 b^-1 a b, at [a, b], and of the
-    # powers a^p = a^k
-    ab = gens[:, gens[:, base]]
-    comm = ginv[each[:, None, None], ginv[each[None, :, None], ab]]
-    seeds = []
-    for a, g, c in zip(H.generators, gens, comm):
-        seeds += list(c)
-        k = p % a.order()  # K holds a^0, the identity, already
-        if k:
-            seeds.append(functools.reduce(lambda x, _: g[x], range(k), base))
-    pending = list(H.locate(np.array(seeds))) if seeds else []
-    in_k = np.zeros(H.order, dtype=bool)
-    in_k[0] = True
-    tables = []  # s x for every x, one per generator s of K
-    sub_order = 1
-    while pending and sub_order < H.order:
-        s = pending.pop(0)
-        if in_k[s]:
-            continue
-        # <K, s>: K times s on the left, then each new element times every
-        # generator of K
-        tables.append(H.left_products(s))
-        frontier, steps = np.flatnonzero(in_k), tables[-1:]
-        while len(frontier):
-            hit = np.zeros(H.order, dtype=bool)
-            for table in steps:
-                hit[table[frontier]] = True
-            frontier = np.flatnonzero(hit & ~in_k)
-            in_k[frontier] = True
-            steps = tables
-        sub_order = int(np.count_nonzero(in_k))
-        # the conjugates h s h^-1 by the generators, on the base
-        conj = H.images([s], ginv[:, base].ravel()).reshape(len(gens),
-                                                              len(base))
-        pending += list(H.locate(gens[each[:, None], conj]))
-    index, rem = divmod(H.order, sub_order)
+    # the commutators a^-1 b^-1 a b, and the powers a^p = a^(p mod |a|)
+    queue = [ginv[a][ginv[b][gens[a][gens[b]]]]
+             for a in range(len(gens)) for b in range(len(gens))]
+    queue += [functools.reduce(lambda x, _: g[x], range(p % a.order()),
+                               np.arange(H.degree))
+              for a, g in zip(H.generators, gens)]
+    K = _Chain(H.degree, H.order_cap, H.memory_cap)
+    while queue and K.order < H.order:
+        s = queue.pop()
+        if K.extend(s):
+            queue += list(np.take_along_axis(gens, s[ginv], axis=1))
+    index, rem = divmod(H.order, K.order)
     if rem:
         raise InvariantViolation("commutator closure is not a subgroup")
     d = p_adic_valuation(index, p)

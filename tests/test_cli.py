@@ -351,6 +351,42 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert json.loads(out.read_text()) == doc
 
 
+def test_out_path_that_cannot_be_written_is_an_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "doc.json"
+    code = cli.main(["blocks", "--group", "S3", "--prime", "2",
+                     "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["kind"] == "blocks"
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+
+
+def test_cache_that_cannot_be_written_fails_hh1(tmp_path, capsys,
+                                                 monkeypatch):
+    (tmp_path / "file").write_text("")
+    monkeypatch.setenv("HH1LAB_CACHE", str(tmp_path / "file" / "cache"))
+    code = cli.main(["hh1", "--group", "S3", "--prime", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write the cache ")
+
+
+def test_cache_that_cannot_be_written_is_a_report_error_per_entry(
+        tmp_path, capsys, monkeypatch):
+    (tmp_path / "file").write_text("")
+    monkeypatch.setenv("HH1LAB_CACHE", str(tmp_path / "file" / "cache"))
+    manifest = write_corpus(tmp_path / "corpus", {"C2": 2, "S3": 6})
+    code, doc = run_cli(capsys, ["report", "--corpus", manifest,
+                                 "--primes", "2,3"])
+    assert code == 2
+    assert [(r["group"], r["prime"], r["status"]) for r in doc["entries"]] \
+        == [("C2", 2, "error"), ("C2", 3, "error"),
+            ("S3", 2, "error"), ("S3", 3, "error")]
+    assert all(e["error"].startswith("cannot write the cache ")
+               for e in doc["errors"])
+
+
 def test_module_entry_point():
     env = dict(os.environ, HH1LAB_CACHE="/tmp/hh1lab-test-cache")
     proc = subprocess.run(
@@ -608,16 +644,31 @@ def test_source_change_misses_the_cache(capsys, monkeypatch):
     assert doc["totals"]["hh1_total"] == 2
 
 
+BAD_ENTRIES = {
+    "file_not_a_string": {"file": 3},
+    "name_not_a_string": {"name": ["S3"]},
+    "order_a_string": {"order": "6"},
+    "order_a_bool": {"order": True},
+    "order_zero": {"order": 0},
+    "stretch_a_string": {"stretch": "no"},
+}
+
+
 @pytest.mark.parametrize("case", ["missing", "truncated", "no_name",
-                                  "no_file", "bad_primes"])
+                                  "no_file", "bad_primes", *BAD_ENTRIES])
 def test_bad_report_input_is_an_error(tmp_path, capsys, case):
     manifest_path = tmp_path / "manifest.json"
+    (tmp_path / "S3.grp").write_text("degree 3\n2 1 3\n2 3 1\n")
+    s3 = {"name": "S3", "file": "S3.grp", "order": 6, "notes": "",
+          "stretch": False}
     manifest = {
         "truncated": '{"entries": [{"name": "S3", "fi',
         "no_name": json.dumps({"entries": [
             {"file": "S3.grp", "order": 6, "notes": "", "stretch": False}]}),
         "no_file": json.dumps({"entries": [
             {"name": "S3", "order": 6, "notes": "", "stretch": False}]}),
+        **{name: json.dumps({"entries": [{**s3, **bad}]})
+           for name, bad in BAD_ENTRIES.items()},
     }
     if case in manifest:
         manifest_path.write_text(manifest[case])

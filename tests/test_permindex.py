@@ -27,8 +27,8 @@ from hh1lab.errors import InvariantViolation, NotAMember, OrderCapExceeded
 from hh1lab.groupalgebra import block_decompose, center, group_algebra
 from hh1lab.hhone import additive_oracle, cocycle_space, hh1_blocks
 from hh1lab.permgroup import (Perm, PermGroup, centralizer, direct_product,
-                              group_from_generators, normalizer,
-                              p_rank_abelianization)
+                              enumeration_bytes, group_from_generators,
+                              normalizer, p_rank_abelianization)
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -883,7 +883,8 @@ def test_j1_chain_and_cayley_tree_pinned():
 
 @pytest.mark.stretch
 def test_j1_centralizer_p_ranks_pinned():
-    # recorded by the sifted right-multiplication closure, class by class
+    # class by class; p = 2 and 3 recorded by the sifted right-multiplication
+    # closure, the other primes by the `left_products` closure
     manifest = CorpusManifest.packaged()
     try:
         manifest.file_bytes(manifest.entry("J1"))
@@ -892,10 +893,16 @@ def test_j1_centralizer_p_ranks_pinned():
     G, _, _ = resolve_group("J1", allow_large=True)
     cents = [centralizer(G, cl.representative)
              for cl in G.conjugacy_classes()]
-    ranks = {p: [p_rank_abelianization(C, p) for C in cents] for p in (2, 3)}
+    ranks = {p: [p_rank_abelianization(C, p) for C in cents]
+             for p in (2, 3, 5, 7, 11, 19)}
     assert ranks == {2: [0, 0, 1, 1, 1, 0, 0, 1, 1, 1, 0, 0, 1, 0, 0],
-                     3: [0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 1, 1]}
-    assert (sum(ranks[2]), sum(ranks[3])) == (7, 4)
+                     3: [0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 1, 1],
+                     5: [0, 0, 1, 1, 1, 0, 0, 0, 1, 0, 0, 0, 0, 1, 1],
+                     7: [0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+                     11: [0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+                     19: [0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 1, 0, 0, 0]}
+    assert {p: sum(r) for p, r in ranks.items()} == {
+        2: 7, 3: 4, 5: 6, 7: 1, 11: 1, 19: 3}
 
 
 @pytest.mark.stretch
@@ -939,3 +946,25 @@ def test_j1_over_the_memory_cap_is_refused_before_enumeration(capsys,
         "error: enumeration needs more than 33554432 bytes (175560 elements "
         "of degree 266); raise the memory cap (--allow-large) for stretch "
         "groups\n")
+
+
+@pytest.mark.stretch
+def test_printed_enumeration_size_is_what_the_cap_compares(capsys,
+                                                           monkeypatch):
+    manifest = CorpusManifest.packaged()
+    try:
+        manifest.file_bytes(manifest.entry("J1"))
+    except FileNotFoundError:
+        pytest.skip("J1 generator file not packaged")
+    compared = []
+
+    def recorded(*args):
+        compared.append(size := enumeration_bytes(*args))
+        return size
+
+    monkeypatch.setattr(permgroup, "enumeration_bytes", recorded)
+    resolve_group("J1", allow_large=True)
+    assert capsys.readouterr().err == (
+        f"J1: 175560 elements of degree 266, {compared[0] / (1 << 20):.0f} "
+        "MiB against the memory cap\n")
+    assert compared == [175560 * (266 * 2 + 4 * (2 + 2))]  # 92 MiB
