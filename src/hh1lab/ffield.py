@@ -24,8 +24,10 @@ rows outnumber the columns, and skips back-reduction.  `np_rref_mod_p` /
 `sparse_rows`.  Every rank and nullspace in the package goes through this
 one echelon.  `poly_factor` finds roots: it factors only polynomials that
 split into linear factors over the field, as block splitting's do over a
-splitting field.  Everything here is immutable after construction and
-safe to share between threads.
+splitting field; `distinct_degrees` reads the degrees of a polynomial's
+irreducible factors over a prime field, which choose that field.
+Everything here is immutable after construction and safe to share between
+threads.
 """
 
 from __future__ import annotations
@@ -579,6 +581,30 @@ def _frobenius_mod(spec, a, f):
                 k = top - n + j
                 out[k] = spec.sub(out[k], spec.mul(lead, f[j]))
     return poly_trim(spec, out[:n])
+
+
+def distinct_degrees(spec, f):
+    """The degrees of the irreducible factors of a monic f over the prime
+    field ``spec``, by distinct-degree factorisation (Cantor-Zassenhaus
+    1981): for d = 1, 2, ..., gcd(f, t^(p^d) - t) is the product of f's
+    distinct irreducible factors of degree d once the smaller degrees are
+    divided out, and it is divided out as often as it goes.  Once f has
+    degree below 2d, f is irreducible."""
+    x = [spec.zero, spec.one]
+    degrees, power, d = set(), x, 0
+    while len(f) > 1:
+        d += 1
+        if len(f) - 1 < 2 * d:
+            degrees.add(len(f) - 1)
+            break
+        power = _frobenius_mod(spec, poly_mod(spec, power, f), f)
+        g = poly_gcd(spec, f, poly_sub(spec, power, x))
+        if len(g) > 1:
+            degrees.add(d)
+            while len(g) > 1:
+                f = poly_divmod(spec, f, g)[0]
+                g = poly_gcd(spec, f, g)
+    return degrees
 
 
 def _equal_degree(spec, f, rng):

@@ -1,7 +1,8 @@
 """Group algebras over finite splitting fields.
 
-Builds kG with a field large enough to split the center, decomposes it
-into blocks by refining central idempotents, and derives per-block data:
+Builds kG over GF(p^l), the smallest field that splits its center, read
+off the class sums' minimal polynomials over F_p; decomposes it into
+blocks by refining central idempotents, and derives per-block data:
 dimension, defect number, central character, principal flag.  Dimensions
 are ranks over F_p, by the sum of each block's Galois orbit, which the
 cocycle solve reuses: on the way to blocks and HH^1, the Krylov rows of
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -20,9 +22,10 @@ import numpy as np
 
 from .errors import (DimCapExceeded, FieldMismatch, InvariantViolation,
                      NotPrime, SplitFieldTooSmall)
-from .ffield import (FieldSpec, echelon_insert, field_make, is_prime,
-                     p_adic_valuation, poly_divmod, poly_ext_gcd,
-                     poly_factor, poly_mod, poly_monic, poly_mul)
+from .ffield import (FieldSpec, distinct_degrees, echelon_insert,
+                     field_make, is_prime, p_adic_valuation, poly_divmod,
+                     poly_ext_gcd, poly_factor, poly_mod, poly_monic,
+                     poly_mul)
 
 # caps for materialising dense data; stretch-scale groups stay lazy
 MATERIALIZE_DIM_CAP = 512
@@ -121,9 +124,10 @@ class CenterBasis:
     """The center of a group algebra in the class-sum basis.
 
     ``sc_int`` holds integer structure constants: class_sum_i * class_sum_j
-    = sum_k sc_int[i,j,k] * class_sum_k.  They are field-independent counts;
-    ``product`` reduces them mod p once, on its first call, and keeps the
-    non-zero terms of each pair (i, j).
+    = sum_k sc_int[i,j,k] * class_sum_k.  They are field-independent counts,
+    shared by every center of the group (read-only); ``product`` reduces
+    them mod p once, on its first call, and keeps the non-zero terms of
+    each pair (i, j).
     """
 
     spec: FieldSpec
@@ -147,6 +151,7 @@ class CenterBasis:
     def product(self, u, v):
         """Product of two center elements in class-sum coordinates."""
         spec = self.spec
+        add, mul, one = spec.add, spec.mul, spec.one
         out = [spec.zero] * self.class_count
         for ui, row in zip(u, self._terms):
             if spec.is_zero(ui):
@@ -154,9 +159,9 @@ class CenterBasis:
             for vj, terms in zip(v, row):
                 if not terms or spec.is_zero(vj):
                     continue
-                coef = spec.mul(ui, vj)
-                for k, a in terms:
-                    out[k] = spec.add(out[k], spec.mul(coef, a))
+                coef = mul(ui, vj)
+                for k, a in terms:  # at p = 2 every constant is 1
+                    out[k] = add(out[k], coef if a == one else mul(coef, a))
         return tuple(out)
 
     def unit_vector(self):
@@ -189,42 +194,52 @@ class BlockData:
 
 
 def splitting_degree(G, p):
-    """Degree m with GF(p^m) splitting the center of kG.
+    """Degree l of GF(p^l), the smallest field that splits the center of kG.
 
-    m is the multiplicative order of p modulo the p'-part of the exponent
-    of G, which makes every central character take values in GF(p^m).
+    The roots of a class sum's minimal polynomial on Z(F_pG) are its
+    central-character values, and GF(p^a) and GF(p^b) generate
+    GF(p^lcm(a, b)), so l is the lcm of the degrees of the F_p-irreducible
+    factors of every class sum's minimal polynomial (`distinct_degrees`),
+    which is the lcm of the blocks' Galois-orbit sizes.  Krylov rows of the
+    class sum z_i, the unit times powers of sc_int[i] mod p, run over F_p
+    from the group's class counts (`center`).
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    e = G.exponent()
-    while e % p == 0:
-        e //= p
-    if e == 1:
-        return 1
-    m = 1
-    r = p % e
-    while r != 1:
-        r = r * p % e
-        m += 1
-    return m
+    fp = field_make(p, 1)
+    cb = center(G, fp)
+    ell = 1
+    for action in cb.sc_int % p:  # z_i z_j = sum_k action[j, k] z_k
+        mu = _min_poly(fp, cb.class_count, _fp_powers(action, p))
+        ell = math.lcm(ell, *distinct_degrees(fp, mu))
+    return ell
+
+
+def _fp_powers(action, p):
+    """The unit times powers of an F_p matrix acting on rows, endlessly."""
+    v = np.zeros(len(action), dtype=np.int64)
+    v[0] = 1  # class 0 is the identity's
+    while True:
+        yield v.tolist()
+        v = v @ action % p
 
 
 def group_algebra(G, p, *, allow_large=False):
-    """kG over GF(p^m) with m = splitting_degree(G, p).
+    """kG over GF(p^l) with l = splitting_degree(G, p).
 
     Structure constants are served lazily from the group's multiplication,
     so large groups do not materialise |G|^2 products.
     """
-    m = splitting_degree(G, p)
-    spec = field_make(p, m, _allow_large_degree=allow_large)
+    ell = splitting_degree(G, p)
+    spec = field_make(p, ell, _allow_large_degree=allow_large)
     unit = [spec.zero] * G.order
     unit[0] = spec.one  # element 0 is the identity (BFS enumeration)
     return StructAlgebra(spec, G.order, None, GroupTableSC(G, spec),
                          unit, group=G)
 
 
-def center(A, G):
-    """Center of a group algebra in the class-sum basis.
+def center(G, spec):
+    """Center of kG over ``spec`` in the class-sum basis.
 
     Structure constants are integer counts: for classes C_i, C_j and a
     fixed representative g_k of C_k, the count of pairs (x, y) with
@@ -232,10 +247,18 @@ def center(A, G):
     class of y = x^{-1} g_k = (g_k^{-1} x)^{-1} is read off g_k^{-1} x,
     for every x one sweep of `left_products` along the enumeration's
     Cayley tree, and a map from each element to the class of its inverse,
-    so no element is sifted past the c representatives' inverses.  Raises
-    DimCapExceeded when the c^3 int64 counts would pass the group's memory
-    cap.
+    so no element is sifted past the c representatives' inverses.  The
+    counts do not depend on the field: they are made once per group and
+    kept on it.  Raises DimCapExceeded when the c^3 int64 counts would
+    pass the group's memory cap.
     """
+    sc_int = G._class_counts
+    if sc_int is None:
+        sc_int = G._class_counts = _class_counts(G)
+    return CenterBasis(spec, len(sc_int), sc_int)
+
+
+def _class_counts(G):
     classes = G.conjugacy_classes()
     c = len(classes)
     if 8 * c ** 3 > G.memory_cap:
@@ -251,31 +274,37 @@ def center(A, G):
         j_arr = inv_class.take(G.left_products(i))
         sc_int[:, :, k] = np.bincount(bins + j_arr,
                                       minlength=c * c).reshape(c, c)
-    return CenterBasis(A.field, c, sc_int)
+    sc_int.flags.writeable = False
+    return sc_int
 
 
-def _min_poly_in_subalgebra(cb, w, unit):
-    """Minimal polynomial of w inside the unital subalgebra unit*Z.
+def _min_poly(spec, c, powers):
+    """Minimal polynomial of an element w from ``powers``, its Krylov rows
+    w^0, w^1, ... in c coordinates.
 
-    Krylov rows w^deg (with w^0 = unit) go into an insertion echelon, each
-    carrying a tag column c + deg after the c class-sum columns.  The first
-    row whose class-sum part reduces to zero leads with a tag; its tags are
-    the coefficients of the first linear dependence among the powers.
+    The rows go into an insertion echelon, each carrying a tag column
+    c + deg after the c coordinates.  The first row whose coordinate part
+    reduces to zero leads with a tag; its tags are the coefficients of the
+    first linear dependence among the powers.
     """
-    spec = cb.spec
-    c = cb.class_count
     pivots, rowlist = {}, []
-    deg = 0
-    current = tuple(unit)
-    while True:
+    for deg, current in enumerate(powers):
         row = {i: v for i, v in enumerate(current) if not spec.is_zero(v)}
         row[c + deg] = spec.one
         if echelon_insert(row, pivots, rowlist, spec) >= c:
             tags = rowlist[-1]
             return poly_monic(spec, [tags.get(c + j, spec.zero)
                                      for j in range(deg + 1)])
-        deg += 1
-        current = cb.product(current, w)
+
+
+def _min_poly_in_subalgebra(cb, w, unit):
+    """Minimal polynomial of w inside the unital subalgebra unit*Z."""
+    def powers():
+        current = tuple(unit)
+        while True:
+            yield current
+            current = cb.product(current, w)
+    return _min_poly(cb.spec, cb.class_count, powers())
 
 
 def _eval_poly_at(cb, poly, w, unit):
@@ -304,12 +333,13 @@ def block_decompose(A, G, p, seed=0):
     central character.  A block's dimension is rank(e_O kG) / |O| over
     F_p, e_O the sum of its Galois orbit O (`orbit_sum`), up to
     MATERIALIZE_DIM_CAP elements, and None above.  Blocks are ordered:
-    principal first, then by dimension, then by idempotent coordinates.
+    principal first, then by dimension, then by e_O in class-sum
+    coordinates, which no field changes, then by idempotent coordinates.
     """
     spec = A.field
     if spec.p != p:
         raise FieldMismatch("algebra characteristic differs from p")
-    cb = center(A, G)
+    cb = center(G, spec)
     c = cb.class_count
     unit = cb.unit_vector()
     classes = G.conjugacy_classes()
@@ -354,8 +384,10 @@ def block_decompose(A, G, p, seed=0):
                 raise InvariantViolation("idempotents not orthogonal")
     if materialize and sum(b.dim for b in blocks) != G.order:
         raise SplitFieldTooSmall("block dimensions do not sum to |G|")
-    blocks.sort(key=lambda b: (not b.is_principal, b.dim or 0,
-                               b.idempotent_class_coords))
+    blocks.sort(key=lambda b: (
+        not b.is_principal, b.dim or 0,
+        _orbit_class_sum(spec, b.idempotent_class_coords)[0],
+        b.idempotent_class_coords))
     for idx, b in enumerate(blocks):
         b.index = idx
     return blocks
@@ -391,20 +423,27 @@ def _defect(classes, spec, coords, p):
                for cl, v in zip(classes, coords) if not spec.is_zero(v))
 
 
+def _orbit_class_sum(spec, coords):
+    """(e_O, |O|): e_O the sum of the Galois orbit O of a block idempotent,
+    both in class-sum coordinates, e_O as a tuple of ints in [0, p)."""
+    orbit = [coords]
+    while (image := tuple(map(spec.frobenius, orbit[-1]))) != coords:
+        orbit.append(image)
+    e = tuple(functools.reduce(spec.add, vs) for vs in zip(*orbit))
+    if max(e) >= spec.p:
+        raise InvariantViolation(
+            "orbit sum of a block idempotent is not over F_p")
+    return e, len(orbit)
+
+
 def orbit_sum(G, spec, coords):
     """(coefficients, |O|): the coefficient over F_p of every element in
     e_O, the sum of the Galois orbit O of a block idempotent given in
     class-sum coordinates.  Frobenius permutes the blocks and keeps their
     dimensions, so e_O lies over F_p and e_O kG is the sum of |O| blocks of
     the block's dimension."""
-    orbit = [coords]
-    while (image := tuple(map(spec.frobenius, orbit[-1]))) != coords:
-        orbit.append(image)
-    e = np.array([functools.reduce(spec.add, vs) for vs in zip(*orbit)])
-    if np.any(e >= spec.p):
-        raise InvariantViolation(
-            "orbit sum of a block idempotent is not over F_p")
-    return e[G.class_of_array()], len(orbit)
+    e, size = _orbit_class_sum(spec, coords)
+    return np.array(e)[G.class_of_array()], size
 
 
 def _block_dimension(A, G, e_class_coords):

@@ -389,9 +389,9 @@ class PermGroup:
     (2.8 MB for J1), from which `left_products` reads g x for every x
     without a sift; `conjugates` adds the conjugations t^-1 x t by each
     generator t, ngens * 4 bytes an element, on first use.  Immutable after
-    construction.  Conjugacy classes and centralizers are computed on first
-    use; the classes under a lock, so threads asking at once share one
-    list.
+    construction.  Conjugacy classes, centralizers and the class counts of
+    the center (`groupalgebra.center`) are computed on first use; the
+    classes under a lock, so threads asking at once share one list.
     """
 
     def __init__(self, degree, generators, sifter,
@@ -404,6 +404,7 @@ class PermGroup:
         self._classes = None
         self._classes_lock = threading.Lock()
         self._centralizers = {}  # element index -> its centralizer
+        self._class_counts = None  # groupalgebra.center's, on first use
         self._sifter, self.order = sifter, sifter.order
         self._chain_of, self._elem_of, self.cayley_tree = _closure_rows(
             sifter, [g.images for g in self.generators])
@@ -599,12 +600,6 @@ class PermGroup:
         """Element -> class index (int32) made with the classes; read-only."""
         self.conjugacy_classes()
         return self._class_of
-
-    def exponent(self):
-        e = 1
-        for cl in self.conjugacy_classes():
-            e = math.lcm(e, cl.representative.order())
-        return e
 
     def p_regular_class_count(self, p):
         return sum(1 for cl in self.conjugacy_classes()

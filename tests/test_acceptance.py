@@ -10,7 +10,7 @@ otherwise.
 import time
 
 import pytest
-from test_groupalgebra import block_digest
+from test_groupalgebra import block_digest, orbit_pins
 
 from hh1lab import cli
 from hh1lab.catalgebra import (bar_hh, happel_probe, nerve_cohomology,
@@ -209,8 +209,21 @@ def test_criterion_8_nonvanishing_harness(sweep, corpus):
           f"nonvanishing; harness exit code flags counterexamples")
 
 
+# the blocks' idempotents and central characters over GF(2^6), the field
+# they need
 J1_BLOCKS_AT_2_DIGEST = (
-    "74b52181119afa3d7e1e1d60ff7b4ecf787736d9ac242e532d362ef7825d19bc")
+    "3811ec939f6ed7e8a8375b03a24b05cff5312e9cd6b4525846ae469a4713222c")
+
+# `orbit_pins` of J1 at p = 2, recorded over GF(2^180); no field moves them
+J1_ORBIT_PINS_AT_2 = [
+    (True, 3, None, 1, "5e3759d101da9b9b"),
+    (False, 0, None, 2, "e238c5becb30f365"),
+    (False, 0, None, 2, "e238c5becb30f365"),
+    (False, 0, None, 3, "68410662fbcd55fb"),
+    (False, 0, None, 3, "68410662fbcd55fb"),
+    (False, 0, None, 3, "68410662fbcd55fb"),
+    (False, 1, None, 1, "c1d7259b15e5d390"),
+]
 
 
 @pytest.mark.stretch
@@ -230,13 +243,37 @@ def test_criterion_9_stretch_j1_block_defects():
     others = [b for b in blocks if not b.is_principal]
     assert len(principal) == 1 and principal[0].defect == 3
     assert all(b.defect in (0, 1) for b in others)
-    # idempotents and central characters of the seven blocks over GF(2^180)
+    # idempotents and central characters of the seven blocks over GF(2^6)
+    assert A.field.m == 6
     assert len(blocks) == 7
     assert block_digest(blocks) == J1_BLOCKS_AT_2_DIGEST
+    assert orbit_pins(G, 2, allow_large=True) == J1_ORBIT_PINS_AT_2
     elapsed = time.monotonic() - t0
     assert elapsed < 900
     print(f"\nPASS criterion 9 (J1): principal 2-block defect 3, all others "
           f"defect 0 or 1, in {elapsed:.0f}s")
+
+
+@pytest.mark.stretch
+@pytest.mark.parametrize("p,ell,defects", [
+    (2, 6, [0, 0, 0, 0, 0, 1, 3]), (3, 6, [0, 0, 0, 1, 1, 1, 1]),
+    (5, 3, [0, 0, 0, 1, 1, 1]), (7, 2, [0, 0, 0, 0, 0, 0, 0, 0, 1]),
+    (11, 1, [0, 0, 0, 0, 1]), (19, 1, [0, 0, 0, 0, 0, 0, 1])])
+def test_j1_blocks_at_every_prime_dividing_its_order(p, ell, defects):
+    # the exponent's splitting fields are GF(2^180), GF(3^180), GF(5^90),
+    # GF(7^60), GF(11^6) and GF(19^30); the blocks need GF(p^l)
+    manifest = CorpusManifest.packaged()
+    try:
+        manifest.file_bytes(manifest.entry("J1"))
+    except FileNotFoundError:
+        pytest.skip("J1 generator file not packaged")
+    G, _, _ = resolve_group("J1", allow_large=True)
+    A = group_algebra(G, p, allow_large=True)
+    blocks = block_decompose(A, G, p)
+    assert A.field.m == ell
+    assert sorted(b.defect for b in blocks) == defects
+    assert [b.defect for b in blocks if b.is_principal] == [
+        max(defects)]
 
 
 @pytest.mark.stretch

@@ -152,7 +152,7 @@ def test_tensor_command(capsys):
 def test_field_degree_refusal_names_the_cli_flag(capsys, monkeypatch):
     from hh1lab import ffield
     monkeypatch.setattr(ffield, "MAX_EXTENSION_DEGREE", 1)
-    argv = ["blocks", "--group", "S3", "--prime", "2"]
+    argv = ["blocks", "--group", "C3", "--prime", "2"]  # C3 needs GF(4)
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == (
         "error: extension degree 2 exceeds 1; pass --allow-large to "
@@ -161,10 +161,10 @@ def test_field_degree_refusal_names_the_cli_flag(capsys, monkeypatch):
 
 
 def test_tensor_allow_large_lifts_the_field_degree_cap(capsys, monkeypatch):
-    # S3 at p = 2 splits over GF(4), past a cap of degree 1
+    # C3 at p = 2 splits over GF(4), past a cap of degree 1
     from hh1lab import ffield
     monkeypatch.setattr(ffield, "MAX_EXTENSION_DEGREE", 1)
-    argv = ["tensor", "--group", "S3", "--group-b", "C2", "--prime", "2"]
+    argv = ["tensor", "--group", "C3", "--group-b", "C2", "--prime", "2"]
     assert cli.main(argv) == 2
     assert "extension degree 2 exceeds 1" in capsys.readouterr().err
     code, doc = run_cli(capsys, argv + ["--allow-large"])

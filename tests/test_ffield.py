@@ -215,6 +215,26 @@ def test_factor_without_enough_roots_is_refused(p, poly):
         poly_factor(field_make(p, 1), poly)
 
 
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7, 23]),
+       factors=st.lists(st.tuples(st.integers(1, 6), st.integers(1, 3)),
+                        min_size=1, max_size=4),
+       roots=st.lists(st.integers(0, 22), max_size=3))
+def test_distinct_degrees_of_products_of_irreducibles(p, factors, roots):
+    # field_make's moduli are irreducible over F_p, one per degree, so a
+    # degree drawn twice, or a multiplicity above one, repeats a factor
+    spec = field_make(p, 1)
+    f = [1]
+    for degree, mult in factors:
+        for _ in range(mult):
+            f = poly_mul(spec, f, list(field_make(
+                p, degree, _allow_large_degree=True).modulus))
+    for r in roots:  # t - r: a linear factor, perhaps a repeated one
+        f = poly_mul(spec, f, [-r % p, 1])
+    expected = {d for d, _ in factors} | ({1} if roots else set())
+    assert ffield.distinct_degrees(spec, f) == expected
+
+
 def _reference_equal_degree(spec, f, rng):
     # Cantor-Zassenhaus whose trace map squares by poly_mul and whose
     # odd-p power is poly_pow_mod

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hh1lab import ffield
 from hh1lab.catalgebra import radical_and_semisimplicity
 from hh1lab.errors import DimCapExceeded, SplitFieldTooSmall
 from hh1lab.groupalgebra import (block_algebra, block_decompose, center,
-                                 group_algebra, splitting_degree)
+                                 group_algebra, orbit_sum, splitting_degree)
 from hh1lab.ffield import rank_nullspace_raw
 from hh1lab.hhone import hh1_blocks
 from hh1lab.permgroup import Perm, direct_product, group_from_generators
@@ -20,8 +21,43 @@ def test_splitting_degrees(corpus):
     assert splitting_degree(corpus["S3"], 3) == 1
     assert splitting_degree(corpus["C3"], 2) == 2
     assert splitting_degree(corpus["C2"], 2) == 1
-    assert splitting_degree(corpus["A4"], 2) == 2
-    assert splitting_degree(corpus["S4"], 5) == 2
+    assert splitting_degree(corpus["C4"], 3) == 2
+    assert splitting_degree(corpus["A4"], 5) == 2
+    # the exponent's splitting field is GF(p^2) here, but every central
+    # character is rational
+    assert splitting_degree(corpus["A4"], 2) == 1
+    assert splitting_degree(corpus["S4"], 5) == 1
+    C5 = group_from_generators(5, [Perm([1, 2, 3, 4, 0])])
+    assert splitting_degree(C5, 2) == 4
+
+
+def _exponent_bound(G, p):
+    """The order of p modulo the p'-part e of the exponent of G: GF(p^m)
+    holds every e-th root of unity, so it splits the center of kG."""
+    e = math.lcm(*(cl.representative.order() for cl in G.conjugacy_classes()))
+    while e % p == 0:
+        e //= p
+    m, r = 1, p % e
+    while e > 1 and r != 1:
+        r, m = r * p % e, m + 1
+    return m
+
+
+@settings(max_examples=40, deadline=None)
+@given(G=groups(6, 120), p=st.sampled_from([2, 3, 5, 7]))
+@example(G=group_from_generators(5, [Perm([1, 2, 3, 4, 0])]), p=2)
+@example(G=group_from_generators(3, [Perm([1, 0, 2]), Perm([1, 2, 0])]), p=2)
+def test_splitting_degree_is_the_lcm_of_the_galois_orbits(G, p):
+    # the blocks need GF(p^l), l the lcm of their Galois-orbit sizes; the
+    # exponent's field GF(p^m) contains it (C5@2: l = m = 4; S3@2: l = 1,
+    # m = 2)
+    ell = splitting_degree(G, p)
+    A = group_algebra(G, p)
+    assert A.field.m == ell
+    sizes = [orbit_sum(G, A.field, b.idempotent_class_coords)[1]
+             for b in block_decompose(A, G, p)]
+    assert ell == math.lcm(*sizes)
+    assert _exponent_bound(G, p) % ell == 0
 
 
 def test_group_algebra_c2():
@@ -56,7 +92,7 @@ def test_center_dimensions(corpus):
     for name, expected in [("S3", 3), ("V4", 4), ("A4", 4)]:
         G = corpus[name]
         A = group_algebra(G, 2)
-        cb = center(A, G)
+        cb = center(G, A.field)
         assert cb.class_count == expected
         # class sums commute: integer structure constants are symmetric in
         # the first two indices
@@ -91,7 +127,7 @@ def test_block_completeness_orthogonality(corpus):
         G = corpus[name]
         for p in (2, 3):
             A = group_algebra(G, p)
-            cb = center(A, G)
+            cb = center(G, A.field)
             blocks = block_decompose(A, G, p)
             spec = A.field
             # sum of idempotents is 1; pairwise products vanish
@@ -115,7 +151,7 @@ def test_central_characters_are_algebra_maps(corpus):
     for name, p in [("S3", 2), ("S3", 3), ("A4", 2), ("S4", 3)]:
         G = corpus[name]
         A = group_algebra(G, p)
-        cb = center(A, G)
+        cb = center(G, A.field)
         spec = A.field
         for b in block_decompose(A, G, p):
             lam = b.central_character
@@ -282,18 +318,78 @@ BLOCK_PINS = {
 
 @pytest.mark.parametrize("name,p,q", [("A4", 2, 4), ("Q8", 3, 9),
                                       ("S4", 3, 9), ("S3xS3", 5, 25)])
-def test_block_idempotents_and_characters_pinned(corpus, name, p, q):
+def test_block_idempotents_and_characters_pinned(corpus, name, p, q,
+                                                 monkeypatch):
+    # pinned over GF(q), the exponent's splitting field; every value lies
+    # in F_p, over which the blocks split, and encodes the same in both
+    from hh1lab import groupalgebra
     G = corpus[name]
-    A = group_algebra(G, p)
-    spec = A.field
-    assert spec.order == q
 
-    def enc(values):
-        return [sum(c * p ** i for i, c in enumerate(spec.coeffs(v)))
-                for v in values]
+    def pins():
+        A = group_algebra(G, p)
+        spec = A.field
 
-    assert [(enc(b.idempotent_class_coords), enc(b.central_character))
-            for b in block_decompose(A, G, p)] == BLOCK_PINS[name, p]
+        def enc(values):
+            return [sum(c * p ** i for i, c in enumerate(spec.coeffs(v)))
+                    for v in values]
+
+        return spec.order, [
+            (enc(b.idempotent_class_coords), enc(b.central_character))
+            for b in block_decompose(A, G, p)]
+
+    assert pins() == (p, BLOCK_PINS[name, p])
+    monkeypatch.setattr(groupalgebra, "splitting_degree",
+                        lambda G, p: _exponent_bound(G, p))
+    assert pins() == (q, BLOCK_PINS[name, p])
+
+
+def orbit_pins(G, p, *, allow_large=False):
+    """Per block, in block order: principal flag, defect, dimension, |O|
+    and the sha256 of e_O over F_p (`orbit_sum`, int64 coefficients in
+    element order), all independent of the field the blocks split over."""
+    A = group_algebra(G, p, allow_large=allow_large)
+    out = []
+    for b in block_decompose(A, G, p):
+        coef, size = orbit_sum(G, A.field, b.idempotent_class_coords)
+        digest = hashlib.sha256(np.asarray(coef, dtype="<i8").tobytes())
+        out.append((b.is_principal, b.defect, b.dim, size,
+                    digest.hexdigest()[:16]))
+    return out
+
+
+ORBIT_PINS = {
+    ("A4", 2): [(True, 2, 12, 1, "508eb48186521268")],
+    ("Q8", 3): [
+        (True, 0, 1, 1, "ffc258c471600515"),
+        (False, 0, 1, 1, "7fe27f195c38a0dc"),
+        (False, 0, 1, 1, "8f5d04cd0f8f9103"),
+        (False, 0, 1, 1, "0e4dad7050940f15"),
+        (False, 0, 4, 1, "414fc48f53080654"),
+    ],
+    ("S4", 3): [
+        (True, 1, 6, 1, "966b3caf43d46444"),
+        (False, 0, 9, 1, "5450b9d16306b878"),
+        (False, 0, 9, 1, "804f78dc02b752db"),
+    ],
+    ("S3xS3", 5): [
+        (True, 0, 1, 1, "3b19f4cb5797c1e6"),
+        (False, 0, 1, 1, "7cf02fc7c3f145b4"),
+        (False, 0, 1, 1, "8b712cdb512d9085"),
+        (False, 0, 1, 1, "9de8ac90a0063313"),
+        (False, 0, 4, 1, "2eb5ac70885eecee"),
+        (False, 0, 4, 1, "674a33143a2dfe2f"),
+        (False, 0, 4, 1, "7d609924942da6e1"),
+        (False, 0, 4, 1, "76a5ce7d8ca9fd49"),
+        (False, 0, 16, 1, "24414f3231827c69"),
+    ],
+}
+
+
+@pytest.mark.parametrize("name,p", sorted(ORBIT_PINS))
+def test_block_orbit_sums_pinned(corpus, name, p):
+    # recorded over the exponent's splitting field GF(p^2); no field moves
+    # these, nor the block order
+    assert orbit_pins(corpus[name], p) == ORBIT_PINS[name, p]
 
 
 def block_digest(blocks):
@@ -307,12 +403,13 @@ def block_digest(blocks):
 @pytest.mark.parametrize("n,p,digest", [
     (11, 2, "69a9d6aaea07033822cc7c0a8c561015a22220d861c0120deac620173ad6f07e"),
     (19, 2, "a33aa83338ead72f4928a82d7c5cdad904bea1f2247ed3ebc5af5a00473acd01"),
-    (13, 5, "fdc98b13ee11da7bc1e6cb32fd68a3f102004df784d6ba719804f95d0bc4c7bb"),
+    (13, 5, "eba1b31946db36365e4ee33403e36527c01fe32b96aa727073af5a6e5be02d5e"),
 ], ids=["C11@2", "C19@2", "C13@5"])
 def test_cyclic_block_idempotents_pinned_over_large_fields(n, p, digest):
     # C11 and C19 split over GF(2^10) and GF(2^18), C13 over GF(5^4):
     # fields without product tables, where poly_factor's Frobenius
-    # steps carry the whole split
+    # steps carry the whole split.  C13's twelve blocks of dimension one
+    # are three Galois orbits, each together in block order
     G = group_from_generators(n, [Perm([(i + 1) % n for i in range(n)])])
     A = group_algebra(G, p, allow_large=True)
     blocks = block_decompose(A, G, p)
@@ -330,7 +427,7 @@ def _block_record(b):
 def test_blocks_of_generated_groups(G, p):
     A = group_algebra(G, p)
     spec = A.field
-    cb = center(A, G)
+    cb = center(G, A.field)
     c = cb.class_count
     blocks = block_decompose(A, G, p)
     # complete and orthogonal
@@ -396,7 +493,7 @@ def test_center_product_equals_the_triple_loop(G, p, seed):
     # the explicit example, C5 at p = 2, is split over GF(16)
     A = group_algebra(G, p)
     spec = A.field
-    cb = center(A, G)
+    cb = center(G, A.field)
     c = cb.class_count
     rng = np.random.default_rng(seed)
     for _ in range(4):  # field elements, about 30% of them zero
@@ -461,7 +558,7 @@ def test_center_refuses_more_classes_than_the_memory_cap_holds():
     C64 = group_from_generators(64, [Perm(list(range(1, 64)) + [0])],
                                 memory_cap=1 << 20)
     with pytest.raises(DimCapExceeded, match="64 classes"):
-        center(group_algebra(C64, 2), C64)
+        center(C64, ffield.field_make(2, 1))
     with pytest.raises(DimCapExceeded):
         hh1_blocks(C64, 2)
 
@@ -474,12 +571,12 @@ def test_no_elimination_over_the_splitting_field(corpus, monkeypatch):
         raise AssertionError("an elimination over GF(q), q > p")
 
     monkeypatch.setattr(ffield, "_echelon_generic", refuse)
-    S4 = corpus["S4"]
-    assert group_algebra(S4, 3).field.order == 9
-    report = hh1_blocks(S4, 3)
-    assert [row.dim for row in report.per_block] == [6, 9, 9]
-    S5 = group_from_generators(5, [_cycles(5, (0, 1)),
-                                   _cycles(5, (0, 1, 2, 3, 4))])
-    A = group_algebra(S5, 3)
-    assert A.field.order == 81
-    assert [b.dim for b in block_decompose(A, S5, 3)] == [42, 36, 42]
+    C6 = group_from_generators(6, [Perm([1, 2, 3, 4, 5, 0])])
+    assert group_algebra(C6, 2).field.order == 4
+    report = hh1_blocks(C6, 2)
+    assert [(row.dim, row.hh1_dim) for row in report.per_block] == [(2, 2)] * 3
+    A6 = group_from_generators(6, [_cycles(6, (0, 1, 2)),
+                                   _cycles(6, (1, 2, 3, 4, 5))])
+    A = group_algebra(A6, 2)
+    assert A.field.order == 4
+    assert [b.dim for b in block_decompose(A, A6, 2)] == [232, 64, 64]
