@@ -10,7 +10,11 @@ algebra, so HH^* comes from the normalized complex relative to E
 (Gerstenhaber-Schack 1983): its q-cochains are the strings a_1 .. a_q of
 composable non-identity morphisms with a value in k Hom(dom a_q, cod a_1).
 Those strings are also the non-degenerate chains of the nerve, so the
-nerve and the restriction map use the same normalized chains.
+nerve and the restriction map use the same normalized chains.  The
+strings of each length are an int array grown from the shorter ones, a
+face is found by walking its string down their extension offsets, and
+each coboundary comes out as (row, col, value) arrays, handed to the
+elimination as dict rows of whichever side is shorter.
 
 Category files are text: an ``objects n`` line, then ``morphism NAME DOM
 COD [identity]`` lines, then ``comp G F GF`` lines naming g, f and their
@@ -21,6 +25,7 @@ is validated exhaustively on load.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import islice
 from random import Random
 from typing import NamedTuple, Optional
 
@@ -28,7 +33,7 @@ import numpy as np
 
 from .errors import (DimCapExceeded, InvalidCategory, InvariantViolation,
                      NotAnAction)
-from .ffield import echelonize, field_make, rank_nullspace_raw, transpose
+from .ffield import echelonize, field_make, rank_nullspace_raw, sparse_rows
 from .groupalgebra import StructAlgebra
 
 COCHAIN_CAP = 10 ** 6  # cochains of a string complex, all degrees together
@@ -334,85 +339,174 @@ def frobenius_certificate(A, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def _strings(C, N):
-    """Strings (a_1, ..., a_q) of composable non-identity morphisms, with
-    dom a_s = cod a_{s+1}, per length q = 0..N: the non-degenerate chains
-    of the nerve.  Every string carries at least one cochain, so their
-    running count is held under COCHAIN_CAP too."""
-    identities = set(C.identities)
-    nonid = [f for f in range(len(C.morphisms)) if f not in identities]
-    by_cod = {}
-    for f in nonid:
-        by_cod.setdefault(C.morphisms[f].cod, []).append(f)
-    strings = [[()]]
-    total = C.n_objects
-    for q in range(1, N + 1):
-        strings.append([t + (f,) for t in strings[-1] for f in (
-            by_cod.get(C.morphisms[t[-1]].dom, ()) if t else nonid)])
-        total += len(strings[-1])
-        if total > COCHAIN_CAP:
-            raise DimCapExceeded(f"string complex exceeds {COCHAIN_CAP} "
-                                 f"cochains by degree {q}")
-    return strings
+class StringComplex(NamedTuple):
+    strings: list    # (n_q x q) arrays; degree 0 has one per object
+    cochains: list   # per degree, (string index, value) arrays
+    locate: object   # string columns -> index among that length's strings
+    delta: object    # q -> the nonzero (row, col, value) of delta^q, sorted
 
 
-def _string_complex(C, spec, N, values, left, right):
-    """Cochain bases of degrees 0..N+1 and the coboundary rows.
+def _expand(starts, counts):
+    """The ranges starts[i] .. starts[i] + counts[i] - 1, concatenated in
+    order of i, as (i, position) arrays."""
+    owner = np.arange(len(counts)).repeat(counts)
+    return owner, np.arange(len(owner)) + (starts - counts.cumsum()
+                                           + counts)[owner]
 
-    A q-cochain basis element is a pair (string, v) with v in values(x, y),
-    where x = dom a_q and y = cod a_1; the empty string has the pairs
-    (x, x), one per object.  left(a, v) lists the u with a.u = v, and
-    right(v, b) the u with u.b = v.  The coboundary
+
+def _ends(C):
+    return (np.array([m.dom for m in C.morphisms], np.int64),
+            np.array([m.cod for m in C.morphisms], np.int64))
+
+
+def _composer(C):
+    """Composition g f on arrays of composable pairs."""
+    nm = len(C.morphisms)
+    pairs = np.array(list(C.comp), np.int64).reshape(-1, 2) @ [nm, 1]
+    order = pairs.argsort()
+    pairs, composite = pairs[order], np.array(list(C.comp.values()))[order]
+    return lambda g, f: composite[pairs.searchsorted(g * nm + f)]
+
+
+def _string_complex(C, spec, N, vdom, vcod, left, right):
+    """The string complex in degrees 0..N+1 (see `StringComplex`).
+
+    A q-cochain basis element is a pair (string, v) of a string a_1 .. a_q
+    and a value v with ends (vdom[v], vcod[v]) = (dom a_q, cod a_1); the
+    empty string of object x has the values with ends (x, x).  Strings
+    come in lexicographic order, the values on one by number.  left(a, u)
+    and right(u, b) are the values a.u and u.b, on arrays.  The coboundary
         (delta f)(a_1 .. a_{q+1}) = a_1 f(a_2 ..)
             + sum_s (-1)^s f(.. a_s a_{s+1} ..) + (-1)^{q+1} f(.. a_q) a_{q+1}
     drops the terms where a_s a_{s+1} is an identity.  Raises
-    DimCapExceeded once the cochains of all degrees pass COCHAIN_CAP.
+    DimCapExceeded once the cochains of all degrees pass COCHAIN_CAP,
+    counting each degree before its arrays are made.
     """
-    identities = set(C.identities)
-    ms = C.morphisms
-    cochains = []
-    room = COCHAIN_CAP
-    for q, strings in enumerate(_strings(C, N + 1)):
-        basis = []
-        for t in strings:
-            ends = ([(ms[t[-1]].dom, ms[t[0]].cod)] if t else
-                    [(x, x) for x in range(C.n_objects)])
-            basis += [(t, v) for x, y in ends for v in values(x, y)]
-            if len(basis) > room:
-                raise DimCapExceeded(f"string complex exceeds {COCHAIN_CAP} "
-                                     f"cochains by degree {q}")
-        room -= len(basis)
-        cochains.append(basis)
-    p = spec.p
+    n, nm = C.n_objects, len(C.morphisms)
+    dom, cod = _ends(C)
+    compose = _composer(C)
+    is_id = np.isin(np.arange(nm), C.identities)
+    nonid = np.flatnonzero(~is_id)
+    # a string t extends by the non-identities f with cod f = dom t[-1];
+    # rank and place give f's position among all of them and in its group
+    by_cod = nonid[cod[nonid].argsort(kind="stable")]
+    cod_count = np.bincount(cod[nonid], minlength=n)
+    cod_start = cod_count.cumsum() - cod_count
+    rank, place = np.zeros(nm, np.int64), np.zeros(nm, np.int64)
+    rank[nonid] = np.arange(len(nonid))
+    place[by_cod] = np.arange(len(by_cod)) - cod_start[cod[by_cod]]
+    # the values grouped by ends, and pos, the place of each in its group
+    vends = vdom * n + vcod
+    hom = vends.argsort(kind="stable")
+    hom_count = np.bincount(vends, minlength=n * n)
+    hom_start = hom_count.cumsum() - hom_count
+    pos = np.zeros(len(vdom), np.int64)
+    pos[hom] = np.arange(len(vdom)) - hom_start[vends[hom]]
 
-    def delta_rows(q):
-        """Rows of delta^q, one per (q+1)-cochain (empty rows included),
-        with its faces among the q-cochains as columns.  The signs add up
-        as ints, reduced mod p once per row: raw n mod p is n in any field
-        of characteristic p."""
-        col_index = {key: i for i, key in enumerate(cochains[q])}
-        rows = []
-        for t, v in cochains[q + 1]:
-            faces = ([((t[1:], u), 1) for u in left(t[0], v)]
-                     + [((t[:s - 1] + (g,) + t[s + 1:], v), (-1) ** s)
-                        for s in range(1, q + 1)
-                        if (g := C.comp[t[s - 1], t[s]]) not in identities]
-                     + [((t[:-1], u), (-1) ** (q + 1))
-                        for u in right(v, t[-1])])
-            row = {}
-            for key, x in faces:
-                c = col_index[key]
-                row[c] = row.get(c, 0) + x
-            rows.append({c: x % p for c, x in row.items() if x % p})
-        return rows
+    def check(count, q):
+        if count > COCHAIN_CAP - sum(len(c[0]) for c in cochains):
+            raise DimCapExceeded(f"string complex exceeds {COCHAIN_CAP} "
+                                 f"cochains by degree {q}")
 
-    return cochains, delta_rows
+    # indptr[s][i]: where the extensions of s-string i start among the
+    # (s+1)-strings; cstart[q][i], ccount[q][i]: q-string i's cochains
+    strings = [np.zeros((n, 0), np.int64), nonid[:, None]]
+    indptr = [np.array([0, len(nonid)])]
+    cochains, cstart, ccount = [], [], []
+    for q in range(N + 2):
+        if q > 1:
+            x = dom[strings[-1][:, -1]]
+            counts = cod_count[x]
+            check(counts.sum(), q)
+            indptr.append(np.concatenate(([0], counts.cumsum())))
+            owner, at = _expand(cod_start[x], counts)
+            strings.append(np.column_stack((strings[-1][owner], by_cod[at])))
+        S = strings[q]
+        ends = (dom[S[:, -1]] * n + cod[S[:, 0]] if q
+                else np.arange(n) * (n + 1))
+        counts = hom_count[ends]
+        check(counts.sum(), q)
+        owner, at = _expand(hom_start[ends], counts)
+        cochains.append((owner, hom[at]))
+        cstart.append(counts.cumsum() - counts)
+        ccount.append(counts)
+
+    def locate(columns):
+        idx = 0
+        for s, col in enumerate(columns):
+            idx = indptr[s][idx] + (place if s else rank)[col]
+        return idx
+
+    def delta(q):
+        """The signs add up as ints, reduced mod p once per entry: raw n
+        mod p is n in any field of characteristic p."""
+        S = strings[q + 1]
+        rows, cols, signs = [], [], []
+
+        def faces(i, j, act, sign):
+            # each cochain (j[k], u) is a face of (i[k], act(i[k], u)); in
+            # degree 0, a string's index is its object
+            k, col = _expand(cstart[q][j], ccount[q][j])
+            rows.append(cstart[q + 1][i[k]] + pos[act(i[k],
+                                                      cochains[q][1][col])])
+            cols.append(col)
+            signs.append(sign)
+
+        every = np.arange(len(S))
+        faces(every, locate(S.T[1:]) if q else dom[S[:, 0]],
+              lambda i, u: left(S[i, 0], u), 1)
+        for s in range(1, q + 1):
+            g = compose(S[:, s - 1], S[:, s])
+            i = np.flatnonzero(~is_id[g])
+            faces(i, locate([c[i] for c in (*S.T[:s - 1], g, *S.T[s + 1:])]),
+                  lambda i, u: u, (-1) ** s)
+        faces(every, locate(S.T[:-1]) if q else cod[S[:, -1]],
+              lambda i, u: right(u, S[i, -1]), (-1) ** (q + 1))
+        ncols = len(cochains[q][0])
+        key, at = np.unique(np.concatenate(rows) * ncols
+                            + np.concatenate(cols), return_inverse=True)
+        val = np.bincount(at, np.repeat(signs, [len(r) for r in rows]))
+        val = val.astype(np.int64) % spec.p
+        return key[val != 0] // ncols, key[val != 0] % ncols, val[val != 0]
+
+    return StringComplex(strings, cochains, locate, delta)
 
 
-def _cohomology_dims(cochains, delta_rows, spec, N):
-    ranks = [rank_nullspace_raw(delta_rows(q), len(cochains[q]), spec,
+def _dict_rows(rows, cols, vals, n):
+    """Sparse rows col -> value, one per row 0..n-1 (empty rows included),
+    from entry arrays sorted by row."""
+    # one int object per column, shared by all its entries: an int per
+    # entry held 22 MiB more at the peak of S4's rank of delta^2
+    keys = np.arange(cols.max(initial=-1) + 1, dtype=object)[cols]
+    entries = zip(keys.tolist(), vals.tolist())
+    return [dict(islice(entries, k))
+            for k in np.bincount(rows, minlength=n).tolist()]
+
+
+def _transpose(entries, nrows):
+    """The (row, col, value) arrays of the transpose, sorted by row then
+    col, of a matrix with ``nrows`` rows."""
+    r, c, v = entries
+    order = (c * nrows + r).argsort()
+    return c[order], r[order], v[order]
+
+
+def _short_side(entries, nrows, ncols):
+    """The rows of a matrix given by its sorted (row, col, value) arrays,
+    or its columns when they are fewer, as dict rows, and their width."""
+    if nrows > ncols:
+        entries, nrows, ncols = _transpose(entries, nrows), ncols, nrows
+    return _dict_rows(*entries, nrows), ncols
+
+
+def _cohomology_dims(cx, spec, N):
+    # rank M = rank M^T: a rank-only call eliminates the short side, and
+    # the entry arrays are let go before it starts
+    dims = [len(c[0]) for c in cx.cochains]
+    ranks = [rank_nullspace_raw(*_short_side(cx.delta(q), dims[q + 1],
+                                             dims[q]), spec,
                                 want_basis=False)[0] for q in range(N + 1)]
-    return [len(cochains[q]) - ranks[q] - (ranks[q - 1] if q else 0)
+    return [dims[q] - ranks[q] - (ranks[q - 1] if q else 0)
             for q in range(N + 1)]
 
 
@@ -456,33 +550,32 @@ def bar_hh(A, N):
     morphisms and a morphism m: dom a_q -> cod a_1.  Degree 0 equals dim
     Z(A); degree 1 agrees with the derivation solver.
     """
-    C = _category_basis(A)
-    hom, lpre, rpre = {}, {}, {}
-    for f, m in enumerate(C.morphisms):
-        hom.setdefault((m.dom, m.cod), []).append(f)
-    for (g, f), gf in C.comp.items():
-        lpre.setdefault((g, gf), []).append(f)
-        rpre.setdefault((gf, f), []).append(g)
-    cochains, delta_rows = _string_complex(
-        C, A.field, N, lambda x, y: hom.get((x, y), ()),
-        lambda a, v: lpre.get((a, v), ()), lambda v, b: rpre.get((v, b), ()))
-    return _cohomology_dims(cochains, delta_rows, A.field, N)
+    return _cohomology_dims(_bar_complex(_category_basis(A), A.field, N),
+                            A.field, N)
+
+
+def _bar_complex(C, spec, N):
+    """The normalized Hochschild complex relative to the identities: the
+    values on a string are the morphisms between its ends."""
+    compose = _composer(C)
+    return _string_complex(C, spec, N, *_ends(C), compose, compose)
 
 
 def _nerve_complex(C, spec, N):
     """The normalized cochain complex of the nerve with coefficients k:
-    one value per string, labelled by its ends."""
-    ms = C.morphisms
-    return _string_complex(C, spec, N, lambda x, y: ((x, y),),
-                           lambda a, v: ((v[0], ms[a].dom),),
-                           lambda v, b: ((ms[b].cod, v[1]),))
+    one value per string, the pair of its ends (x, y), numbered x n + y."""
+    n = C.n_objects
+    dom, cod = _ends(C)
+    return _string_complex(C, spec, N, *np.divmod(np.arange(n * n), n),
+                           lambda a, u: u - u % n + cod[a],
+                           lambda u, b: dom[b] * n + u % n)
 
 
 def nerve_cohomology(C, spec, N):
     """Dimensions of H^0..H^N of the category with constant coefficients,
     from the normalized cochain complex of the nerve."""
     C.validate()
-    return _cohomology_dims(*_nerve_complex(C, spec, N), spec, N)
+    return _cohomology_dims(_nerve_complex(C, spec, N), spec, N)
 
 
 def restriction_map(pi, spec, N):
@@ -492,32 +585,36 @@ def restriction_map(pi, spec, N):
         raise InvalidCategory("restriction target must have one object")
     pi.validate()
     S, T = pi.source, pi.target
-    cochains_s, rows_s = _nerve_complex(S, spec, N)
-    cochains_t, rows_t = _nerve_complex(T, spec, N)
+    src, tgt = _nerve_complex(S, spec, N), _nerve_complex(T, spec, N)
+    # a nerve has one cochain per string, so a cochain's index is its
+    # string's (in degree 0, its object's)
+    dims_s = [len(c[0]) for c in src.cochains]
+    dims_t = [len(c[0]) for c in tgt.cochains]
 
     out = []
     rank_s = rank_t = 0   # ranks of delta^{q-1} on the source and target
     im_s = []             # the image of delta^{q-1} on the source
     for q in range(N + 1):
-        rows = rows_s(q)
-        next_rank_s, _ = rank_nullspace_raw(rows, len(cochains_s[q]), spec,
-                                            want_basis=False)
-        next_rank_t, kern_t = rank_nullspace_raw(rows_t(q),
-                                                 len(cochains_t[q]), spec)
-        dim_hs = len(cochains_s[q]) - next_rank_s - rank_s
+        entries = src.delta(q)
+        next_rank_s, _ = rank_nullspace_raw(
+            *_short_side(entries, dims_s[q + 1], dims_s[q]), spec,
+            want_basis=False)
+        next_rank_t, kern_t = rank_nullspace_raw(
+            _dict_rows(*tgt.delta(q), dims_t[q + 1]), dims_t[q], spec)
+        dim_hs = dims_s[q] - next_rank_s - rank_s
         dim_ht = len(kern_t) - rank_t
 
         # pull back the target cocycle basis along the functor; a chain
         # whose image holds an identity is degenerate, so it is not among
         # the target's cochains and the pulled-back cochain is 0 on it
-        t_index = {key: i for i, key in enumerate(cochains_t[q])}
-        pushed = [t_index.get((tuple(pi.morphism_map[f] for f in t), (0, 0)))
-                  for t, _ in cochains_s[q]]
-        pulled = [{si: vec[ti] for si, ti in enumerate(pushed)
-                   if ti is not None and not spec.is_zero(vec[ti])}
-                  for vec in kern_t]
+        image = np.array(pi.morphism_map)[src.strings[q]]
+        live = ~np.isin(image, T.identities).any(axis=1)
+        pushed = np.zeros(len(image), np.int64)
+        pushed[live] = tgt.locate(image[live].T)
+        pulled = sparse_rows(np.array(kern_t, np.int64).reshape(
+            -1, dims_t[q])[:, pushed] * live)
         # rank of the induced map on cohomology
-        piv_all, _ = echelonize(im_s + pulled, len(cochains_s[q]), spec)
+        piv_all, _ = echelonize(im_s + pulled, dims_s[q], spec)
         rank_induced = len(piv_all) - rank_s
         out.append({
             "degree": q,
@@ -529,7 +626,8 @@ def restriction_map(pi, spec, N):
         if q < N:
             # the image of delta^q is spanned by its columns delta(e_c),
             # one per q-cochain c
-            im_s = [col for col in transpose(rows, len(cochains_s[q])) if col]
+            im_s = [col for col in _dict_rows(
+                *_transpose(entries, dims_s[q + 1]), dims_s[q]) if col]
         rank_s, rank_t = next_rank_s, next_rank_t
     return out
 

@@ -5,11 +5,13 @@ the span of the identities.  These tests check it against the full bar
 cochains Hom(A^{tensor q}, A) on small algebras, against the order complex
 of random posets (for a poset P, HH^*(kP) is the cohomology of its order
 complex), and against the class count and the centralizer-sum oracle on
-random small groups.
+random small groups.  The coboundaries built by index arithmetic are
+checked entry for entry against a tuple-key reference assembly.
 """
 
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,10 +20,11 @@ from hh1lab.catalgebra import (CatFunctor, FinCategory, Morphism, bar_hh,
                                category_algebra, load_category_file,
                                nerve_cohomology, one_object_category,
                                restriction_map)
-from hh1lab.errors import InvalidCategory
+from hh1lab.errors import DimCapExceeded, InvalidCategory
 from hh1lab.ffield import echelonize, field_make, rank_nullspace_raw
 from hh1lab.groupalgebra import StructAlgebra, group_algebra
 from hh1lab.hhone import additive_oracle, derivation_space
+from test_catalgebra import transporters
 from test_permindex import groups
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -152,24 +155,183 @@ SPHERE = (6, transitive_closure({(0, 2), (0, 3), (1, 2), (1, 3),
                                  (2, 4), (2, 5), (3, 4), (3, 5)}))
 
 
+def monoid(names, product):
+    """The one-object category of the monoid on `names`, identity first,
+    with g.f = product(g, f) on the non-identities."""
+    comp = {(g, f): g if f == 0 else f if g == 0 else product(g, f)
+            for g in range(len(names)) for f in range(len(names))}
+    return FinCategory(1, [Morphism(m, 0, 0) for m in names], comp, [0])
+
+
+# non-cancellative monoids: the only categories here in which a left or
+# right factor set, {u : a.u = v} or {u : u.b = v}, holds two morphisms
+MONOIDS = {
+    "idempotent": lambda: monoid(["1", "e"], lambda g, f: 1),
+    "left-zero": lambda: monoid(["1", "a", "b"], lambda g, f: g),
+    "right-zero": lambda: monoid(["1", "a", "b"], lambda g, f: f),
+    "absorbing": lambda: monoid(["1", "a", "z"], lambda g, f: 2),
+}
+
+
 # ---------------------------------------------------------------------------
 # against the full bar complex
 # ---------------------------------------------------------------------------
 
 
+MONOID_CASES = [f"{name}@{p}" for name in MONOIDS for p in (2, 3)]
+
+
 @pytest.mark.parametrize("case", ["k", "kC2@2", "kC3@GF(4)", "poset@2",
-                                  "BV4@2"])
+                                  "BV4@2"] + MONOID_CASES)
 def test_relative_complex_equals_full_bar_complex(case, corpus):
     f2 = field_make(2, 1)
-    A, N = {
-        "k": lambda: (ground_field(2), 4),
-        "kC2@2": lambda: (group_algebra(corpus["C2"], 2), 4),
-        "kC3@GF(4)": lambda: (group_algebra(corpus["C3"], 2), 2),
-        "poset@2": lambda: (category_algebra(packaged_poset(), f2), 3),
-        "BV4@2": lambda: (category_algebra(
-            one_object_category(corpus["V4"]), f2), 2),
-    }[case]()
+    if case in MONOID_CASES:
+        name, p = case.split("@")
+        A, N = category_algebra(MONOIDS[name](), field_make(int(p), 1)), 3
+    else:
+        A, N = {
+            "k": lambda: (ground_field(2), 4),
+            "kC2@2": lambda: (group_algebra(corpus["C2"], 2), 4),
+            "kC3@GF(4)": lambda: (group_algebra(corpus["C3"], 2), 2),
+            "poset@2": lambda: (category_algebra(packaged_poset(), f2), 3),
+            "BV4@2": lambda: (category_algebra(
+                one_object_category(corpus["V4"]), f2), 2),
+        }[case]()
     assert bar_hh(A, N) == full_bar_hh(A, N)
+
+
+# ---------------------------------------------------------------------------
+# the array-built coboundaries against the tuple-key reference
+# ---------------------------------------------------------------------------
+
+
+def _strings(C, N):
+    """Strings (a_1, ..., a_q) of composable non-identity morphisms, with
+    dom a_s = cod a_{s+1}, per length q = 0..N: the non-degenerate chains
+    of the nerve.  Every string carries at least one cochain, so their
+    running count is held under COCHAIN_CAP too."""
+    identities = set(C.identities)
+    nonid = [f for f in range(len(C.morphisms)) if f not in identities]
+    by_cod = {}
+    for f in nonid:
+        by_cod.setdefault(C.morphisms[f].cod, []).append(f)
+    strings = [[()]]
+    total = C.n_objects
+    for q in range(1, N + 1):
+        strings.append([t + (f,) for t in strings[-1] for f in (
+            by_cod.get(C.morphisms[t[-1]].dom, ()) if t else nonid)])
+        total += len(strings[-1])
+        if total > catalgebra.COCHAIN_CAP:
+            raise DimCapExceeded(f"string complex exceeds "
+                                 f"{catalgebra.COCHAIN_CAP} "
+                                 f"cochains by degree {q}")
+    return strings
+
+
+def reference_complex(C, spec, N, values, left, right):
+    """Cochain bases of degrees 0..N+1 as (string, value) tuples and the
+    coboundary rows, built by slicing and hashing tuple keys.
+
+    A q-cochain basis element is a pair (string, v) with v in values(x, y),
+    where x = dom a_q and y = cod a_1; the empty string has the pairs
+    (x, x), one per object.  left(a, v) lists the u with a.u = v, and
+    right(v, b) the u with u.b = v.  Raises DimCapExceeded once the
+    cochains of all degrees pass COCHAIN_CAP.
+    """
+    identities = set(C.identities)
+    ms = C.morphisms
+    cochains = []
+    room = catalgebra.COCHAIN_CAP
+    for q, strings in enumerate(_strings(C, N + 1)):
+        basis = []
+        for t in strings:
+            ends = ([(ms[t[-1]].dom, ms[t[0]].cod)] if t else
+                    [(x, x) for x in range(C.n_objects)])
+            basis += [(t, v) for x, y in ends for v in values(x, y)]
+            if len(basis) > room:
+                raise DimCapExceeded(f"string complex exceeds "
+                                     f"{catalgebra.COCHAIN_CAP} "
+                                     f"cochains by degree {q}")
+        room -= len(basis)
+        cochains.append(basis)
+    p = spec.p
+
+    def delta_rows(q):
+        """Rows of delta^q, one per (q+1)-cochain (empty rows included),
+        with its faces among the q-cochains as columns.  The signs add up
+        as ints, reduced mod p once per row: raw n mod p is n in any field
+        of characteristic p."""
+        col_index = {key: i for i, key in enumerate(cochains[q])}
+        rows = []
+        for t, v in cochains[q + 1]:
+            faces = ([((t[1:], u), 1) for u in left(t[0], v)]
+                     + [((t[:s - 1] + (g,) + t[s + 1:], v), (-1) ** s)
+                        for s in range(1, q + 1)
+                        if (g := C.comp[t[s - 1], t[s]]) not in identities]
+                     + [((t[:-1], u), (-1) ** (q + 1))
+                        for u in right(v, t[-1])])
+            row = {}
+            for key, x in faces:
+                c = col_index[key]
+                row[c] = row.get(c, 0) + x
+            rows.append({c: x % p for c, x in row.items() if x % p})
+        return rows
+
+    return cochains, delta_rows
+
+
+def reference_bar_complex(C, spec, N):
+    hom, lpre, rpre = {}, {}, {}
+    for f, m in enumerate(C.morphisms):
+        hom.setdefault((m.dom, m.cod), []).append(f)
+    for (g, f), gf in C.comp.items():
+        lpre.setdefault((g, gf), []).append(f)
+        rpre.setdefault((gf, f), []).append(g)
+    return reference_complex(
+        C, spec, N, lambda x, y: hom.get((x, y), ()),
+        lambda a, v: lpre.get((a, v), ()), lambda v, b: rpre.get((v, b), ()))
+
+
+def reference_nerve_complex(C, spec, N):
+    ms = C.morphisms
+    return reference_complex(C, spec, N, lambda x, y: ((x, y),),
+                             lambda a, v: ((v[0], ms[a].dom),),
+                             lambda v, b: ((ms[b].cod, v[1]),))
+
+
+def categories():
+    """Posets, transporter categories, BG of small groups and the
+    non-cancellative monoids."""
+    return st.one_of(
+        posets().map(lambda poset: poset_category(*poset)),
+        transporters(),
+        groups(5, 24).map(one_object_category),
+        st.sampled_from(sorted(MONOIDS)).map(lambda name: MONOIDS[name]()))
+
+
+@PROPERTY
+@given(C=categories(), p=st.sampled_from([2, 3]), N=st.integers(0, 3))
+def test_array_coboundaries_equal_the_tuple_key_reference(C, p, N):
+    spec = field_make(p, 1)
+    # keep the reference's cochains in the tens of thousands
+    nonid = len(C.morphisms) - C.n_objects
+    while N and nonid ** (N + 1) * len(C.morphisms) > 20000:
+        N -= 1
+    n = C.n_objects
+    for build, reference, value in [
+            (catalgebra._bar_complex, reference_bar_complex, lambda v: v),
+            (catalgebra._nerve_complex, reference_nerve_complex,
+             lambda v: (v // n, v % n))]:
+        cx = build(C, spec, N)
+        cochains, delta_rows = reference(C, spec, N)
+        assert [[(tuple(cx.strings[q][s]), value(v))
+                 for s, v in zip(*map(np.ndarray.tolist, cx.cochains[q]))]
+                for q in range(N + 2)] == cochains
+        for q in range(N + 1):
+            r, c, v = cx.delta(q)
+            assert dict(zip(zip(r.tolist(), c.tolist()), v.tolist())) == {
+                (r, c): x for r, row in enumerate(delta_rows(q))
+                for c, x in row.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -234,21 +396,27 @@ def test_bs3_coboundary_ranks_at_3(corpus, monkeypatch):
     complexes = []
     dims = catalgebra._cohomology_dims
 
-    def keep(cochains, delta_rows, spec, N):
-        complexes.append((cochains, delta_rows))
-        return dims(cochains, delta_rows, spec, N)
+    def keep(cx, spec, N):
+        complexes.append(cx)
+        return dims(cx, spec, N)
 
     monkeypatch.setattr(catalgebra, "_cohomology_dims", keep)
     spec = field_make(3, 1)
     A = category_algebra(one_object_category(corpus["S3"]), spec)
     assert bar_hh(A, 3) == [3, 1, 1, 2]
-    cochains, delta_rows = complexes[0]
-    assert [len(c) for c in cochains] == [6, 30, 150, 750, 3750]
-    short_side = [rank_nullspace_raw(iter(delta_rows(q)), len(cochains[q]),
-                                     spec, want_basis=False)[0]
-                  for q in range(4)]
-    pivots = [len(echelonize(delta_rows(q), len(cochains[q]), spec)[0])
-              for q in range(4)]
+    cx = complexes[0]
+    sizes = [len(c[0]) for c in cx.cochains]
+    assert sizes == [6, 30, 150, 750, 3750]
+    short_side, pivots = [], []
+    for q in range(4):
+        entries = cx.delta(q)
+        short, width = catalgebra._short_side(entries, sizes[q + 1],
+                                              sizes[q])
+        assert (len(short), width) == (sizes[q], sizes[q + 1])
+        short_side.append(rank_nullspace_raw(
+            iter(short), width, spec, want_basis=False)[0])
+        rows = catalgebra._dict_rows(*entries, sizes[q + 1])
+        pivots.append(len(echelonize(rows, sizes[q], spec)[0]))
     assert short_side == pivots == [3, 26, 123, 625]
 
 

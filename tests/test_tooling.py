@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import hh1lab
 
 
@@ -104,3 +106,27 @@ def test_benchmark_tracer_times_the_cache_and_the_render(
     assert len(written) == 2
     assert tracer.counts["cli.cache_bytes_written"] == sum(
         path.stat().st_size for path in written)
+
+
+@pytest.mark.parametrize("p,calls,nnz,rank", [(2, 13, 22860, 921),
+                                              (3, 12, 22888, 920)])
+def test_benchmark_tracer_counts_a_happel_probe(corpus, monkeypatch, p,
+                                                calls, nnz, rank):
+    # perfbench/spans.py wraps catalgebra's rank_nullspace_raw and
+    # echelonize by name and counts len(row) of every row they consume, so
+    # the probe must hand them dict rows; the rows may come from either
+    # side of a coboundary, but the entries and the ranks may not change
+    from hh1lab import catalgebra
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    import spans
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        verdict = catalgebra.happel_probe(
+            catalgebra.one_object_category(corpus["S3"]), p, 3)
+    finally:
+        tracer.restore()
+    assert verdict.hh_dims == ([3, 2, 2, 2] if p == 2 else [3, 1, 1, 2])
+    assert [tracer.counts[f"ffield.elim_{name}"]
+            for name in ("calls", "nnz", "rank")] == [calls, nnz, rank]
