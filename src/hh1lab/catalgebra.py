@@ -678,51 +678,31 @@ def _charpoly_mod_p(M, p):
     return polys[N]
 
 
-def _fp_restriction_regular_rep(A):
-    """Left regular representation of A as matrices over the prime field,
-    restricting scalars from GF(p^m).  Returns (N, list of N x N matrices
-    for the F_p-basis elements)."""
-    spec = A.field
-    n, m, p = A.dim, spec.m, spec.p
-    N = n * m
-    # raw values of t^c: the base-p digit c is one
-    tpow = [p ** c for c in range(m)]
-
-    def basis_vec_index(i, c):
-        return i * m + c
-
+def _fp_regular_rep(A):
+    """Left regular representation of A over its prime field.  Returns (N,
+    list of N x N matrices, one per basis element)."""
+    n, p = A.dim, A.field.p
     mats = []
     for i in range(n):
-        for c in range(m):
-            M = [[0] * N for _ in range(N)]
-            for j in range(n):
-                for cp in range(m):
-                    scalar = spec.mul(tpow[c], tpow[cp])
-                    for k, ck in A.sc[i, j]:
-                        val = spec.mul(scalar, ck)
-                        coeffs = spec.coeffs(val)
-                        for cpp in range(m):
-                            if coeffs[cpp]:
-                                M[basis_vec_index(k, cpp)][
-                                    basis_vec_index(j, cp)] += int(coeffs[cpp])
-                    for r in range(N):
-                        M[r][basis_vec_index(j, cp)] %= p
-            mats.append(M)
-    return N, mats
+        M = [[0] * n for _ in range(n)]
+        for j in range(n):
+            for k, ck in A.sc[i, j]:
+                M[k][j] = (M[k][j] + ck) % p
+        mats.append(M)
+    return n, mats
 
 
 def radical_and_semisimplicity(A):
-    """Jacobson radical dimension (over the ground field) and whether the
-    algebra is semisimple.
+    """Jacobson radical dimension (over the ground field F_p) and whether
+    the algebra is semisimple.
 
-    Works over the prime field after restriction of scalars; the radical is
-    cut out by iterated vanishing of characteristic-polynomial coefficients
-    at p-power indices (trace form first, then the deeper coefficients that
-    stay linear in characteristic p).
+    The radical is cut out by iterated vanishing of characteristic-
+    polynomial coefficients at p-power indices (trace form first, then the
+    deeper coefficients that stay linear in characteristic p).
     """
     spec = A.field
-    p, m = spec.p, spec.m
-    N, mats = _fp_restriction_regular_rep(A)
+    p = spec.p
+    N, mats = _fp_regular_rep(A)
     if N > RADICAL_FP_DIM_CAP:
         raise DimCapExceeded(f"prime-field dimension {N} exceeds cap")
     mats_np = [np.array(M, dtype=np.int64) for M in mats]
@@ -752,8 +732,7 @@ def radical_and_semisimplicity(A):
             if row:
                 cond_rows.append(row)
         k = len(basis)
-        _, kernel = rank_nullspace_raw(cond_rows, k, spec if m == 1 else
-                                       field_make(p, 1))
+        _, kernel = rank_nullspace_raw(cond_rows, k, spec)
         if not kernel:
             basis = np.zeros((0, N), dtype=np.int64)
             break
@@ -764,10 +743,7 @@ def radical_and_semisimplicity(A):
         basis = np.array(newbasis, dtype=np.int64)
         j += 1
 
-    rad_fp = len(basis)
-    if rad_fp % m:
-        raise InvariantViolation("radical not stable under the field")
-    rad_dim = rad_fp // m
+    rad_dim = len(basis)
     return rad_dim, rad_dim == 0
 
 

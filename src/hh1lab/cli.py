@@ -29,7 +29,7 @@ from typing import NamedTuple
 from . import catalgebra, hhone
 from .errors import HH1LabError, NotPrime
 from .ffield import field_make, is_prime
-from .groupalgebra import block_decompose, group_algebra
+from .groupalgebra import block_decompose, field_degree, group_algebra
 from .permgroup import (DEFAULT_MEMORY_CAP, DEFAULT_ORDER_CAP,
                         enumeration_bytes, group_from_generators,
                         parse_group_file)
@@ -357,7 +357,7 @@ def compute_blocks_doc(name, G, prime, seed, allow_large):
         "kind": "blocks",
         "inputs": {"group": name, "prime": prime, "seed": seed,
                    "caps": caps_dict(allow_large),
-                   "field_degree": A.field.m},
+                   "field_degree": field_degree(blocks)},
         "blocks": [{"index": b.index, "dim": b.dim, "defect": b.defect,
                     "principal": b.is_principal} for b in blocks],
         "counts": {"blocks": len(blocks),
@@ -569,9 +569,13 @@ def cmd_report(args):
         raise HH1LabError(
             f"--primes takes comma-separated integers, not {args.primes!r}"
         ) from None
+    if not primes:
+        raise HH1LabError(f"--primes names no prime: {args.primes!r}")
     for p in primes:
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
+        if primes.count(p) > 1:
+            raise HH1LabError(f"--primes names {p} more than once")
     entries = manifest.desk_entries()
     if args.allow_large:
         entries = manifest.entries
@@ -637,7 +641,7 @@ def build_parser():
         p.add_argument("--seed", type=int, default=0,
                        help="PRNG seed for idempotent splitting and searches")
         p.add_argument("--allow-large", action="store_true",
-                       help="raise memory/field caps for stretch groups")
+                       help="raise memory caps for stretch groups")
         p.add_argument("--out", help="also write the document to this path")
 
     p = sub.add_parser("blocks", help="block decomposition of a group algebra")

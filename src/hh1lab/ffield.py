@@ -1,41 +1,30 @@
-"""Exact arithmetic in GF(p^m) and rank/nullspace kernels.
+"""Exact arithmetic over a prime field F_p and rank/nullspace kernels.
 
-Every field element is an int in ``[0, q)`` whose base-p digits are its
-coefficients over the prime field, constant term first: ``a_0 + a_1 p +
-... + a_{m-1} p^{m-1}`` stands for ``a_0 + a_1 t + ... + a_{m-1} t^{m-1}``
-modulo the field's irreducible ``t``-polynomial.  For p = 2 the digits are
-the bits.  A `FieldSpec` chooses its arithmetic once, when it is built,
-and binds it as plain callables: prime fields reduce mod p; GF(2^m)
-multiplies carry-less on the bits; odd extension fields of order at most
-``LOG_TABLE_MAX_ORDER`` read exp/log/Zech tables built once per modulus;
-larger odd extension fields multiply digit vectors as polynomials.  Each
-kind also binds ``frobenius``, a -> a^p: the identity on a prime field,
-one squaring in GF(2^m), one table lookup on a log-table field.
+Every field element is an int in ``[0, p)``.  A `FieldSpec` binds its
+arithmetic once, when it is built, as plain callables that reduce mod p.
+Blocks of group algebras are split over F_p itself, as sums over Galois
+orbits (`groupalgebra`), so no extension field is ever built: `field_make`
+refuses every degree but one.
 
 The public surface is `FieldSpec` (raw arithmetic), `field_make`, the
 ``poly_*`` helpers, and elimination: `echelonize` / `rank_nullspace_raw` on
-sparse rows (dicts col -> raw) run every prime field through one insertion
-echelon on rows packed into ints, a few bits per column (Boothby-Bradshaw
-2009), and GF(p^m), m > 1, through the same insertion on dict rows,
-`echelon_insert`, whose one row operation calls `FieldSpec`.  A rank-only call
-(``want_basis=False``) eliminates the short side, the transpose when the
-rows outnumber the columns, and skips back-reduction.  `np_rref_mod_p` /
-`np_kernel_mod_p` are dense front ends over a prime field, by way of
-`sparse_rows`.  Every rank and nullspace in the package goes through this
-one echelon.  `poly_factor` finds roots: it factors only polynomials that
-split into linear factors over the field, as block splitting's do over a
-splitting field; `distinct_degrees` reads the degrees of a polynomial's
-irreducible factors over a prime field, which choose that field.
-Everything here is immutable after construction and safe to share between
-threads.
+sparse rows (dicts col -> raw) run through one insertion echelon on rows
+packed into ints, a few bits per column (Boothby-Bradshaw 2009).  A
+rank-only call (``want_basis=False``) eliminates the short side, the
+transpose when the rows outnumber the columns, and skips back-reduction.
+`echelon_insert` is the same insertion on one dict row, for callers that
+grow an echelon a row at a time.  `np_rref_mod_p` / `np_kernel_mod_p` are
+dense front ends by way of `sparse_rows`, and `matmul_mod` is an exact
+product of residue arrays.  Every rank and nullspace in the package goes
+through this one echelon.  `poly_factor` finds roots: it factors only
+polynomials that split into linear factors over F_p, as the minimal
+polynomials of block splitting's Galois-fixed elements do.  Everything
+here is immutable after construction and safe to share between threads.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import zip_longest
 from random import Random
 
 import numpy as np
@@ -43,8 +32,6 @@ import numpy as np
 from .errors import (DegreeOutOfRange, DivisionByZero, NotPrime,
                      SplitFieldTooSmall)
 
-MAX_EXTENSION_DEGREE = 16
-LOG_TABLE_MAX_ORDER = 1 << 16
 
 
 def is_prime(n):
@@ -85,286 +72,36 @@ def p_adic_valuation(n, p):
     return v
 
 
-# ---------------------------------------------------------------------------
-# GF(2)[t] on packed ints: bit i of the int is the coefficient of t^i.
-# ---------------------------------------------------------------------------
-
-_SPREAD = [0] * 256
-for _b in range(256):
-    _s = 0
-    for _i in range(8):
-        if _b >> _i & 1:
-            _s |= 1 << (2 * _i)
-    _SPREAD[_b] = _s
-
-
-def _gf2p_mul(a, b):
-    if a == 0 or b == 0:
-        return 0
-    res = 0
-    while b:
-        low = b & -b
-        res ^= a << (low.bit_length() - 1)
-        b ^= low
-    return res
-
-
-def _gf2p_sq(a):
-    res = 0
-    shift = 0
-    while a:
-        res |= _SPREAD[a & 0xFF] << shift
-        a >>= 8
-        shift += 16
-    return res
-
-
-def _gf2p_mod(a, f):
-    df = f.bit_length() - 1
-    while a.bit_length() - 1 >= df and a:
-        a ^= f << (a.bit_length() - 1 - df)
-    return a
-
-
-def _gf2p_divmod(a, f):
-    df = f.bit_length() - 1
-    q = 0
-    while a.bit_length() - 1 >= df and a:
-        shift = a.bit_length() - 1 - df
-        q |= 1 << shift
-        a ^= f << shift
-    return q, a
-
-
-def _gf2p_gcd(a, b):
-    while b:
-        a, b = b, _gf2p_mod(a, b)
-    return a
-
-
-def _gf2p_irreducible(f):
-    """Rabin irreducibility test for a monic packed poly over GF(2)."""
-    m = f.bit_length() - 1
-    if m < 1:
-        return False
-    checkpoints = {m // q for q in prime_factors(m)}
-    r = 2  # the polynomial t
-    for j in range(1, m + 1):
-        r = _gf2p_mod(_gf2p_sq(r), f)
-        if j in checkpoints and _gf2p_gcd(r ^ 2, f) != 1:
-            return False
-    return r == 2
-
-
-# ---------------------------------------------------------------------------
-# F_p[t] on coefficient tuples (ascending powers), p odd prime.
-# ---------------------------------------------------------------------------
-
-
-def _fpp_trim(c):
-    n = len(c)
-    while n and c[n - 1] == 0:
-        n -= 1
-    return tuple(c[:n])
-
-
-def _fpp_mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _fpp_trim(out)
-
-
-def _fpp_mod(a, f, p):
-    # f monic
-    a = list(a)
-    df = len(f) - 1
-    while len(a) - 1 >= df and a:
-        lead = a[-1]
-        if lead:
-            shift = len(a) - 1 - df
-            for i, fi in enumerate(f):
-                a[shift + i] = (a[shift + i] - lead * fi) % p
-        a.pop()
-    return _fpp_trim(a)
-
-
-# ---------------------------------------------------------------------------
-# Field construction
-# ---------------------------------------------------------------------------
-
-
-def _digits(a, p):
-    """Base-p digits of a, least significant first, without trailing zeros."""
-    out = []
-    while a:
-        a, r = divmod(a, p)
-        out.append(r)
-    return tuple(out)
-
-
-def _undigits(c, p):
-    a = 0
-    for x in reversed(c):
-        a = a * p + x
-    return a
-
-
-def _fpp_mul_int(a, b, p, modulus):
-    """Product of two elements of F_p[t]/(modulus) as base-p digit ints."""
-    return _undigits(_fpp_mod(_fpp_mul(_digits(a, p), _digits(b, p), p),
-                              modulus, p), p)
-
-
-def _power(mul, a, e):
-    result = 1
-    while e:
-        if e & 1:
-            result = mul(result, a)
-        a = mul(a, a)
-        e >>= 1
-    return result
-
-
-def _nonzero(inv):
-    """inv, raising DivisionByZero at zero."""
-    def checked(a):
-        if not a:
-            raise DivisionByZero("inverse of zero")
-        return inv(a)
-    return checked
-
-
-def _prime_ops(p):
-    """add, neg, mul, inv, frobenius of F_p; Frobenius is the identity."""
-    return (lambda a, b: (a + b) % p, lambda a: -a % p,
-            lambda a, b: a * b % p,
-            _nonzero(lambda a: pow(a, p - 2, p)), lambda a: a)
-
-
-def _gf2_ops(m, modulus):
-    """The operations of GF(2^m) on bits: carry-less products folded back
-    by the modulus tail, inverses by extended Euclid in GF(2)[t], and a^2
-    by spreading the bits."""
-    tail = [e for e in range(m) if modulus[e]]  # t^m = sum of t^e over them
-    mask = (1 << m) - 1
-    modint = mask + 1 + sum(1 << e for e in tail)
-
-    def reduce(a):
-        # fold the part at t^m and above onto the tail until none is left
-        while hi := a >> m:
-            a &= mask
-            for e in tail:
-                a ^= hi << e
-        return a
-
-    def inv(a):
-        r0, r1, s0, s1 = modint, a, 0, 1
-        while r1:
-            quo, r = _gf2p_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 ^ _gf2p_mul(quo, s1)
-        return reduce(s0)
-
-    return (operator.xor, lambda a: a,
-            lambda a, b: reduce(_gf2p_mul(a, b)), _nonzero(inv),
-            lambda a: reduce(_gf2p_sq(a)))
-
-
-@lru_cache(maxsize=None)
-def _log_ops(p, modulus):
-    """The operations of F_p[t]/(modulus), p odd, by tables built once from
-    its least primitive element g: ``exp[i] = g^i`` for 0 <= i < 2(q-1),
-    ``log`` the inverse map on nonzero elements, ``zech[n] = log(1 + g^n)``
-    (None where 1 + g^n = 0) and ``neg[a] = -a``.  Indices into zech may be
-    negative, modulo q-1."""
-    q = p ** (len(modulus) - 1)
-
-    def slow_mul(a, b):
-        return _fpp_mul_int(a, b, p, modulus)
-
-    g = next(g for g in range(p, q)
-             if all(_power(slow_mul, g, (q - 1) // r) != 1
-                    for r in prime_factors(q - 1)))
-    exp = [1]
-    for _ in range(q - 2):
-        exp.append(slow_mul(exp[-1], g))
-    log = [None] * q
-    for i, x in enumerate(exp):
-        log[x] = i
-    # 1 + x raises only the constant digit of x
-    zech = [log[x - x % p + (x + 1) % p] for x in exp]
-    exp += exp
-    neg = [0] + [exp[log[x] + (q - 1) // 2] for x in range(1, q)]
-
-    def add(a, b):
-        if not a:
-            return b
-        if not b:
-            return a
-        z = zech[log[b] - log[a]]
-        return 0 if z is None else exp[log[a] + z]
-
-    return (add, neg.__getitem__,
-            lambda a, b: exp[log[a] + log[b]] if a and b else 0,
-            _nonzero(lambda a: exp[-log[a]]),
-            lambda a: exp[log[a] * p % (q - 1)] if a else 0)
-
-
-def _poly_ops(p, modulus):
-    """The operations of an odd GF(q) on base-p digit vectors."""
-    q = p ** (len(modulus) - 1)
-
-    def mul(a, b):
-        return _fpp_mul_int(a, b, p, modulus) if a and b else 0
-
-    def add(a, b):
-        return _undigits([(x + y) % p for x, y in zip_longest(
-            _digits(a, p), _digits(b, p), fillvalue=0)], p)
-
-    return (add, lambda a: _undigits([-x % p for x in _digits(a, p)], p),
-            mul, _nonzero(lambda a: _power(mul, a, q - 2)),
-            lambda a: _power(mul, a, p))
 
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """A finite field GF(p^m) with a fixed irreducible modulus.
+    """The prime field F_p.
 
-    ``modulus`` is the monic degree-m polynomial as a coefficient tuple,
-    constant term first.  `field_make` always picks the same modulus for
-    the same (p, m); a FieldSpec built directly uses the one it is given.
-
-    Construction chooses the arithmetic once, by the field's kind: prime,
-    GF(2^m), odd of order at most ``LOG_TABLE_MAX_ORDER`` (log tables),
-    larger odd (digit vectors).  It binds ``add``, ``neg``, ``mul``,
-    ``inv`` and ``frobenius`` (a -> a^p) as instance attributes, so a call
-    reads no kind.  ``inv(0)`` raises DivisionByZero in every kind.
+    Construction binds ``add``, ``neg``, ``mul`` and ``inv`` as instance
+    attributes, so a call reads nothing but p.  ``inv(0)`` raises
+    DivisionByZero.  ``m``, the degree over F_p, is always 1.
     """
 
     p: int
-    m: int
-    modulus: tuple
+    m = 1
 
     def __post_init__(self):
-        if self.m == 1:
-            ops = _prime_ops(self.p)
-        elif self.p == 2:
-            ops = _gf2_ops(self.m, self.modulus)
-        elif self.order <= LOG_TABLE_MAX_ORDER:
-            ops = _log_ops(self.p, self.modulus)
-        else:
-            ops = _poly_ops(self.p, self.modulus)
-        for name, op in zip(("add", "neg", "mul", "inv", "frobenius"), ops):
+        p = self.p
+
+        def inv(a):
+            if not a:
+                raise DivisionByZero("inverse of zero")
+            return pow(a, p - 2, p)
+
+        for name, op in (("add", lambda a, b: (a + b) % p),
+                         ("neg", lambda a: -a % p),
+                         ("mul", lambda a, b: a * b % p), ("inv", inv)):
             object.__setattr__(self, name, op)
 
     @property
     def order(self):
-        return self.p ** self.m
+        return self.p
 
     # -- raw constants ------------------------------------------------------
 
@@ -372,7 +109,7 @@ class FieldSpec:
     one = 1
 
     def from_int(self, n):
-        """Embed an integer via the prime subfield."""
+        """Embed an integer."""
         return n % self.p
 
     def is_zero(self, a):
@@ -383,80 +120,24 @@ class FieldSpec:
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
-    def pow(self, a, e):
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        return _power(self.mul, a, e)
 
-    def elements(self):
-        """All raw elements in ascending order (small fields only)."""
-        if self.order > 1 << 20:
-            raise DegreeOutOfRange("field too large to enumerate")
-        return range(self.order)
+def field_make(p, m=1):
+    """F_p, the only field the package computes over.
 
-    def coeffs(self, a):
-        """Coefficient tuple (length m, constant first) of a raw element."""
-        c = _digits(a, self.p)
-        return c + (0,) * (self.m - len(c))
-
-
-@lru_cache(maxsize=None)
-def _lex_least_irreducible(p, m):
-    """Monic irreducible of degree m over F_p whose tail coefficient vector
-    (constant term first) is smallest when read as a little-endian base-p
-    integer.  The scan order is what makes field construction reproducible.
-    """
-    if m == 1:
-        return (0, 1)  # the polynomial t
-    # value - p^m runs through the tails; the digits of value are f itself.
-    # The first p make t^m + c, none irreducible when a prime factor of m
-    # misses p - 1, or 4 | m and p = 3 mod 4 (Lidl-Niederreiter Thm 3.75).
-    skip = (any((p - 1) % r for r in prime_factors(m))
-            or m % 4 == 0 and p % 4 == 3)
-    for value in range(p ** m + p * skip, 2 * p ** m):
-        if (_gf2p_irreducible(value) if p == 2
-                else _irreducible(_digits(value, p), p)):
-            return _digits(value, p)
-    raise DegreeOutOfRange(f"no irreducible of degree {m} over F_{p}")  # pragma: no cover
-
-
-def _irreducible(f, p):
-    """Rabin's test for a monic coefficient tuple f of degree m >= 2 over
-    F_p, p odd, by `_frobenius_mod` and ``poly_gcd`` on the prime field:
-    x^(p^m) = x mod f, and x^(p^(m/r)) - x is prime to f for each prime
-    r | m."""
-    spec, m, x = field_make(p, 1), len(f) - 1, [0, 1]
-    checkpoints = {m // r for r in prime_factors(m)}
-    power = x
-    for j in range(1, m + 1):
-        power = _frobenius_mod(spec, power, f)
-        if j in checkpoints and len(
-                poly_gcd(spec, f, poly_sub(spec, power, x))) > 1:
-            return False
-    return power == x
-
-
-def field_make(p, m, *, _allow_large_degree=False):
-    """Construct the canonical GF(p^m).
-
-    Raises NotPrime / DegreeOutOfRange.  Degrees above
-    ``MAX_EXTENSION_DEGREE`` are refused unless the caller explicitly opts
-    in (the large-run path does, for splitting fields of big groups).
+    Raises NotPrime, and DegreeOutOfRange for any degree m other than 1.
     """
     if not isinstance(p, int) or not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    if not isinstance(m, int) or m < 1:
-        raise DegreeOutOfRange(f"extension degree {m} out of range")
-    if m > MAX_EXTENSION_DEGREE and not _allow_large_degree:
+    if m != 1:
         raise DegreeOutOfRange(
-            f"extension degree {m} exceeds {MAX_EXTENSION_DEGREE}; "
-            "pass --allow-large to override")
-    return FieldSpec(p, m, _lex_least_irreducible(p, m))
+            f"extension degree {m}: only prime fields are supported")
+    return FieldSpec(p)
 
 
 # ---------------------------------------------------------------------------
-# Polynomials over an arbitrary FieldSpec (coefficient lists of raw values,
-# ascending powers).  Used for minimal polynomials and their roots.
+# Polynomials over a field (coefficient lists of raw values, ascending
+# powers), through the field's bound operations alone.  Used for minimal
+# polynomials and their roots.
 # ---------------------------------------------------------------------------
 
 
@@ -567,14 +248,15 @@ def poly_deriv(spec, a):
 
 
 def _frobenius_mod(spec, a, f):
-    """a^p mod the monic f, for a reduced mod f: each coefficient c goes to
-    c^p at p times its exponent, then one reduction by f, with no inverse.
-    Primes above 4 log2 p, where that costs more, square and multiply."""
+    """a^p mod the monic f, for a reduced mod f: each coefficient stays
+    (c^p = c over F_p) at p times its exponent, then one reduction by f,
+    with no inverse.  Primes above 4 log2 p, where that costs more, square
+    and multiply."""
     p, n = spec.p, len(f) - 1
     if p > 4 * p.bit_length():  # p n^2 steps here, ~4 n^2 log p by pow
         return poly_pow_mod(spec, a, p, f)
     out = [0] * (p * len(a) - p + 1)
-    out[::p] = map(spec.frobenius, a)
+    out[::p] = a
     for top in range(len(out) - 1, n - 1, -1):
         if lead := out[top]:
             for j in range(n):
@@ -583,50 +265,21 @@ def _frobenius_mod(spec, a, f):
     return poly_trim(spec, out[:n])
 
 
-def distinct_degrees(spec, f):
-    """The degrees of the irreducible factors of a monic f over the prime
-    field ``spec``, by distinct-degree factorisation (Cantor-Zassenhaus
-    1981): for d = 1, 2, ..., gcd(f, t^(p^d) - t) is the product of f's
-    distinct irreducible factors of degree d once the smaller degrees are
-    divided out, and it is divided out as often as it goes.  Once f has
-    degree below 2d, f is irreducible."""
-    x = [spec.zero, spec.one]
-    degrees, power, d = set(), x, 0
-    while len(f) > 1:
-        d += 1
-        if len(f) - 1 < 2 * d:
-            degrees.add(len(f) - 1)
-            break
-        power = _frobenius_mod(spec, poly_mod(spec, power, f), f)
-        g = poly_gcd(spec, f, poly_sub(spec, power, x))
-        if len(g) > 1:
-            degrees.add(d)
-            while len(g) > 1:
-                f = poly_divmod(spec, f, g)[0]
-                g = poly_gcd(spec, f, g)
-    return degrees
-
-
 def _equal_degree(spec, f, rng):
     """Cantor-Zassenhaus split of a product of distinct monic linear
-    factors into those factors."""
+    factors into those factors.  Over F_2, f divides t(t + 1), and a random
+    r of degree below 2 has a proper gcd with it."""
     n = len(f) - 1
     if n == 1:
         return [f]
     while True:
-        r = poly_trim(spec, [rng.randrange(spec.order) for _ in range(n)])
+        r = poly_trim(spec, [rng.randrange(spec.p) for _ in range(n)])
         if not r:
             continue
         if spec.p == 2:
-            # trace map of GF(2^m) onto GF(2): the sum of m squarings
-            t = poly_mod(spec, r, f)
-            acc = t
-            for _ in range(spec.m - 1):
-                t = _frobenius_mod(spec, t, f)
-                acc = poly_add(spec, acc, t)
-            g = poly_gcd(spec, f, acc)
+            g = poly_gcd(spec, f, r)
         else:
-            w = poly_pow_mod(spec, r, (spec.order - 1) // 2, f)
+            w = poly_pow_mod(spec, r, (spec.p - 1) // 2, f)
             g = poly_gcd(spec, f, poly_sub(spec, w, [spec.one]))
         if 1 < len(g) < len(f):
             return (_equal_degree(spec, g, rng)
@@ -634,15 +287,14 @@ def _equal_degree(spec, f, rng):
 
 
 def poly_factor(spec, f, seed=0):
-    """Factor a nonzero polynomial that splits over ``spec`` into linear
+    """Factor a nonzero polynomial that splits over F_p into linear
     factors, by root finding.
 
     While f has positive degree, the roots of its squarefree part s = f /
-    gcd(f, f') (s = f when f' = 0) in the field are the linear factors of
-    gcd(s, t^q - t); each is divided out of f as often as it goes.  t^q
-    mod s and the p = 2 trace map take m `_frobenius_mod` steps (von zur
-    Gathen & Shoup 1992); a monic linear f is its own factor.  Returns
-    the (monic linear factor, multiplicity) pairs, sorted so repeated runs
+    gcd(f, f') (s = f when f' = 0) are the linear factors of gcd(s, t^p -
+    t); each is divided out of f as often as it goes.  t^p mod s is one
+    `_frobenius_mod` step; a monic linear f is its own factor.  Returns the
+    (monic linear factor, multiplicity) pairs, sorted so repeated runs
     produce identical output for identical seeds.  Raises
     SplitFieldTooSmall when f has an irreducible factor of degree above one.
     """
@@ -655,13 +307,10 @@ def poly_factor(spec, f, seed=0):
     while len(f) > 1:
         df = poly_deriv(spec, f)
         s = poly_divmod(spec, f, poly_gcd(spec, f, df))[0] if df else f
-        xq = poly_mod(spec, x, s)
-        for _ in range(spec.m):
-            xq = _frobenius_mod(spec, xq, s)
+        xq = _frobenius_mod(spec, poly_mod(spec, x, s), s)
         r = poly_gcd(spec, s, poly_sub(spec, xq, x))
         if len(r) == 1:
-            raise SplitFieldTooSmall(
-                f"polynomial has no root in GF({spec.p}^{spec.m})")
+            raise SplitFieldTooSmall(f"polynomial has no root in F_{spec.p}")
         for lin in _equal_degree(spec, r, rng):
             mult = 0
             quo, rem = poly_divmod(spec, f, lin)
@@ -708,28 +357,6 @@ def echelon_insert(row, pivots, rowlist, spec):
     return None
 
 
-def _echelon_generic(rows_iter, spec, reduced):
-    """Insertion echelon over any FieldSpec, by `echelon_insert`.
-
-    Returns (pivots dict col->index, rowlist) where each row is a dict
-    col->raw with leading coefficient one; with ``reduced`` the rows are
-    back-reduced, so they are the unique RREF.
-    """
-    pivots = {}
-    rowlist = []
-    for row in rows_iter:
-        echelon_insert({c: v for c, v in row.items() if v}, pivots, rowlist,
-                       spec)
-    if reduced:
-        # rows of larger lead are reduced first, so they hold no pivot
-        # column but their own: the pivot columns of prow are fixed up front
-        for lead in sorted(pivots, reverse=True):
-            prow = rowlist[pivots[lead]]
-            for lead2 in sorted(c for c in prow if c > lead and c in pivots):
-                _subtract(prow, prow[lead2], rowlist[pivots[lead2]], spec)
-    return pivots, rowlist
-
-
 def _echelon_packed(rows_iter, p, reduced):
     """Insertion echelon over F_p on rows packed into ints, column c in bits
     [w c, w c + w).  Over GF(2), w = 1 and a row operation is XOR.  Over odd
@@ -737,9 +364,10 @@ def _echelon_packed(rows_iter, p, reduced):
     2^w, so nothing carries, and bit w-1 of field + 2^(w-1) - p marks where
     p comes off.  Pivot rows are monic; the multiple k * row that a row
     operation needs is made by doubling and not kept, so memory holds the
-    pivot rows alone.  Returns (pivots, packed rows), or with ``reduced``
-    (pivots, RREF rows as dicts col->raw, columns ascending), as
-    `_echelon_generic` does.
+    pivot rows alone.  Returns (pivots dict col->index, packed rows), or
+    with ``reduced`` (pivots, RREF rows as dicts col->raw, columns
+    ascending): every row has leading coefficient one, and back-reduction
+    makes the rows the unique RREF.
     """
     w = 1 if p == 2 else (p - 1).bit_length() + 1
     fmask = (1 << w) - 1
@@ -787,8 +415,9 @@ def _echelon_packed(rows_iter, p, reduced):
     mask = 0
     for lead in pivots:
         mask |= fmask << (w * lead)
-    # as in _echelon_generic, the pivot fields of a row beside its lead are
-    # fixed before it is reduced
+    # rows of larger lead are reduced first, so they hold no pivot column
+    # but their own: the pivot fields of a row beside its lead are fixed
+    # before it is reduced
     for lead in sorted(pivots, reverse=True):
         idx = pivots[lead]
         row = rowlist[idx]
@@ -798,21 +427,13 @@ def _echelon_packed(rows_iter, p, reduced):
     return pivots, [dict(fields(row)) for row in rowlist]
 
 
-def _echelon(rows, spec, reduced):
-    """The one choice of row shape: packed ints over a prime field
-    (`_echelon_packed`), dicts over GF(p^m), m > 1 (`_echelon_generic`)."""
-    if spec.m == 1:
-        return _echelon_packed(rows, spec.p, reduced)
-    return _echelon_generic(rows, spec, reduced)
-
-
 def echelonize(rows, ncols, spec):
     """Reduced echelon form of a list of sparse raw rows (dicts col->raw).
 
     Returns (pivots dict col->rowindex, rows list-of-dicts).  The result is
     the canonical RREF of the row space, independent of input order.
     """
-    return _echelon(rows, spec, True)
+    return _echelon_packed(rows, spec.p, True)
 
 
 def kernel_from_echelon(pivots, rowlist, ncols, spec):
@@ -851,7 +472,7 @@ def rank_nullspace_raw(rows, ncols, spec, *, want_basis=True):
         rows = list(rows)
         if len(rows) > ncols:
             rows = transpose(rows, ncols)
-        return len(_echelon(rows, spec, False)[0]), None
+        return len(_echelon_packed(rows, spec.p, False)[0]), None
     pivots, rowlist = echelonize(rows, ncols, spec)
     return len(pivots), kernel_from_echelon(pivots, rowlist, ncols, spec)
 
@@ -896,3 +517,16 @@ def np_kernel_mod_p(mat, p):
     a = np.asarray(mat, dtype=np.int64) % p
     _, basis = rank_nullspace_raw(sparse_rows(a), a.shape[1], field_make(p, 1))
     return np.array(basis, dtype=np.int64).reshape(len(basis), a.shape[1])
+
+
+def matmul_mod(a, b, p):
+    """a @ b mod p for int arrays with entries in [0, p), stacks of
+    matrices included.  The sums stay below k (p-1)^2, k the inner
+    dimension: below 2^53 float64 is exact, by einsum, as matmul's threaded
+    BLAS spins its workers after each call; above, Python ints."""
+    if a.shape[-1] * (p - 1) ** 2 < 2 ** 53:
+        prod = np.einsum("...ij,...jk->...ik", a.astype(np.float64),
+                         b.astype(np.float64))
+    else:
+        prod = a.astype(object) @ b.astype(object)
+    return (prod % p).astype(np.int64)

@@ -1,13 +1,15 @@
-"""Group algebras over finite splitting fields.
+"""Group algebras over F_p and their blocks.
 
-Builds kG over GF(p^l), the smallest field that splits its center, read
-off the class sums' minimal polynomials over F_p; decomposes it into
-blocks by refining central idempotents, and derives per-block data:
-dimension, defect number, central character, principal flag.  Dimensions
-are ranks over F_p, by the sum of each block's Galois orbit, which the
-cocycle solve reuses: on the way to blocks and HH^1, the Krylov rows of
-minimal polynomials are the only elimination over the splitting field.
-No tensor construction: kG (x) kH is k[G x H].
+Builds F_pG and splits its center over F_p into e_O, the sum of the
+block idempotents of one Galois orbit O, for each orbit: the fixed points
+of z -> z^p on the center are spanned by the e_O (Berlekamp 1967), and
+every fixed element's minimal polynomial splits into distinct linear
+factors over F_p, so refining idempotents by root finding reaches them.
+|O| is read off the Frobenius map on Z e_O, whose residue field is
+GF(p^|O|).  Each orbit gives one row of per-block data -- dimension,
+defect number, principal flag -- repeated |O| times, which is what a
+field splitting every block would show, and GF(p^l), l = lcm |O|, is the
+smallest such field.  No tensor construction: kG (x) kH is k[G x H].
 """
 
 from __future__ import annotations
@@ -20,12 +22,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (DimCapExceeded, FieldMismatch, InvariantViolation,
-                     NotPrime, SplitFieldTooSmall)
-from .ffield import (FieldSpec, distinct_degrees, echelon_insert,
-                     field_make, is_prime, p_adic_valuation, poly_divmod,
-                     poly_ext_gcd, poly_factor, poly_mod, poly_monic,
-                     poly_mul)
+from .errors import DimCapExceeded, FieldMismatch, InvariantViolation
+from .ffield import (FieldSpec, echelon_insert, field_make, matmul_mod,
+                     p_adic_valuation, poly_divmod, poly_ext_gcd,
+                     poly_factor, poly_mod, poly_monic, poly_mul)
 
 # caps for materialising dense data; stretch-scale groups stay lazy
 MATERIALIZE_DIM_CAP = 512
@@ -57,7 +57,8 @@ class StructAlgebra:
     ``sc`` maps a pair (i, j) of basis indices to a tuple of (k, raw
     coefficient) terms of e_i e_j.  It may be a plain dict or a lazy view
     (group algebras at large order).  ``unit`` is the coordinate vector of
-    the identity as a tuple of raw field values.  ``labels`` names the
+    the identity as a tuple of raw field values; None makes it basis
+    element 0, as in group algebras, on first read.  ``labels`` names the
     basis; None names it g0, g1, ... as group algebras do, on first read.
     """
 
@@ -66,8 +67,14 @@ class StructAlgebra:
         self.dim = dim
         self._labels = labels
         self.sc = sc
-        self.unit = tuple(unit)
+        self._unit = unit
         self.group = group  # the source PermGroup for group algebras
+
+    @functools.cached_property
+    def unit(self):
+        if self._unit is None:
+            return self.basis_vector(0)
+        return tuple(self._unit)
 
     @functools.cached_property
     def labels(self):
@@ -171,19 +178,21 @@ class CenterBasis:
 
 @dataclass
 class BlockData:
-    """One block of a group algebra.
+    """One block of a group algebra, as a member of its Galois orbit O.
 
-    ``idempotent_class_coords`` is the primitive central idempotent in the
-    class-sum basis (raw field values).  ``dim`` is None when the ambient
-    algebra is too large to materialise the rank computation.
+    ``idempotent_class_coords`` is e_O, the sum of the primitive central
+    idempotents of O, in the class-sum basis (ints in [0, p)); every block
+    of O carries the same e_O, and ``orbit_size`` is |O|.  ``dim`` is the
+    dimension of one block, None when the ambient algebra is too large to
+    materialise the rank computation.
     """
 
     index: int
     idempotent_class_coords: tuple
+    orbit_size: int
     dim: Optional[int]
     defect: int
     is_principal: bool
-    central_character: tuple
     spec: FieldSpec
     group: object = dc_field(repr=False, default=None)
 
@@ -193,49 +202,17 @@ class BlockData:
 # ---------------------------------------------------------------------------
 
 
-def splitting_degree(G, p):
-    """Degree l of GF(p^l), the smallest field that splits the center of kG.
-
-    The roots of a class sum's minimal polynomial on Z(F_pG) are its
-    central-character values, and GF(p^a) and GF(p^b) generate
-    GF(p^lcm(a, b)), so l is the lcm of the degrees of the F_p-irreducible
-    factors of every class sum's minimal polynomial (`distinct_degrees`),
-    which is the lcm of the blocks' Galois-orbit sizes.  Krylov rows of the
-    class sum z_i, the unit times powers of sc_int[i] mod p, run over F_p
-    from the group's class counts (`center`).
-    """
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    fp = field_make(p, 1)
-    cb = center(G, fp)
-    ell = 1
-    for action in cb.sc_int % p:  # z_i z_j = sum_k action[j, k] z_k
-        mu = _min_poly(fp, cb.class_count, _fp_powers(action, p))
-        ell = math.lcm(ell, *distinct_degrees(fp, mu))
-    return ell
-
-
-def _fp_powers(action, p):
-    """The unit times powers of an F_p matrix acting on rows, endlessly."""
-    v = np.zeros(len(action), dtype=np.int64)
-    v[0] = 1  # class 0 is the identity's
-    while True:
-        yield v.tolist()
-        v = v @ action % p
-
-
 def group_algebra(G, p, *, allow_large=False):
-    """kG over GF(p^l) with l = splitting_degree(G, p).
+    """F_pG.  Structure constants are served lazily from the group's
+    multiplication, so large groups do not materialise |G|^2 products.
 
-    Structure constants are served lazily from the group's multiplication,
-    so large groups do not materialise |G|^2 products.
+    ``allow_large`` sets no cap here, since no field grows with the group;
+    it stays a keyword because callers, the benchmark among them, pass it.
     """
-    ell = splitting_degree(G, p)
-    spec = field_make(p, ell, _allow_large_degree=allow_large)
-    unit = [spec.zero] * G.order
-    unit[0] = spec.one  # element 0 is the identity (BFS enumeration)
-    return StructAlgebra(spec, G.order, None, GroupTableSC(G, spec),
-                         unit, group=G)
+    spec = field_make(p)
+    # element 0 is the identity (BFS enumeration)
+    return StructAlgebra(spec, G.order, None, GroupTableSC(G, spec), None,
+                         group=G)
 
 
 def center(G, spec):
@@ -319,78 +296,125 @@ def _eval_poly_at(cb, poly, w, unit):
     return acc
 
 
-def block_decompose(A, G, p, seed=0):
-    """All primitive central idempotents of kG with their block data.
+def _products(a, b, sc, p):
+    """Row-wise products a[r] b[r] of center elements in class-sum
+    coordinates, ``sc`` the structure constants mod p."""
+    c = len(sc)
+    t = matmul_mod(a, sc.reshape(c, c * c), p).reshape(len(a), c, c)
+    return matmul_mod(b[:, None, :], t, p)[:, 0]
 
-    A worklist of orthogonal central idempotents starts from the unit.  For
-    an idempotent e taken off it, the minimal polynomial of z_i e on eZ is
-    factored for each class sum z_i in turn.  Its roots are central-
-    character values, which lie in the splitting field, so factoring is
-    root finding (`poly_factor`, PRNG seeded deterministically).  Two or
-    more coprime factors split e into idempotents that go back on the list
-    and resume the scan at the class that split e; when no class splits e
-    it is primitive, and the roots of its single linear factors are its
-    central character.  A block's dimension is rank(e_O kG) / |O| over
-    F_p, e_O the sum of its Galois orbit O (`orbit_sum`), up to
-    MATERIALIZE_DIM_CAP elements, and None above.  Blocks are ordered:
-    principal first, then by dimension, then by e_O in class-sum
-    coordinates, which no field changes, then by idempotent coordinates.
+
+def _frobenius_matrix(sc, p):
+    """The matrix of z -> z^p on the center: row i is the p-th power of
+    the i-th class sum, by square and multiply on all of them at once."""
+    c = len(sc)
+    power = np.zeros((c, c), dtype=np.int64)
+    power[:, 0] = 1  # class 0 is the identity's
+    base = np.eye(c, dtype=np.int64)
+    e = p
+    while True:
+        if e & 1:
+            power = _products(power, base, sc, p)
+        e >>= 1
+        if not e:
+            return power
+        base = _products(base, base, sc, p)
+
+
+def _orbit_size(e, sc, frob_k, p):
+    """|O| for the orbit sum e: Z e is local with residue field GF(p^|O|),
+    and ``frob_k``, z -> z^(p^k) with p^k at least dim Z, kills its
+    radical and is one to one on the rest, so its rank on Z e is |O|."""
+    from .ffield import np_rref_mod_p
+    c = len(sc)
+    ze = _products(np.eye(c, dtype=np.int64),
+                   np.tile(np.array(e, dtype=np.int64), (c, 1)), sc, p)
+    return len(np_rref_mod_p(matmul_mod(ze, frob_k, p), p)[1])
+
+
+def block_decompose(A, G, p, seed=0):
+    """The blocks of kG, each a member of its Galois orbit over F_p.
+
+    z -> z^p is F_p-linear on the center Z, and its fixed space is spanned
+    by the orbit sums e_O.  A worklist of orthogonal idempotents of that
+    fixed algebra starts from the unit.  For an idempotent e taken off it,
+    the minimal polynomial of f_i e on eZ is factored for each fixed
+    basis element f_i in turn; it splits into distinct linear factors over
+    F_p, so factoring is root finding (`poly_factor`, PRNG seeded
+    deterministically).  Two or more factors split e into idempotents on
+    each of which f_i e is a scalar; they go back on the list and resume
+    the scan past i.  When no f_i splits e, e is an orbit sum.  The
+    principal orbit is the one of augmentation 1; the defect is read off
+    the support of e_O (`_defect`), |O| by `_orbit_size`, and a block's
+    dimension is rank(e_O kG) / |O| up to MATERIALIZE_DIM_CAP elements,
+    None above.  Each orbit's row is repeated |O| times, and the rows are
+    ordered: principal first, then by dimension, then by e_O.
     """
+    from .ffield import np_kernel_mod_p
     spec = A.field
     if spec.p != p:
         raise FieldMismatch("algebra characteristic differs from p")
     cb = center(G, spec)
     c = cb.class_count
+    sc = cb.sc_int % p
     unit = cb.unit_vector()
-    classes = G.conjugacy_classes()
-    sizes = [spec.from_int(cl.size) for cl in classes]
-    materialize = G.order <= MATERIALIZE_DIM_CAP
-    work = [(unit, [])]
-    blocks = []
+    frob = _frobenius_matrix(sc, p)
+    fixed = [tuple(v) for v in np_kernel_mod_p(
+        (frob - np.eye(c, dtype=np.int64)).T, p).tolist()]
+    work = [(unit, 0)]
+    orbit_sums = []
     while work:
-        e, lam = work.pop()
-        for i in range(len(lam), c):
-            zi = tuple(spec.one if j == i else spec.zero for j in range(c))
-            w = cb.product(zi, e)
+        e, start = work.pop()
+        for i in range(start, len(fixed)):
+            w = cb.product(fixed[i], e)
             mu = _min_poly_in_subalgebra(cb, w, e)
             factors = poly_factor(spec, mu, seed=seed)
             if len(factors) > 1:
-                # a piece's minimal polynomial of z_j divides e's, so for
-                # j < i it has e's single factor and e's character value
-                work += [(f, lam[:]) for f in
+                work += [(f, i + 1) for f in
                          _split_idempotent(cb, mu, factors, w, e)]
                 break
-            (irr, _), = factors
-            lam.append(spec.neg(irr[0]))
         else:
-            blocks.append(BlockData(
-                index=0, idempotent_class_coords=e,
-                dim=_block_dimension(A, G, e) if materialize else None,
-                defect=_defect(classes, spec, e, p),
-                is_principal=lam == sizes, central_character=tuple(lam),
-                spec=spec, group=G))
-    # sanity: orthogonal, complete
-    total = tuple([spec.zero] * c)
-    for b in blocks:
-        total = tuple(spec.add(x, y)
-                      for x, y in zip(total, b.idempotent_class_coords))
-    if total != unit:
+            orbit_sums.append(e)
+    # sanity: as many orbits as fixed dimensions, orthogonal, complete
+    if len(orbit_sums) != len(fixed):
+        raise InvariantViolation(
+            f"{len(orbit_sums)} orbit sums for {len(fixed)} fixed dimensions")
+    total = tuple(map(sum, zip(*orbit_sums)))
+    if tuple(v % p for v in total) != unit:
         raise InvariantViolation("idempotents do not sum to 1")
-    for i, a in enumerate(blocks):
-        for b in blocks[i + 1:]:
-            prod = cb.product(a.idempotent_class_coords,
-                              b.idempotent_class_coords)
-            if any(not spec.is_zero(v) for v in prod):
+    for i, a in enumerate(orbit_sums):
+        for b in orbit_sums[i + 1:]:
+            if any(cb.product(a, b)):
                 raise InvariantViolation("idempotents not orthogonal")
-    if materialize and sum(b.dim for b in blocks) != G.order:
-        raise SplitFieldTooSmall("block dimensions do not sum to |G|")
-    blocks.sort(key=lambda b: (
-        not b.is_principal, b.dim or 0,
-        _orbit_class_sum(spec, b.idempotent_class_coords)[0],
-        b.idempotent_class_coords))
-    for idx, b in enumerate(blocks):
-        b.index = idx
+    classes = G.conjugacy_classes()
+    materialize = G.order <= MATERIALIZE_DIM_CAP
+    frob_k, q = frob, p  # z -> z^q, q = p^k at least c
+    while q < c:
+        frob_k, q = matmul_mod(frob_k, frob, p), q * p
+    orbits = []  # (principal, dim, e_O, |O|)
+    for e in orbit_sums:
+        size = _orbit_size(e, sc, frob_k, p)
+        orbits.append((
+            sum(v * cl.size for v, cl in zip(e, classes)) % p == 1,
+            _block_dimension(A, G, e, size) if materialize else None,
+            e, size))
+    if materialize and sum(o[1] * o[3] for o in orbits) != G.order:
+        raise InvariantViolation("block dimensions do not sum to |G|")
+    orbits.sort(key=lambda o: (not o[0], o[1] or 0, o[2]))
+    blocks = []
+    for principal, dim, e, size in orbits:
+        defect = _defect(classes, e, p)
+        blocks += [BlockData(
+            index=len(blocks) + j, idempotent_class_coords=e,
+            orbit_size=size, dim=dim, defect=defect, is_principal=principal,
+            spec=spec, group=G) for j in range(size)]
     return blocks
+
+
+def field_degree(blocks):
+    """l = lcm |O| over the orbits: GF(p^l) is the smallest field over
+    which every block of kG splits."""
+    return math.lcm(*(b.orbit_size for b in blocks))
 
 
 def _split_idempotent(cb, mu, factors, w, e):
@@ -416,48 +440,24 @@ def _split_idempotent(cb, mu, factors, w, e):
     return out
 
 
-def _defect(classes, spec, coords, p):
+def _defect(classes, coords, p):
     """The largest nu_p(|C_G(x)|) over the classes carrying a nonzero
-    coefficient of a block idempotent."""
+    coefficient of an orbit sum e_O."""
     return max(p_adic_valuation(cl.centralizer_order, p)
-               for cl, v in zip(classes, coords) if not spec.is_zero(v))
+               for cl, v in zip(classes, coords) if v)
 
 
-def _orbit_class_sum(spec, coords):
-    """(e_O, |O|): e_O the sum of the Galois orbit O of a block idempotent,
-    both in class-sum coordinates, e_O as a tuple of ints in [0, p)."""
-    orbit = [coords]
-    while (image := tuple(map(spec.frobenius, orbit[-1]))) != coords:
-        orbit.append(image)
-    e = tuple(functools.reduce(spec.add, vs) for vs in zip(*orbit))
-    if max(e) >= spec.p:
-        raise InvariantViolation(
-            "orbit sum of a block idempotent is not over F_p")
-    return e, len(orbit)
-
-
-def orbit_sum(G, spec, coords):
-    """(coefficients, |O|): the coefficient over F_p of every element in
-    e_O, the sum of the Galois orbit O of a block idempotent given in
-    class-sum coordinates.  Frobenius permutes the blocks and keeps their
-    dimensions, so e_O lies over F_p and e_O kG is the sum of |O| blocks of
-    the block's dimension."""
-    e, size = _orbit_class_sum(spec, coords)
-    return np.array(e)[G.class_of_array()], size
-
-
-def _block_dimension(A, G, e_class_coords):
-    """dim kGb = rank(e_O kG) / |O| over F_p (`orbit_sum`), by a rank-only
-    elimination of the rows e_O u, read off the support of e_O: row u
-    holds the coefficient of g at gu."""
+def _block_dimension(A, G, e, size):
+    """dim kGb = rank(e_O kG) / |O| over F_p, by a rank-only elimination
+    of the rows e_O u, read off the support of e_O: row u holds the
+    coefficient of g at gu."""
     from .ffield import rank_nullspace_raw
-    coef, size = orbit_sum(G, A.field, e_class_coords)
+    coef = np.array(e)[G.class_of_array()]
     support = np.flatnonzero(coef)
     values = coef[support].tolist()
     rows = [dict(zip(cols, values))
             for cols in A.sc.table()[support].T.tolist()]
-    rank, _ = rank_nullspace_raw(rows, G.order, field_make(A.field.p, 1),
-                                 want_basis=False)
+    rank, _ = rank_nullspace_raw(rows, G.order, A.field, want_basis=False)
     if rank % size:
         raise InvariantViolation(
             f"orbit of {size} blocks does not divide its rank {rank}")
@@ -465,10 +465,12 @@ def _block_dimension(A, G, e_class_coords):
 
 
 def block_algebra(A, b):
-    """The block algebra kGb on a reduced basis of the ideal A*b.
+    """The algebra F_pG e_O on a reduced basis of the ideal A*e_O, for the
+    orbit sum e_O of the block b: extended to a field that splits the
+    blocks, it becomes the product of the |O| blocks of O.
 
-    Basis rows are the reduced echelon form of {e_i b}; structure constants
-    are recomputed on that basis and the unit is b itself.
+    Basis rows are the reduced echelon form of {e_i e_O}; structure
+    constants are recomputed on that basis and the unit is e_O itself.
     """
     from .ffield import echelonize
     spec = A.field
@@ -490,7 +492,7 @@ def block_algebra(A, b):
         row = rowlist[pivots[col]]
         basis.append(tuple(row.get(cc, spec.zero) for cc in range(n)))
     d = len(basis)
-    if b.dim is not None and d != b.dim:
+    if b.dim is not None and d != b.dim * b.orbit_size:
         raise InvariantViolation("ideal basis does not match block dimension")
     pivot_cols = order
 

@@ -1,12 +1,13 @@
 """First Hochschild cohomology by two independent routes.
 
 Route one is linear algebra: for kG and its blocks, the cocycles
-Z^1(G, kG) solved one conjugacy class at a time along the Cayley tree the
-group's enumeration keeps (`cocycle_space`), each block's share read off
-by its Galois orbit sum; for other algebras, the Leibniz system for
-derivations less the inner ones (`derivation_space`).  Route two never
-touches linear algebra: it sums p-ranks of abelianised centralizers over
-conjugacy classes.  The two are compared on every report.
+Z^1(G, kG) over F_p solved one conjugacy class at a time along the Cayley
+tree the group's enumeration keeps (`cocycle_space`), each block's share
+read off by the sum e_O of its Galois orbit O, once per orbit; for other
+algebras, the Leibniz system for derivations less the inner ones
+(`derivation_space`).  Route two never touches linear algebra: it sums
+p-ranks of abelianised centralizers over conjugacy classes.  The two are
+compared on every report.
 
 Also here: the tensor-product dimension identity, the cyclic-block
 dimension formula, principal-block inertial quotients, and the subtraction
@@ -24,10 +25,9 @@ from .errors import (DimCapExceeded, InvariantViolation, NegativeResult,
                      NonDivisor, NotPrime, TrivialSylow)
 # echelonize and block_algebra are not called here; the benchmark tracer
 # wraps them by name
-from .ffield import (echelonize, is_prime, np_kernel_mod_p, np_rref_mod_p,
-                     rank_nullspace_raw)
-from .groupalgebra import (block_algebra, block_decompose, group_algebra,
-                           orbit_sum)
+from .ffield import (echelonize, is_prime, matmul_mod, np_kernel_mod_p,
+                     np_rref_mod_p, rank_nullspace_raw)
+from .groupalgebra import block_algebra, block_decompose, group_algebra
 from .permgroup import (centralizer, normalizer, p_rank_abelianization,
                         subgroup_centralizer, sylow_subgroup)
 
@@ -265,19 +265,6 @@ def cocycle_space(A):
                         B[:len(pivots)])
 
 
-def _matmul_mod(a, b, p):
-    """a @ b mod p for int arrays with entries in [0, p).  The sums stay
-    below k (p-1)^2, k the inner dimension: below 2^53 float64 is exact,
-    by einsum, as matmul's threaded BLAS spins its workers after each
-    call; above, Python ints."""
-    if a.shape[-1] * (p - 1) ** 2 < 2 ** 53:
-        prod = np.einsum("...ij,jk->...ik", a.astype(np.float64),
-                         b.astype(np.float64))
-    else:
-        prod = a.astype(object) @ b.astype(object)
-    return (prod % p).astype(np.int64)
-
-
 # ---------------------------------------------------------------------------
 # the centralizer-sum oracle
 # ---------------------------------------------------------------------------
@@ -354,15 +341,16 @@ def _block_hh1(cocycles, b):
     """dim HH^1(kGb) from the action of b on the cocycles.
 
     A central b maps a cocycle f to bf, and HH^1(kGb) = b HH^1(kG), of
-    dimension (rank(e_O Z + B) - rank B) / |O| for the F_p orbit sum e_O
-    of b (`orbit_sum`).
+    dimension (rank(e_O Z + B) - rank B) / |O| for the orbit sum e_O of b
+    over F_p.
     """
-    coef, size = orbit_sum(b.group, b.spec, b.idempotent_class_coords)
+    size = b.orbit_size
+    coef = np.array(b.idempotent_class_coords)[b.group.class_of_array()]
     n, p = b.group.order, b.spec.p
     rows = np.zeros((n, n), dtype=np.int64)  # row u is e_O u: g at gu
     rows[np.arange(n)[:, None], cocycles.table.T] = coef
     Z, B = cocycles.cocycles, cocycles.coboundaries
-    eZ = _matmul_mod(Z.reshape(-1, n), rows, p).reshape(Z.shape)
+    eZ = matmul_mod(Z.reshape(-1, n), rows, p).reshape(Z.shape)
     rank = len(np_rref_mod_p(np.vstack([eZ, B]), p)[1]) - len(B)
     if rank % size:
         raise InvariantViolation(
@@ -374,9 +362,10 @@ def hh1_blocks(G, p, *, name=None, seed=0, allow_large=False,
                run_oracle=True):
     """Per-block HH^1 dimensions with consistency checks.
 
-    Decomposes kG, solves for its cocycles once and reads each block's
-    HH^1 off that solve (`_block_hh1`).  The block sum is checked against the
-    whole-algebra value, and the total against the centralizer oracle.
+    Decomposes kG, solves for its cocycles once and reads each orbit's
+    HH^1 off that solve (`_block_hh1`), once for all the blocks of an
+    orbit.  The block sum is checked against the whole-algebra value, and
+    the total against the centralizer oracle.
     When kG is over the solver cap, every block row carries the cap error
     and the oracle fills the total.
     """
@@ -391,8 +380,12 @@ def hh1_blocks(G, p, *, name=None, seed=0, allow_large=False,
                                  error=str(exc)) for b in blocks]
         total = None
     else:
+        hh1 = {}
+        for b in blocks:
+            if b.idempotent_class_coords not in hh1:
+                hh1[b.idempotent_class_coords] = _block_hh1(cocycles, b)
         per_block = [BlockHH1Row(b.index, b.dim, b.defect,
-                                 _block_hh1(cocycles, b), "solver")
+                                 hh1[b.idempotent_class_coords], "solver")
                      for b in blocks]
         block_sum = sum(row.hh1_dim for row in per_block)
         total = sum(cocycles.class_terms)

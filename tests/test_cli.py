@@ -149,29 +149,6 @@ def test_tensor_command(capsys):
     assert doc["kuenneth"]["matches"] is True
 
 
-def test_field_degree_refusal_names_the_cli_flag(capsys, monkeypatch):
-    from hh1lab import ffield
-    monkeypatch.setattr(ffield, "MAX_EXTENSION_DEGREE", 1)
-    argv = ["blocks", "--group", "C3", "--prime", "2"]  # C3 needs GF(4)
-    assert cli.main(argv) == 2
-    assert capsys.readouterr().err == (
-        "error: extension degree 2 exceeds 1; pass --allow-large to "
-        "override\n")
-    assert cli.main(argv + ["--allow-large"]) == 0
-
-
-def test_tensor_allow_large_lifts_the_field_degree_cap(capsys, monkeypatch):
-    # C3 at p = 2 splits over GF(4), past a cap of degree 1
-    from hh1lab import ffield
-    monkeypatch.setattr(ffield, "MAX_EXTENSION_DEGREE", 1)
-    argv = ["tensor", "--group", "C3", "--group-b", "C2", "--prime", "2"]
-    assert cli.main(argv) == 2
-    assert "extension degree 2 exceeds 1" in capsys.readouterr().err
-    code, doc = run_cli(capsys, argv + ["--allow-large"])
-    assert code == 0
-    assert doc["kuenneth"]["matches"] is True
-
-
 @pytest.mark.parametrize("p,pairwise", [(2, [576]),
                                          (3, [36] + [54] * 4 + [81] * 4)])
 def test_tensor_over_the_materialise_cap(capsys, p, pairwise):
@@ -654,8 +631,13 @@ BAD_ENTRIES = {
 }
 
 
+# --primes of the cases that set it: a non-integer, a repeat, and no prime
+BAD_PRIMES = {"bad_primes": "2,x", "repeated_prime": "2,2",
+              "empty_primes": "", "comma_primes": ","}
+
+
 @pytest.mark.parametrize("case", ["missing", "truncated", "no_name",
-                                  "no_file", "bad_primes", *BAD_ENTRIES])
+                                  "no_file", *BAD_PRIMES, *BAD_ENTRIES])
 def test_bad_report_input_is_an_error(tmp_path, capsys, case):
     manifest_path = tmp_path / "manifest.json"
     (tmp_path / "S3.grp").write_text("degree 3\n2 1 3\n2 3 1\n")
@@ -672,8 +654,8 @@ def test_bad_report_input_is_an_error(tmp_path, capsys, case):
     }
     if case in manifest:
         manifest_path.write_text(manifest[case])
-    argv = ["report", "--primes", "2,x" if case == "bad_primes" else "2"]
-    if case != "bad_primes":
+    argv = ["report", "--primes", BAD_PRIMES.get(case, "2")]
+    if case not in BAD_PRIMES:
         argv += ["--corpus", str(manifest_path)]
     code = cli.main(argv)
     captured = capsys.readouterr()

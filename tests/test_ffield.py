@@ -5,18 +5,32 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import splitfield
 from hh1lab import ffield
 from hh1lab.errors import (DegreeOutOfRange, DivisionByZero, NotPrime,
                            SplitFieldTooSmall)
-from hh1lab.ffield import (echelonize, field_make, np_kernel_mod_p,
-                           np_rref_mod_p, poly_add, poly_deriv, poly_divmod,
-                           poly_factor, poly_gcd, poly_mod, poly_monic,
-                           poly_mul, poly_pow_mod, poly_sub, poly_trim,
-                           rank_nullspace_raw, sparse_rows)
+from hh1lab.ffield import (echelon_insert, echelonize, field_make,
+                           np_kernel_mod_p, np_rref_mod_p, poly_add,
+                           poly_deriv, poly_divmod, poly_factor, poly_gcd,
+                           poly_mod, poly_monic, poly_mul, poly_pow_mod,
+                           poly_sub, poly_trim, rank_nullspace_raw,
+                           sparse_rows)
+from splitfield import ext_field
+
+
+def make(p, m):
+    """The package's F_p for m = 1, the reference GF(p^m) otherwise."""
+    return field_make(p) if m == 1 else ext_field(p, m)
+
+
+def factor_over(f):
+    """The root finder for the field f: the package's over F_p, the
+    reference's over GF(p^m)."""
+    return poly_factor if f.m == 1 else splitfield.poly_factor
 
 
 # ---------------------------------------------------------------------------
-# field construction
+# field construction (GF(p^m), m > 1, is the reference's, `splitfield`)
 # ---------------------------------------------------------------------------
 
 
@@ -28,7 +42,7 @@ def test_prime_field():
 
 def test_gf4_modulus_forced():
     # only one monic irreducible quadratic exists over two elements
-    f = field_make(2, 2)
+    f = ext_field(2, 2)
     assert f.modulus == (1, 1, 1)
 
 
@@ -43,33 +57,31 @@ def brute_irreducible_quadratic(p):
 
 
 def test_gf9_modulus_matches_exhaustive_scan():
-    assert field_make(3, 2).modulus == brute_irreducible_quadratic(3)
-    assert field_make(3, 2).modulus == (1, 0, 1)
+    assert ext_field(3, 2).modulus == brute_irreducible_quadratic(3)
+    assert ext_field(3, 2).modulus == (1, 0, 1)
 
 
 def test_field_make_reproducible():
-    assert field_make(3, 2) == field_make(3, 2)
-    assert field_make(2, 8).modulus == field_make(2, 8).modulus
+    assert field_make(3) == field_make(3, 1)
+    assert ext_field(3, 2) == ext_field(3, 2)
+    assert ext_field(2, 8).modulus == ext_field(2, 8).modulus
 
 
 def test_field_make_errors():
     with pytest.raises(NotPrime):
         field_make(6, 1)
-    with pytest.raises(DegreeOutOfRange):
-        field_make(2, 0)
-    with pytest.raises(DegreeOutOfRange):
-        field_make(2, 17)
-    # the stretch path may opt in to large degrees
-    big = field_make(2, 17, _allow_large_degree=True)
-    assert big.m == 17
+    # the package computes over prime fields alone
+    for m in (0, 2, 17):
+        with pytest.raises(DegreeOutOfRange):
+            field_make(2, m)
 
 
 def _scan_every_tail(p, m):
     """The lex-least scan from the first tail on, binomials included."""
     for value in range(p ** m, 2 * p ** m):
-        f = ffield._digits(value, p)
-        if (ffield._gf2p_irreducible(value) if p == 2
-                else ffield._irreducible(f, p)):
+        f = splitfield._digits(value, p)
+        if (splitfield._gf2p_irreducible(value) if p == 2
+                else splitfield._irreducible(f, p)):
             return f
     raise AssertionError
 
@@ -78,9 +90,10 @@ def _scan_every_tail(p, m):
 def test_lex_least_modulus_equals_the_scan_of_every_tail(p):
     # the binomials t^m + c are skipped only where none is irreducible;
     # at degree 1, t itself comes first (the Rabin test needs m >= 2)
-    assert ffield._lex_least_irreducible(p, 1) == (0, 1)
+    assert splitfield._lex_least_irreducible(p, 1) == (0, 1)
     for m in range(2, 7):
-        assert ffield._lex_least_irreducible(p, m) == _scan_every_tail(p, m)
+        assert (splitfield._lex_least_irreducible(p, m)
+                == _scan_every_tail(p, m))
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3),
@@ -88,7 +101,7 @@ def test_lex_least_modulus_equals_the_scan_of_every_tail(p):
 def test_modulus_is_irreducible_by_brute_force(p, m):
     # no roots and no monic factor of degree <= m//2 (checked by trial
     # division over all low-degree monics)
-    f = field_make(p, m)
+    f = ext_field(p, m)
     mod = f.modulus
 
     def poly_eval(c, x):
@@ -138,21 +151,21 @@ def test_modulus_is_irreducible_by_brute_force(p, m):
 
 
 def test_gf4_multiplication_against_polynomial_reduction():
-    f = field_make(2, 2)
+    f = ext_field(2, 2)
     # t*(t+1) = t^2+t = (t+1)+t = 1 because t^2 = t+1
     assert f.mul(0b10, 0b11) == 1
 
 
 def test_unit_law_all_elements():
     for p, m in [(2, 2), (3, 1), (3, 2), (5, 1)]:
-        f = field_make(p, m)
-        for x in f.elements():
+        f = make(p, m)
+        for x in range(f.order):
             assert f.mul(f.one, x) == x
 
 
 @pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (5, 2)])
 def test_field_axioms_sampled(p, m):
-    f = field_make(p, m)
+    f = ext_field(p, m)
     rng = random.Random(7)
     els = list(f.elements())
     for _ in range(60):
@@ -169,7 +182,7 @@ def test_field_axioms_sampled(p, m):
 @pytest.mark.parametrize("p,m", [(2, 1), (5, 1), (2, 2), (2, 180), (5, 2),
                                  (3, 11)])
 def test_division_by_zero(p, m):
-    f = field_make(p, m, _allow_large_degree=True)
+    f = make(p, m)
     with pytest.raises(DivisionByZero):
         f.inv(f.zero)
 
@@ -183,7 +196,7 @@ def test_division_by_zero(p, m):
 def test_factor_products_reassemble(p, m):
     # products of random linear factors, with multiplicities up to 2p so
     # that multiples of p, which f' does not see, occur
-    f = field_make(p, m)
+    f = make(p, m)
     rng = random.Random(13)
     for _ in range(50):
         roots = rng.sample(range(f.order),
@@ -194,7 +207,7 @@ def test_factor_products_reassemble(p, m):
         for root, mult in zip(roots, mults):
             for _ in range(mult):
                 poly = poly_mul(f, poly, [f.neg(root), f.one])
-        factors = poly_factor(f, poly, seed=3)
+        factors = factor_over(f)(f, poly, seed=3)
         assert factors == sorted(factors)
         assert sorted((irr[0], mult) for irr, mult in factors) == \
             sorted((f.neg(root), mult) for root, mult in zip(roots, mults))
@@ -223,16 +236,15 @@ def test_factor_without_enough_roots_is_refused(p, poly):
 def test_distinct_degrees_of_products_of_irreducibles(p, factors, roots):
     # field_make's moduli are irreducible over F_p, one per degree, so a
     # degree drawn twice, or a multiplicity above one, repeats a factor
-    spec = field_make(p, 1)
+    spec = ext_field(p, 1)
     f = [1]
     for degree, mult in factors:
         for _ in range(mult):
-            f = poly_mul(spec, f, list(field_make(
-                p, degree, _allow_large_degree=True).modulus))
+            f = poly_mul(spec, f, list(ext_field(p, degree).modulus))
     for r in roots:  # t - r: a linear factor, perhaps a repeated one
         f = poly_mul(spec, f, [-r % p, 1])
     expected = {d for d, _ in factors} | ({1} if roots else set())
-    assert ffield.distinct_degrees(spec, f) == expected
+    assert splitfield.distinct_degrees(spec, f) == expected
 
 
 def _reference_equal_degree(spec, f, rng):
@@ -290,7 +302,7 @@ LARGE_FIELDS = [(2, 61), (2, 180), (3, 11)]  # gf2, gf2, poly kind
 def test_factor_over_large_fields_matches_the_reference(p, m):
     # random roots with multiplicities up to 2p over fields whose
     # elements have no table; equal to the poly_pow_mod reference
-    f = field_make(p, m, _allow_large_degree=True)
+    f = ext_field(p, m)
     rng = random.Random(17)
     for _ in range(8):
         roots = {rng.randrange(f.order) for _ in range(rng.randrange(1, 5))}
@@ -300,7 +312,7 @@ def test_factor_over_large_fields_matches_the_reference(p, m):
             for _ in range(mult):
                 poly = poly_mul(f, poly, [f.neg(root), f.one])
         seed = rng.randrange(100)
-        factors = poly_factor(f, poly, seed=seed)
+        factors = splitfield.poly_factor(f, poly, seed=seed)
         assert factors == _reference_factor(f, poly, seed)
         assert sorted((irr[0], mult) for irr, mult in factors) == \
             sorted((f.neg(root), mult) for root, mult in mults.items())
@@ -325,21 +337,24 @@ def _irreducible_quadratic(f, rng):
 @pytest.mark.parametrize("linear_factors", [0, 2])
 def test_factor_over_large_fields_refuses_a_quadratic_without_roots(
         p, m, linear_factors):
-    f = field_make(p, m, _allow_large_degree=True)
+    f = ext_field(p, m)
     rng = random.Random(5)
     poly = _irreducible_quadratic(f, rng)
     for _ in range(linear_factors):
         poly = poly_mul(f, poly, [rng.randrange(f.order), f.one])
     with pytest.raises(SplitFieldTooSmall):
-        poly_factor(f, poly)
+        splitfield.poly_factor(f, poly)
     with pytest.raises(SplitFieldTooSmall):
         _reference_factor(f, poly, 0)
 
 
 def test_factor_deterministic_under_seed():
-    f = field_make(2, 2)
-    poly = [f.one, f.one, f.zero, f.one, f.one]  # arbitrary quartic
+    f = field_make(7)
+    poly = [1]
+    for root in (1, 2, 2, 5, 6):  # Cantor-Zassenhaus draws at random
+        poly = poly_mul(f, poly, [f.neg(root), f.one])
     assert poly_factor(f, poly, seed=5) == poly_factor(f, poly, seed=5)
+    assert poly_factor(f, poly, seed=5) == poly_factor(f, poly, seed=6)
 
 
 # ---------------------------------------------------------------------------
@@ -426,21 +441,20 @@ def brute_rref(space):
     return basis
 
 
-# q -> (p, m, row bound, column bound).  GF(4) and GF(9) are extension
-# fields, which take the dict rows, with systems small enough to enumerate.
-ENUMERATION_FIELDS = {2: (2, 1, 8, 8), 3: (3, 1, 8, 8), 4: (2, 2, 6, 6),
-                      9: (3, 2, 5, 5)}
+# q -> (row bound, column bound), small enough to enumerate F_q^cols
+ENUMERATION_FIELDS = {2: (8, 8), 3: (8, 8), 5: (6, 6)}
 
 
 @pytest.mark.parametrize("q", sorted(ENUMERATION_FIELDS))
 def test_elimination_against_enumeration(q):
-    # brute force over GF(q)^cols is the reference for the sparse path and,
-    # over prime fields, for both dense front ends
-    p, m, max_rows, max_cols = ENUMERATION_FIELDS[q]
-    f = field_make(p, m)
+    # brute force over F_q^cols is the reference for the sparse path and
+    # for both dense front ends
+    p = q
+    max_rows, max_cols = ENUMERATION_FIELDS[q]
+    f = field_make(p)
     rng = random.Random(100 + q)
-    # prime-field entries outside [0, p) check the reduction mod p
-    low, high = (-p, 2 * p) if m == 1 else (0, q)
+    # entries outside [0, p) check the reduction mod p
+    low, high = -p, 2 * p
     # no rows at all, and rows that are all zero
     cases = [np.zeros((0, 4), dtype=np.int64),
              np.zeros((3, 5), dtype=np.int64)]
@@ -464,8 +478,6 @@ def test_elimination_against_enumeration(q):
         pivots, rowlist = echelonize(raw_rows, cols, f)
         assert [[rowlist[pivots[c]].get(i, 0) for i in range(cols)]
                 for c in sorted(pivots)] == expected_rref
-        if m > 1:
-            continue
         kernel = np_kernel_mod_p(dense, p)
         assert kernel.shape == (cols - rank, cols)
         assert kernel.tolist() == expected_kernel
@@ -500,12 +512,11 @@ def sparse_systems(f):
         st.just(ncols)))
 
 
-@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (3, 4)])
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (5, 1), (7, 1)])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_rank_only_is_the_pivot_count(p, m, data):
-    # rank-only calls skip back-reduction; the prime fields run the packed
-    # kernel, GF(4) and GF(81) the dict rows
+    # rank-only calls skip back-reduction and may eliminate the transpose
     f = field_make(p, m)
     rows, ncols = data.draw(sparse_systems(f))
     rank, basis = rank_nullspace_raw(rows, ncols, f, want_basis=False)
@@ -516,6 +527,29 @@ def test_rank_only_is_the_pivot_count(p, m, data):
 
 # the large primes guard against tables of all p - 1 multiples of a row
 PACKED_PRIMES = [2, 3, 5, 7, 251, 2 ** 31 - 1, 2 ** 61 - 1]
+
+
+def _echelon_generic(rows_iter, spec, reduced):
+    """Insertion echelon over any FieldSpec, by `echelon_insert`.
+
+    Returns (pivots dict col->index, rowlist) where each row is a dict
+    col->raw with leading coefficient one; with ``reduced`` the rows are
+    back-reduced, so they are the unique RREF.
+    """
+    pivots = {}
+    rowlist = []
+    for row in rows_iter:
+        echelon_insert({c: v for c, v in row.items() if v}, pivots, rowlist,
+                       spec)
+    if reduced:
+        # rows of larger lead are reduced first, so they hold no pivot
+        # column but their own: the pivot columns of prow are fixed up front
+        for lead in sorted(pivots, reverse=True):
+            prow = rowlist[pivots[lead]]
+            for lead2 in sorted(c for c in prow if c > lead and c in pivots):
+                ffield._subtract(prow, prow[lead2], rowlist[pivots[lead2]],
+                                 spec)
+    return pivots, rowlist
 
 
 @st.composite
@@ -546,19 +580,18 @@ def dependent_systems(draw, p):
 @given(data=st.data())
 def test_packed_elimination_matches_the_dict_kernel(p, data):
     # field_make's trial division would take minutes to certify 2^61 - 1
-    f = ffield.FieldSpec(p, 1, (0, 1))
+    f = ffield.FieldSpec(p)
     rows, ncols = data.draw(dependent_systems(p))
-    reference = ffield._echelon_generic(rows, f, True)
+    reference = _echelon_generic(rows, f, True)
     pivots, rowlist = ffield._echelon_packed(rows, p, True)
     assert list(pivots.items()) == list(reference[0].items())
     assert rowlist == reference[1]
     assert all(list(row) == sorted(row) for row in rowlist)
     assert (list(ffield._echelon_packed(rows, p, False)[0].items())
-            == list(ffield._echelon_generic(rows, f, False)[0].items()))
+            == list(_echelon_generic(rows, f, False)[0].items()))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ffield, "echelonize",
-                   lambda rows, ncols, f: ffield._echelon_generic(rows, f,
-                                                                  True))
+                   lambda rows, ncols, f: _echelon_generic(rows, f, True))
         kernel = ffield.kernel_from_echelon(*reference, ncols, f)
     rank, basis = rank_nullspace_raw(rows, ncols, f)
     assert (rank, basis) == (len(pivots), kernel)
@@ -570,7 +603,7 @@ def test_packed_elimination_matches_the_dict_kernel(p, data):
 
 
 # ---------------------------------------------------------------------------
-# odd extension fields against coefficient-vector arithmetic
+# the reference's odd extension fields against coefficient-vector arithmetic
 # ---------------------------------------------------------------------------
 
 # GF(3^11) is above the log-table bound and multiplies digit vectors
@@ -613,7 +646,7 @@ def ref_pow(f, a, e):
 @FIELD_PROPERTY
 @given(data=st.data())
 def test_odd_extension_arithmetic_matches_reference(p, m, data):
-    f = field_make(p, m)
+    f = ext_field(p, m)
     a, b = (data.draw(st.integers(0, f.order - 1)) for _ in range(2))
     e = data.draw(st.integers(0, 12))
     va, vb = ref_vec(f, a), ref_vec(f, b)
@@ -631,8 +664,8 @@ def test_odd_extension_arithmetic_matches_reference(p, m, data):
 
 def test_a_field_built_directly_uses_its_own_modulus():
     # t^2 + t + 2 is irreducible over F_3, and not field_make's t^2 + 1
-    f = ffield.FieldSpec(3, 2, (2, 1, 1))
-    assert f.modulus != field_make(3, 2).modulus
+    f = splitfield.ExtField(3, 2, (2, 1, 1))
+    assert f.modulus != ext_field(3, 2).modulus
     for a in f.elements():
         assert f.frobenius(a) == ref_pow(f, a, 3)
         for b in f.elements():
@@ -644,20 +677,20 @@ def test_a_field_built_directly_uses_its_own_modulus():
 @given(data=st.data())
 def test_gf2_folded_reduction_matches_the_bitwise_one(m, data):
     # mul and inv fold the modulus tail; _gf2p_mod clears one bit a step
-    f = field_make(2, m, _allow_large_degree=True)
-    mod = ffield._gf2p_mod
+    f = ext_field(2, m)
+    mod = splitfield._gf2p_mod
     f_int = sum(1 << i for i, c in enumerate(f.modulus) if c)
     a, b = (data.draw(st.integers(0, f.order - 1)) for _ in range(2))
-    assert f.mul(a, b) == mod(ffield._gf2p_mul(a, b), f_int)
+    assert f.mul(a, b) == mod(splitfield._gf2p_mul(a, b), f_int)
     assert f.frobenius(a) == f.pow(a, 2)
     if a:
         inv = f.inv(a)
         assert inv < f.order
-        assert mod(ffield._gf2p_mul(a, inv), f_int) == 1
+        assert mod(splitfield._gf2p_mul(a, inv), f_int) == 1
 
 
 @pytest.mark.parametrize("p,m", ODD_EXTENSIONS)
 def test_elements_are_the_ints_below_q(p, m):
-    f = field_make(p, m)
+    f = ext_field(p, m)
     assert list(f.elements()) == list(range(f.order))
     assert (f.zero, f.one) == (0, 1)

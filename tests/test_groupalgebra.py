@@ -7,14 +7,25 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from test_permindex import groups
 
+import splitfield
 from hh1lab import ffield
 from hh1lab.catalgebra import radical_and_semisimplicity
 from hh1lab.errors import DimCapExceeded, SplitFieldTooSmall
 from hh1lab.groupalgebra import (block_algebra, block_decompose, center,
-                                 group_algebra, orbit_sum, splitting_degree)
-from hh1lab.ffield import rank_nullspace_raw
+                                 field_degree, group_algebra)
+from hh1lab.ffield import echelon_insert, np_rref_mod_p
 from hh1lab.hhone import hh1_blocks
 from hh1lab.permgroup import Perm, direct_product, group_from_generators
+
+
+def splitting_degree(G, p):
+    """l = lcm |O| over the Galois orbits of the blocks of kG."""
+    return field_degree(block_decompose(group_algebra(G, p), G, p))
+
+
+def orbits(blocks):
+    """The distinct orbit sums e_O of the blocks, in block order."""
+    return list(dict.fromkeys(b.idempotent_class_coords for b in blocks))
 
 
 def test_splitting_degrees(corpus):
@@ -31,16 +42,37 @@ def test_splitting_degrees(corpus):
     assert splitting_degree(C5, 2) == 4
 
 
+def _order_mod(p, n):
+    """The multiplicative order of p modulo n, p prime to n."""
+    k, r = 1, p % n
+    while n > 1 and r != 1:
+        r, k = r * p % n, k + 1
+    return k
+
+
 def _exponent_bound(G, p):
     """The order of p modulo the p'-part e of the exponent of G: GF(p^m)
     holds every e-th root of unity, so it splits the center of kG."""
     e = math.lcm(*(cl.representative.order() for cl in G.conjugacy_classes()))
     while e % p == 0:
         e //= p
-    m, r = 1, p % e
-    while e > 1 and r != 1:
-        r, m = r * p % e, m + 1
-    return m
+    return _order_mod(p, e)
+
+
+def _fixed_dimension(G, p):
+    """dim of the fixed space of z -> z^p on Z(F_pG), each class sum's
+    p-th power formed by p - 1 products."""
+    cb = center(G, ffield.field_make(p))
+    c = cb.class_count
+    frob = []
+    for i in range(c):
+        z = tuple(int(j == i) for j in range(c))
+        power = z
+        for _ in range(p - 1):
+            power = cb.product(power, z)
+        frob.append(power)
+    frob = np.array(frob) - np.eye(c, dtype=int)
+    return c - len(np_rref_mod_p(frob, p)[1])
 
 
 @settings(max_examples=40, deadline=None)
@@ -50,14 +82,49 @@ def _exponent_bound(G, p):
 def test_splitting_degree_is_the_lcm_of_the_galois_orbits(G, p):
     # the blocks need GF(p^l), l the lcm of their Galois-orbit sizes; the
     # exponent's field GF(p^m) contains it (C5@2: l = m = 4; S3@2: l = 1,
-    # m = 2)
-    ell = splitting_degree(G, p)
+    # m = 2).  Each orbit spans one dimension of the Frobenius-fixed
+    # center, and its |O| blocks of one dimension fill kG
     A = group_algebra(G, p)
-    assert A.field.m == ell
-    sizes = [orbit_sum(G, A.field, b.idempotent_class_coords)[1]
-             for b in block_decompose(A, G, p)]
-    assert ell == math.lcm(*sizes)
+    blocks = block_decompose(A, G, p)
+    ell = field_degree(blocks)
+    assert (A.field.p, A.field.m) == (p, 1)
+    assert ell == math.lcm(*(b.orbit_size for b in blocks))
     assert _exponent_bound(G, p) % ell == 0
+    assert len(orbits(blocks)) == _fixed_dimension(G, p)
+    assert sum(b.dim for b in blocks) == G.order
+    for e in orbits(blocks):  # an orbit's |O| rows sit together
+        rows = [i for i, b in enumerate(blocks)
+                if b.idempotent_class_coords == e]
+        assert rows == list(range(rows[0], rows[0] + len(rows)))
+        assert len(rows) == blocks[rows[0]].orbit_size
+
+
+def _cyclotomic_cosets(n, p):
+    """The orbits of x -> p x on Z/n."""
+    seen, cosets = set(), []
+    for x in range(n):
+        if x not in seen:
+            coset = {x * p ** k % n for k in range(n)}
+            seen |= coset
+            cosets.append(len(coset))
+    return sorted(cosets)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 40), p=st.sampled_from([2, 3, 5, 7]))
+@example(n=31, p=3)
+@example(n=19, p=2)
+def test_orbit_sizes_of_cyclic_groups_are_the_cyclotomic_cosets(n, p):
+    # the blocks of kC_n, p prime to n, are its n characters, and Frobenius
+    # takes the character x -> zeta^(a x) to x -> zeta^(p a x): the orbits
+    # are the p-cyclotomic cosets of Z/n
+    if n % p == 0:
+        n += 1
+    G = group_from_generators(n, [Perm([(i + 1) % n for i in range(n)])])
+    blocks = block_decompose(group_algebra(G, p), G, p)
+    size = {b.idempotent_class_coords: b.orbit_size for b in blocks}
+    assert sorted(size.values()) == _cyclotomic_cosets(n, p)
+    assert field_degree(blocks) == _order_mod(p, n)
 
 
 def test_group_algebra_c2():
@@ -75,9 +142,11 @@ def test_group_algebra_fields(corpus):
     A = group_algebra(corpus["S3"], 3)
     assert (A.field.p, A.field.m) == (3, 1)
     assert A.dim == 6
+    # the blocks of kC3 at 2 need GF(4), and kC3 is still built over F_2
     A = group_algebra(corpus["C3"], 2)
-    assert (A.field.p, A.field.m) == (2, 2)
+    assert (A.field.p, A.field.m) == (2, 1)
     assert A.dim == 3
+    assert field_degree(block_decompose(A, corpus["C3"], 2)) == 2
 
 
 def test_associativity_and_unit_sampled(corpus):
@@ -130,30 +199,29 @@ def test_block_completeness_orthogonality(corpus):
             cb = center(G, A.field)
             blocks = block_decompose(A, G, p)
             spec = A.field
-            # sum of idempotents is 1; pairwise products vanish
+            # sum of orbit sums is 1; pairwise products vanish
+            sums = orbits(blocks)
             total = [spec.zero] * cb.class_count
-            for b in blocks:
-                for i, v in enumerate(b.idempotent_class_coords):
+            for e in sums:
+                for i, v in enumerate(e):
                     total[i] = spec.add(total[i], v)
             assert tuple(total) == cb.unit_vector()
-            for i in range(len(blocks)):
-                e = blocks[i].idempotent_class_coords
+            for i, e in enumerate(sums):
                 assert cb.product(e, e) == e
-                for j in range(i + 1, len(blocks)):
-                    prod = cb.product(e, blocks[j].idempotent_class_coords)
-                    assert all(spec.is_zero(v) for v in prod)
+                for f in sums[i + 1:]:
+                    assert all(spec.is_zero(v) for v in cb.product(e, f))
             assert sum(b.dim for b in blocks) == G.order
             assert len(blocks) <= G.p_regular_class_count(p)
             assert sum(1 for b in blocks if b.is_principal) == 1
 
 
 def test_central_characters_are_algebra_maps(corpus):
+    # of the blocks over GF(p^l), split by the reference route
     for name, p in [("S3", 2), ("S3", 3), ("A4", 2), ("S4", 3)]:
         G = corpus[name]
-        A = group_algebra(G, p)
-        cb = center(G, A.field)
-        spec = A.field
-        for b in block_decompose(A, G, p):
+        spec, blocks = splitfield.split_center(G, p)
+        cb = center(G, spec)
+        for b in blocks:
             lam = b.central_character
             c = cb.class_count
             for i in range(c):
@@ -269,21 +337,20 @@ def test_split_pieces_resume_at_the_splitting_class(corpus, monkeypatch,
     assert len(calls) <= len(blocks) * len(G.conjugacy_classes())
 
 
-def test_blocks_over_a_field_without_the_character_values(corpus,
-                                                         monkeypatch):
+def test_blocks_over_a_field_without_the_character_values(corpus):
     # over GF(2), a class sum of C3 has minimal polynomial t^3 - 1 = (t +
-    # 1)(t^2 + t + 1) on Z(kC3): its characters need GF(4)
-    from hh1lab import groupalgebra
-    monkeypatch.setattr(groupalgebra, "splitting_degree", lambda G, p: 1)
+    # 1)(t^2 + t + 1) on Z(kC3): the reference route's primitive
+    # idempotents need GF(4), where the package's orbit sums do not
     G = corpus["C3"]
-    A = group_algebra(G, 2)
-    assert A.field.order == 2
     with pytest.raises(SplitFieldTooSmall):
-        block_decompose(A, G, 2)
+        splitfield.split_center(G, 2, ell=1)
+    assert splitfield.split_center(G, 2)[0].order == 4
+    assert len(orbits(block_decompose(group_algebra(G, 2), G, 2))) == 2
 
 
-# (idempotent class coordinates, central character) per block.  Both come
-# from minimal polynomials of class sums over GF(q), which are unique.  An
+# (idempotent class coordinates, central character) per block of the
+# reference route over GF(q), in the package's block order.  Both come from
+# minimal polynomials of class sums over GF(q), which are unique.  An
 # element is written as its coefficient vector read as a little-endian
 # base-p integer.
 BLOCK_PINS = {
@@ -318,41 +385,40 @@ BLOCK_PINS = {
 
 @pytest.mark.parametrize("name,p,q", [("A4", 2, 4), ("Q8", 3, 9),
                                       ("S4", 3, 9), ("S3xS3", 5, 25)])
-def test_block_idempotents_and_characters_pinned(corpus, name, p, q,
-                                                 monkeypatch):
+def test_block_idempotents_and_characters_pinned(corpus, name, p, q):
     # pinned over GF(q), the exponent's splitting field; every value lies
     # in F_p, over which the blocks split, and encodes the same in both
-    from hh1lab import groupalgebra
     G = corpus[name]
 
-    def pins():
-        A = group_algebra(G, p)
-        spec = A.field
+    def pins(ell):
+        spec, blocks = splitfield.split_center(G, p, ell)
 
         def enc(values):
             return [sum(c * p ** i for i, c in enumerate(spec.coeffs(v)))
                     for v in values]
 
-        return spec.order, [
-            (enc(b.idempotent_class_coords), enc(b.central_character))
-            for b in block_decompose(A, G, p)]
+        return spec.order, [(enc(b.coords), enc(b.central_character))
+                            for b in blocks]
 
-    assert pins() == (p, BLOCK_PINS[name, p])
-    monkeypatch.setattr(groupalgebra, "splitting_degree",
-                        lambda G, p: _exponent_bound(G, p))
-    assert pins() == (q, BLOCK_PINS[name, p])
+    assert pins(None) == (p, BLOCK_PINS[name, p])
+    assert pins(_exponent_bound(G, p)) == (q, BLOCK_PINS[name, p])
+    # every block is its own orbit here: the package's orbit sums are the
+    # pinned idempotents
+    assert [list(b.idempotent_class_coords) for b in
+            block_decompose(group_algebra(G, p), G, p)] == [
+        coords for coords, _ in BLOCK_PINS[name, p]]
 
 
 def orbit_pins(G, p, *, allow_large=False):
     """Per block, in block order: principal flag, defect, dimension, |O|
-    and the sha256 of e_O over F_p (`orbit_sum`, int64 coefficients in
-    element order), all independent of the field the blocks split over."""
+    and the sha256 of e_O over F_p (int64 coefficients in element order),
+    all independent of the field the blocks split over."""
     A = group_algebra(G, p, allow_large=allow_large)
     out = []
     for b in block_decompose(A, G, p):
-        coef, size = orbit_sum(G, A.field, b.idempotent_class_coords)
+        coef = np.array(b.idempotent_class_coords)[G.class_of_array()]
         digest = hashlib.sha256(np.asarray(coef, dtype="<i8").tobytes())
-        out.append((b.is_principal, b.defect, b.dim, size,
+        out.append((b.is_principal, b.defect, b.dim, b.orbit_size,
                     digest.hexdigest()[:16]))
     return out
 
@@ -393,9 +459,9 @@ def test_block_orbit_sums_pinned(corpus, name, p):
 
 
 def block_digest(blocks):
-    """sha256 of the blocks' idempotent class coordinates and central
-    characters, raw field elements in block order, as JSON."""
-    data = [[[int(v) for v in b.idempotent_class_coords],
+    """sha256 of the reference route's idempotent class coordinates and
+    central characters, raw field elements in block order, as JSON."""
+    data = [[[int(v) for v in b.coords],
              [int(v) for v in b.central_character]] for b in blocks]
     return hashlib.sha256(json.dumps(data).encode()).hexdigest()
 
@@ -406,20 +472,23 @@ def block_digest(blocks):
     (13, 5, "eba1b31946db36365e4ee33403e36527c01fe32b96aa727073af5a6e5be02d5e"),
 ], ids=["C11@2", "C19@2", "C13@5"])
 def test_cyclic_block_idempotents_pinned_over_large_fields(n, p, digest):
-    # C11 and C19 split over GF(2^10) and GF(2^18), C13 over GF(5^4):
-    # fields without product tables, where poly_factor's Frobenius
-    # steps carry the whole split.  C13's twelve blocks of dimension one
-    # are three Galois orbits, each together in block order
+    # by the reference route: C11 and C19 split over GF(2^10) and
+    # GF(2^18), C13 over GF(5^4), fields without product tables, where
+    # poly_factor's Frobenius steps carry the whole split.  C13's twelve
+    # blocks of dimension one are three Galois orbits, each together in
+    # block order
     G = group_from_generators(n, [Perm([(i + 1) % n for i in range(n)])])
-    A = group_algebra(G, p, allow_large=True)
-    blocks = block_decompose(A, G, p)
+    spec, blocks = splitfield.split_center(G, p)
     assert len(blocks) == n
     assert block_digest(blocks) == digest
+    assert [(b.orbit_sum, b.orbit_size) for b in blocks] == [
+        (b.idempotent_class_coords, b.orbit_size)
+        for b in block_decompose(group_algebra(G, p), G, p)]
 
 
 def _block_record(b):
-    return (b.index, b.idempotent_class_coords, b.dim, b.defect,
-            b.is_principal, b.central_character)
+    return (b.index, b.idempotent_class_coords, b.orbit_size, b.dim,
+            b.defect, b.is_principal)
 
 
 @settings(max_examples=40, deadline=None)
@@ -430,39 +499,46 @@ def test_blocks_of_generated_groups(G, p):
     cb = center(G, A.field)
     c = cb.class_count
     blocks = block_decompose(A, G, p)
+    sums = orbits(blocks)
     # complete and orthogonal
     total = [spec.zero] * c
-    for b in blocks:
-        total = [spec.add(x, y) for x, y in zip(total,
-                                                 b.idempotent_class_coords)]
+    for e in sums:
+        total = [spec.add(x, y) for x, y in zip(total, e)]
     assert tuple(total) == cb.unit_vector()
-    for i, a in enumerate(blocks):
-        e = a.idempotent_class_coords
+    for i, e in enumerate(sums):
         assert cb.product(e, e) == e
-        for b in blocks[i + 1:]:
-            prod = cb.product(e, b.idempotent_class_coords)
-            assert all(spec.is_zero(v) for v in prod)
-    # each central character is multiplicative on the class sums
-    for b in blocks:
-        lam = b.central_character
-        for i in range(c):
-            for j in range(c):
-                lhs = spec.zero
-                for k in range(c):
-                    a = int(cb.sc_int[i, j, k]) % p
-                    if a:
-                        lhs = spec.add(lhs, spec.mul(spec.from_int(a), lam[k]))
-                assert lhs == spec.mul(lam[i], lam[j])
-    # one principal block, whose character is the class sizes mod p
+        for f in sums[i + 1:]:
+            assert all(spec.is_zero(v) for v in cb.product(e, f))
+    # one principal orbit, of one block, the one of augmentation 1
     principal = [b for b in blocks if b.is_principal]
-    assert len(principal) == 1
-    assert list(principal[0].central_character) == [
-        spec.from_int(cl.size % p) for cl in G.conjugacy_classes()]
+    assert len(principal) == 1 and principal[0].orbit_size == 1
+    sizes = [cl.size for cl in G.conjugacy_classes()]
+    assert [sum(v * n for v, n in zip(e, sizes)) % p for e in sums] == [
+        int(e == principal[0].idempotent_class_coords) for e in sums]
     assert sum(b.dim for b in blocks) == G.order
     assert len(blocks) <= G.p_regular_class_count(p)
     # the splitting seed does not change the output
     assert ([_block_record(b) for b in block_decompose(A, G, p, seed=1)]
             == [_block_record(b) for b in blocks])
+
+
+@settings(max_examples=40, deadline=None)
+@given(G=groups(6, 120), p=st.sampled_from([2, 3, 5, 7]))
+@example(G=group_from_generators(5, [Perm([1, 2, 3, 4, 0])]), p=2)
+def test_orbit_sums_equal_the_splitting_field_route(G, p):
+    # the reference splits the center into primitive idempotents over
+    # GF(p^l) and sums their Frobenius orbits; in block order, each of its
+    # blocks must carry the package's e_O, |O| and principal flag, and its
+    # principal block's central character is the class sizes mod p
+    spec, reference = splitfield.split_center(G, p)
+    blocks = block_decompose(group_algebra(G, p), G, p)
+    assert spec.m == field_degree(blocks)
+    assert [(b.orbit_sum, b.orbit_size, b.is_principal) for b in reference] \
+        == [(b.idempotent_class_coords, b.orbit_size, b.is_principal)
+            for b in blocks]
+    principal, = (b for b in reference if b.is_principal)
+    assert list(principal.central_character) == [
+        cl.size % p for cl in G.conjugacy_classes()]
 
 
 def _triple_loop_product(cb, u, v):
@@ -490,7 +566,8 @@ def _triple_loop_product(cb, u, v):
        seed=st.integers(0, 2 ** 32 - 1))
 @example(G=group_from_generators(5, [Perm([1, 2, 3, 4, 0])]), p=2, seed=0)
 def test_center_product_equals_the_triple_loop(G, p, seed):
-    # the explicit example, C5 at p = 2, is split over GF(16)
+    # the explicit example, C5 at p = 2, has orbit sums of two and four
+    # classes
     A = group_algebra(G, p)
     spec = A.field
     cb = center(G, A.field)
@@ -508,26 +585,36 @@ def test_center_product_equals_the_triple_loop(G, p, seed):
 # -- block dimensions over F_p, by the Galois orbit sum ---------------------
 
 
-def _right_multiplication_rank(A, G, b):
-    """dim kGb as the rank over the splitting field of right multiplication
-    by b: row j is e_j b = sum_g b_g e_{jg}."""
-    spec, table = A.field, A.sc.table()
+def _right_multiplication_rank(A, G, spec, coords):
+    """dim kGb as the rank over ``spec`` of right multiplication by b,
+    given in class-sum coordinates: row j is e_j b = sum_g b_g e_{jg}.
+    The rows go into `echelon_insert`, which runs over any field."""
+    table = A.sc.table()
     coef = [spec.zero] * G.order
-    for v, cl in zip(b.idempotent_class_coords, G.conjugacy_classes()):
+    for v, cl in zip(coords, G.conjugacy_classes()):
         for g in cl.indices.tolist():
             coef[g] = v
-    rows = [{int(table[j, g]): v for g, v in enumerate(coef) if v}
-            for j in range(G.order)]
-    return rank_nullspace_raw(rows, G.order, spec, want_basis=False)[0]
+    pivots, rowlist = {}, []
+    for j in range(G.order):
+        echelon_insert({int(table[j, g]): v for g, v in enumerate(coef) if v},
+                       pivots, rowlist, spec)
+    return len(pivots)
 
 
 @settings(max_examples=40, deadline=None)
 @given(G=groups(6, 120), p=st.sampled_from([2, 3, 5]))
 def test_block_dimensions_equal_the_splitting_field_rank(G, p):
+    # the primitive idempotents over GF(p^l) come from the reference
+    # route, in block order
     A = group_algebra(G, p)
     blocks = block_decompose(A, G, p)
+    spec, reference = splitfield.split_center(G, p)
     assert [b.dim for b in blocks] == [
-        _right_multiplication_rank(A, G, b) for b in blocks]
+        _right_multiplication_rank(A, G, spec, b.coords) for b in reference]
+    # over F_p, e_O cuts out the |O| blocks of its orbit
+    assert [b.dim * b.orbit_size for b in blocks] == [
+        _right_multiplication_rank(A, G, A.field, b.idempotent_class_coords)
+        for b in blocks]
     assert sum(b.dim for b in blocks) == G.order
 
 
@@ -541,7 +628,8 @@ def _cycles(n, *cycles):
 
 @pytest.mark.parametrize("name,p,dims", [
     ("A6", 3, [279, 81]), ("A6", 5, [210, 25, 25, 100]),
-    ("S5", 3, [42, 36, 42]), ("S5", 5, [70, 25, 25])])
+    ("S5", 3, [42, 36, 42]), ("S5", 5, [70, 25, 25]),
+    ("A6", 2, [232, 64, 64])])
 def test_block_dimensions_of_a6_and_s5_pinned(name, p, dims):
     # A6 = <(0 1 2), (1 2 3 4 5)>, S5 = <(0 1), (0 1 2 3 4)>; over GF(q)
     # these dimensions took seconds, as ranks of 360 x 360 systems
@@ -561,22 +649,3 @@ def test_center_refuses_more_classes_than_the_memory_cap_holds():
         center(C64, ffield.field_make(2, 1))
     with pytest.raises(DimCapExceeded):
         hh1_blocks(C64, 2)
-
-
-def test_no_elimination_over_the_splitting_field(corpus, monkeypatch):
-    # the blocks and their HH^1 are ranks over F_p; the splitting field's
-    # only elimination is the insertion of Krylov rows for minimal
-    # polynomials, which is not this kernel
-    def refuse(*args):
-        raise AssertionError("an elimination over GF(q), q > p")
-
-    monkeypatch.setattr(ffield, "_echelon_generic", refuse)
-    C6 = group_from_generators(6, [Perm([1, 2, 3, 4, 5, 0])])
-    assert group_algebra(C6, 2).field.order == 4
-    report = hh1_blocks(C6, 2)
-    assert [(row.dim, row.hh1_dim) for row in report.per_block] == [(2, 2)] * 3
-    A6 = group_from_generators(6, [_cycles(6, (0, 1, 2)),
-                                   _cycles(6, (1, 2, 3, 4, 5))])
-    A = group_algebra(A6, 2)
-    assert A.field.order == 4
-    assert [b.dim for b in block_decompose(A, A6, 2)] == [232, 64, 64]

@@ -130,3 +130,27 @@ def test_benchmark_tracer_counts_a_happel_probe(corpus, monkeypatch, p,
     assert verdict.hh_dims == ([3, 2, 2, 2] if p == 2 else [3, 1, 1, 2])
     assert [tracer.counts[f"ffield.elim_{name}"]
             for name in ("calls", "nnz", "rank")] == [calls, nnz, rank]
+
+
+def _workloads(monkeypatch):
+    # the benchmark's workloads call the package directly; a renamed
+    # function or a changed return shape shows here, not only as a failed
+    # benchmark run
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    import workloads
+    return workloads
+
+
+def test_benchmark_category_checks_pass(monkeypatch):
+    workloads = _workloads(monkeypatch)
+    probe, = (entry for entry in workloads.PROBES if entry[0] == "BS3@3")
+    assert workloads._probe(*probe[1:], seed=0) == []
+    assert workloads._restriction() == []
+
+
+@pytest.mark.stretch
+def test_benchmark_j1_checks_pass(monkeypatch):
+    workloads = _workloads(monkeypatch)
+    assert workloads._j1_blocks(0) == []
+    assert workloads._j1_oracle() == []
