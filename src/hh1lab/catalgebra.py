@@ -13,8 +13,14 @@ Those strings are also the non-degenerate chains of the nerve, so the
 nerve and the restriction map use the same normalized chains.  The
 strings of each length are an int array grown from the shorter ones, a
 face is found by walking its string down their extension offsets, and
-each coboundary comes out as (row, col, value) arrays, handed to the
-elimination as dict rows of whichever side is shorter.
+each coboundary comes out as (row, col, value) arrays.  A cochain
+(a_1 .. a_q, u) sits over the parallel pair (P, u) of its composite
+P = a_1 .. a_q and its value, and every face keeps the pair's class under
+(P, u) ~ (a P, a.u) ~ (P b, u.b), so each coboundary is block diagonal
+along these classes: the conjugacy classes of P^-1 u for a group, the
+loop classes of a groupoid, the connected components for the nerve.
+Ranks are taken block by block, each block handed to the elimination as
+dict rows of its shorter side.
 
 Category files are text: an ``objects n`` line, then ``morphism NAME DOM
 COD [identity]`` lines, then ``comp G F GF`` lines naming g, f and their
@@ -25,6 +31,7 @@ is validated exhaustively on load.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cache
 from itertools import islice
 from random import Random
 from typing import NamedTuple, Optional
@@ -340,10 +347,12 @@ def frobenius_certificate(A, seed=0):
 
 
 class StringComplex(NamedTuple):
-    strings: list    # (n_q x q) arrays; degree 0 has one per object
-    cochains: list   # per degree, (string index, value) arrays
-    locate: object   # string columns -> index among that length's strings
-    delta: object    # q -> the nonzero (row, col, value) of delta^q, sorted
+    strings: list     # (n_q x q) arrays; degree 0 has one per object
+    composites: list  # per degree, the composite a_1 .. a_q of each string
+    cochains: list    # per degree, (string index, value) arrays
+    locate: object    # string columns -> index among that length's strings
+    delta: object     # q -> the nonzero (row, col, value) of delta^q, sorted
+    blocks: object    # q -> the class of each q-cochain's parallel pair
 
 
 def _expand(starts, counts):
@@ -352,6 +361,35 @@ def _expand(starts, counts):
     owner = np.arange(len(counts)).repeat(counts)
     return owner, np.arange(len(owner)) + (starts - counts.cumsum()
                                            + counts)[owner]
+
+
+def _components(size, edge_batches):
+    """The connected components of the graph on 0..size-1 whose edges come
+    as batches of (i, j) arrays: each vertex's component, numbered from 0
+    in order of its smallest vertex."""
+    def roots(parent):
+        while True:
+            grand = parent[parent]
+            if (grand == parent).all():
+                return parent
+            parent = grand
+
+    vertex = np.arange(size)
+    parent = vertex.copy()
+    for i, j in edge_batches:
+        while True:
+            parent = roots(parent)
+            ri, rj = parent[i], parent[j]
+            split = ri != rj
+            if not split.any():
+                break
+            # hook the larger root of each split edge onto the smaller: a
+            # parent is always smaller than its child, so no cycle forms
+            ri, rj = ri[split], rj[split]
+            parent[np.maximum(ri, rj)] = np.minimum(ri, rj)
+    # a component's root is its smallest vertex
+    parent = roots(parent)
+    return (parent == vertex).cumsum()[parent] - 1
 
 
 def _ends(C):
@@ -381,11 +419,18 @@ def _string_complex(C, spec, N, vdom, vcod, left, right):
     drops the terms where a_s a_{s+1} is an identity.  Raises
     DimCapExceeded once the cochains of all degrees pass COCHAIN_CAP,
     counting each degree before its arrays are made.
+
+    A cochain (a_1 .. a_q, u) sits over the parallel pair (P, u) of its
+    composite P = a_1 .. a_q, and every face keeps the class of that pair
+    under (P, u) ~ (a P, a.u) ~ (P b, u.b): delta is block diagonal along
+    the classes.  They are found once, on the first call of blocks(q), by
+    a union-find over the pairs along left and right.
     """
     n, nm = C.n_objects, len(C.morphisms)
     dom, cod = _ends(C)
     compose = _composer(C)
-    is_id = np.isin(np.arange(nm), C.identities)
+    is_id = np.zeros(nm, bool)
+    is_id[C.identities] = True
     nonid = np.flatnonzero(~is_id)
     # a string t extends by the non-identities f with cod f = dom t[-1];
     # rank and place give f's position among all of them and in its group
@@ -411,6 +456,7 @@ def _string_complex(C, spec, N, vdom, vcod, left, right):
     # indptr[s][i]: where the extensions of s-string i start among the
     # (s+1)-strings; cstart[q][i], ccount[q][i]: q-string i's cochains
     strings = [np.zeros((n, 0), np.int64), nonid[:, None]]
+    composites = [np.array(C.identities, np.int64), nonid]
     indptr = [np.array([0, len(nonid)])]
     cochains, cstart, ccount = [], [], []
     for q in range(N + 2):
@@ -421,6 +467,7 @@ def _string_complex(C, spec, N, vdom, vcod, left, right):
             indptr.append(np.concatenate(([0], counts.cumsum())))
             owner, at = _expand(cod_start[x], counts)
             strings.append(np.column_stack((strings[-1][owner], by_cod[at])))
+            composites.append(compose(composites[-1][owner], by_cod[at]))
         S = strings[q]
         ends = (dom[S[:, -1]] * n + cod[S[:, 0]] if q
                 else np.arange(n) * (n + 1))
@@ -440,6 +487,9 @@ def _string_complex(C, spec, N, vdom, vcod, left, right):
     def delta(q):
         """The signs add up as ints, reduced mod p once per entry: raw n
         mod p is n in any field of characteristic p."""
+        if not len(cochains[q + 1][0]):
+            # no string of length q + 1 carries a cochain: delta^q is 0
+            return (np.zeros(0, np.int64),) * 3
         S = strings[q + 1]
         rows, cols, signs = [], [], []
 
@@ -469,7 +519,49 @@ def _string_complex(C, spec, N, vdom, vcod, left, right):
         val = val.astype(np.int64) % spec.p
         return key[val != 0] // ncols, key[val != 0] % ncols, val[val != 0]
 
-    return StringComplex(strings, cochains, locate, delta)
+    # the parallel pairs (m, u) of a morphism and a value with its ends,
+    # numbered by m, then by u's place among the values with those ends
+    pair_count = hom_count[dom * n + cod]
+    pair_start = pair_count.cumsum() - pair_count
+
+    @cache
+    def pair_classes():
+        m, at = _expand(hom_start[dom * n + cod], pair_count)
+        u = hom[at]
+        # a non-identity a moves the pairs (m, u) with cod m = dom a to
+        # (a m, a.u), and those with dom m = cod a to (m a, u.a)
+        sides = []
+        for m_end, a_end, act in (
+                (cod[m], dom, lambda a, k: (compose(a, m[k]), left(a, u[k]))),
+                (dom[m], cod, lambda a, k: (compose(m[k], a),
+                                            right(u[k], a)))):
+            count = np.bincount(m_end, minlength=n)
+            sides.append((m_end.argsort(kind="stable"), count.cumsum() - count,
+                          count, a_end, act))
+        # about 2^20 edges a batch, so no batch outgrows a large complex
+        sizes = sum(count[a_end[nonid]] for _, _, count, a_end, _ in sides)
+        cuts = [0, *np.searchsorted(sizes.cumsum(), np.arange(
+            1 << 20, sizes.sum(), 1 << 20)).tolist(), len(nonid)]
+
+        def batches():
+            for first, last in zip(cuts, cuts[1:]):
+                a = nonid[first:last]
+                ends = []
+                for by_end, start, count, a_end, act in sides:
+                    owner, at = _expand(start[a_end[a]], count[a_end[a]])
+                    k = by_end[at]
+                    image_m, image_u = act(a[owner], k)
+                    ends.append((k, pair_start[image_m] + pos[image_u]))
+                k, image = zip(*ends)
+                yield np.concatenate(k), np.concatenate(image)
+
+        return _components(len(m), batches())
+
+    def blocks(q):
+        owner, value = cochains[q]
+        return pair_classes()[pair_start[composites[q][owner]] + pos[value]]
+
+    return StringComplex(strings, composites, cochains, locate, delta, blocks)
 
 
 def _dict_rows(rows, cols, vals, n):
@@ -499,13 +591,48 @@ def _short_side(entries, nrows, ncols):
     return _dict_rows(*entries, nrows), ncols
 
 
+def _local_index(blocks):
+    """The block labels of a degree's cochains, each cochain's index in
+    its block, and the size of each block."""
+    order = blocks.argsort(kind="stable")
+    size = np.bincount(blocks)
+    index = np.empty_like(order)
+    index[order] = np.arange(len(blocks)) - (size.cumsum()
+                                             - size)[blocks[order]]
+    return blocks, index, size
+
+
+def _split_blocks(entries, rows, cols):
+    """The blocks of a matrix, given by its sorted (row, col, value) arrays,
+    that is block diagonal along the `_local_index` of its rows and of its
+    columns: for each block with entries, its entries in its own numbering,
+    sorted, and its shape.  Raises InvariantViolation on an entry that
+    joins two blocks."""
+    r, c, v = entries
+    (row_block, row, nrows), (col_block, col, ncols) = rows, cols
+    block = row_block[r]
+    if (block != col_block[c]).any():
+        raise InvariantViolation("a coboundary entry joins two blocks")
+    # a stable sort keeps each block's entries sorted by row, then col
+    order = block.argsort(kind="stable")
+    r, c, v = row[r[order]], col[c[order]], v[order]
+    ends = np.bincount(block).cumsum().tolist()
+    return [((r[start:end], c[start:end], v[start:end]), nrows[b], ncols[b])
+            for b, (start, end) in enumerate(zip([0] + ends, ends))
+            if start < end]
+
+
 def _cohomology_dims(cx, spec, N):
-    # rank M = rank M^T: a rank-only call eliminates the short side, and
-    # the entry arrays are let go before it starts
+    # rank M = rank M^T: rank delta^q is the sum of its blocks' ranks, each
+    # a rank-only call on the block's short side; the entries in the
+    # matrix's own numbering are let go before the first of them
     dims = [len(c[0]) for c in cx.cochains]
-    ranks = [rank_nullspace_raw(*_short_side(cx.delta(q), dims[q + 1],
-                                             dims[q]), spec,
-                                want_basis=False)[0] for q in range(N + 1)]
+    blocks = [_local_index(cx.blocks(q)) for q in range(N + 2)]
+    ranks = [sum(rank_nullspace_raw(*_short_side(*block), spec,
+                                    want_basis=False)[0]
+                 for block in _split_blocks(cx.delta(q), blocks[q + 1],
+                                            blocks[q]))
+             for q in range(N + 1)]
     return [dims[q] - ranks[q] - (ranks[q - 1] if q else 0)
             for q in range(N + 1)]
 
@@ -697,15 +824,16 @@ def radical_and_semisimplicity(A):
     the algebra is semisimple.
 
     The radical is cut out by iterated vanishing of characteristic-
-    polynomial coefficients at p-power indices (trace form first, then the
-    deeper coefficients that stay linear in characteristic p).
+    polynomial coefficients at p-power indices (trace form first, from
+    the traces of the regular representation, then the deeper
+    coefficients that stay linear in characteristic p).
     """
     spec = A.field
     p = spec.p
     N, mats = _fp_regular_rep(A)
     if N > RADICAL_FP_DIM_CAP:
         raise DimCapExceeded(f"prime-field dimension {N} exceeds cap")
-    mats_np = [np.array(M, dtype=np.int64) for M in mats]
+    regular = np.array(mats, dtype=np.int64)  # regular[x] is x's matrix
 
     basis = np.eye(N, dtype=np.int64)  # rows: current subspace coords
 
@@ -713,24 +841,33 @@ def radical_and_semisimplicity(A):
         M = np.zeros((N, N), dtype=np.int64)
         for idx, coef in enumerate(vec):
             if coef:
-                M = (M + int(coef) * mats_np[idx]) % p
+                M = (M + int(coef) * regular[idx]) % p
         return M
 
     j = 0
     while p ** j <= N and len(basis):
         idx = p ** j
-        reps = [rep_of(v) for v in basis]
-        cond_rows = []
-        for yrep in reps:
-            row = {}
-            for xi, xrep in enumerate(reps):
-                prod = xrep @ yrep % p
-                coeffs = _charpoly_mod_p(prod, p)
-                sigma = coeffs[N - idx] % p  # +- elementary symmetric
-                if sigma:
-                    row[xi] = sigma
-            if row:
+        if j == 0:
+            # the coefficient at p^0 is -tr(xy), and the basis is the unit
+            # vectors: one einsum over the regular representation gives
+            # tr(xy) for every pair; a category algebra's matrices are 0/1,
+            # so no trace exceeds N at any p
+            traces = np.einsum("xjk,ykj->yx", regular, regular)
+            cond_rows = [{xi: sigma for xi, sigma in enumerate(row) if sigma}
+                         for row in (-traces % p).tolist()]
+        else:
+            reps = [rep_of(v) for v in basis]
+            cond_rows = []
+            for yrep in reps:
+                row = {}
+                for xi, xrep in enumerate(reps):
+                    prod = xrep @ yrep % p
+                    coeffs = _charpoly_mod_p(prod, p)
+                    sigma = coeffs[N - idx] % p  # +- elementary symmetric
+                    if sigma:
+                        row[xi] = sigma
                 cond_rows.append(row)
+        cond_rows = [row for row in cond_rows if row]
         k = len(basis)
         _, kernel = rank_nullspace_raw(cond_rows, k, spec)
         if not kernel:

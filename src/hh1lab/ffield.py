@@ -25,6 +25,7 @@ here is immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from random import Random
 
 import numpy as np
@@ -125,12 +126,22 @@ def field_make(p, m=1):
     """F_p, the only field the package computes over.
 
     Raises NotPrime, and DegreeOutOfRange for any degree m other than 1.
+    Each prime is checked once: its FieldSpec is kept.
     """
-    if not isinstance(p, int) or not is_prime(p):
+    if not isinstance(p, int):
         raise NotPrime(f"{p} is not prime")
+    spec = _prime_field(p)
     if m != 1:
         raise DegreeOutOfRange(
             f"extension degree {m}: only prime fields are supported")
+    return spec
+
+
+@lru_cache(maxsize=None, typed=True)
+def _prime_field(p):
+    # typed: an int subclass equal to a cached prime is checked on its own
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
     return FieldSpec(p)
 
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +13,7 @@ from hh1lab.catalgebra import (CatFunctor, FinCategory, Morphism, bar_hh,
                                transporter_projection,
                                verify_frobenius_certificate)
 from hh1lab.errors import DimCapExceeded, InvalidCategory, NotAnAction
-from hh1lab.ffield import field_make
+from hh1lab.ffield import field_make, rank_nullspace_raw
 from hh1lab.groupalgebra import group_algebra
 from hh1lab.hhone import derivation_space
 from hh1lab.permgroup import Perm, group_from_generators
@@ -404,6 +405,44 @@ def test_radical_examples(corpus):
     assert radical_and_semisimplicity(A) == (4, False)
     AP = category_algebra(poset_category(), field_make(2, 1))
     assert radical_and_semisimplicity(AP) == (1, False)
+
+
+def radical_by_characteristic_polynomials(A):
+    """The radical's dimension with every level, p^0 included, read off
+    the characteristic polynomial of each product: the reference for the
+    trace form taken as one einsum."""
+    p = A.field.p
+    N, mats = catalgebra._fp_regular_rep(A)
+    regular = np.array(mats, dtype=np.int64)
+    basis = np.eye(N, dtype=np.int64)
+    j = 0
+    while p ** j <= N and len(basis):
+        reps = [np.einsum("i,ijk->jk", v, regular) % p for v in basis]
+        sigma = [[catalgebra._charpoly_mod_p(x @ y % p, p)[N - p ** j] % p
+                  for x in reps] for y in reps]
+        rows = [{x: s for x, s in enumerate(row) if s} for row in sigma]
+        _, kernel = rank_nullspace_raw([r for r in rows if r], len(basis),
+                                       A.field)
+        basis = np.array([np.array(v, dtype=np.int64) @ basis % p
+                          for v in kernel], dtype=np.int64).reshape(-1, N)
+        j += 1
+    return len(basis)
+
+
+@pytest.mark.parametrize("build,p", [
+    (lambda corpus: one_object_category(corpus["S3"]), 3),
+    (lambda corpus: one_object_category(corpus["D8"]), 2),
+    (lambda corpus: transporter_category(corpus["C3"], [0, 1, 2]), 3),
+    (lambda corpus: transporter_category(corpus["S3"], [0, 1, 2]), 2),
+    (lambda corpus: transporter_category(corpus["C2"], [0, 1, 2],
+                                         action="trivial"), 2),
+    (lambda corpus: poset_category(), 2),
+    (lambda corpus: poset_category(), 3)])
+def test_radical_equals_the_characteristic_polynomial_route(corpus, build,
+                                                             p):
+    A = category_algebra(build(corpus), field_make(p, 1))
+    rad, _ = radical_and_semisimplicity(A)
+    assert rad == radical_by_characteristic_polynomials(A)
 
 
 def test_maschke_on_small_corpus(corpus):

@@ -129,6 +129,15 @@ def test_happel_sphere_poset(tmp_path, capsys, p):
     assert doc["inputs"]["caps"]["cochain_cap"] == 10 ** 6
 
 
+def test_happel_bs4_at_2_to_degree_2(capsys):
+    # 305,280 cochains in degrees 0..3, ranked in BS4's five class blocks
+    code, doc = run_cli(capsys, ["happel", "--group-as-category", "S4",
+                                 "--prime", "2", "--degrees", "2"])
+    assert code == 0
+    assert doc["verdict"]["hh_dims"] == [5, 6, 9]
+    assert doc["verdict"]["nerve_dims"] == [1, 1, 2]
+
+
 def test_happel_over_the_cochain_cap_is_an_error(capsys):
     # BA4 has 12 * 11^5 cochains on its strings of length 5
     code = cli.main(["happel", "--group-as-category", "A4", "--prime", "2",

@@ -76,6 +76,23 @@ def test_field_make_errors():
             field_make(2, m)
 
 
+def test_field_make_checks_each_prime_once(capsys, monkeypatch):
+    from hh1lab import cli, ffield
+    checked = []
+    is_prime = ffield.is_prime
+    monkeypatch.setattr(ffield, "is_prime",
+                        lambda n: checked.append(n) or is_prime(n))
+    ffield._prime_field.cache_clear()
+    assert cli.main(["hh1", "--group", "S3", "--prime", "4294967311",
+                     "--method", "both"]) == 0
+    assert checked == [4294967311]
+    assert field_make(4294967311) is field_make(4294967311, 1)
+    assert checked == [4294967311]
+    for bad in (0, 1, 6, 4294967313, 2.0, 3.0, "5", None, [7]):
+        with pytest.raises(NotPrime):
+            field_make(bad)
+
+
 def _scan_every_tail(p, m):
     """The lex-least scan from the first tail on, binomials included."""
     for value in range(p ** m, 2 * p ** m):

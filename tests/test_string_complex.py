@@ -6,7 +6,8 @@ cochains Hom(A^{tensor q}, A) on small algebras, against the order complex
 of random posets (for a poset P, HH^*(kP) is the cohomology of its order
 complex), and against the class count and the centralizer-sum oracle on
 random small groups.  The coboundaries built by index arithmetic are
-checked entry for entry against a tuple-key reference assembly.
+checked entry for entry against a tuple-key reference assembly, and their
+block-by-block ranks against the rank of the whole matrix.
 """
 
 import os
@@ -20,7 +21,8 @@ from hh1lab.catalgebra import (CatFunctor, FinCategory, Morphism, bar_hh,
                                category_algebra, load_category_file,
                                nerve_cohomology, one_object_category,
                                restriction_map)
-from hh1lab.errors import DimCapExceeded, InvalidCategory
+from hh1lab.errors import (DimCapExceeded, InvalidCategory,
+                           InvariantViolation)
 from hh1lab.ffield import echelonize, field_make, rank_nullspace_raw
 from hh1lab.groupalgebra import StructAlgebra, group_algebra
 from hh1lab.hhone import additive_oracle, derivation_space
@@ -335,6 +337,97 @@ def test_array_coboundaries_equal_the_tuple_key_reference(C, p, N):
 
 
 # ---------------------------------------------------------------------------
+# the blocks: delta keeps the class of each cochain's parallel pair
+# ---------------------------------------------------------------------------
+
+
+def whole_rank(entries, nrows, ncols, spec):
+    """The rank of a coboundary as one matrix, on its short side."""
+    return rank_nullspace_raw(*catalgebra._short_side(entries, nrows, ncols),
+                              spec, want_basis=False)[0]
+
+
+def whole_matrix_dims(cx, spec, N):
+    """H^0..H^N of a string complex from the ranks of its whole
+    coboundaries: the reference for the block-by-block ranks."""
+    dims = [len(c[0]) for c in cx.cochains]
+    ranks = [whole_rank(cx.delta(q), dims[q + 1], dims[q], spec)
+             for q in range(N + 1)]
+    return [dims[q] - ranks[q] - (ranks[q - 1] if q else 0)
+            for q in range(N + 1)]
+
+
+def block_ranks(cx, spec, N):
+    """The rank of each coboundary as the sum of its blocks' ranks."""
+    blocks = [catalgebra._local_index(cx.blocks(q)) for q in range(N + 2)]
+    return [sum(whole_rank(*block, spec) for block in catalgebra._split_blocks(
+        cx.delta(q), blocks[q + 1], blocks[q])) for q in range(N + 1)]
+
+
+@PROPERTY
+@given(C=categories(), p=st.sampled_from([2, 3]), N=st.integers(0, 3))
+def test_coboundaries_are_block_diagonal(C, p, N):
+    spec = field_make(p, 1)
+    # keep the tallest coboundary near the tens of thousands of cochains
+    nonid = len(C.morphisms) - C.n_objects
+    while N and nonid ** (N + 1) * len(C.morphisms) > 20000:
+        N -= 1
+    for build in (catalgebra._bar_complex, catalgebra._nerve_complex):
+        cx = build(C, spec, N)
+        dims = [len(c[0]) for c in cx.cochains]
+        for q in range(N + 1):
+            r, c, _ = cx.delta(q)
+            assert (cx.blocks(q + 1)[r] == cx.blocks(q)[c]).all()
+        assert block_ranks(cx, spec, N) == [
+            whole_rank(cx.delta(q), dims[q + 1], dims[q], spec)
+            for q in range(N + 1)]
+        assert catalgebra._cohomology_dims(cx, spec, N) == \
+            whole_matrix_dims(cx, spec, N)
+
+
+@pytest.mark.parametrize("name,classes", [("C2", 2), ("V4", 4), ("S3", 3),
+                                          ("S4", 5)])
+def test_bg_has_one_block_per_conjugacy_class(corpus, name, classes):
+    # the class of a cochain (a_1 .. a_q, u) is the conjugacy class of
+    # P^-1 u, P = a_1 .. a_q, in every degree
+    G = corpus[name]
+    N = 1 if name == "S4" else 3
+    cx = catalgebra._bar_complex(one_object_category(G), field_make(2, 1), N)
+    table = G.multiplication_table()
+    inverse = (table == 0).argmax(axis=1)
+    for q in range(N + 2):
+        owner, u = cx.cochains[q]
+        conj = G.class_of_array()[table[inverse[cx.composites[q][owner]], u]]
+        blocks = cx.blocks(q)
+        assert len(set(zip(blocks.tolist(), conj.tolist()))) == \
+            len(np.unique(blocks)) == classes
+
+
+@pytest.mark.parametrize("build,blocks", [
+    (lambda corpus: catalgebra.transporter_category(
+        corpus["C2"], range(3), action="trivial"), 6),
+    (lambda corpus: packaged_poset(), 1)])
+def test_loop_classes_of_a_groupoid_and_a_poset(corpus, build, blocks):
+    # the poset a -> b has no strings of length 2 or more
+    cx = catalgebra._bar_complex(build(corpus), field_make(2, 1), 3)
+    assert {len(np.unique(cx.blocks(q))) for q in range(5)
+            if len(cx.cochains[q][0])} == {blocks}
+
+
+def test_an_entry_across_two_blocks_raises(corpus):
+    spec = field_make(3, 1)
+    cx = catalgebra._bar_complex(one_object_category(corpus["S3"]), spec, 1)
+    assert catalgebra._cohomology_dims(cx, spec, 1) == [3, 1]
+    moved = cx.blocks(1).copy()
+    row = cx.delta(0)[0][0]
+    moved[row] = (moved[row] + 1) % 3
+    corrupt = cx._replace(
+        blocks=lambda q: moved if q == 1 else cx.blocks(q))
+    with pytest.raises(InvariantViolation):
+        catalgebra._cohomology_dims(corrupt, spec, 1)
+
+
+# ---------------------------------------------------------------------------
 # posets: HH^* of kP is the cohomology of the order complex
 # ---------------------------------------------------------------------------
 
@@ -417,7 +510,8 @@ def test_bs3_coboundary_ranks_at_3(corpus, monkeypatch):
             iter(short), width, spec, want_basis=False)[0])
         rows = catalgebra._dict_rows(*entries, sizes[q + 1])
         pivots.append(len(echelonize(rows, sizes[q], spec)[0]))
-    assert short_side == pivots == [3, 26, 123, 625]
+    assert short_side == pivots == block_ranks(cx, spec, 3) == [
+        3, 26, 123, 625]
 
 
 def test_non_category_basis_is_rejected():

@@ -108,14 +108,18 @@ def test_benchmark_tracer_times_the_cache_and_the_render(
         path.stat().st_size for path in written)
 
 
-@pytest.mark.parametrize("p,calls,nnz,rank", [(2, 13, 22860, 921),
-                                              (3, 12, 22888, 920)])
+@pytest.mark.parametrize("p,calls,nnz,rank", [(2, 19, 22860, 921),
+                                              (3, 18, 22888, 920)])
 def test_benchmark_tracer_counts_a_happel_probe(corpus, monkeypatch, p,
                                                 calls, nnz, rank):
     # perfbench/spans.py wraps catalgebra's rank_nullspace_raw and
     # echelonize by name and counts len(row) of every row they consume, so
     # the probe must hand them dict rows; the rows may come from either
-    # side of a coboundary, but the entries and the ranks may not change
+    # side of a coboundary, but the entries and the ranks may not change;
+    # each block of a coboundary is ranked on its own and a block without
+    # entries not at all, so the bar complex makes 11 calls (BS3's three
+    # conjugacy classes, less the class of 1 in delta^0) and the nerve 3
+    # (its delta^0 is 0), where each made 4 on whole coboundaries
     from hh1lab import catalgebra
     perfbench = Path(__file__).resolve().parents[1] / "perfbench"
     monkeypatch.syspath_prepend(str(perfbench))
