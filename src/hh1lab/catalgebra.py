@@ -40,7 +40,8 @@ import numpy as np
 
 from .errors import (DimCapExceeded, InvalidCategory, InvariantViolation,
                      NotAnAction)
-from .ffield import echelonize, field_make, rank_nullspace_raw, sparse_rows
+from .ffield import (echelonize, field_make, matmul_mod, rank_nullspace_raw,
+                     sparse_rows)
 from .groupalgebra import StructAlgebra
 
 COCHAIN_CAP = 10 ** 6  # cochains of a string complex, all degrees together
@@ -764,45 +765,49 @@ def restriction_map(pi, spec, N):
 # ---------------------------------------------------------------------------
 
 
-def _charpoly_mod_p(M, p):
-    """Characteristic polynomial coefficients (ascending, length N+1)
-    of an integer matrix mod p, via Hessenberg reduction."""
-    H = [[int(v) % p for v in row] for row in M]
-    N = len(H)
+def _charpoly_stack(H, p):
+    """Characteristic polynomial coefficients mod p (ascending, rows of
+    length N + 1) of a stack (B, N, N) of int64 residues, via Hessenberg
+    reduction; H is reduced in place."""
+    B, N, _ = H.shape
+    inverse = np.array([0] + [pow(v, p - 2, p) for v in range(1, p)],
+                       dtype=np.int64)
+    at = np.arange(B)
     for j in range(N - 2):
-        piv = next((r for r in range(j + 1, N) if H[r][j] % p), None)
-        if piv is None:
-            continue
-        if piv != j + 1:
-            H[piv], H[j + 1] = H[j + 1], H[piv]
-            for r in range(N):
-                H[r][piv], H[r][j + 1] = H[r][j + 1], H[r][piv]
-        inv = pow(H[j + 1][j], p - 2, p)
-        for r in range(j + 2, N):
-            factor = H[r][j] * inv % p
-            if factor:
-                for c in range(N):
-                    H[r][c] = (H[r][c] - factor * H[j + 1][c]) % p
-                for rr in range(N):
-                    H[rr][j + 1] = (H[rr][j + 1] + factor * H[rr][r]) % p
-    # charpoly recurrence for Hessenberg matrices
-    polys = [[1]]
+        # each matrix swaps the first nonzero of column j from row j + 1
+        # down into row j + 1; one with none swaps row j + 1 with itself,
+        # and its inverse 0 makes every factor 0
+        piv = j + 1 + np.argmax(H[:, j + 1:, j] != 0, axis=1)
+        rows = H[at, piv]
+        H[at, piv] = H[:, j + 1]
+        H[:, j + 1] = rows
+        cols = H[at, :, piv]
+        H[at, :, piv] = H[:, :, j + 1]
+        H[:, :, j + 1] = cols
+        # the similarities that clear rows j + 2.. of column j commute, so
+        # all rows go first, then column j + 1 gains every factor's column
+        f = H[:, j + 2:, j] * inverse[H[:, j + 1, j]][:, None] % p
+        H[:, j + 2:] = (H[:, j + 2:] - f[:, :, None] * H[:, None, j + 1]) % p
+        H[:, :, j + 1] = (H[:, :, j + 1]
+                          + np.einsum("br,bcr->bc", f, H[:, :, j + 2:])) % p
+    # the charpoly recurrence for Hessenberg matrices, polys[:, k] the
+    # leading k x k minor's; beta[:, i] is the subdiagonal product from
+    # H[i + 1, i] to H[k - 1, k - 2]
+    sub = H[:, np.arange(1, N), np.arange(N - 1)]
+    polys = np.zeros((B, N + 1, N + 1), dtype=np.int64)
+    polys[:, 0, 0] = 1
+    beta = np.zeros((B, N), dtype=np.int64)
     for k in range(1, N + 1):
-        a = H[k - 1][k - 1] % p
-        prev = polys[k - 1]
-        poly = [0] * (k + 1)
-        for i, c in enumerate(prev):
-            poly[i + 1] = (poly[i + 1] + c) % p
-            poly[i] = (poly[i] - a * c) % p
-        beta = 1
-        for i in range(k - 2, -1, -1):
-            beta = beta * H[i + 1][i] % p
-            coef = H[i][k - 1] * beta % p
-            if coef:
-                for t, c in enumerate(polys[i]):
-                    poly[t] = (poly[t] - coef * c) % p
-        polys.append(poly)
-    return polys[N]
+        prev, poly = polys[:, k - 1], polys[:, k]
+        poly[:, 1:] = prev[:, :-1]
+        poly -= H[:, k - 1, k - 1, None] * prev
+        if k >= 2:
+            beta[:, k - 2] = 1
+            beta[:, :k - 1] = beta[:, :k - 1] * sub[:, k - 2, None] % p
+            coef = H[:, :k - 1, k - 1] * beta[:, :k - 1] % p
+            poly -= np.einsum("bi,bit->bt", coef, polys[:, :k - 1])
+        poly %= p
+    return polys[:, N]
 
 
 def _fp_regular_rep(A):
@@ -836,48 +841,29 @@ def radical_and_semisimplicity(A):
     regular = np.array(mats, dtype=np.int64)  # regular[x] is x's matrix
 
     basis = np.eye(N, dtype=np.int64)  # rows: current subspace coords
-
-    def rep_of(vec):
-        M = np.zeros((N, N), dtype=np.int64)
-        for idx, coef in enumerate(vec):
-            if coef:
-                M = (M + int(coef) * regular[idx]) % p
-        return M
-
     j = 0
     while p ** j <= N and len(basis):
-        idx = p ** j
+        idx, k = p ** j, len(basis)
         if j == 0:
             # the coefficient at p^0 is -tr(xy), and the basis is the unit
             # vectors: one einsum over the regular representation gives
             # tr(xy) for every pair; a category algebra's matrices are 0/1,
             # so no trace exceeds N at any p
-            traces = np.einsum("xjk,ykj->yx", regular, regular)
-            cond_rows = [{xi: sigma for xi, sigma in enumerate(row) if sigma}
-                         for row in (-traces % p).tolist()]
+            sigma = -np.einsum("xjk,ykj->yx", regular, regular) % p
         else:
-            reps = [rep_of(v) for v in basis]
-            cond_rows = []
-            for yrep in reps:
-                row = {}
-                for xi, xrep in enumerate(reps):
-                    prod = xrep @ yrep % p
-                    coeffs = _charpoly_mod_p(prod, p)
-                    sigma = coeffs[N - idx] % p  # +- elementary symmetric
-                    if sigma:
-                        row[xi] = sigma
-                cond_rows.append(row)
-        cond_rows = [row for row in cond_rows if row]
-        k = len(basis)
+            # sigma[y, x] is +- an elementary symmetric function of x y;
+            # the products for `per` values of y at a time take about
+            # 8 MiB of int64
+            reps = np.einsum("vi,ijk->vjk", basis, regular) % p
+            per = max(1, (1 << 20) // (N * N * k))
+            sigma = np.concatenate([
+                _charpoly_stack(matmul_mod(reps, reps[y:y + per, None], p)
+                                .reshape(-1, N, N), p)[:, N - idx]
+                for y in range(0, k, per)]).reshape(k, k)
+        cond_rows = [{xi: s for xi, s in enumerate(row) if s}
+                     for row in sigma.tolist() if any(row)]
         _, kernel = rank_nullspace_raw(cond_rows, k, spec)
-        if not kernel:
-            basis = np.zeros((0, N), dtype=np.int64)
-            break
-        newbasis = []
-        for vec in kernel:
-            coords = np.array([int(v) for v in vec], dtype=np.int64)
-            newbasis.append(coords @ basis % p)
-        basis = np.array(newbasis, dtype=np.int64)
+        basis = np.array(kernel, dtype=np.int64).reshape(-1, k) @ basis % p
         j += 1
 
     rad_dim = len(basis)

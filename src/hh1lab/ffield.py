@@ -9,7 +9,8 @@ refuses every degree but one.
 The public surface is `FieldSpec` (raw arithmetic), `field_make`, the
 ``poly_*`` helpers, and elimination: `echelonize` / `rank_nullspace_raw` on
 sparse rows (dicts col -> raw) run through one insertion echelon on rows
-packed into ints, a few bits per column (Boothby-Bradshaw 2009).  A
+packed into ints (Boothby-Bradshaw 2009): one bit per column over GF(2),
+two bit planes over GF(3), a field of a few bits per column above.  A
 rank-only call (``want_basis=False``) eliminates the short side, the
 transpose when the rows outnumber the columns, and skips back-reduction.
 `echelon_insert` is the same insertion on one dict row, for callers that
@@ -368,18 +369,81 @@ def echelon_insert(row, pivots, rowlist, spec):
     return None
 
 
+def _bits(x):
+    """The set bits of x, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def _echelon_planes(rows_iter, reduced):
+    """`_echelon_packed` over GF(3), each row a pair of ints (P, N): bit c
+    of P is set where the entry is 1, bit c of N where it is 2, neither
+    for 0.  With t = xp | yn, x + y is (t ^ ((yp | yn) & ~xn),
+    t ^ ((xp | xn) & ~yp)), each a & ~b written (a | b) ^ b so that no
+    int goes negative; x - y is x + (yn, yp), and 2x swaps the planes.
+    Pivot rows are monic, so reducing a lead of 1 subtracts the pivot row
+    and a lead of 2 adds it, one plane sum a step."""
+    pivots = {}
+    rowlist = []
+    for row in rows_iter:
+        xp = xn = 0
+        for c, v in row.items():
+            if v == 1:
+                xp |= 1 << c
+            elif v == 2:
+                xn |= 1 << c
+        while m := xp | xn:
+            low = m & -m
+            idx = pivots.get(lead := low.bit_length() - 1)
+            if idx is None:
+                pivots[lead] = len(rowlist)
+                # 2 is its own inverse: scaling by it swaps the planes
+                rowlist.append((xp, xn) if xp & low else (xn, xp))
+                break
+            yp, yn = rowlist[idx]
+            if xp & low:
+                yp, yn = yn, yp
+            t = xp | yn
+            xp, xn = t ^ ((yp | yn | xn) ^ xn), t ^ ((m | yp) ^ yp)
+    if not reduced:
+        return pivots, rowlist
+    mask = 0
+    for lead in pivots:
+        mask |= 1 << lead
+    # as in `_echelon_packed`, rows of larger lead are reduced first
+    for lead in sorted(pivots, reverse=True):
+        idx = pivots[lead]
+        xp, xn = rowlist[idx]
+        for c in _bits(((xp | xn) & mask) ^ (1 << lead)):
+            yp, yn = rowlist[pivots[c]]
+            if xp >> c & 1:
+                yp, yn = yn, yp
+            t = xp | yn
+            xp, xn = t ^ ((yp | yn | xn) ^ xn), t ^ ((xp | xn | yp) ^ yp)
+        rowlist[idx] = (xp, xn)
+    return pivots, [{c: 1 if xp >> c & 1 else 2 for c in _bits(xp | xn)}
+                    for xp, xn in rowlist]
+
+
 def _echelon_packed(rows_iter, p, reduced):
-    """Insertion echelon over F_p on rows packed into ints, column c in bits
-    [w c, w c + w).  Over GF(2), w = 1 and a row operation is XOR.  Over odd
-    p, w = bitlen(p - 1) + 1: a sum of two rows has each field below 2p <=
-    2^w, so nothing carries, and bit w-1 of field + 2^(w-1) - p marks where
-    p comes off.  Pivot rows are monic; the multiple k * row that a row
-    operation needs is made by doubling and not kept, so memory holds the
-    pivot rows alone.  Returns (pivots dict col->index, packed rows), or
+    """Insertion echelon over F_p on rows packed into ints, in one of three
+    encodings.  Over GF(2) column c is bit c and a row operation is XOR.
+    Over GF(3) a row is two ints, bit planes of its 1s and its 2s, and a
+    row operation is a few bitwise ops on them (`_echelon_planes`).  Over
+    p >= 5 column c is bits [w c, w c + w), w = bitlen(p - 1) + 1: a sum
+    of two rows has each field below 2p <= 2^w, so nothing carries, and
+    bit w-1 of field + 2^(w-1) - p marks where p comes off, and the
+    multiple k * row that a row operation needs is made by doubling and not
+    kept.  Pivot rows are monic, and memory holds them alone: 1, 2 and w
+    bits a column.  Returns (pivots dict col->index, packed rows), or
     with ``reduced`` (pivots, RREF rows as dicts col->raw, columns
     ascending): every row has leading coefficient one, and back-reduction
     makes the rows the unique RREF.
     """
+    if p == 3:
+        return _echelon_planes(rows_iter, reduced)
     w = 1 if p == 2 else (p - 1).bit_length() + 1
     fmask = (1 << w) - 1
     pivots = {}

@@ -407,6 +407,83 @@ def test_radical_examples(corpus):
     assert radical_and_semisimplicity(AP) == (1, False)
 
 
+def charpoly_mod_p(M, p):
+    """Characteristic polynomial coefficients (ascending, length N+1)
+    of an integer matrix mod p, via Hessenberg reduction one matrix and
+    one entry at a time: the reference for `catalgebra._charpoly_stack`."""
+    H = [[int(v) % p for v in row] for row in M]
+    N = len(H)
+    for j in range(N - 2):
+        piv = next((r for r in range(j + 1, N) if H[r][j] % p), None)
+        if piv is None:
+            continue
+        if piv != j + 1:
+            H[piv], H[j + 1] = H[j + 1], H[piv]
+            for r in range(N):
+                H[r][piv], H[r][j + 1] = H[r][j + 1], H[r][piv]
+        inv = pow(H[j + 1][j], p - 2, p)
+        for r in range(j + 2, N):
+            factor = H[r][j] * inv % p
+            if factor:
+                for c in range(N):
+                    H[r][c] = (H[r][c] - factor * H[j + 1][c]) % p
+                for rr in range(N):
+                    H[rr][j + 1] = (H[rr][j + 1] + factor * H[rr][r]) % p
+    # charpoly recurrence for Hessenberg matrices
+    polys = [[1]]
+    for k in range(1, N + 1):
+        a = H[k - 1][k - 1] % p
+        prev = polys[k - 1]
+        poly = [0] * (k + 1)
+        for i, c in enumerate(prev):
+            poly[i + 1] = (poly[i + 1] + c) % p
+            poly[i] = (poly[i] - a * c) % p
+        beta = 1
+        for i in range(k - 2, -1, -1):
+            beta = beta * H[i + 1][i] % p
+            coef = H[i][k - 1] * beta % p
+            if coef:
+                for t, c in enumerate(polys[i]):
+                    poly[t] = (poly[t] - coef * c) % p
+        polys.append(poly)
+    return polys[N]
+
+
+@st.composite
+def residue_stacks(draw):
+    """(p, H): a stack of N x N residue matrices mod p, some of them sparse,
+    so that pivots sit below the subdiagonal, and some block upper
+    triangular, so that a column of the reduction has no pivot at all."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    N = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    H = rng.integers(0, p, size=(draw(st.integers(1, 6)), N, N))
+    H *= rng.random(H.shape) < draw(st.sampled_from([0.15, 0.5, 1.0]))
+    for M in H:
+        if N > 1 and rng.random() < 0.5:
+            split = int(rng.integers(0, N - 1))
+            M[split + 1:, :split + 1] = 0
+    return p, H
+
+
+@settings(max_examples=150, deadline=None)
+@given(residue_stacks())
+def test_charpoly_stack_matches_the_scalar_reference(stack):
+    p, H = stack
+    want = [charpoly_mod_p(M, p) for M in H]
+    assert catalgebra._charpoly_stack(H.copy(), p).tolist() == want
+
+
+@pytest.mark.parametrize("N", [1, 2])
+@pytest.mark.parametrize("p", [2, 3])
+def test_charpoly_stack_without_a_hessenberg_step(p, N):
+    # every N x N matrix over F_p, N <= 2: the reduction has no step
+    H = np.array(np.meshgrid(*[range(p)] * (N * N), indexing="ij"))
+    H = H.reshape(N * N, -1).T.reshape(-1, N, N)
+    want = [charpoly_mod_p(M, p) for M in H]
+    assert catalgebra._charpoly_stack(H.copy(), p).tolist() == want
+
+
 def radical_by_characteristic_polynomials(A):
     """The radical's dimension with every level, p^0 included, read off
     the characteristic polynomial of each product: the reference for the
@@ -418,7 +495,7 @@ def radical_by_characteristic_polynomials(A):
     j = 0
     while p ** j <= N and len(basis):
         reps = [np.einsum("i,ijk->jk", v, regular) % p for v in basis]
-        sigma = [[catalgebra._charpoly_mod_p(x @ y % p, p)[N - p ** j] % p
+        sigma = [[charpoly_mod_p(x @ y % p, p)[N - p ** j] % p
                   for x in reps] for y in reps]
         rows = [{x: s for x, s in enumerate(row) if s} for row in sigma]
         _, kernel = rank_nullspace_raw([r for r in rows if r], len(basis),

@@ -571,13 +571,18 @@ def _echelon_generic(rows_iter, spec, reduced):
 
 @st.composite
 def dependent_systems(draw, p):
-    """(rows, ncols): tall or wide sparse systems over F_p whose later rows
-    mix earlier ones, so that ranks fall short at every p."""
-    ncols = draw(st.integers(1, 10))
-    tall = draw(st.booleans())
+    """(rows, ncols): sparse systems over F_p whose later rows mix earlier
+    ones, so that ranks fall short at every p.  Narrow draws are tall or
+    wide; wide sparse draws of 60-300 columns span several machine words
+    of a packed row.  Some rows hold explicit raw zeros, which elimination
+    ignores."""
+    wide = draw(st.booleans())
+    ncols = draw(st.integers(60, 300) if wide else st.integers(1, 10))
+    tall = not wide and draw(st.booleans())
     nrows = draw(st.integers(ncols + 1, 2 * ncols + 4) if tall
-                 else st.integers(0, ncols))
+                 else st.integers(0, 24 if wide else ncols))
     values = st.integers(1, p - 1)
+    columns = st.integers(0, ncols - 1)
     rows = []
     for _ in range(nrows):
         if rows and draw(st.booleans()):
@@ -587,8 +592,10 @@ def dependent_systems(draw, p):
                      for c in a.keys() | b.keys()}
             rows.append({c: v for c, v in sorted(mixed.items()) if v})
         else:
-            rows.append(draw(st.dictionaries(st.integers(0, ncols - 1),
-                                             values, max_size=ncols)))
+            rows.append(draw(st.dictionaries(columns, values,
+                                             max_size=8 if wide else ncols)))
+        if draw(st.integers(0, 3)) == 0:
+            rows[-1] |= dict.fromkeys(draw(st.lists(columns, max_size=3)), 0)
     return rows, ncols
 
 
